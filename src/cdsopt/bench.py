@@ -161,17 +161,19 @@ def run_case(case: dict) -> dict:
     }
 
 
-def pool_width(requested: int | None = None) -> int:
-    """Worker count: CDS_OPT_THREADS overrides any requested width."""
+def pool_width(case_count: int, requested: int | None = None) -> int:
+    """Worker count: CDS_OPT_THREADS overrides any requested width.
+
+    Never more workers than cases or CPUs.
+    """
     env = os.environ.get("CDS_OPT_THREADS")
-    if env is not None:
-        return max(1, int(env))
-    return max(1, requested or 1)
+    width = int(env) if env is not None else requested or 1
+    return max(1, min(width, case_count, os.cpu_count() or 1))
 
 
 def run_batch(cases: list[dict], threads: int | None = None) -> list[dict]:
-    width = pool_width(threads)
-    if width == 1 or len(cases) <= 1:
+    width = pool_width(len(cases), threads)
+    if width == 1:
         return [run_case(case) for case in cases]
     with ProcessPoolExecutor(max_workers=width) as pool:
         return list(pool.map(run_case, cases))

@@ -1,4 +1,4 @@
-"""Insertion-only union-find tracking components of an induced subgraph."""
+"""Insertion-only component labels of an induced subgraph."""
 
 from __future__ import annotations
 
@@ -8,57 +8,68 @@ from .graph import WeightedGraph
 class ComponentIndex:
     """Connected components of G[D] for a node set D that only ever grows.
 
-    Adding a node unions it with every already-present neighbor, so two
-    members share a root exactly when they are connected inside the induced
-    subgraph.  Uses union by size with path compression.
+    ``label`` is a flat list over all nodes: a member holds the id of a
+    representative member of its component, a non-member holds -1.  Two
+    members share a label exactly when they are connected inside the
+    induced subgraph.  Adding a node merges the components it touches by
+    relabeling the smaller ones into the largest, so every member is
+    relabeled O(log n) times over the life of the index.
     """
 
     def __init__(self, graph: WeightedGraph, members=()):
         self._graph = graph
-        self._parent: dict[int, int] = {}
-        self._size: dict[int, int] = {}
-        self._count = 0
+        self.label = [-1] * graph.node_count
+        # label -> the members carrying it
+        self._components: dict[int, list[int]] = {}
+        self._size = 0
         for u in members:
             self.add(u)
 
     def __contains__(self, u: int) -> bool:
-        return u in self._parent
+        return self.label[u] >= 0
 
     def __len__(self) -> int:
-        return len(self._parent)
+        return self._size
 
     @property
     def members(self) -> set[int]:
-        return set(self._parent)
+        return {u for comp in self._components.values() for u in comp}
 
     @property
     def component_count(self) -> int:
-        return self._count
+        return len(self._components)
 
-    def add(self, u: int) -> None:
-        if u in self._parent:
+    def add(self, u: int) -> list[int]:
+        """Insert u; return the nodes whose label changed, u first."""
+        label = self.label
+        if label[u] >= 0:
             raise ValueError(f"node {u} already in the index")
-        self._parent[u] = u
-        self._size[u] = 1
-        self._count += 1
-        for v in self._graph.adjacency[u]:
-            if v in self._parent:
-                self._union(u, v)
+        components = self._components
+        touched = {label[v] for v in self._graph.adjacency[u] if label[v] >= 0}
+        self._size += 1
+        if not touched:
+            label[u] = u
+            components[u] = [u]
+            return [u]
+        # largest component keeps its label; ties go to the smaller label
+        target = min(touched, key=lambda r: (-len(components[r]), r))
+        label[u] = target
+        kept = components[target]
+        kept.append(u)
+        changed = [u]
+        for root in touched:
+            if root == target:
+                continue
+            absorbed = components.pop(root)
+            for w in absorbed:
+                label[w] = target
+            kept.extend(absorbed)
+            changed.extend(absorbed)
+        return changed
 
     def find(self, u: int) -> int:
-        root = u
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[u] != root:
-            self._parent[u], u = root, self._parent[u]
+        """Label of member u's component."""
+        root = self.label[u]
+        if root < 0:
+            raise KeyError(u)
         return root
-
-    def _union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self._size[ra] < self._size[rb]:
-            ra, rb = rb, ra
-        self._parent[rb] = ra
-        self._size[ra] += self._size[rb]
-        self._count -= 1

@@ -9,6 +9,15 @@ leaf's contribution at one is what makes the most efficient star computable
 in polynomial time: it is always attained by a prefix of the cheapest
 single-component leaves, one per fresh component.
 
+The greedy keeps each free center's best star between rounds and
+recomputes only the centers a round can have changed.  A center's best star
+reads the labels of its neighbors and of its free neighbors' neighbors, so
+after a star is added only free nodes within two hops of a node whose label
+changed (the star's nodes and the members of the components it absorbed)
+are stale, and only via a free middle node when two hops away.  Star values
+can rise as well as fall between rounds, so lazy upper bounds would be
+wrong; this invalidation is explicit and exact.
+
 A deliberately weaker connector restricted to single nodes and adjacent
 pairs is provided as a baseline; on the adversarial ladder family its cost
 grows linearly with the rung count while the star connector stays near the
@@ -57,10 +66,11 @@ class ConnectReport:
 
 
 def component_neighbors(idx: ComponentIndex, graph: WeightedGraph, u: int) -> set[int]:
-    """Roots of the distinct components of G[D] adjacent to u (u outside D)."""
-    if u in idx:
+    """Labels of the distinct components of G[D] adjacent to u (u outside D)."""
+    label = idx.label
+    if label[u] >= 0:
         raise ValueError(f"node {u} already in the indexed set")
-    return {idx.find(v) for v in graph.adjacency[u] if v in idx}
+    return {label[v] for v in graph.adjacency[u] if label[v] >= 0}
 
 
 def merge_potential(idx: ComponentIndex, graph: WeightedGraph, center: int, leaves) -> int:
@@ -101,14 +111,27 @@ def best_star_at(idx: ComponentIndex, graph: WeightedGraph, u: int) -> StarCandi
     scan attains the optimum over all leaf subsets.
     """
     cost = graph.cost
-    center_neighbors = component_neighbors(idx, graph, u)
+    adjacency = graph.adjacency
+    label = idx.label
+    if label[u] >= 0:
+        raise ValueError(f"node {u} already in the indexed set")
+    center_neighbors = {label[v] for v in adjacency[u] if label[v] >= 0}
     eligible: list[tuple[float, int, int]] = []
-    for v in graph.adjacency[u]:
-        if v in idx:
+    for v in adjacency[u]:
+        if label[v] >= 0:
             continue
-        reached = component_neighbors(idx, graph, v)
-        if len(reached) == 1:
-            eligible.append((cost[v], v, next(iter(reached))))
+        # the one component v touches, or -1 for none or several
+        comp = -1
+        for w in adjacency[v]:
+            lw = label[w]
+            if lw >= 0:
+                if comp < 0:
+                    comp = lw
+                elif lw != comp:
+                    comp = -1
+                    break
+        if comp >= 0:
+            eligible.append((cost[v], v, comp))
     eligible.sort()
     kept: list[int] = []
     covered = set(center_neighbors)
@@ -128,13 +151,8 @@ def best_star_at(idx: ComponentIndex, graph: WeightedGraph, u: int) -> StarCandi
         if gain < 1:
             continue
         cand = StarCandidate(center=u, leaves=tuple(kept[:take]), gain=gain, total_cost=total)
-        if best is None:
+        if best is None or _better_candidate(cand, best):
             best = cand
-        else:
-            lhs = cand.gain * best.total_cost
-            rhs = best.gain * cand.total_cost
-            if lhs > rhs or (lhs == rhs and cand.gain > best.gain):
-                best = cand
     return best
 
 
@@ -160,32 +178,64 @@ def _check_dominating(inst: Instance, members: set[int]) -> None:
             raise ValueError(f"set is not dominating: node {u} has no neighbor inside")
 
 
+def _stale_centers(idx: ComponentIndex, graph: WeightedGraph, changed) -> set[int]:
+    """Nodes whose best star may differ now that the labels of ``changed`` moved.
+
+    That is every node within one hop of a changed node, plus the neighbors
+    of the free ones among them; callers skip the members.
+    """
+    label = idx.label
+    adjacency = graph.adjacency
+    near = set(changed)
+    for x in changed:
+        near.update(adjacency[x])
+    stale = set()
+    for y in near:
+        if label[y] < 0:
+            stale.add(y)
+            stale.update(adjacency[y])
+    return stale
+
+
 def greedy_connect(inst: Instance, dominating_set) -> ConnectReport:
     """Connect a dominating set by repeatedly adding the most efficient star.
 
     Every chosen star merges exactly as many components as its value
     promises, so the component count drops to one in at most
-    (initial components - 1) iterations.
+    (initial components - 1) iterations.  Each free center's best star is
+    cached and recomputed only when the round touched its two-hop
+    neighborhood; ``_better_candidate`` orders distinct centers strictly, so
+    the pick does not depend on the cache's order.
     """
     ds = set(dominating_set)
     _check_dominating(inst, ds)
     graph = inst.graph
     idx = ComponentIndex(graph, sorted(ds))
+    label = idx.label
     report = ConnectReport(method="star", initial_components=idx.component_count)
+    best_at: dict[int, StarCandidate] = {}
+    stale = range(graph.node_count)
     while idx.component_count > 1:
-        best: StarCandidate | None = None
-        for u in range(graph.node_count):
-            if u in idx:
+        for u in stale:
+            if label[u] >= 0:
                 continue
             cand = best_star_at(idx, graph, u)
-            if cand is not None and (best is None or _better_candidate(cand, best)):
+            if cand is None:
+                best_at.pop(u, None)
+            else:
+                best_at[u] = cand
+        best: StarCandidate | None = None
+        for cand in best_at.values():
+            if best is None or _better_candidate(cand, best):
                 best = cand
         if best is None:
             raise RuntimeError("connector stalled: no star merges components")
         before = idx.component_count
+        changed: list[int] = []
         for node in best.nodes:
-            idx.add(node)
+            changed.extend(idx.add(node))
             report.connectors.add(node)
+            best_at.pop(node, None)
         after = idx.component_count
         if before - after != best.gain:
             raise RuntimeError(
@@ -193,6 +243,7 @@ def greedy_connect(inst: Instance, dominating_set) -> ConnectReport:
             )
         report.stars.append(best)
         report.component_trace.append(after)
+        stale = _stale_centers(idx, graph, changed)
     return report
 
 

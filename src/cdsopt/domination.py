@@ -36,23 +36,17 @@ class GreedyTrace:
 class DeficitState:
     """Incremental residual-domination bookkeeping for a growing node set.
 
-    Tracks per node: membership, the number of neighbors already inside the
-    set, and the residual demand (deficit).  ``covered`` is the running value
-    of the potential, kept equal to m*n - sum(deficit).
+    Tracks per node: membership and the residual demand (deficit).
+    ``covered`` is the running value of the potential, kept equal to
+    m*n - sum(deficit).
     """
 
     def __init__(self, inst: Instance):
         n = inst.graph.node_count
         self.inst = inst
         self.in_set = [False] * n
-        self.dominators = [0] * n
         self.deficit = [inst.m] * n
         self.covered = 0
-
-    @property
-    def target(self) -> int:
-        """Potential value at which the set is an m-fold dominating set."""
-        return self.inst.m * self.inst.graph.node_count
 
     def add(self, u: int) -> None:
         """Insert u, zeroing its own deficit and relieving uncovered neighbors."""
@@ -62,7 +56,6 @@ class DeficitState:
         self.deficit[u] = 0
         self.in_set[u] = True
         for v in self.inst.graph.adjacency[u]:
-            self.dominators[v] += 1
             if not self.in_set[v] and self.deficit[v] > 0:
                 self.deficit[v] -= 1
                 self.covered += 1
@@ -100,8 +93,10 @@ def coverage_gain(state: DeficitState, u: int) -> int:
 def greedy_dominating_set(inst: Instance) -> tuple[set[int], GreedyTrace]:
     """Run the greedy cover, returning the m-fold dominating set and its trace.
 
-    Selection maximizes gain/cost, compared by cross-multiplication to keep
-    ties exact; ties prefer the larger gain, then the smaller node id.
+    Selection maximizes gain/cost, compared by cross-multiplication; ties
+    prefer the larger gain, then the smaller node id.  A tie is detected
+    exactly only when the products gain*cost are exactly representable, as
+    with integer or dyadic costs; otherwise rounding may split it.
     Terminates because the potential strictly increases and is bounded by
     m*n, at which point the set m-fold dominates the graph.
     """

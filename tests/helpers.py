@@ -3,7 +3,9 @@
 The oracle implementations here deliberately avoid the library's incremental
 data structures: components come from a plain BFS labeling, star values from
 literal formula evaluation or full per-prefix rebuilds, and optima from
-unpruned subset enumeration.
+unpruned subset enumeration.  The one exception is
+``reference_greedy_connect``, the full-rescan star connector that the
+incremental ``greedy_connect`` must reproduce exactly.
 """
 
 from __future__ import annotations
@@ -12,6 +14,14 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+from cdsopt.components import ComponentIndex
+from cdsopt.connector import (
+    ConnectReport,
+    StarCandidate,
+    _better_candidate,
+    _check_dominating,
+    best_star_at,
+)
 from cdsopt.graph import Instance, WeightedGraph
 
 
@@ -132,6 +142,41 @@ def brute_force_best_star(graph: WeightedGraph, members, center):
             if best is None or eff > best:
                 best = eff
     return best
+
+
+# ---------------------------------------------------------------------------
+# full-rescan reference connector
+
+
+def reference_greedy_connect(inst: Instance, dominating_set) -> ConnectReport:
+    """Star connector that evaluates every free center in every round."""
+    ds = set(dominating_set)
+    _check_dominating(inst, ds)
+    graph = inst.graph
+    idx = ComponentIndex(graph, sorted(ds))
+    report = ConnectReport(method="star", initial_components=idx.component_count)
+    while idx.component_count > 1:
+        best: StarCandidate | None = None
+        for u in range(graph.node_count):
+            if u in idx:
+                continue
+            cand = best_star_at(idx, graph, u)
+            if cand is not None and (best is None or _better_candidate(cand, best)):
+                best = cand
+        if best is None:
+            raise RuntimeError("connector stalled: no star merges components")
+        before = idx.component_count
+        for node in best.nodes:
+            idx.add(node)
+            report.connectors.add(node)
+        after = idx.component_count
+        if before - after != best.gain:
+            raise RuntimeError(
+                f"selected star promised {best.gain} merges but delivered {before - after}"
+            )
+        report.stars.append(best)
+        report.component_trace.append(after)
+    return report
 
 
 # ---------------------------------------------------------------------------

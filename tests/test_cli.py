@@ -2,10 +2,11 @@
 
 import json
 import math
+import os
 
 import pytest
 
-from cdsopt.bench import CSV_COLUMNS
+from cdsopt.bench import CSV_COLUMNS, pool_width
 from cdsopt.cli import main
 
 P3_TEXT = "cds 3 2 1\n1 1 1\n0 1\n1 2\n"
@@ -247,6 +248,17 @@ class TestBench:
         assert main(["bench", str(batch), "--out-csv", str(pooled_csv), "--out-json", str(tmp_path / "b.json")]) == 0
         capsys.readouterr()
         assert serial_csv.read_bytes() == pooled_csv.read_bytes()
+
+    def test_pool_width_capped_by_cases_and_cpus(self, monkeypatch):
+        # only computes the width; no pool is started
+        cpus = os.cpu_count() or 1
+        monkeypatch.setenv("CDS_OPT_THREADS", "100000")
+        assert pool_width(3) == min(3, cpus)
+        assert pool_width(10**6) == cpus
+        assert pool_width(0) == 1
+        monkeypatch.delenv("CDS_OPT_THREADS")
+        assert pool_width(5, 100000) == min(5, cpus)
+        assert pool_width(5) == 1
 
     def test_malformed_batch_exit_2(self, tmp_path, capsys):
         batch = tmp_path / "batch.json"

@@ -16,7 +16,8 @@ from cdsopt.connector import (
     merge_potential,
     pairwise_connect,
 )
-from cdsopt.generators import gen_fig1, gen_random_connected
+from cdsopt.domination import greedy_dominating_set
+from cdsopt.generators import gen_fig1, gen_random_connected, gen_udg
 from cdsopt.verify import verify_cds
 from helpers import (
     bfs_component_count,
@@ -27,6 +28,7 @@ from helpers import (
     make_instance,
     path_instance,
     random_dominating_set,
+    reference_greedy_connect,
     simulate_star_value,
 )
 
@@ -64,6 +66,35 @@ class TestComponentIndex:
         idx = ComponentIndex(inst.graph, members)
         assert idx.component_count == bfs_component_count(inst.graph, members)
         assert idx.members == set(members)
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**6), pick=st.randoms(use_true_random=False))
+    def test_labels_match_bfs_after_every_add(self, seed, pick):
+        n = 14
+        g = gen_random_connected(n, 0.2, (1.0, 1.0), seed=seed).graph
+        order = list(range(n))
+        pick.shuffle(order)
+        idx = ComponentIndex(g)
+        present = set()
+        for u in order[: pick.randrange(1, n + 1)]:
+            before = list(idx.label)
+            changed = idx.add(u)
+            present.add(u)
+            assert changed[0] == u
+            assert len(changed) == len(set(changed))
+            assert set(changed) == {v for v in range(n) if idx.label[v] != before[v]}
+            bfs = bfs_component_labels(g, present)
+            # the same partition up to renaming: labels pair off one to one
+            pairs = {(idx.label[v], bfs[v]) for v in present}
+            assert len(pairs) == len({a for a, _ in pairs}) == len({b for _, b in pairs})
+            assert idx.component_count == len(set(bfs.values()))
+            for v in range(n):
+                if v in present:
+                    assert idx.find(v) == idx.label[v]
+                    assert idx.find(v) in present
+                else:
+                    assert idx.label[v] == -1
 
 
 class TestComponentNeighbors:
@@ -272,6 +303,32 @@ class TestGreedyConnect:
         inst = path_instance(5)
         with pytest.raises(ValueError, match="not dominating"):
             greedy_connect(inst, {0})
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(["random", "udg"]),
+        n=st.integers(5, 60),
+        seed=st.integers(0, 10**6),
+        costs=st.sampled_from([(0.1, 10.0), (1.0, 1.0)]),
+        greedy_ds=st.booleans(),
+        m=st.integers(1, 2),
+    )
+    def test_matches_full_rescan_reference(self, kind, n, seed, costs, greedy_ds, m):
+        if kind == "random":
+            inst = gen_random_connected(n, 3.0 / n, costs, seed=seed, m=m)
+        else:
+            inst = gen_udg(n, math.sqrt(n / 5.0), costs, seed=seed, m=m)
+        if greedy_ds:
+            members, _ = greedy_dominating_set(inst)
+        else:
+            members = random_dominating_set(random.Random(seed), inst.graph)
+        fast = greedy_connect(inst, members)
+        ref = reference_greedy_connect(inst, members)
+        assert fast.stars == ref.stars
+        assert fast.component_trace == ref.component_trace
+        assert fast.connectors == ref.connectors
+        assert fast.initial_components == ref.initial_components
 
 
 class TestRatioNonMonotonicity:
