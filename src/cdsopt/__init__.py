@@ -13,7 +13,6 @@ from .connector import (
     best_star_at,
     component_neighbors,
     greedy_connect,
-    merge_potential,
     pairwise_connect,
 )
 from .domination import (
@@ -21,7 +20,6 @@ from .domination import (
     GreedyStep,
     GreedyTrace,
     coverage_gain,
-    coverage_value,
     greedy_dominating_set,
 )
 from .generators import gen_fig1, gen_random_connected, gen_udg
@@ -70,7 +68,6 @@ __all__ = [
     "component_neighbors",
     "components",
     "coverage_gain",
-    "coverage_value",
     "exact_minimum_cds",
     "exact_minimum_mds",
     "gen_fig1",
@@ -79,7 +76,6 @@ __all__ = [
     "greedy_connect",
     "greedy_dominating_set",
     "harmonic",
-    "merge_potential",
     "pairwise_connect",
     "parse_instance",
     "ratio_report",

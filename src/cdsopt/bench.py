@@ -26,7 +26,8 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 
 from .generators import gen_fig1, gen_random_connected, gen_udg
-from .oracle import DEFAULT_NODE_BUDGET, harmonic
+from .graph import fmt_float
+from .oracle import DEFAULT_NODE_BUDGET, proven_bounds
 from .solver import solve
 
 CSV_COLUMNS = [
@@ -124,9 +125,8 @@ def run_case(case: dict) -> dict:
         node_budget=case["node_budget"],
     )
     g = inst.graph
-    delta = g.max_degree
-    bound_total = harmonic(delta + inst.m) + 2.0 * harmonic(delta - 1)
-    is_udg = g.coords is not None
+    bound_d1, bound_d2, udg_bound_d2 = proven_bounds(inst)
+    bound_total = bound_d1 + bound_d2
     problems: list[str] = []
     if not result.verify_report.is_cds:
         problems.append("output failed verification")
@@ -137,18 +137,18 @@ def run_case(case: dict) -> dict:
         ratio_total = r.ratio_total
         if result.cost_total > bound_total * opt + BOUND_EPS:
             problems.append("total cost exceeds (H(delta+m)+2H(delta-1))*opt")
-        if result.cost_d1 > r.bound_d1 * opt_mds + BOUND_EPS:
+        if result.cost_d1 > bound_d1 * opt_mds + BOUND_EPS:
             problems.append("d1 cost exceeds H(delta+m)*opt_mds")
-        if result.cost_d2 > r.bound_d2 * opt + BOUND_EPS:
+        if result.cost_d2 > bound_d2 * opt + BOUND_EPS:
             problems.append("d2 cost exceeds 2H(delta-1)*opt")
-        if is_udg and result.cost_d2 > (11.0 / 3.0) * opt + BOUND_EPS:
+        if udg_bound_d2 is not None and result.cost_d2 > udg_bound_d2 * opt + BOUND_EPS:
             problems.append("d2 cost exceeds (11/3)*opt on UDG")
     return {
         "label": inst.label,
         "n": g.node_count,
         "edges": g.edge_count,
         "m": inst.m,
-        "delta": delta,
+        "delta": g.max_degree,
         "cost_d1": result.cost_d1,
         "cost_d2": result.cost_d2,
         "cost_total": result.cost_total,
@@ -156,7 +156,7 @@ def run_case(case: dict) -> dict:
         "opt_mds": opt_mds,
         "ratio_total": ratio_total,
         "bound_total": bound_total,
-        "udg": is_udg,
+        "udg": g.coords is not None,
         "violation": "; ".join(problems),
     }
 
@@ -185,7 +185,7 @@ def _cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return format(value, ".17g")
+        return fmt_float(value)
     return str(value)
 
 

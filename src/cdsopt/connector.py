@@ -9,27 +9,28 @@ leaf's contribution at one is what makes the most efficient star computable
 in polynomial time: it is always attained by a prefix of the cheapest
 single-component leaves, one per fresh component.
 
-The greedy keeps each free center's best star between rounds and
-recomputes only the centers a round can have changed.  A center's best star
-reads the labels of its neighbors and of its free neighbors' neighbors, so
-after a star is added only free nodes within two hops of a node whose label
-changed (the star's nodes and the members of the components it absorbed)
-are stale, and only via a free middle node when two hops away.  Star values
-can rise as well as fall between rounds, so lazy upper bounds would be
-wrong; this invalidation is explicit and exact.
+A deliberately weaker baseline adds only single nodes and adjacent pairs;
+on the adversarial ladder family its cost grows linearly with the rung
+count while the star connector stays near the optimum.
 
-A deliberately weaker connector restricted to single nodes and adjacent
-pairs is provided as a baseline; on the adversarial ladder family its cost
-grows linearly with the rung count while the star connector stays near the
-optimum.
+Both connectors run through one driver that keeps each free center's best
+candidate between rounds and recomputes only the centers a round can have
+changed.  A star at a center, like a pair at its lower-id node, reads the
+labels of the center's neighbors and of its free neighbors' neighbors, so
+after a candidate is added only free nodes within two hops of a node whose
+label changed (the candidate's nodes and the members of the components it
+absorbed) are stale, and only via a free middle node when two hops away.
+Candidate values can rise as well as fall between rounds, so lazy upper
+bounds would be wrong; this invalidation is explicit and exact.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .components import ComponentIndex
 from .graph import Instance, WeightedGraph
+from .verify import verify_mds
 
 
 @dataclass(frozen=True)
@@ -71,33 +72,6 @@ def component_neighbors(idx: ComponentIndex, graph: WeightedGraph, u: int) -> se
     if label[u] >= 0:
         raise ValueError(f"node {u} already in the indexed set")
     return {label[v] for v in graph.adjacency[u] if label[v] >= 0}
-
-
-def merge_potential(idx: ComponentIndex, graph: WeightedGraph, center: int, leaves) -> int:
-    """Capped merge count of the star (center, leaves) against the indexed set.
-
-    Leaves must be outside the set, adjacent to the center, and sorted by
-    nondecreasing cost.  Each leaf contributes one when it touches a
-    component not already reached by the center or an earlier leaf; the
-    index is not mutated.
-    """
-    center_adj = set(graph.adjacency[center])
-    covered = component_neighbors(idx, graph, center)
-    value = len(covered) - 1
-    prev_cost = None
-    for leaf in leaves:
-        if leaf in idx:
-            raise ValueError(f"star node {leaf} already in the indexed set")
-        if leaf not in center_adj:
-            raise ValueError(f"leaf {leaf} not adjacent to center {center}")
-        if prev_cost is not None and graph.cost[leaf] < prev_cost:
-            raise ValueError("leaves must be sorted by nondecreasing cost")
-        prev_cost = graph.cost[leaf]
-        reached = component_neighbors(idx, graph, leaf)
-        if reached - covered:
-            value += 1
-        covered |= reached
-    return value
 
 
 def best_star_at(idx: ComponentIndex, graph: WeightedGraph, u: int) -> StarCandidate | None:
@@ -169,17 +143,40 @@ def _better_candidate(a: StarCandidate, b: StarCandidate) -> bool:
     return len(a.leaves) < len(b.leaves)
 
 
-def _check_dominating(inst: Instance, members: set[int]) -> None:
-    g = inst.graph
-    for u in range(g.node_count):
-        if u in members:
+def best_pair_at(idx: ComponentIndex, graph: WeightedGraph, a: int) -> StarCandidate | None:
+    """Best of the singleton a and the free pairs (a, b) with b > a, or None.
+
+    A candidate's value is the number of components it touches minus one;
+    ties keep the first of the singleton and then b in adjacency order.
+    """
+    cost = graph.cost
+    reached_a = component_neighbors(idx, graph, a)
+    best: StarCandidate | None = None
+    gain = len(reached_a) - 1
+    if gain >= 1:
+        best = StarCandidate(center=a, leaves=(), gain=gain, total_cost=cost[a])
+    for b in graph.adjacency[a]:
+        if b <= a or b in idx:
             continue
-        if not any(v in members for v in g.adjacency[u]):
-            raise ValueError(f"set is not dominating: node {u} has no neighbor inside")
+        pair_gain = len(reached_a | component_neighbors(idx, graph, b)) - 1
+        if pair_gain >= 1:
+            cand = StarCandidate(
+                center=a, leaves=(b,), gain=pair_gain, total_cost=cost[a] + cost[b]
+            )
+            if best is None or _better_candidate(cand, best):
+                best = cand
+    return best
+
+
+def _check_dominating(inst: Instance, members: set[int]) -> None:
+    report = verify_mds(replace(inst, m=1), members)
+    if not report.is_m_ds:
+        u = report.violations[0][0]
+        raise ValueError(f"set is not dominating: node {u} has no neighbor inside")
 
 
 def _stale_centers(idx: ComponentIndex, graph: WeightedGraph, changed) -> set[int]:
-    """Nodes whose best star may differ now that the labels of ``changed`` moved.
+    """Nodes whose best candidate may differ now that the labels of ``changed`` moved.
 
     That is every node within one hop of a changed node, plus the neighbors
     of the free ones among them; callers skip the members.
@@ -197,29 +194,28 @@ def _stale_centers(idx: ComponentIndex, graph: WeightedGraph, changed) -> set[in
     return stale
 
 
-def greedy_connect(inst: Instance, dominating_set) -> ConnectReport:
-    """Connect a dominating set by repeatedly adding the most efficient star.
+def _connect(inst: Instance, dominating_set, method: str, best_at_center) -> ConnectReport:
+    """Add the most efficient candidate until the set is connected.
 
-    Every chosen star merges exactly as many components as its value
-    promises, so the component count drops to one in at most
-    (initial components - 1) iterations.  Each free center's best star is
-    cached and recomputed only when the round touched its two-hop
-    neighborhood; ``_better_candidate`` orders distinct centers strictly, so
-    the pick does not depend on the cache's order.
+    ``best_at_center(idx, graph, u)`` is the best candidate at the free node
+    u, or None.  Each chosen candidate must merge as many components as it
+    promises, so at most (initial components - 1) rounds run.  Only the
+    ``_stale_centers`` are recomputed; ``_better_candidate`` orders distinct
+    centers strictly, so the pick does not depend on the cache's order.
     """
     ds = set(dominating_set)
     _check_dominating(inst, ds)
     graph = inst.graph
     idx = ComponentIndex(graph, sorted(ds))
     label = idx.label
-    report = ConnectReport(method="star", initial_components=idx.component_count)
+    report = ConnectReport(method=method, initial_components=idx.component_count)
     best_at: dict[int, StarCandidate] = {}
     stale = range(graph.node_count)
     while idx.component_count > 1:
         for u in stale:
             if label[u] >= 0:
                 continue
-            cand = best_star_at(idx, graph, u)
+            cand = best_at_center(idx, graph, u)
             if cand is None:
                 best_at.pop(u, None)
             else:
@@ -229,7 +225,7 @@ def greedy_connect(inst: Instance, dominating_set) -> ConnectReport:
             if best is None or _better_candidate(cand, best):
                 best = cand
         if best is None:
-            raise RuntimeError("connector stalled: no star merges components")
+            raise RuntimeError(f"{method} connector stalled: no candidate merges components")
         before = idx.component_count
         changed: list[int] = []
         for node in best.nodes:
@@ -239,12 +235,18 @@ def greedy_connect(inst: Instance, dominating_set) -> ConnectReport:
         after = idx.component_count
         if before - after != best.gain:
             raise RuntimeError(
-                f"selected star promised {best.gain} merges but delivered {before - after}"
+                f"{method} connector: selected candidate promised {best.gain} merges"
+                f" but delivered {before - after}"
             )
         report.stars.append(best)
         report.component_trace.append(after)
         stale = _stale_centers(idx, graph, changed)
     return report
+
+
+def greedy_connect(inst: Instance, dominating_set) -> ConnectReport:
+    """Connect a dominating set by repeatedly adding the most efficient star."""
+    return _connect(inst, dominating_set, "star", best_star_at)
 
 
 def pairwise_connect(inst: Instance, dominating_set) -> ConnectReport:
@@ -255,45 +257,4 @@ def pairwise_connect(inst: Instance, dominating_set) -> ConnectReport:
     two nearest components are at most three hops apart, so some candidate
     always merges at least two of them.
     """
-    ds = set(dominating_set)
-    _check_dominating(inst, ds)
-    graph = inst.graph
-    cost = graph.cost
-    idx = ComponentIndex(graph, sorted(ds))
-    report = ConnectReport(method="pairwise", initial_components=idx.component_count)
-    while idx.component_count > 1:
-        best: StarCandidate | None = None
-        for a in range(graph.node_count):
-            if a in idx:
-                continue
-            reached_a = component_neighbors(idx, graph, a)
-            gain = len(reached_a) - 1
-            if gain >= 1:
-                cand = StarCandidate(center=a, leaves=(), gain=gain, total_cost=cost[a])
-                if best is None or _better_candidate(cand, best):
-                    best = cand
-            for b in graph.adjacency[a]:
-                if b <= a or b in idx:
-                    continue
-                reached_b = component_neighbors(idx, graph, b)
-                pair_gain = len(reached_a | reached_b) - 1
-                if pair_gain >= 1:
-                    cand = StarCandidate(
-                        center=a, leaves=(b,), gain=pair_gain, total_cost=cost[a] + cost[b]
-                    )
-                    if best is None or _better_candidate(cand, best):
-                        best = cand
-        if best is None:
-            raise RuntimeError("pairwise connector stalled: no candidate merges components")
-        before = idx.component_count
-        for node in best.nodes:
-            idx.add(node)
-            report.connectors.add(node)
-        after = idx.component_count
-        if before - after != best.gain:
-            raise RuntimeError(
-                f"selected pair promised {best.gain} merges but delivered {before - after}"
-            )
-        report.stars.append(best)
-        report.component_trace.append(after)
-    return report
+    return _connect(inst, dominating_set, "pairwise", best_pair_at)

@@ -61,20 +61,6 @@ class DeficitState:
                 self.covered += 1
 
 
-def coverage_value(inst: Instance, members) -> int:
-    """From-scratch potential evaluation; reference oracle for DeficitState."""
-    member_set = set(members)
-    g = inst.graph
-    m = inst.m
-    total_deficit = 0
-    for u in range(g.node_count):
-        if u in member_set:
-            continue
-        inside = sum(1 for v in g.adjacency[u] if v in member_set)
-        total_deficit += max(m - inside, 0)
-    return m * g.node_count - total_deficit
-
-
 def coverage_gain(state: DeficitState, u: int) -> int:
     """Potential increase from adding u, without mutating the state.
 

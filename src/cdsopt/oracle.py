@@ -35,6 +35,17 @@ def harmonic(k: int) -> float:
     return sum(1.0 / i for i in range(1, k + 1)) if k > 0 else 0.0
 
 
+def proven_bounds(inst: Instance) -> tuple[float, float, float | None]:
+    """Proven ratio bounds for phase 1, the connectors, and the connectors on a UDG.
+
+    H(delta+m) against the unconstrained optimum, 2*H(delta-1) against the
+    connected optimum, and 2*H(3) = 11/3 on unit-disk instances (else None).
+    """
+    delta = inst.graph.max_degree
+    udg_bound_d2 = 2.0 * harmonic(3) if inst.graph.coords is not None else None
+    return harmonic(delta + inst.m), 2.0 * harmonic(delta - 1), udg_bound_d2
+
+
 def exact_minimum_cds(inst: Instance, node_budget: int = DEFAULT_NODE_BUDGET) -> OracleResult:
     """Provably minimum-cost connected m-fold dominating set."""
     return _exact_search(inst, node_budget, require_connected=True)
@@ -114,10 +125,8 @@ def _exact_search(inst: Instance, node_budget: int, require_connected: bool) -> 
 class RatioRecord:
     """Observed cost ratios against the exact optima, with the matching bounds.
 
-    Bounds follow the two greedy phases: H(delta+m) for the dominating set
-    against the unconstrained optimum, 2*H(delta-1) for the connectors
-    against the connected optimum, and their sum for the whole solution.
-    For unit-disk instances the connector bound tightens to 2*H(3) = 11/3.
+    The bounds are those of ``proven_bounds``; ``bound_total`` is the sum of
+    the two phase bounds.
     """
 
     delta: int
@@ -142,11 +151,9 @@ def ratio_report(
 ) -> RatioRecord:
     if not (opt_cds.exhausted and opt_mds.exhausted):
         raise ValueError("oracle incomplete")
-    delta = inst.graph.max_degree
-    bound_d1 = harmonic(delta + inst.m)
-    bound_d2 = 2.0 * harmonic(delta - 1)
+    bound_d1, bound_d2, udg_bound_d2 = proven_bounds(inst)
     return RatioRecord(
-        delta=delta,
+        delta=inst.graph.max_degree,
         opt_cost=opt_cds.opt_cost,
         opt_mds_cost=opt_mds.opt_cost,
         ratio_d1=cost_d1 / opt_mds.opt_cost,
@@ -155,5 +162,5 @@ def ratio_report(
         bound_d1=bound_d1,
         bound_d2=bound_d2,
         bound_total=bound_d1 + bound_d2,
-        udg_bound_d2=2.0 * harmonic(3) if inst.graph.coords is not None else None,
+        udg_bound_d2=udg_bound_d2,
     )

@@ -3,9 +3,11 @@
 The oracle implementations here deliberately avoid the library's incremental
 data structures: components come from a plain BFS labeling, star values from
 literal formula evaluation or full per-prefix rebuilds, and optima from
-unpruned subset enumeration.  The one exception is
-``reference_greedy_connect``, the full-rescan star connector that the
-incremental ``greedy_connect`` must reproduce exactly.
+unpruned subset enumeration.  The exceptions are the full-rescan
+connectors ``reference_greedy_connect`` and ``reference_pairwise_connect``,
+which the cached ``greedy_connect`` and ``pairwise_connect`` must reproduce
+exactly, and ``merge_potential``, which evaluates a star on the library's
+component index.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from cdsopt.connector import (
     _better_candidate,
     _check_dominating,
     best_star_at,
+    component_neighbors,
 )
 from cdsopt.graph import Instance, WeightedGraph
 
@@ -80,7 +83,52 @@ def bfs_component_count(graph: WeightedGraph, members) -> int:
 
 
 # ---------------------------------------------------------------------------
+# reference coverage potential
+
+
+def coverage_value(inst: Instance, members) -> int:
+    """From-scratch potential evaluation; reference oracle for DeficitState."""
+    member_set = set(members)
+    g = inst.graph
+    m = inst.m
+    total_deficit = 0
+    for u in range(g.node_count):
+        if u in member_set:
+            continue
+        inside = sum(1 for v in g.adjacency[u] if v in member_set)
+        total_deficit += max(m - inside, 0)
+    return m * g.node_count - total_deficit
+
+
+# ---------------------------------------------------------------------------
 # independent star-value oracles
+
+
+def merge_potential(idx: ComponentIndex, graph: WeightedGraph, center: int, leaves) -> int:
+    """Capped merge count of the star (center, leaves) against the indexed set.
+
+    Leaves must be outside the set, adjacent to the center, and sorted by
+    nondecreasing cost.  Each leaf contributes one when it touches a
+    component not already reached by the center or an earlier leaf; the
+    index is not mutated.
+    """
+    center_adj = set(graph.adjacency[center])
+    covered = component_neighbors(idx, graph, center)
+    value = len(covered) - 1
+    prev_cost = None
+    for leaf in leaves:
+        if leaf in idx:
+            raise ValueError(f"star node {leaf} already in the indexed set")
+        if leaf not in center_adj:
+            raise ValueError(f"leaf {leaf} not adjacent to center {center}")
+        if prev_cost is not None and graph.cost[leaf] < prev_cost:
+            raise ValueError("leaves must be sorted by nondecreasing cost")
+        prev_cost = graph.cost[leaf]
+        reached = component_neighbors(idx, graph, leaf)
+        if reached - covered:
+            value += 1
+        covered |= reached
+    return value
 
 
 def simulate_star_value(graph: WeightedGraph, members, center, leaves) -> int:
@@ -145,7 +193,7 @@ def brute_force_best_star(graph: WeightedGraph, members, center):
 
 
 # ---------------------------------------------------------------------------
-# full-rescan reference connector
+# full-rescan reference connectors
 
 
 def reference_greedy_connect(inst: Instance, dominating_set) -> ConnectReport:
@@ -173,6 +221,52 @@ def reference_greedy_connect(inst: Instance, dominating_set) -> ConnectReport:
         if before - after != best.gain:
             raise RuntimeError(
                 f"selected star promised {best.gain} merges but delivered {before - after}"
+            )
+        report.stars.append(best)
+        report.component_trace.append(after)
+    return report
+
+
+def reference_pairwise_connect(inst: Instance, dominating_set) -> ConnectReport:
+    """Pairwise baseline that evaluates every singleton and pair in every round."""
+    ds = set(dominating_set)
+    _check_dominating(inst, ds)
+    graph = inst.graph
+    cost = graph.cost
+    idx = ComponentIndex(graph, sorted(ds))
+    report = ConnectReport(method="pairwise", initial_components=idx.component_count)
+    while idx.component_count > 1:
+        best: StarCandidate | None = None
+        for a in range(graph.node_count):
+            if a in idx:
+                continue
+            reached_a = component_neighbors(idx, graph, a)
+            gain = len(reached_a) - 1
+            if gain >= 1:
+                cand = StarCandidate(center=a, leaves=(), gain=gain, total_cost=cost[a])
+                if best is None or _better_candidate(cand, best):
+                    best = cand
+            for b in graph.adjacency[a]:
+                if b <= a or b in idx:
+                    continue
+                reached_b = component_neighbors(idx, graph, b)
+                pair_gain = len(reached_a | reached_b) - 1
+                if pair_gain >= 1:
+                    cand = StarCandidate(
+                        center=a, leaves=(b,), gain=pair_gain, total_cost=cost[a] + cost[b]
+                    )
+                    if best is None or _better_candidate(cand, best):
+                        best = cand
+        if best is None:
+            raise RuntimeError("pairwise connector stalled: no candidate merges components")
+        before = idx.component_count
+        for node in best.nodes:
+            idx.add(node)
+            report.connectors.add(node)
+        after = idx.component_count
+        if before - after != best.gain:
+            raise RuntimeError(
+                f"selected pair promised {best.gain} merges but delivered {before - after}"
             )
         report.stars.append(best)
         report.component_trace.append(after)

@@ -15,7 +15,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from cdsopt.connector import greedy_connect, pairwise_connect
-from cdsopt.domination import coverage_value
 from cdsopt.generators import gen_fig1, gen_random_connected, gen_udg
 from cdsopt.oracle import harmonic
 from cdsopt.solver import solve
@@ -24,6 +23,7 @@ from cdsopt.verify import verify_cds, verify_mds
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
 from helpers import (  # noqa: E402
     brute_force_best_star,
+    coverage_value,
     degree_capped_instance,
     formula_star_value,
     random_dominating_set,

@@ -13,7 +13,6 @@ from cdsopt.connector import (
     best_star_at,
     component_neighbors,
     greedy_connect,
-    merge_potential,
     pairwise_connect,
 )
 from cdsopt.domination import greedy_dominating_set
@@ -26,9 +25,11 @@ from helpers import (
     complete_instance,
     formula_star_value,
     make_instance,
+    merge_potential,
     path_instance,
     random_dominating_set,
     reference_greedy_connect,
+    reference_pairwise_connect,
     simulate_star_value,
 )
 
@@ -303,6 +304,9 @@ class TestGreedyConnect:
         inst = path_instance(5)
         with pytest.raises(ValueError, match="not dominating"):
             greedy_connect(inst, {0})
+        for bad in (-1, 5):
+            with pytest.raises(ValueError, match="out of range"):
+                greedy_connect(inst, {0, 2, 4, bad})
 
 
     @settings(max_examples=150, deadline=None)
@@ -313,8 +317,9 @@ class TestGreedyConnect:
         costs=st.sampled_from([(0.1, 10.0), (1.0, 1.0)]),
         greedy_ds=st.booleans(),
         m=st.integers(1, 2),
+        connector=st.sampled_from(["star", "pairwise"]),
     )
-    def test_matches_full_rescan_reference(self, kind, n, seed, costs, greedy_ds, m):
+    def test_matches_full_rescan_reference(self, kind, n, seed, costs, greedy_ds, m, connector):
         if kind == "random":
             inst = gen_random_connected(n, 3.0 / n, costs, seed=seed, m=m)
         else:
@@ -323,8 +328,13 @@ class TestGreedyConnect:
             members, _ = greedy_dominating_set(inst)
         else:
             members = random_dominating_set(random.Random(seed), inst.graph)
-        fast = greedy_connect(inst, members)
-        ref = reference_greedy_connect(inst, members)
+        if connector == "star":
+            fast = greedy_connect(inst, members)
+            ref = reference_greedy_connect(inst, members)
+        else:
+            fast = pairwise_connect(inst, members)
+            ref = reference_pairwise_connect(inst, members)
+        assert fast.method == ref.method == connector
         assert fast.stars == ref.stars
         assert fast.component_trace == ref.component_trace
         assert fast.connectors == ref.connectors
@@ -398,3 +408,6 @@ class TestPairwiseConnect:
         inst = path_instance(5)
         with pytest.raises(ValueError, match="not dominating"):
             pairwise_connect(inst, {0})
+        for bad in (-1, 5):
+            with pytest.raises(ValueError, match="out of range"):
+                pairwise_connect(inst, {0, 2, 4, bad})

@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 from cdsopt.domination import (
     DeficitState,
     coverage_gain,
-    coverage_value,
     greedy_dominating_set,
 )
 from cdsopt.generators import gen_fig1, gen_random_connected
 from cdsopt.verify import verify_mds
-from helpers import complete_instance, make_instance, path_instance
+from helpers import complete_instance, coverage_value, make_instance, path_instance
 
 
 class TestCoverageValue:
