@@ -52,53 +52,67 @@ CSV_COLUMNS = [
 BOUND_EPS = 1e-9
 
 
+_REQUIRED = object()
+
+# per kind: (field, converter, default), in case key order
+_COSTS = (("cost_lo", float, 0.1), ("cost_hi", float, 10.0))
+_KIND_FIELDS = {
+    "random": (("n", int, _REQUIRED), ("p", float, _REQUIRED), *_COSTS),
+    "udg": (("n", int, _REQUIRED), ("side", float, _REQUIRED), *_COSTS),
+    "fig1": (("d", int, _REQUIRED), ("eps", float, _REQUIRED)),
+}
+
+
+def _convert(value, convert, key: str, where: str):
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{where}: field {key!r} must be {convert.__name__}, got {value!r}") from None
+
+
+def _field(obj: dict, key: str, convert, default, where: str):
+    """``convert(obj[key])``, or ``default`` when absent; errors name ``where``."""
+    if key not in obj:
+        if default is _REQUIRED:
+            raise ValueError(f"{where}: missing field {key!r}")
+        return default
+    return _convert(obj[key], convert, key, where)
+
+
 def load_batch_spec(text: str) -> list[dict]:
-    """Parse and expand a batch spec into a deterministic list of cases."""
+    """Parse and expand a batch spec into a deterministic list of cases.
+
+    A missing or malformed field raises ValueError naming its entry.
+    """
     doc = json.loads(text)
     if not isinstance(doc, dict) or "entries" not in doc or not isinstance(doc["entries"], list):
         raise ValueError("batch spec must be an object with an 'entries' list")
     cases: list[dict] = []
     for pos, entry in enumerate(doc["entries"]):
+        where = f"entry {pos}"
         if not isinstance(entry, dict):
-            raise ValueError(f"entry {pos} must be an object")
+            raise ValueError(f"{where} must be an object")
         kind = entry.get("kind")
-        if kind not in ("random", "udg", "fig1"):
-            raise ValueError(f"entry {pos}: unknown kind {kind!r}")
+        if kind not in _KIND_FIELDS:
+            raise ValueError(f"{where}: unknown kind {kind!r}")
         m_values = entry.get("m", 1)
-        if isinstance(m_values, int):
+        if not isinstance(m_values, list):
             m_values = [m_values]
-        seeds_spec = entry.get("seeds", {"start": 0, "count": 1})
-        seed_start = int(seeds_spec.get("start", 0))
-        seed_count = int(seeds_spec.get("count", 1))
+        m_values = [_convert(m, int, "m", where) for m in m_values]
+        if any(m < 1 for m in m_values):
+            raise ValueError(f"{where}: m must be >= 1")
+        seeds_spec = entry.get("seeds", {})
+        if not isinstance(seeds_spec, dict):
+            raise ValueError(f"{where}: field 'seeds' must be an object, got {seeds_spec!r}")
+        seed_start = _field(seeds_spec, "start", int, 0, f"{where} seeds")
+        seed_count = _field(seeds_spec, "count", int, 1, f"{where} seeds")
         oracle = bool(entry.get("oracle", False))
-        node_budget = int(entry.get("node_budget", DEFAULT_NODE_BUDGET))
+        node_budget = _field(entry, "node_budget", int, DEFAULT_NODE_BUDGET, where)
+        params = {key: _field(entry, key, conv, default, where) for key, conv, default in _KIND_FIELDS[kind]}
         for m in m_values:
-            if int(m) < 1:
-                raise ValueError(f"entry {pos}: m must be >= 1")
             for seed in range(seed_start, seed_start + seed_count):
-                case = {
-                    "kind": kind,
-                    "m": int(m),
-                    "seed": seed,
-                    "oracle": oracle,
-                    "node_budget": node_budget,
-                }
-                if kind == "random":
-                    case.update(
-                        n=int(entry["n"]),
-                        p=float(entry["p"]),
-                        cost_lo=float(entry.get("cost_lo", 0.1)),
-                        cost_hi=float(entry.get("cost_hi", 10.0)),
-                    )
-                elif kind == "udg":
-                    case.update(
-                        n=int(entry["n"]),
-                        side=float(entry["side"]),
-                        cost_lo=float(entry.get("cost_lo", 0.1)),
-                        cost_hi=float(entry.get("cost_hi", 10.0)),
-                    )
-                else:
-                    case.update(d=int(entry["d"]), eps=float(entry["eps"]))
+                case = {"kind": kind, "m": m, "seed": seed, "oracle": oracle, "node_budget": node_budget}
+                case.update(params)
                 cases.append(case)
     return cases
 

@@ -3,11 +3,12 @@
 The oracle implementations here deliberately avoid the library's incremental
 data structures: components come from a plain BFS labeling, star values from
 literal formula evaluation or full per-prefix rebuilds, and optima from
-unpruned subset enumeration.  The exceptions are the full-rescan
-connectors ``reference_greedy_connect`` and ``reference_pairwise_connect``,
-which the cached ``greedy_connect`` and ``pairwise_connect`` must reproduce
-exactly, and ``merge_potential``, which evaluates a star on the library's
-component index.
+unpruned subset enumeration.  The exceptions are the full-scan greedy
+``reference_greedy_dominating_set`` and the full-rescan connectors
+``reference_greedy_connect`` and ``reference_pairwise_connect``, which the
+lazy ``greedy_dominating_set`` and the cached ``greedy_connect`` and
+``pairwise_connect`` must reproduce exactly, and ``merge_potential``, which
+evaluates a star on the library's component index.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from cdsopt.connector import (
     best_star_at,
     component_neighbors,
 )
+from cdsopt.domination import DeficitState, GreedyStep, GreedyTrace, coverage_gain
 from cdsopt.graph import Instance, WeightedGraph
 
 
@@ -190,6 +192,43 @@ def brute_force_best_star(graph: WeightedGraph, members, center):
             if best is None or eff > best:
                 best = eff
     return best
+
+
+# ---------------------------------------------------------------------------
+# full-scan reference greedy cover
+
+
+def reference_greedy_dominating_set(inst: Instance) -> tuple[set[int], GreedyTrace]:
+    """Greedy cover that evaluates every free node at every step."""
+    g = inst.graph
+    cost = g.cost
+    state = DeficitState(inst)
+    chosen: set[int] = set()
+    steps: list[GreedyStep] = []
+    running = 0.0
+    while True:
+        best_u = -1
+        best_gain = 0
+        for u in range(g.node_count):
+            if state.in_set[u]:
+                continue
+            gain = coverage_gain(state, u)
+            if gain <= 0:
+                continue
+            if best_u < 0:
+                best_u, best_gain = u, gain
+                continue
+            lhs = gain * cost[best_u]
+            rhs = best_gain * cost[u]
+            if lhs > rhs or (lhs == rhs and gain > best_gain):
+                best_u, best_gain = u, gain
+        if best_u < 0:
+            break
+        state.add(best_u)
+        chosen.add(best_u)
+        running += cost[best_u]
+        steps.append(GreedyStep(node=best_u, gain=best_gain, ratio=best_gain / cost[best_u], running_cost=running))
+    return chosen, GreedyTrace(steps=steps)
 
 
 # ---------------------------------------------------------------------------

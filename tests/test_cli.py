@@ -266,3 +266,20 @@ class TestBench:
         code, _, err = run_cli(capsys, "bench", str(batch))
         assert code == 2
         assert "unknown kind" in err
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"kind": "random", "p": 0.3}, "entry 0: missing field 'n'"),
+            ({"kind": "fig1", "d": 3}, "entry 0: missing field 'eps'"),
+            ({"kind": "random", "n": 8, "p": 0.4, "seeds": [1, 2]}, "entry 0: field 'seeds' must be an object"),
+        ],
+        ids=["missing-n", "fig1-missing-eps", "seeds-list"],
+    )
+    def test_bad_entry_field_exit_2(self, tmp_path, capsys, entry, message):
+        batch = tmp_path / "batch.json"
+        batch.write_text(json.dumps({"entries": [entry]}))
+        code, _, err = run_cli(capsys, "bench", str(batch))
+        assert code == 2
+        assert message in err
+        assert "Traceback" not in err

@@ -1,6 +1,9 @@
 """Coverage potential, incremental state, and the greedy dominating set."""
 
+import math
 import random
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -11,9 +14,19 @@ from cdsopt.domination import (
     coverage_gain,
     greedy_dominating_set,
 )
-from cdsopt.generators import gen_fig1, gen_random_connected
+from cdsopt.generators import gen_fig1, gen_random_connected, gen_udg
 from cdsopt.verify import verify_mds
-from helpers import complete_instance, coverage_value, make_instance, path_instance
+from helpers import (
+    complete_instance,
+    coverage_value,
+    make_instance,
+    path_instance,
+    reference_greedy_dominating_set,
+)
+
+
+def with_costs(inst, costs):
+    return replace(inst, graph=replace(inst.graph, cost=tuple(costs)))
 
 
 class TestCoverageValue:
@@ -155,6 +168,80 @@ class TestGreedy:
         inst = make_instance(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
         chosen, trace = greedy_dominating_set(inst)
         assert trace.steps[0].node == 0
+
+    def test_tie_predicate_is_cross_multiplied(self):
+        # 2 * 2.1 > 3 * 1.4 in floats (4.2 > 4.199999999999999), so node 2
+        # goes first; a heap keyed on the float ratio sees 3/2.1 == 2/1.4
+        # and would take node 0 for its larger gain, finishing at once
+        inst = make_instance(3, [(0, 1), (0, 2)], costs=[2.1, 5.0, 1.4])
+        chosen, trace = greedy_dominating_set(inst)
+        assert [s.node for s in trace.steps] == [2, 0]
+        ref_chosen, ref_trace = reference_greedy_dominating_set(inst)
+        assert chosen == ref_chosen
+        assert trace.steps == ref_trace.steps
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(["random", "udg"]),
+        n=st.integers(2, 60),
+        seed=st.integers(0, 10**6),
+        cost_kind=st.sampled_from(["uniform", "equal", "integer", "dyadic"]),
+        m=st.integers(1, 4),
+    )
+    def test_matches_full_scan_reference(self, kind, n, seed, cost_kind, m):
+        if kind == "random":
+            inst = gen_random_connected(n, min(1.0, 3.0 / n), (0.1, 10.0), seed=seed, m=m)
+        else:
+            inst = gen_udg(n, math.sqrt(n / 5.0), (0.1, 10.0), seed=seed, m=m)
+        rng = random.Random(seed)
+        if cost_kind == "uniform":
+            costs = [rng.uniform(0.1, 10.0) for _ in range(n)]
+        elif cost_kind == "equal":
+            costs = [rng.uniform(0.1, 10.0)] * n
+        elif cost_kind == "integer":
+            costs = [float(rng.randint(1, 5)) for _ in range(n)]
+        else:
+            costs = [rng.randint(1, 40) / 8 for _ in range(n)]
+        inst = with_costs(inst, costs)
+        chosen, trace = greedy_dominating_set(inst)
+        ref_chosen, ref_trace = reference_greedy_dominating_set(inst)
+        assert [(s.node, s.gain, s.ratio, s.running_cost) for s in trace.steps] == [
+            (s.node, s.gain, s.ratio, s.running_cost) for s in ref_trace.steps
+        ]
+        assert chosen == ref_chosen
+
+    def test_every_pick_optimal_on_decimal_costs(self):
+        """Each pick's exact gain/cost is the exact best over free nodes.
+
+        Costs in steps of 0.1 make decimal ties round apart, so the pick
+        may differ from a full scan; it must still be optimal up to the
+        rounding of one cross-multiplied comparison.
+        """
+        rng = random.Random(11)
+        worst = Fraction(0)
+        steps_checked = 0
+        for i in range(120):
+            n = 10 + i % 31
+            inst = gen_random_connected(n, 3.0 / n, (0.1, 10.0), seed=70_000 + i, m=1 + i % 4)
+            inst = with_costs(inst, [rng.randint(1, 30) / 10 for _ in range(n)])
+            cost = inst.graph.cost
+            _, trace = greedy_dominating_set(inst)
+            members: set[int] = set()
+            for step in trace.steps:
+                base = coverage_value(inst, members)
+                best = max(
+                    Fraction(coverage_value(inst, members | {u}) - base) / Fraction(cost[u])
+                    for u in range(n)
+                    if u not in members
+                )
+                chosen = Fraction(step.gain) / Fraction(cost[step.node])
+                assert step.gain == coverage_value(inst, members | {step.node}) - base
+                worst = max(worst, (best - chosen) / best)
+                members.add(step.node)
+                steps_checked += 1
+            assert coverage_value(inst, members) == inst.m * n
+        assert steps_checked > 1000
+        assert worst <= Fraction(1, 2**50), float(worst)
 
 
 def test_random_seeded_corpus_state_agreement():
