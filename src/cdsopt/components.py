@@ -1,4 +1,7 @@
-"""Insertion-only component labels of an induced subgraph."""
+"""Insertion-only component labels of an induced subgraph, for the connector.
+
+Static connectivity of a fixed set is ``graph.components``.
+"""
 
 from __future__ import annotations
 
@@ -21,19 +24,11 @@ class ComponentIndex:
         self.label = [-1] * graph.node_count
         # label -> the members carrying it
         self._components: dict[int, list[int]] = {}
-        self._size = 0
         for u in members:
             self.add(u)
 
     def __contains__(self, u: int) -> bool:
         return self.label[u] >= 0
-
-    def __len__(self) -> int:
-        return self._size
-
-    @property
-    def members(self) -> set[int]:
-        return {u for comp in self._components.values() for u in comp}
 
     @property
     def component_count(self) -> int:
@@ -46,7 +41,6 @@ class ComponentIndex:
             raise ValueError(f"node {u} already in the index")
         components = self._components
         touched = {label[v] for v in self._graph.adjacency[u] if label[v] >= 0}
-        self._size += 1
         if not touched:
             label[u] = u
             components[u] = [u]
@@ -66,10 +60,3 @@ class ComponentIndex:
             kept.extend(absorbed)
             changed.extend(absorbed)
         return changed
-
-    def find(self, u: int) -> int:
-        """Label of member u's component."""
-        root = self.label[u]
-        if root < 0:
-            raise KeyError(u)
-        return root

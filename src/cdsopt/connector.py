@@ -46,10 +46,6 @@ class StarCandidate:
     def nodes(self) -> tuple[int, ...]:
         return (self.center, *self.leaves)
 
-    @property
-    def efficiency(self) -> float:
-        return self.gain / self.total_cost
-
 
 @dataclass
 class ConnectReport:
@@ -60,10 +56,6 @@ class ConnectReport:
     connectors: set[int] = field(default_factory=set)
     initial_components: int = 1
     component_trace: list[int] = field(default_factory=list)
-
-    @property
-    def total_cost(self) -> float:
-        return sum(star.total_cost for star in self.stars)
 
 
 def component_neighbors(idx: ComponentIndex, graph: WeightedGraph, u: int) -> set[int]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 
-from .graph import Instance, InstanceError, WeightedGraph
+from .graph import Instance, InstanceError, WeightedGraph, components, unit_disk_edges
 
 
 def gen_random_connected(
@@ -75,13 +75,14 @@ def gen_udg(
     rng = random.Random(seed)
     for _ in range(max_attempts):
         pts = [(rng.uniform(0.0, side), rng.uniform(0.0, side)) for _ in range(n)]
-        edges = [
-            (i, j)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if (pts[i][0] - pts[j][0]) ** 2 + (pts[i][1] - pts[j][1]) ** 2 <= 1.0
-        ]
-        if _edge_list_connected(n, edges):
+        edges = unit_disk_edges(pts)
+        nbrs: list[list[int]] = [[] for _ in range(n)]
+        for i, j in edges:
+            nbrs[i].append(j)
+            nbrs[j].append(i)
+        # connectivity is tested before the costs are drawn, so a rejected
+        # point set consumes no cost draws
+        if len(components(nbrs)) == 1:
             costs = [rng.uniform(lo, hi) for _ in range(n)]
             graph = WeightedGraph.from_edges(n, edges, costs, coords=pts)
             if label is None:
@@ -131,20 +132,3 @@ def gen_fig1(d: int, eps: float, m: int = 1, label: str | None = None) -> tuple[
     designated = frozenset([t, *b_ids])
     return Instance(graph=graph, m=m, label=label), designated
 
-
-def _edge_list_connected(n: int, edges: list[tuple[int, int]]) -> bool:
-    if n == 1:
-        return True
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-    for a, b in edges:
-        nbrs[a].append(b)
-        nbrs[b].append(a)
-    seen = {0}
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        for y in nbrs[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == n

@@ -12,6 +12,13 @@ A comment of the form ``# label: <text>`` restores the instance label on
 parse; all other comments are ignored.  Canonical serialization sorts edges
 lexicographically and prints floats with 17 significant digits, so parse and
 serialize round-trip exactly.
+
+Each graph invariant has one owner.  ``from_edges`` rejects duplicate and
+out-of-range edges.  ``validate_graph`` checks the node count, loops, the
+cost values (finite and positive), connectivity through ``components`` and,
+on unit-disk instances, the edge set against ``unit_disk_edges``, the one
+place the distance rule is written.  ``parse_instance`` checks the text's
+shape and leaves every graph invariant to ``from_edges``.
 """
 
 from __future__ import annotations
@@ -53,12 +60,8 @@ class WeightedGraph:
         coords: list[tuple[float, float]] | None = None,
     ) -> "WeightedGraph":
         """Build and fully validate a graph from an edge list."""
-        if node_count < 1:
-            raise InstanceError("node count must be >= 1")
         neighbors: list[set[int]] = [set() for _ in range(node_count)]
         for u, v in edges:
-            if u == v:
-                raise InstanceError(f"loop edge {u} {v}")
             if not (0 <= u < node_count and 0 <= v < node_count):
                 raise InstanceError(f"edge endpoint out of range: {u} {v}")
             if v in neighbors[u]:
@@ -99,9 +102,13 @@ class Instance:
     label: str = ""
 
 
-def components(graph: WeightedGraph, members=None) -> list[set[int]]:
-    """Connected components of the subgraph induced by ``members`` (default: all nodes)."""
-    member_set = set(range(graph.node_count)) if members is None else set(members)
+def components(adjacency, members=None) -> list[set[int]]:
+    """Connected components of the subgraph induced by ``members`` (default: all nodes).
+
+    ``adjacency[u]`` lists the neighbors of node u, so the routine also runs
+    on an edge list's adjacency before any graph is built.
+    """
+    member_set = set(range(len(adjacency))) if members is None else set(members)
     seen: set[int] = set()
     comps: list[set[int]] = []
     for start in sorted(member_set):
@@ -111,13 +118,23 @@ def components(graph: WeightedGraph, members=None) -> list[set[int]]:
         queue = deque([start])
         while queue:
             u = queue.popleft()
-            for v in graph.adjacency[u]:
+            for v in adjacency[u]:
                 if v in member_set and v not in comp:
                     comp.add(v)
                     queue.append(v)
         seen |= comp
         comps.append(comp)
     return comps
+
+
+def unit_disk_edges(coords) -> list[tuple[int, int]]:
+    """The unit-disk edge set: sorted (i, j), i < j, at Euclidean distance <= 1."""
+    return [
+        (i, j)
+        for i, (xi, yi) in enumerate(coords)
+        for j, (xj, yj) in enumerate(coords[i + 1:], i + 1)
+        if (xi - xj) ** 2 + (yi - yj) ** 2 <= 1.0
+    ]
 
 
 def validate_graph(graph: WeightedGraph) -> None:
@@ -145,19 +162,15 @@ def validate_graph(graph: WeightedGraph) -> None:
             raise InstanceError(f"malformed cost at node {u}")
         if c <= 0:
             raise InstanceError(f"non-positive cost at node {u}")
-    if len(components(graph)) != 1:
+    if len(components(graph.adjacency)) != 1:
         raise InstanceError("disconnected graph")
     if graph.coords is not None:
         if len(graph.coords) != n:
             raise InstanceError("coords size does not match node count")
-        for i in range(n):
-            xi, yi = graph.coords[i]
-            nbrs = set(graph.adjacency[i])
-            for j in range(i + 1, n):
-                xj, yj = graph.coords[j]
-                within = (xi - xj) ** 2 + (yi - yj) ** 2 <= 1.0
-                if within != (j in nbrs):
-                    raise InstanceError(f"coords violate the unit-disk edge rule at pair ({i}, {j})")
+        expected, actual = unit_disk_edges(graph.coords), graph.edges()
+        if expected != actual:
+            i, j = min(set(expected) ^ set(actual))
+            raise InstanceError(f"coords violate the unit-disk edge rule at pair ({i}, {j})")
 
 
 def validate_instance(inst: Instance) -> None:
@@ -213,14 +226,9 @@ def parse_instance(text: str | bytes) -> Instance:
     costs: list[float] = []
     for tok in cost_tokens:
         try:
-            c = float(tok)
+            costs.append(float(tok))
         except ValueError as exc:
             raise InstanceError(f"malformed cost {tok!r}") from exc
-        if not math.isfinite(c):
-            raise InstanceError(f"malformed cost {tok!r}")
-        if c <= 0:
-            raise InstanceError(f"non-positive cost {tok!r}")
-        costs.append(c)
 
     coords: list[tuple[float, float]] | None = None
     if pos < len(rows) and rows[pos] == "coords":
@@ -242,7 +250,6 @@ def parse_instance(text: str | bytes) -> Instance:
             coords.append((x, y))
 
     edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
     for k in range(edge_count):
         if pos >= len(rows):
             raise InstanceError(f"expected {edge_count} edge lines, found {k}")
@@ -258,9 +265,6 @@ def parse_instance(text: str | bytes) -> Instance:
             raise InstanceError(f"loop edge {u} {v}")
         if not (0 <= u < v < n):
             raise InstanceError(f"edge {u} {v} must satisfy 0 <= u < v < n")
-        if (u, v) in seen:
-            raise InstanceError(f"duplicate edge {u} {v}")
-        seen.add((u, v))
         edges.append((u, v))
     if pos != len(rows):
         raise InstanceError("trailing content after edge list")

@@ -88,7 +88,7 @@ def _exact_search(inst: Instance, node_budget: int, require_connected: bool) -> 
             if any(status[u] == OUT and chosen_nbrs[u] < m for u in range(n)):
                 return
             if require_connected:
-                if not chosen or len(components(g, chosen)) != 1:
+                if not chosen or len(components(adj, chosen)) != 1:
                     return
             best_cost = cost_so_far
             best_set = tuple(chosen)

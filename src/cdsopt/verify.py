@@ -55,13 +55,13 @@ def verify_mds(inst: Instance, members) -> VerifyReport:
 
 def verify_cds(inst: Instance, members) -> VerifyReport:
     """Full check: m-fold domination plus connectivity of the induced subgraph."""
-    member_set = _check_members(inst, members)
+    member_set = set(members)
     report = verify_mds(inst, member_set)
     if not member_set:
         report.is_connected = False
         report.violations.append((-1, "solution set is empty"))
     else:
-        comps = components(inst.graph, member_set)
+        comps = components(inst.graph.adjacency, member_set)
         report.is_connected = len(comps) == 1
         if not report.is_connected:
             anchor = min(comps[0])

@@ -108,6 +108,12 @@ class TestSolve:
         assert code == 2
         assert "not an m-fold dominating set" in err
 
+    @pytest.mark.parametrize("node", ["99", "-1"])
+    def test_given_ds_out_of_range_exit_2(self, p3_file, capsys, node):
+        code, _, err = run_cli(capsys, "solve", p3_file, "--given-ds", node)
+        assert code == 2
+        assert "out of range" in err
+
     def test_given_ds_missing_comment_exit_2(self, p3_file, capsys):
         code, _, err = run_cli(capsys, "solve", p3_file, "--given-ds")
         assert code == 2

@@ -12,6 +12,7 @@ from cdsopt.generators import gen_fig1, gen_random_connected, gen_udg
 from cdsopt.graph import (
     Instance,
     InstanceError,
+    WeightedGraph,
     parse_instance,
     serialize_instance,
     validate_graph,
@@ -51,6 +52,7 @@ class TestParse:
             ("cds 3 2 1\n1 0 1\n0 1\n1 2\n", "non-positive cost"),
             ("cds 3 2 1\n1 -2 1\n0 1\n1 2\n", "non-positive cost"),
             ("cds 3 2 1\n1 nan 1\n0 1\n1 2\n", "malformed cost"),
+            ("cds 3 2 1\n1 inf 1\n0 1\n1 2\n", "malformed cost"),
             ("cds 3 2 1\n1 1\n0 1\n1 2\n", "cost line"),
             ("cds 3 2 1\n1 1 1\n0 1\n0 1\n", "duplicate edge"),
             ("cds 3 2 1\n1 1 1\n1 1\n0 2\n", "loop edge"),
@@ -68,12 +70,16 @@ class TestParse:
     def test_udg_rule_enforced(self):
         # nodes 2 apart claiming an edge
         bad = "cds 2 1 1\n1 1\ncoords\n0 0\n2 0\n0 1\n"
-        with pytest.raises(InstanceError, match="unit-disk"):
+        with pytest.raises(InstanceError, match=r"unit-disk edge rule at pair \(0, 1\)"):
             parse_instance(bad)
         # nodes within distance 1 but edge missing: also disconnected, so use 3 nodes
         bad2 = "cds 3 2 1\n1 1 1\ncoords\n0 0\n0.5 0\n1 0\n0 1\n1 2\n"
-        with pytest.raises(InstanceError, match="unit-disk"):
+        with pytest.raises(InstanceError, match=r"unit-disk edge rule at pair \(0, 2\)"):
             parse_instance(bad2)
+        # two disagreements, (0, 2) missing and (2, 3) too long: the first is named
+        bad3 = "cds 4 3 1\n1 1 1 1\ncoords\n0 0\n0.5 0\n1 0\n5 0\n0 1\n1 2\n2 3\n"
+        with pytest.raises(InstanceError, match=r"unit-disk edge rule at pair \(0, 2\)"):
+            parse_instance(bad3)
 
     def test_udg_rule_accepts_exact_graph(self):
         text = "cds 3 3 1\n1 1 1\ncoords\n0 0\n0.5 0\n1 0\n0 1\n0 2\n1 2\n"
@@ -232,3 +238,11 @@ class TestValidate:
         )
         with pytest.raises(InstanceError, match="symmetric"):
             validate_graph(broken)
+
+    @pytest.mark.parametrize(
+        "n,edges,fragment",
+        [(3, [(0, 1), (1, 1), (1, 2)], "loop edge 1 1"), (0, [], "node count must be >= 1")],
+    )
+    def test_from_edges_rejects(self, n, edges, fragment):
+        with pytest.raises(InstanceError, match=fragment):
+            WeightedGraph.from_edges(n, edges, [1.0] * n)
