@@ -8,6 +8,7 @@ the same call produces byte-identical instances.
 
 from __future__ import annotations
 
+import math
 import random
 
 from .graph import Instance, InstanceError, WeightedGraph, components, unit_disk_edges
@@ -68,8 +69,8 @@ def gen_udg(
     lo, hi = cost_range
     if n < 1:
         raise InstanceError("n must be >= 1")
-    if side <= 0:
-        raise InstanceError("side must be positive")
+    if not (math.isfinite(side) and side > 0):
+        raise InstanceError("side must be finite and positive")
     if not 0 < lo <= hi:
         raise InstanceError("cost range must satisfy 0 < lo <= hi")
     rng = random.Random(seed)

@@ -16,9 +16,13 @@ serialize round-trip exactly.
 Each graph invariant has one owner.  ``from_edges`` rejects duplicate and
 out-of-range edges.  ``validate_graph`` checks the node count, loops, the
 cost values (finite and positive), connectivity through ``components`` and,
-on unit-disk instances, the edge set against ``unit_disk_edges``, the one
-place the distance rule is written.  ``parse_instance`` checks the text's
-shape and leaves every graph invariant to ``from_edges``.
+on unit-disk instances, that the coordinates are finite and the edge set
+equals ``unit_disk_edges``, the one place the distance rule is written.
+``unit_disk_edges`` buckets the points into a grid of unit cells and applies
+the rule only to pairs of nearby cells, a proven superset of the edges, so
+it runs in time linear in the points plus the compared pairs.
+``parse_instance`` checks the text's shape and leaves every graph invariant
+to ``from_edges``.
 """
 
 from __future__ import annotations
@@ -42,8 +46,8 @@ class WeightedGraph:
     """Undirected simple graph with positive node costs.
 
     Nodes are dense ids 0..n-1.  ``adjacency[u]`` is a sorted tuple of
-    neighbor ids.  ``coords``, when present, are planar positions and the
-    edge set must be exactly the pairs at Euclidean distance <= 1.
+    neighbor ids.  ``coords``, when present, are finite planar positions and
+    the edge set must be exactly the pairs at Euclidean distance <= 1.
     """
 
     node_count: int
@@ -68,9 +72,11 @@ class WeightedGraph:
                 raise InstanceError(f"duplicate edge {min(u, v)} {max(u, v)}")
             neighbors[u].add(v)
             neighbors[v].add(u)
+        adjacency = tuple(tuple(sorted(s)) for s in neighbors)
+        del neighbors  # not kept alive while validate_graph runs
         graph = cls(
             node_count=node_count,
-            adjacency=tuple(tuple(sorted(s)) for s in neighbors),
+            adjacency=adjacency,
             cost=tuple(float(c) for c in costs),
             coords=tuple((float(x), float(y)) for x, y in coords) if coords is not None else None,
         )
@@ -127,14 +133,63 @@ def components(adjacency, members=None) -> list[set[int]]:
     return comps
 
 
+# Cell offsets compared with each occupied cell besides itself: the forward
+# half of the 5x5 stencil without its corners.  Every backward offset is the
+# forward offset of the other cell, so each pair of cells is compared once.
+_FORWARD_CELLS = ((0, 1), (0, 2)) + tuple(
+    (dx, dy) for dx in (1, 2) for dy in range(-2, 3) if (dx, abs(dy)) != (2, 2)
+)
+
+
 def unit_disk_edges(coords) -> list[tuple[int, int]]:
-    """The unit-disk edge set: sorted (i, j), i < j, at Euclidean distance <= 1."""
-    return [
-        (i, j)
-        for i, (xi, yi) in enumerate(coords)
-        for j, (xj, yj) in enumerate(coords[i + 1:], i + 1)
-        if (xi - xj) ** 2 + (yi - yj) ** 2 <= 1.0
-    ]
+    """The unit-disk edge set: sorted (i, j), i < j, at Euclidean distance <= 1.
+
+    A pair is an edge iff ``(xi - xj) ** 2 + (yi - yj) ** 2 <= 1.0`` in
+    floats; the coordinates must be finite.  Points are bucketed into unit
+    cells keyed by ``(floor(x), floor(y))`` (Bentley, Stanat and Williams'
+    fixed-radius near-neighbour search), and the predicate is evaluated only
+    on pairs in the same cell or in cells at an offset from
+    ``_FORWARD_CELLS``.  Those pairs are a superset of the edges:
+
+    - If the predicate holds, ``fl(xi - xj) ** 2`` rounds to at most 1, so
+      ``|fl(xi - xj)| <= 1``; the exact difference is then at most
+      ``1 + 2**-53``, and the floors differ by at most 2.  The same holds
+      for y, so every edge lies within the 5x5 stencil.
+    - A 3x3 stencil is not enough: for ``(2.0, 0.0)`` and
+      ``(nextafter(1.0, 0.0), 0.0)`` the difference rounds to exactly 1.0,
+      an edge whose cells are two apart.
+    - Cells two apart in both axes hold no edge: both exact differences
+      exceed 1, rounding is monotone and 1.0 is a float, so both squares are
+      at least 1 and their sum at least 2.
+
+    The predicate is symmetric (``fl(a - b) == -fl(b - a)``), so the order
+    in which a pair is compared does not matter.  Every compared pair is
+    less than 3 apart per axis, so far-apart points never overflow a square.
+    """
+    cells: dict[tuple[int, int], list[tuple[int, float, float]]] = {}
+    for i, (x, y) in enumerate(coords):
+        key = (math.floor(x), math.floor(y))
+        if key in cells:
+            cells[key].append((i, x, y))
+        else:
+            cells[key] = [(i, x, y)]
+    edges: list[tuple[int, int]] = []
+    for (cx, cy), points in cells.items():
+        near: list[tuple[int, float, float]] = []
+        for dx, dy in _FORWARD_CELLS:
+            other = cells.get((cx + dx, cy + dy))
+            if other is not None:
+                near += other
+        for a, (i, xi, yi) in enumerate(points):
+            # a cell lists its points in increasing id order
+            for j, xj, yj in points[a + 1:]:
+                if (xi - xj) ** 2 + (yi - yj) ** 2 <= 1.0:
+                    edges.append((i, j))
+            for j, xj, yj in near:
+                if (xi - xj) ** 2 + (yi - yj) ** 2 <= 1.0:
+                    edges.append((i, j) if i < j else (j, i))
+    edges.sort()
+    return edges
 
 
 def validate_graph(graph: WeightedGraph) -> None:
@@ -167,6 +222,9 @@ def validate_graph(graph: WeightedGraph) -> None:
     if graph.coords is not None:
         if len(graph.coords) != n:
             raise InstanceError("coords size does not match node count")
+        for u, (x, y) in enumerate(graph.coords):
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise InstanceError(f"malformed coordinate at node {u}")
         expected, actual = unit_disk_edges(graph.coords), graph.edges()
         if expected != actual:
             i, j = min(set(expected) ^ set(actual))
@@ -245,8 +303,6 @@ def parse_instance(text: str | bytes) -> Instance:
                 x, y = float(parts[0]), float(parts[1])
             except ValueError as exc:
                 raise InstanceError(f"malformed coordinate {parts!r}") from exc
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise InstanceError(f"malformed coordinate {parts!r}")
             coords.append((x, y))
 
     edges: list[tuple[int, int]] = []

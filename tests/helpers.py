@@ -3,12 +3,14 @@
 The oracle implementations here deliberately avoid the library's incremental
 data structures: components come from a plain BFS labeling, star values from
 literal formula evaluation or full per-prefix rebuilds, and optima from
-unpruned subset enumeration.  The exceptions are the full-scan greedy
-``reference_greedy_dominating_set`` and the full-rescan connectors
-``reference_greedy_connect`` and ``reference_pairwise_connect``, which the
-lazy ``greedy_dominating_set`` and the cached ``greedy_connect`` and
-``pairwise_connect`` must reproduce exactly, and ``merge_potential``, which
-evaluates a star on the library's component index.
+unpruned subset enumeration, and unit-disk edges from the all-pairs
+distance loop ``reference_unit_disk_edges``, which the grid-bucketed
+``unit_disk_edges`` must reproduce exactly.  The exceptions are the
+full-scan greedy ``reference_greedy_dominating_set`` and the full-rescan
+connectors ``reference_greedy_connect`` and ``reference_pairwise_connect``,
+which the lazy ``greedy_dominating_set`` and the cached ``greedy_connect``
+and ``pairwise_connect`` must reproduce exactly, and ``merge_potential``,
+which evaluates a star on the library's component index.
 """
 
 from __future__ import annotations
@@ -192,6 +194,20 @@ def brute_force_best_star(graph: WeightedGraph, members, center):
             if best is None or eff > best:
                 best = eff
     return best
+
+
+# ---------------------------------------------------------------------------
+# all-pairs reference unit-disk edges
+
+
+def reference_unit_disk_edges(coords) -> list[tuple[int, int]]:
+    """The unit-disk edge set: sorted (i, j), i < j, at Euclidean distance <= 1."""
+    return [
+        (i, j)
+        for i, (xi, yi) in enumerate(coords)
+        for j, (xj, yj) in enumerate(coords[i + 1:], i + 1)
+        if (xi - xj) ** 2 + (yi - yj) ** 2 <= 1.0
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,14 @@ class TestGen:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("side", ["nan", "inf"])
+    def test_udg_non_finite_side_exit_2(self, tmp_path, capsys, side):
+        out = tmp_path / "u.cds"
+        code, _, err = run_cli(capsys, "gen", "udg", "--n", "1", "--side", side, "--seed", "1", "--out", str(out))
+        assert code == 2
+        assert "side must be finite and positive" in err
+        assert not out.exists()
+
 
 class TestSolve:
     def test_p3(self, p3_file, capsys):
@@ -143,6 +151,13 @@ class TestSolve:
         code, _, err = run_cli(capsys, "solve", str(bad))
         assert code == 2
         assert "non-positive cost" in err
+
+    def test_far_apart_coords_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "far.cds"
+        bad.write_text("cds 2 1 1\n1 1\ncoords\n0 0\n1e200 0\n0 1\n")
+        code, _, err = run_cli(capsys, "solve", str(bad))
+        assert code == 2
+        assert "unit-disk edge rule at pair (0, 1)" in err
 
 
 class TestVerifyCmd:

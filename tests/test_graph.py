@@ -15,10 +15,11 @@ from cdsopt.graph import (
     WeightedGraph,
     parse_instance,
     serialize_instance,
+    unit_disk_edges,
     validate_graph,
     validate_instance,
 )
-from helpers import bfs_component_count, make_instance
+from helpers import bfs_component_count, make_instance, reference_unit_disk_edges
 
 P3_TEXT = "cds 3 2 1\n1 1 1\n0 1\n1 2\n"
 
@@ -61,6 +62,9 @@ class TestParse:
             ("cds 3 1 1\n1 1 1\n0 1\n", "disconnected graph"),
             ("cds 3 2 1\n1 1 1\n0 1\n", "expected 2 edge lines"),
             ("cds 3 2 1\n1 1 1\n0 1\n1 2\n0 2\n", "trailing content"),
+            ("cds 1 0 1\n1\ncoords\nx 0\n", "malformed coordinate \\['x', '0'\\]"),
+            ("cds 1 0 1\n1\ncoords\nnan 0\n", "malformed coordinate at node 0"),
+            ("cds 2 1 1\n1 1\ncoords\n0 0\n0 -inf\n0 1\n", "malformed coordinate at node 1"),
         ],
     )
     def test_diagnostics(self, text, fragment):
@@ -80,6 +84,10 @@ class TestParse:
         bad3 = "cds 4 3 1\n1 1 1 1\ncoords\n0 0\n0.5 0\n1 0\n5 0\n0 1\n1 2\n2 3\n"
         with pytest.raises(InstanceError, match=r"unit-disk edge rule at pair \(0, 2\)"):
             parse_instance(bad3)
+        # points 1e200 apart: no overflow, the claimed edge is named
+        far = "cds 2 1 1\n1 1\ncoords\n0 0\n1e200 0\n0 1\n"
+        with pytest.raises(InstanceError, match=r"unit-disk edge rule at pair \(0, 1\)"):
+            parse_instance(far)
 
     def test_udg_rule_accepts_exact_graph(self):
         text = "cds 3 3 1\n1 1 1\ncoords\n0 0\n0.5 0\n1 0\n0 1\n0 2\n1 2\n"
@@ -184,6 +192,89 @@ class TestUdgGenerator:
 
     def test_validator_passes(self):
         validate_instance(gen_udg(30, 4.0, (0.1, 10.0), seed=1))
+
+    @pytest.mark.parametrize("side", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_side(self, side):
+        with pytest.raises(InstanceError, match="side must be finite and positive"):
+            gen_udg(1, side, (1.0, 1.0), seed=0)
+
+
+def _nudge(v: float, steps: int) -> float:
+    """``v`` moved ``steps`` floats up (positive) or down (negative)."""
+    for _ in range(abs(steps)):
+        v = math.nextafter(v, math.inf if steps > 0 else -math.inf)
+    return v
+
+
+@st.composite
+def tricky_points(draw):
+    """Point sets that sit on the unit-disk rule's rounding edges.
+
+    Base points lie within 1e-3, 1 or 4 of the origin, or on integers;
+    derived points are a base point moved by -1, 0 or +1 per axis and then a
+    few floats either way, so distances of one ulp around 1 (and duplicates)
+    are common, including pairs whose unit cells are two apart.
+    """
+    scale = draw(st.sampled_from([1e-3, 1.0, 4.0]))
+    coordinate = st.floats(-scale, scale, allow_nan=False, allow_infinity=False)
+    aligned = st.integers(-3, 3).map(float)
+    points = draw(
+        st.lists(
+            st.one_of(st.tuples(coordinate, coordinate), st.tuples(aligned, aligned)),
+            min_size=1,
+            max_size=15,
+        )
+    )
+    offset = st.sampled_from([-1.0, 0.0, 1.0])
+    for _ in range(draw(st.integers(0, 20))):
+        x, y = draw(st.sampled_from(points))
+        points.append(
+            (
+                _nudge(x + draw(offset), draw(st.integers(-2, 2))),
+                _nudge(y + draw(offset), draw(st.integers(-2, 2))),
+            )
+        )
+    return draw(st.permutations(points))
+
+
+class TestUnitDiskEdges:
+    @settings(max_examples=200, deadline=None)
+    @given(points=tricky_points())
+    def test_matches_all_pairs_reference(self, points):
+        assert unit_disk_edges(points) == reference_unit_disk_edges(points)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 150), side=st.sampled_from([0.5, 3.0, 12.0]), seed=st.integers(0, 10**6))
+    def test_matches_all_pairs_reference_on_uniform_points(self, n, side, seed):
+        rng = random.Random(seed)
+        points = [(rng.uniform(-side, side), rng.uniform(-side, side)) for _ in range(n)]
+        assert unit_disk_edges(points) == reference_unit_disk_edges(points)
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            # x difference rounds to exactly 1.0; floor cells 2 and 0
+            [(2.0, 0.0), (math.nextafter(1.0, 0.0), 0.0)],
+            # 1 + 5e-324 rounds to 1.0; floor cells 1 and -1
+            [(1.0, 0.5), (-5e-324, 0.5)],
+            # two cells apart in x, one in y
+            [(2.0, 1.0), (math.nextafter(1.0, 0.0), math.nextafter(1.0, 0.0))],
+        ],
+    )
+    def test_edge_across_two_cells(self, points):
+        assert reference_unit_disk_edges(points) == [(0, 1)]
+        assert unit_disk_edges(points) == [(0, 1)]
+        make_instance(2, [(0, 1)], coords=points)
+
+    def test_far_apart_points_do_not_overflow(self):
+        assert unit_disk_edges([(0.0, 0.0), (1e200, 0.0), (-1e308, 1e308)]) == []
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coordinate_rejected(self, bad):
+        with pytest.raises(InstanceError, match="malformed coordinate at node 0"):
+            WeightedGraph.from_edges(1, [], [1.0], coords=[(bad, 0.0)])
+        with pytest.raises(InstanceError, match="malformed coordinate at node 1"):
+            WeightedGraph.from_edges(2, [(0, 1)], [1.0, 1.0], coords=[(0.0, 0.0), (0.0, bad)])
 
 
 class TestFig1Generator:
