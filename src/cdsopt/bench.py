@@ -12,10 +12,9 @@ A batch spec is a JSON document:
     ]}
 
 Each entry expands to one case per (m, seed) combination, solved in a worker
-pool (width from CDS_OPT_THREADS or the --threads flag) and merged back in
-deterministic case order.  Any instance whose costs exceed a proven bound is
-flagged as a violation: that would falsify the implementation, not the
-theorems.
+pool of the --threads width and merged back in deterministic case order.  Any
+instance whose costs exceed a proven bound is flagged as a violation: that
+would falsify the implementation, not the theorems.
 """
 
 from __future__ import annotations
@@ -64,7 +63,13 @@ _KIND_FIELDS = {
 
 
 def _convert(value, convert, key: str, where: str):
+    """``convert(value)``; only a bool field takes a JSON boolean, and an int
+    field takes no fractional number."""
     try:
+        if isinstance(value, bool) != (convert is bool):
+            raise TypeError
+        if convert is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError
         return convert(value)
     except (TypeError, ValueError):
         raise ValueError(f"{where}: field {key!r} must be {convert.__name__}, got {value!r}") from None
@@ -106,7 +111,7 @@ def load_batch_spec(text: str) -> list[dict]:
             raise ValueError(f"{where}: field 'seeds' must be an object, got {seeds_spec!r}")
         seed_start = _field(seeds_spec, "start", int, 0, f"{where} seeds")
         seed_count = _field(seeds_spec, "count", int, 1, f"{where} seeds")
-        oracle = bool(entry.get("oracle", False))
+        oracle = _field(entry, "oracle", bool, False, where)
         node_budget = _field(entry, "node_budget", int, DEFAULT_NODE_BUDGET, where)
         params = {key: _field(entry, key, conv, default, where) for key, conv, default in _KIND_FIELDS[kind]}
         for m in m_values:
@@ -176,13 +181,8 @@ def run_case(case: dict) -> dict:
 
 
 def pool_width(case_count: int, requested: int | None = None) -> int:
-    """Worker count: CDS_OPT_THREADS overrides any requested width.
-
-    Never more workers than cases or CPUs.
-    """
-    env = os.environ.get("CDS_OPT_THREADS")
-    width = int(env) if env is not None else requested or 1
-    return max(1, min(width, case_count, os.cpu_count() or 1))
+    """Worker count: the requested width, never more than cases or CPUs."""
+    return max(1, min(requested or 1, case_count, os.cpu_count() or 1))
 
 
 def run_batch(cases: list[dict], threads: int | None = None) -> list[dict]:

@@ -85,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("batch", help="batch spec JSON file")
     p_bench.add_argument("--out-csv", default=None, help="CSV output path (default stdout)")
     p_bench.add_argument("--out-json", default=None, help="JSON summary path (default stdout)")
-    p_bench.add_argument("--threads", type=int, default=1, help="worker pool width (CDS_OPT_THREADS overrides)")
+    p_bench.add_argument("--threads", type=int, default=1, help="worker pool width (capped at cases and CPUs)")
     return parser
 
 

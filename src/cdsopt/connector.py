@@ -123,16 +123,19 @@ def best_star_at(idx: ComponentIndex, graph: WeightedGraph, u: int) -> StarCandi
 
 
 def _better_candidate(a: StarCandidate, b: StarCandidate) -> bool:
-    """True when a beats b: efficiency, then gain, then center id, then size."""
+    """True when a beats b: efficiency, then gain, then center id.
+
+    No leaf-count key is needed: the prefixes ``best_star_at`` compares at one
+    center differ in gain, and ``best_pair_at`` tests only pairs, against a
+    best with no more leaves, keeping that best on a tie.
+    """
     lhs = a.gain * b.total_cost
     rhs = b.gain * a.total_cost
     if lhs != rhs:
         return lhs > rhs
     if a.gain != b.gain:
         return a.gain > b.gain
-    if a.center != b.center:
-        return a.center < b.center
-    return len(a.leaves) < len(b.leaves)
+    return a.center < b.center
 
 
 def best_pair_at(idx: ComponentIndex, graph: WeightedGraph, a: int) -> StarCandidate | None:

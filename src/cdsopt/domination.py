@@ -38,8 +38,6 @@ class DeficitState:
     """Incremental residual-domination bookkeeping for a growing node set.
 
     Tracks per node: membership and the residual demand (deficit).
-    ``covered`` is the running value of the potential, kept equal to
-    m*n - sum(deficit).
     """
 
     def __init__(self, inst: Instance):
@@ -47,19 +45,16 @@ class DeficitState:
         self.inst = inst
         self.in_set = [False] * n
         self.deficit = [inst.m] * n
-        self.covered = 0
 
     def add(self, u: int) -> None:
         """Insert u, zeroing its own deficit and relieving uncovered neighbors."""
         if self.in_set[u]:
             raise ValueError(f"node {u} already in the set")
-        self.covered += self.deficit[u]
         self.deficit[u] = 0
         self.in_set[u] = True
         for v in self.inst.graph.adjacency[u]:
             if not self.in_set[v] and self.deficit[v] > 0:
                 self.deficit[v] -= 1
-                self.covered += 1
 
 
 def coverage_gain(state: DeficitState, u: int) -> int:

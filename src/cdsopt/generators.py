@@ -20,7 +20,6 @@ def gen_random_connected(
     cost_range: tuple[float, float],
     seed: int,
     m: int = 1,
-    label: str | None = None,
 ) -> Instance:
     """Random connected graph: a random spanning tree plus G(n, p) extra edges.
 
@@ -47,9 +46,7 @@ def gen_random_connected(
                 edges.add((u, v))
     costs = [rng.uniform(lo, hi) for _ in range(n)]
     graph = WeightedGraph.from_edges(n, sorted(edges), costs)
-    if label is None:
-        label = f"random-n{n}-p{edge_prob:g}-m{m}-s{seed}"
-    return Instance(graph=graph, m=m, label=label)
+    return Instance(graph=graph, m=m, label=f"random-n{n}-p{edge_prob:g}-m{m}-s{seed}")
 
 
 def gen_udg(
@@ -59,7 +56,6 @@ def gen_udg(
     seed: int,
     m: int = 1,
     max_attempts: int = 1000,
-    label: str | None = None,
 ) -> Instance:
     """Unit-disk graph: n points uniform in [0, side]^2, edges at distance <= 1.
 
@@ -86,13 +82,11 @@ def gen_udg(
         if len(components(nbrs)) == 1:
             costs = [rng.uniform(lo, hi) for _ in range(n)]
             graph = WeightedGraph.from_edges(n, edges, costs, coords=pts)
-            if label is None:
-                label = f"udg-n{n}-side{side:g}-m{m}-s{seed}"
-            return Instance(graph=graph, m=m, label=label)
+            return Instance(graph=graph, m=m, label=f"udg-n{n}-side{side:g}-m{m}-s{seed}")
     raise InstanceError(f"could not generate connected UDG after {max_attempts} attempts")
 
 
-def gen_fig1(d: int, eps: float, m: int = 1, label: str | None = None) -> tuple[Instance, frozenset[int]]:
+def gen_fig1(d: int, eps: float, m: int = 1) -> tuple[Instance, frozenset[int]]:
     """Adversarial ladder with d rungs plus a designated dominating set.
 
     Layout (3d+2 nodes): top node t adjacent to a hub u and to every rung top
@@ -128,8 +122,6 @@ def gen_fig1(d: int, eps: float, m: int = 1, label: str | None = None) -> tuple[
         edges.append((u, v_ids[i]))
         edges.append((v_ids[i], b_ids[i]))
     graph = WeightedGraph.from_edges(n, edges, costs)
-    if label is None:
-        label = f"fig1-d{d}-eps{eps:g}"
     designated = frozenset([t, *b_ids])
-    return Instance(graph=graph, m=m, label=label), designated
+    return Instance(graph=graph, m=m, label=f"fig1-d{d}-eps{eps:g}"), designated
 

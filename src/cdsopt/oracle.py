@@ -3,9 +3,13 @@
 The search decides nodes in id order (include branch first) and prunes on
 accumulated cost against the incumbent and on domination feasibility: a
 branch dies as soon as some excluded node can no longer collect m dominators
-from the chosen and still-undecided nodes.  Connectivity is checked at the
-leaves only.  Intended for desk-scale instances; the node budget guards
-against accidental exponential blowups.
+from the chosen and still-undecided nodes.  Deciding a node IN leaves each
+neighbor's count of chosen plus undecided neighbors unchanged; only deciding
+a node OUT lowers it, and that decision checks the node itself and every OUT
+neighbor.  So at a leaf, where nothing is undecided, every OUT node already
+has m chosen neighbors and the chosen set is non-empty: only connectivity is
+left to check there.  Intended for desk-scale instances; the node budget
+guards against accidental exponential blowups.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ class OracleResult:
     opt_set: tuple[int, ...]
     opt_cost: float
     nodes_explored: int
-    exhausted: bool
 
 
 def harmonic(k: int) -> float:
@@ -84,12 +87,10 @@ def _exact_search(inst: Instance, node_budget: int, require_connected: bool) -> 
         if cost_so_far >= best_cost:
             return
         if i == n:
+            # m-fold domination holds here by the invariant in the module docstring
             chosen = [u for u in range(n) if status[u] == IN]
-            if any(status[u] == OUT and chosen_nbrs[u] < m for u in range(n)):
+            if require_connected and len(components(adj, chosen)) != 1:
                 return
-            if require_connected:
-                if not chosen or len(components(adj, chosen)) != 1:
-                    return
             best_cost = cost_so_far
             best_set = tuple(chosen)
             return
@@ -115,10 +116,11 @@ def _exact_search(inst: Instance, node_budget: int, require_connected: bool) -> 
             undecided_nbrs[w] += 1
         status[i] = UNDECIDED
 
-    rec(0, 0.0)
-    return OracleResult(
-        opt_set=best_set, opt_cost=best_cost, nodes_explored=explored, exhausted=True
-    )
+    try:
+        rec(0, 0.0)
+    except RecursionError:
+        raise OracleBudgetError(f"instance too deep for the oracle's recursive search: {n} nodes") from None
+    return OracleResult(opt_set=best_set, opt_cost=best_cost, nodes_explored=explored)
 
 
 @dataclass(frozen=True)
@@ -129,7 +131,6 @@ class RatioRecord:
     the two phase bounds.
     """
 
-    delta: int
     opt_cost: float
     opt_mds_cost: float
     ratio_d1: float
@@ -149,11 +150,8 @@ def ratio_report(
     opt_cds: OracleResult,
     opt_mds: OracleResult,
 ) -> RatioRecord:
-    if not (opt_cds.exhausted and opt_mds.exhausted):
-        raise ValueError("oracle incomplete")
     bound_d1, bound_d2, udg_bound_d2 = proven_bounds(inst)
     return RatioRecord(
-        delta=inst.graph.max_degree,
         opt_cost=opt_cds.opt_cost,
         opt_mds_cost=opt_mds.opt_cost,
         ratio_d1=cost_d1 / opt_mds.opt_cost,

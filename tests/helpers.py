@@ -10,7 +10,9 @@ full-scan greedy ``reference_greedy_dominating_set`` and the full-rescan
 connectors ``reference_greedy_connect`` and ``reference_pairwise_connect``,
 which the lazy ``greedy_dominating_set`` and the cached ``greedy_connect``
 and ``pairwise_connect`` must reproduce exactly, and ``merge_potential``,
-which evaluates a star on the library's component index.
+which evaluates a star on the library's component index.  The reference
+connectors pick by ``reference_better_candidate``, which keeps a final
+leaf-count tie-break that the library's order leaves out as never deciding.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from cdsopt.components import ComponentIndex
 from cdsopt.connector import (
     ConnectReport,
     StarCandidate,
-    _better_candidate,
     _check_dominating,
     best_star_at,
     component_neighbors,
@@ -251,6 +252,19 @@ def reference_greedy_dominating_set(inst: Instance) -> tuple[set[int], GreedyTra
 # full-rescan reference connectors
 
 
+def reference_better_candidate(a: StarCandidate, b: StarCandidate) -> bool:
+    """True when a beats b: efficiency, then gain, then center id, then size."""
+    lhs = a.gain * b.total_cost
+    rhs = b.gain * a.total_cost
+    if lhs != rhs:
+        return lhs > rhs
+    if a.gain != b.gain:
+        return a.gain > b.gain
+    if a.center != b.center:
+        return a.center < b.center
+    return len(a.leaves) < len(b.leaves)
+
+
 def reference_greedy_connect(inst: Instance, dominating_set) -> ConnectReport:
     """Star connector that evaluates every free center in every round."""
     ds = set(dominating_set)
@@ -264,7 +278,7 @@ def reference_greedy_connect(inst: Instance, dominating_set) -> ConnectReport:
             if u in idx:
                 continue
             cand = best_star_at(idx, graph, u)
-            if cand is not None and (best is None or _better_candidate(cand, best)):
+            if cand is not None and (best is None or reference_better_candidate(cand, best)):
                 best = cand
         if best is None:
             raise RuntimeError("connector stalled: no star merges components")
@@ -299,7 +313,7 @@ def reference_pairwise_connect(inst: Instance, dominating_set) -> ConnectReport:
             gain = len(reached_a) - 1
             if gain >= 1:
                 cand = StarCandidate(center=a, leaves=(), gain=gain, total_cost=cost[a])
-                if best is None or _better_candidate(cand, best):
+                if best is None or reference_better_candidate(cand, best):
                     best = cand
             for b in graph.adjacency[a]:
                 if b <= a or b in idx:
@@ -310,7 +324,7 @@ def reference_pairwise_connect(inst: Instance, dominating_set) -> ConnectReport:
                     cand = StarCandidate(
                         center=a, leaves=(b,), gain=pair_gain, total_cost=cost[a] + cost[b]
                     )
-                    if best is None or _better_candidate(cand, best):
+                    if best is None or reference_better_candidate(cand, best):
                         best = cand
         if best is None:
             raise RuntimeError("pairwise connector stalled: no candidate merges components")

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from cdsopt.bench import CSV_COLUMNS, pool_width
+from cdsopt.bench import CSV_COLUMNS, load_batch_spec, pool_width
 from cdsopt.cli import main
 
 P3_TEXT = "cds 3 2 1\n1 1 1\n0 1\n1 2\n"
@@ -159,6 +159,16 @@ class TestSolve:
         assert code == 2
         assert "unit-disk edge rule at pair (0, 1)" in err
 
+    def test_oracle_too_deep_exit_2(self, tmp_path, capsys):
+        n = 1200
+        path = tmp_path / "path.cds"
+        edges = "".join(f"{i} {i + 1}\n" for i in range(n - 1))
+        path.write_text(f"cds {n} {n - 1} 1\n{' '.join(['1'] * n)}\n{edges}")
+        code, _, err = run_cli(capsys, "solve", str(path), "--oracle", "--node-budget", "2000")
+        assert code == 2
+        assert "instance too deep for the oracle's recursive search: 1200 nodes" in err
+        assert "Traceback" not in err
+
 
 class TestVerifyCmd:
     def test_valid_solution_exit_0(self, p3_file, tmp_path, capsys):
@@ -242,8 +252,7 @@ class TestBench:
         assert code == 0
         assert csv_path.read_text().strip() == ",".join(CSV_COLUMNS)
 
-    def test_thread_pool_merges_in_order(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("CDS_OPT_THREADS", "2")
+    def test_thread_pool_merges_in_order(self, tmp_path, capsys):
         batch = tmp_path / "batch.json"
         batch.write_text(
             json.dumps(
@@ -263,23 +272,27 @@ class TestBench:
         )
         serial_csv = tmp_path / "serial.csv"
         pooled_csv = tmp_path / "pooled.csv"
-        monkeypatch.delenv("CDS_OPT_THREADS")
         assert main(["bench", str(batch), "--out-csv", str(serial_csv), "--out-json", str(tmp_path / "a.json")]) == 0
-        monkeypatch.setenv("CDS_OPT_THREADS", "3")
-        assert main(["bench", str(batch), "--out-csv", str(pooled_csv), "--out-json", str(tmp_path / "b.json")]) == 0
+        assert main(
+            ["bench", str(batch), "--out-csv", str(pooled_csv), "--out-json", str(tmp_path / "b.json"), "--threads", "3"]
+        ) == 0
         capsys.readouterr()
         assert serial_csv.read_bytes() == pooled_csv.read_bytes()
 
-    def test_pool_width_capped_by_cases_and_cpus(self, monkeypatch):
+    def test_pool_width_capped_by_cases_and_cpus(self):
         # only computes the width; no pool is started
         cpus = os.cpu_count() or 1
-        monkeypatch.setenv("CDS_OPT_THREADS", "100000")
-        assert pool_width(3) == min(3, cpus)
-        assert pool_width(10**6) == cpus
-        assert pool_width(0) == 1
-        monkeypatch.delenv("CDS_OPT_THREADS")
+        assert pool_width(3, 100000) == min(3, cpus)
+        assert pool_width(10**6, 100000) == cpus
+        assert pool_width(0, 100000) == 1
         assert pool_width(5, 100000) == min(5, cpus)
         assert pool_width(5) == 1
+
+    def test_whole_float_int_field_accepted(self):
+        spec = {"entries": [{"kind": "random", "n": 8.0, "p": 0.4, "m": [2.0], "oracle": True}]}
+        (case,) = load_batch_spec(json.dumps(spec))
+        assert (case["n"], case["m"], case["oracle"]) == (8, 2, True)
+        assert type(case["n"]) is int
 
     def test_malformed_batch_exit_2(self, tmp_path, capsys):
         batch = tmp_path / "batch.json"
@@ -294,8 +307,26 @@ class TestBench:
             ({"kind": "random", "p": 0.3}, "entry 0: missing field 'n'"),
             ({"kind": "fig1", "d": 3}, "entry 0: missing field 'eps'"),
             ({"kind": "random", "n": 8, "p": 0.4, "seeds": [1, 2]}, "entry 0: field 'seeds' must be an object"),
+            ({"kind": "random", "n": 30, "p": 0.1, "oracle": "false"}, "entry 0: field 'oracle' must be bool, got 'false'"),
+            ({"kind": "random", "n": 7, "p": 0.4, "oracle": 1}, "entry 0: field 'oracle' must be bool, got 1"),
+            ({"kind": "random", "n": 7.9, "p": 0.4}, "entry 0: field 'n' must be int, got 7.9"),
+            ({"kind": "random", "n": True, "p": 0.4}, "entry 0: field 'n' must be int, got True"),
+            ({"kind": "random", "n": 7, "p": 0.4, "m": [1.5]}, "entry 0: field 'm' must be int, got 1.5"),
+            ({"kind": "random", "n": 7, "p": 0.4, "seeds": {"count": 1.9}}, "entry 0 seeds: field 'count' must be int, got 1.9"),
+            ({"kind": "fig1", "d": 3.5, "eps": 0.1}, "entry 0: field 'd' must be int, got 3.5"),
         ],
-        ids=["missing-n", "fig1-missing-eps", "seeds-list"],
+        ids=[
+            "missing-n",
+            "fig1-missing-eps",
+            "seeds-list",
+            "oracle-string",
+            "oracle-int",
+            "n-fractional",
+            "n-bool",
+            "m-fractional",
+            "seed-count-fractional",
+            "d-fractional",
+        ],
     )
     def test_bad_entry_field_exit_2(self, tmp_path, capsys, entry, message):
         batch = tmp_path / "batch.json"

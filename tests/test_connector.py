@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from cdsopt.components import ComponentIndex
 from cdsopt.connector import (
+    StarCandidate,
+    best_pair_at,
     best_star_at,
     component_neighbors,
     greedy_connect,
@@ -395,6 +397,17 @@ class TestPairwiseConnect:
     def test_already_connected_is_noop(self):
         inst = path_instance(5)
         assert pairwise_connect(inst, {1, 2, 3}).connectors == set()
+
+    def test_singleton_wins_float_tie_with_pair(self):
+        # path 0-1-2 plus node 3 on 1 and 2: the pair (1, 3) costs 1.0 + 1e-17,
+        # which rounds to 1.0, so it ties the singleton 1 in every compared key
+        inst = make_instance(4, [(0, 1), (1, 2), (1, 3), (2, 3)], costs=[1.0, 1.0, 1.0, 1e-17])
+        assert 1.0 + 1e-17 == 1.0
+        singleton = StarCandidate(center=1, leaves=(), gain=1, total_cost=1.0)
+        idx = ComponentIndex(inst.graph, [0, 2])
+        assert best_pair_at(idx, inst.graph, 1) == singleton
+        assert pairwise_connect(inst, {0, 2}).stars == [singleton]
+        assert reference_pairwise_connect(inst, {0, 2}).stars == [singleton]
 
     def test_both_connectors_end_connected(self):
         rng = random.Random(13)

@@ -77,7 +77,7 @@ class TestCoverageGain:
         for u in sorted(members):
             state.add(u)
         base = coverage_value(inst, members)
-        assert state.covered == base
+        assert inst.m * 10 - sum(state.deficit) == base
         for u in range(10):
             if u in members:
                 continue
@@ -135,7 +135,7 @@ class TestGreedy:
         for step in trace.steps:
             state.add(step.node)
             members.add(step.node)
-            assert state.covered == coverage_value(inst, members)
+            assert inst.m * 14 - sum(state.deficit) == coverage_value(inst, members)
         assert members == chosen
 
     def test_trace_ratios_and_running_cost(self):
@@ -253,7 +253,7 @@ def test_random_seeded_corpus_state_agreement():
         state = DeficitState(inst)
         for u in sorted(members):
             state.add(u)
-        assert state.covered == coverage_value(inst, members)
+        assert inst.m * 10 - sum(state.deficit) == coverage_value(inst, members)
         for u in range(10):
             if u not in members:
                 expected = coverage_value(inst, members | {u}) - coverage_value(inst, members)
