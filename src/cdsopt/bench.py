@@ -50,6 +50,10 @@ CSV_COLUMNS = [
 # comparison operands are products of floats
 BOUND_EPS = 1e-9
 
+# every case dict is built before any runs, so a batch larger than this is
+# rejected instead of exhausting memory
+MAX_BATCH_CASES = 100_000
+
 
 _REQUIRED = object()
 
@@ -87,7 +91,10 @@ def _field(obj: dict, key: str, convert, default, where: str):
 def load_batch_spec(text: str) -> list[dict]:
     """Parse and expand a batch spec into a deterministic list of cases.
 
-    A missing or malformed field raises ValueError naming its entry.
+    A missing or malformed field raises ValueError naming its entry, as do an
+    empty ``m`` list, a ``seeds.count`` below 1, ``seeds`` on a ``fig1`` entry
+    (the ladder takes no seed, so its copies would be identical) and a batch
+    of more than ``MAX_BATCH_CASES`` cases.
     """
     doc = json.loads(text)
     if not isinstance(doc, dict) or "entries" not in doc or not isinstance(doc["entries"], list):
@@ -103,14 +110,23 @@ def load_batch_spec(text: str) -> list[dict]:
         m_values = entry.get("m", 1)
         if not isinstance(m_values, list):
             m_values = [m_values]
+        if not m_values:
+            raise ValueError(f"{where}: field 'm' must not be empty")
         m_values = [_convert(m, int, "m", where) for m in m_values]
         if any(m < 1 for m in m_values):
             raise ValueError(f"{where}: m must be >= 1")
+        if kind == "fig1" and "seeds" in entry:
+            raise ValueError(f"{where}: field 'seeds' does not apply to kind 'fig1', which takes no seed")
         seeds_spec = entry.get("seeds", {})
         if not isinstance(seeds_spec, dict):
             raise ValueError(f"{where}: field 'seeds' must be an object, got {seeds_spec!r}")
         seed_start = _field(seeds_spec, "start", int, 0, f"{where} seeds")
         seed_count = _field(seeds_spec, "count", int, 1, f"{where} seeds")
+        if seed_count < 1:
+            raise ValueError(f"{where} seeds: field 'count' must be >= 1, got {seed_count}")
+        total = len(cases) + len(m_values) * seed_count
+        if total > MAX_BATCH_CASES:
+            raise ValueError(f"{where}: batch would hold {total} cases, more than {MAX_BATCH_CASES}")
         oracle = _field(entry, "oracle", bool, False, where)
         node_budget = _field(entry, "node_budget", int, DEFAULT_NODE_BUDGET, where)
         params = {key: _field(entry, key, conv, default, where) for key, conv, default in _KIND_FIELDS[kind]}

@@ -14,6 +14,14 @@ import random
 from .graph import Instance, InstanceError, WeightedGraph, components, unit_disk_edges
 
 
+def _coin_bits(data: bytes, j: int) -> int:
+    """The 53-bit integer behind the j-th ``random()`` in ``data``: words
+    ``w0`` and ``w1`` little-endian at bytes 8j..8j+7, as
+    ``(w0 >> 5) * 2**26 + (w1 >> 6)``."""
+    w = int.from_bytes(data[8 * j:8 * j + 8], "little")
+    return (w & 0xFFFFFFFF) >> 5 << 26 | w >> 38
+
+
 def gen_random_connected(
     n: int,
     edge_prob: float,
@@ -25,6 +33,20 @@ def gen_random_connected(
 
     Costs are uniform in ``cost_range``.  The spanning tree guarantees
     connectivity without rejection sampling, so generation always terminates.
+
+    Draw contract, which fixes every seeded corpus: after the shuffle and the
+    tree draws, each pair (u, v), u < v, that is not a tree edge takes one
+    ``rng.random()`` in lexicographic order and is an edge iff that value is
+    below ``edge_prob``; then the n costs are drawn.
+
+    The coins are drawn a row at a time as ``getrandbits(64 * k)``, which
+    yields the same 32-bit words as k ``random()`` calls, lowest first, and
+    leaves the same state.  A call's value is
+    ``((w0 >> 5) * 2**26 + (w1 >> 6)) / 2**53``, so ``random() < p`` holds
+    exactly when that integer is below ``p * 2**53``.  That forces the top
+    byte of ``w0`` to at most ``int(p * 256)``, and below it the coin is
+    certainly an edge, so only those bytes are visited and only the ones
+    equal to it are decoded.
     """
     lo, hi = cost_range
     if n < 1:
@@ -34,18 +56,40 @@ def gen_random_connected(
     if not 0 < lo <= hi:
         raise InstanceError("cost range must satisfy 0 < lo <= hi")
     rng = random.Random(seed)
-    edges: set[tuple[int, int]] = set()
+    tree_above: list[list[int]] = [[] for _ in range(n)]
+    edges: list[tuple[int, int]] = []
     order = list(range(n))
     rng.shuffle(order)
     for i in range(1, n):
         a, b = order[i], order[rng.randrange(i)]
-        edges.add((min(a, b), max(a, b)))
-    for u in range(n):
-        for v in range(u + 1, n):
-            if (u, v) not in edges and rng.random() < edge_prob:
-                edges.add((u, v))
+        u, v = min(a, b), max(a, b)
+        tree_above[u].append(v)
+        edges.append((u, v))
+    limit = math.ceil(edge_prob * 2**53)  # integer x < limit iff x / 2**53 < edge_prob
+    top = int(edge_prob * 256)  # top bytes below this are edges without decoding
+    # translate table: 1 for the top bytes that can belong to an edge
+    may_be_edge = b"\x01" * min(top + 1, 256) + bytes(max(255 - top, 0))
+    for u, tree in enumerate(tree_above):
+        tree.sort()
+        k = n - 1 - u - len(tree)  # the non-tree pairs (u, v), v > u
+        tree.append(n)  # sentinel: stops the skip loop below
+        if k:
+            data = rng.getrandbits(64 * k).to_bytes(8 * k, "little")
+            tops = data[3::8]
+            find = tops.translate(may_be_edge).find
+            skipped = 0
+            j = find(1)
+            while j >= 0:
+                if tops[j] < top or _coin_bits(data, j) < limit:
+                    # the j-th pair of row u that is not a tree edge
+                    v = u + 1 + j + skipped
+                    while tree[skipped] <= v:
+                        skipped += 1
+                        v += 1
+                    edges.append((u, v))
+                j = find(1, j + 1)
     costs = [rng.uniform(lo, hi) for _ in range(n)]
-    graph = WeightedGraph.from_edges(n, sorted(edges), costs)
+    graph = WeightedGraph.from_edges(n, edges, costs)
     return Instance(graph=graph, m=m, label=f"random-n{n}-p{edge_prob:g}-m{m}-s{seed}")
 
 

@@ -5,7 +5,9 @@ data structures: components come from a plain BFS labeling, star values from
 literal formula evaluation or full per-prefix rebuilds, and optima from
 unpruned subset enumeration, and unit-disk edges from the all-pairs
 distance loop ``reference_unit_disk_edges``, which the grid-bucketed
-``unit_disk_edges`` must reproduce exactly.  The exceptions are the
+``unit_disk_edges`` must reproduce exactly, and seeded random graphs from
+the per-pair coin loop ``reference_gen_random_connected``, which the bulk
+``gen_random_connected`` must reproduce exactly.  The exceptions are the
 full-scan greedy ``reference_greedy_dominating_set`` and the full-rescan
 connectors ``reference_greedy_connect`` and ``reference_pairwise_connect``,
 which the lazy ``greedy_dominating_set`` and the cached ``greedy_connect``
@@ -30,7 +32,7 @@ from cdsopt.connector import (
     component_neighbors,
 )
 from cdsopt.domination import DeficitState, GreedyStep, GreedyTrace, coverage_gain
-from cdsopt.graph import Instance, WeightedGraph
+from cdsopt.graph import Instance, InstanceError, WeightedGraph
 
 
 def make_instance(n, edges, costs=None, m=1, coords=None, label="") -> Instance:
@@ -209,6 +211,41 @@ def reference_unit_disk_edges(coords) -> list[tuple[int, int]]:
         for j, (xj, yj) in enumerate(coords[i + 1:], i + 1)
         if (xi - xj) ** 2 + (yi - yj) ** 2 <= 1.0
     ]
+
+
+# ---------------------------------------------------------------------------
+# per-pair reference random generator
+
+
+def reference_gen_random_connected(
+    n: int,
+    edge_prob: float,
+    cost_range: tuple[float, float],
+    seed: int,
+    m: int = 1,
+) -> Instance:
+    """Random connected graph with one ``rng.random()`` call per non-tree pair."""
+    lo, hi = cost_range
+    if n < 1:
+        raise InstanceError("n must be >= 1")
+    if not 0 < edge_prob <= 1:
+        raise InstanceError("edge_prob must be in (0, 1]")
+    if not 0 < lo <= hi:
+        raise InstanceError("cost range must satisfy 0 < lo <= hi")
+    rng = random.Random(seed)
+    edges: set[tuple[int, int]] = set()
+    order = list(range(n))
+    rng.shuffle(order)
+    for i in range(1, n):
+        a, b = order[i], order[rng.randrange(i)]
+        edges.add((min(a, b), max(a, b)))
+    for u in range(n):
+        for v in range(u + 1, n):
+            if (u, v) not in edges and rng.random() < edge_prob:
+                edges.add((u, v))
+    costs = [rng.uniform(lo, hi) for _ in range(n)]
+    graph = WeightedGraph.from_edges(n, sorted(edges), costs)
+    return Instance(graph=graph, m=m, label=f"random-n{n}-p{edge_prob:g}-m{m}-s{seed}")
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+import cdsopt.bench
 from cdsopt.bench import CSV_COLUMNS, load_batch_spec, pool_width
 from cdsopt.cli import main
 
@@ -294,6 +295,22 @@ class TestBench:
         assert (case["n"], case["m"], case["oracle"]) == (8, 2, True)
         assert type(case["n"]) is int
 
+    def test_case_cap_counts_the_whole_batch(self, tmp_path, capsys, monkeypatch):
+        cap = cdsopt.bench.MAX_BATCH_CASES
+        # just over the cap, so code without the check only builds ~30 MB of cases
+        over = {"kind": "random", "n": 7, "p": 0.4, "m": [1, 2], "seeds": {"count": cap // 2 + 1}}
+        with pytest.raises(ValueError, match=f"entry 0: batch would hold {2 * (cap // 2 + 1)} cases, more than {cap}"):
+            load_batch_spec(json.dumps({"entries": [over]}))
+        # a small cap keeps the batch that crosses it cheap to run
+        monkeypatch.setattr(cdsopt.bench, "MAX_BATCH_CASES", 10)
+        entry = {"kind": "random", "n": 7, "p": 0.4, "m": [1, 2], "seeds": {"count": 3}}
+        assert len(load_batch_spec(json.dumps({"entries": [entry]}))) == 6
+        batch = tmp_path / "batch.json"
+        batch.write_text(json.dumps({"entries": [entry, entry]}))
+        code, _, err = run_cli(capsys, "bench", str(batch))
+        assert code == 2
+        assert "entry 1: batch would hold 12 cases, more than 10" in err
+
     def test_malformed_batch_exit_2(self, tmp_path, capsys):
         batch = tmp_path / "batch.json"
         batch.write_text("{\"entries\": [{\"kind\": \"mystery\"}]}")
@@ -314,6 +331,13 @@ class TestBench:
             ({"kind": "random", "n": 7, "p": 0.4, "m": [1.5]}, "entry 0: field 'm' must be int, got 1.5"),
             ({"kind": "random", "n": 7, "p": 0.4, "seeds": {"count": 1.9}}, "entry 0 seeds: field 'count' must be int, got 1.9"),
             ({"kind": "fig1", "d": 3.5, "eps": 0.1}, "entry 0: field 'd' must be int, got 3.5"),
+            (
+                {"kind": "fig1", "d": 3, "eps": 0.01, "seeds": {"count": 4}},
+                "entry 0: field 'seeds' does not apply to kind 'fig1'",
+            ),
+            ({"kind": "random", "n": 7, "p": 0.4, "seeds": {"count": 0}}, "entry 0 seeds: field 'count' must be >= 1, got 0"),
+            ({"kind": "random", "n": 7, "p": 0.4, "seeds": {"count": -3}}, "entry 0 seeds: field 'count' must be >= 1, got -3"),
+            ({"kind": "random", "n": 7, "p": 0.4, "m": []}, "entry 0: field 'm' must not be empty"),
         ],
         ids=[
             "missing-n",
@@ -326,6 +350,10 @@ class TestBench:
             "m-fractional",
             "seed-count-fractional",
             "d-fractional",
+            "fig1-seeds",
+            "seed-count-zero",
+            "seed-count-negative",
+            "m-empty",
         ],
     )
     def test_bad_entry_field_exit_2(self, tmp_path, capsys, entry, message):

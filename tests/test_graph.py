@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdsopt.components import ComponentIndex
-from cdsopt.generators import gen_fig1, gen_random_connected, gen_udg
+from cdsopt.generators import _coin_bits, gen_fig1, gen_random_connected, gen_udg
 from cdsopt.graph import (
     Instance,
     InstanceError,
@@ -19,7 +19,12 @@ from cdsopt.graph import (
     validate_graph,
     validate_instance,
 )
-from helpers import bfs_component_count, make_instance, reference_unit_disk_edges
+from helpers import (
+    bfs_component_count,
+    make_instance,
+    reference_gen_random_connected,
+    reference_unit_disk_edges,
+)
 
 P3_TEXT = "cds 3 2 1\n1 1 1\n0 1\n1 2\n"
 
@@ -131,6 +136,19 @@ class TestSerialize:
         assert parse_instance(serialize_instance(inst)) == inst
 
 
+def edge_probs():
+    """Edge probabilities, weighted towards the byte filter's edges: k/256
+    and its neighbouring floats, 1.0 and tiny values."""
+    cuts = st.integers(1, 256).map(lambda k: k / 256)
+    return st.one_of(
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+        cuts,
+        cuts.map(lambda q: math.nextafter(q, 0.0)),
+        cuts.filter(lambda q: q < 1.0).map(lambda q: math.nextafter(q, 1.0)),
+        st.sampled_from([1.0, 5e-324, 1e-300, 1e-9, 2**-53, math.nextafter(2**-53, 1.0)]),
+    )
+
+
 class TestRandomGenerator:
     def test_single_node(self):
         inst = gen_random_connected(1, 0.5, (1.0, 1.0), seed=0)
@@ -151,6 +169,24 @@ class TestRandomGenerator:
     @given(n=st.integers(1, 25), p=st.floats(0.05, 1.0), seed=st.integers(0, 10**6))
     def test_always_valid(self, n, p, seed):
         validate_instance(gen_random_connected(n, p, (0.1, 10.0), seed=seed))
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 120), p=edge_probs(), seed=st.integers(0, 10**6), m=st.integers(1, 3))
+    def test_matches_per_pair_reference(self, n, p, seed, m):
+        inst = gen_random_connected(n, p, (0.1, 10.0), seed, m=m)
+        expected = reference_gen_random_connected(n, p, (0.1, 10.0), seed, m=m)
+        assert serialize_instance(inst) == serialize_instance(expected)
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 2000])
+    def test_bulk_bits_are_the_random_stream(self, k):
+        # the bulk coins rely on CPython's word layout: if an interpreter
+        # changes it, this fails instead of the seeded corpora changing
+        bulk, calls = random.Random(k), random.Random(k)
+        data = bulk.getrandbits(64 * k).to_bytes(8 * k, "little")
+        values = [calls.random() for _ in range(k)]
+        assert [_coin_bits(data, j) / 2**53 for j in range(k)] == values
+        assert [data[8 * j + 3] for j in range(k)] == [int(x * 256) for x in values]
+        assert bulk.getstate() == calls.getstate()
 
     def test_parameter_checks(self):
         with pytest.raises(InstanceError):
