@@ -17,11 +17,19 @@ class ComponentIndex:
     induced subgraph.  Adding a node merges the components it touches by
     relabeling the smaller ones into the largest, so every member is
     relabeled O(log n) times over the life of the index.
+
+    ``reach`` is a flat list of sets over all nodes: the entry of a
+    non-member v is ``{label[w] for w in adjacency[v] if w in D}``, the
+    labels of the components v is adjacent to, and a member's entry is
+    empty.  An add updates only the free neighbors of the nodes whose label
+    changed, so it costs O(deg) per changed node on top of the relabeling,
+    and the O(log n) relabels per member bound the total.
     """
 
     def __init__(self, graph: WeightedGraph, members=()):
         self._graph = graph
         self.label = [-1] * graph.node_count
+        self.reach: list[set[int]] = [set() for _ in range(graph.node_count)]
         # label -> the members carrying it
         self._components: dict[int, list[int]] = {}
         for u in members:
@@ -39,24 +47,36 @@ class ComponentIndex:
         label = self.label
         if label[u] >= 0:
             raise ValueError(f"node {u} already in the index")
+        adjacency = self._graph.adjacency
+        reach = self.reach
         components = self._components
-        touched = {label[v] for v in self._graph.adjacency[u] if label[v] >= 0}
+        touched = reach[u]
+        reach[u] = set()
+        changed = [u]
         if not touched:
+            target = u
             label[u] = u
             components[u] = [u]
-            return [u]
-        # largest component keeps its label; ties go to the smaller label
-        target = min(touched, key=lambda r: (-len(components[r]), r))
-        label[u] = target
-        kept = components[target]
-        kept.append(u)
-        changed = [u]
-        for root in touched:
-            if root == target:
-                continue
-            absorbed = components.pop(root)
-            for w in absorbed:
-                label[w] = target
-            kept.extend(absorbed)
-            changed.extend(absorbed)
+        else:
+            # largest component keeps its label; ties go to the smaller label
+            target = min(touched, key=lambda r: (-len(components[r]), r))
+            label[u] = target
+            kept = components[target]
+            kept.append(u)
+            for root in touched:
+                if root == target:
+                    continue
+                absorbed = components.pop(root)
+                for w in absorbed:
+                    label[w] = target
+                    for x in adjacency[w]:
+                        if label[x] < 0:
+                            near = reach[x]
+                            near.discard(root)
+                            near.add(target)
+                kept.extend(absorbed)
+                changed.extend(absorbed)
+        for x in adjacency[u]:
+            if label[x] < 0:
+                reach[x].add(target)
         return changed

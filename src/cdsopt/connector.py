@@ -16,10 +16,14 @@ count while the star connector stays near the optimum.
 Both connectors run through one driver that keeps each free center's best
 candidate between rounds and recomputes only the centers a round can have
 changed.  A star at a center, like a pair at its lower-id node, reads the
-labels of the center's neighbors and of its free neighbors' neighbors, so
-after a candidate is added only free nodes within two hops of a node whose
-label changed (the candidate's nodes and the members of the components it
-absorbed) are stale, and only via a free middle node when two hops away.
+center's ``ComponentIndex.reach`` entry (the labels of the components it
+touches), which of its neighbors are free, and the reach entries of those
+free neighbors; no labels two hops out are scanned, so a center costs
+O(deg) plus a sort.  The index rewrites a reach entry only at a free
+neighbor of a node whose label changed (the candidate's nodes and the
+members of the components it absorbed), so after a candidate is added only
+free nodes within two hops of a changed node are stale, and only via a free
+middle node when two hops away.
 Candidate values can rise as well as fall between rounds, so lazy upper
 bounds would be wrong; this invalidation is explicit and exact.
 """
@@ -60,10 +64,9 @@ class ConnectReport:
 
 def component_neighbors(idx: ComponentIndex, graph: WeightedGraph, u: int) -> set[int]:
     """Labels of the distinct components of G[D] adjacent to u (u outside D)."""
-    label = idx.label
-    if label[u] >= 0:
+    if idx.label[u] >= 0:
         raise ValueError(f"node {u} already in the indexed set")
-    return {label[v] for v in graph.adjacency[u] if label[v] >= 0}
+    return set(idx.reach[u])
 
 
 def best_star_at(idx: ComponentIndex, graph: WeightedGraph, u: int) -> StarCandidate | None:
@@ -77,26 +80,15 @@ def best_star_at(idx: ComponentIndex, graph: WeightedGraph, u: int) -> StarCandi
     scan attains the optimum over all leaf subsets.
     """
     cost = graph.cost
-    adjacency = graph.adjacency
     label = idx.label
+    reach = idx.reach
     if label[u] >= 0:
         raise ValueError(f"node {u} already in the indexed set")
-    center_neighbors = {label[v] for v in adjacency[u] if label[v] >= 0}
+    center_neighbors = reach[u]
     eligible: list[tuple[float, int, int]] = []
-    for v in adjacency[u]:
-        if label[v] >= 0:
-            continue
-        # the one component v touches, or -1 for none or several
-        comp = -1
-        for w in adjacency[v]:
-            lw = label[w]
-            if lw >= 0:
-                if comp < 0:
-                    comp = lw
-                elif lw != comp:
-                    comp = -1
-                    break
-        if comp >= 0:
+    for v in graph.adjacency[u]:
+        if label[v] < 0 and len(reach[v]) == 1:
+            (comp,) = reach[v]
             eligible.append((cost[v], v, comp))
     eligible.sort()
     kept: list[int] = []
@@ -145,15 +137,19 @@ def best_pair_at(idx: ComponentIndex, graph: WeightedGraph, a: int) -> StarCandi
     ties keep the first of the singleton and then b in adjacency order.
     """
     cost = graph.cost
-    reached_a = component_neighbors(idx, graph, a)
+    label = idx.label
+    reach = idx.reach
+    if label[a] >= 0:
+        raise ValueError(f"node {a} already in the indexed set")
+    reached_a = reach[a]
     best: StarCandidate | None = None
     gain = len(reached_a) - 1
     if gain >= 1:
         best = StarCandidate(center=a, leaves=(), gain=gain, total_cost=cost[a])
     for b in graph.adjacency[a]:
-        if b <= a or b in idx:
+        if b <= a or label[b] >= 0:
             continue
-        pair_gain = len(reached_a | component_neighbors(idx, graph, b)) - 1
+        pair_gain = len(reached_a | reach[b]) - 1
         if pair_gain >= 1:
             cand = StarCandidate(
                 center=a, leaves=(b,), gain=pair_gain, total_cost=cost[a] + cost[b]

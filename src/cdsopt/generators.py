@@ -11,7 +11,14 @@ from __future__ import annotations
 import math
 import random
 
-from .graph import Instance, InstanceError, WeightedGraph, components, unit_disk_edges
+from .graph import (
+    Instance,
+    InstanceError,
+    WeightedGraph,
+    components,
+    unit_disk_edges,
+    validate_fold,
+)
 
 
 def _coin_bits(data: bytes, j: int) -> int:
@@ -55,6 +62,7 @@ def gen_random_connected(
         raise InstanceError("edge_prob must be in (0, 1]")
     if not 0 < lo <= hi:
         raise InstanceError("cost range must satisfy 0 < lo <= hi")
+    validate_fold(m)
     rng = random.Random(seed)
     tree_above: list[list[int]] = [[] for _ in range(n)]
     edges: list[tuple[int, int]] = []
@@ -113,6 +121,7 @@ def gen_udg(
         raise InstanceError("side must be finite and positive")
     if not 0 < lo <= hi:
         raise InstanceError("cost range must satisfy 0 < lo <= hi")
+    validate_fold(m)
     rng = random.Random(seed)
     for _ in range(max_attempts):
         pts = [(rng.uniform(0.0, side), rng.uniform(0.0, side)) for _ in range(n)]
@@ -145,8 +154,9 @@ def gen_fig1(d: int, eps: float, m: int = 1) -> tuple[Instance, frozenset[int]]:
     """
     if d < 1:
         raise InstanceError("d must be >= 1")
-    if eps <= 0:
-        raise InstanceError("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise InstanceError("eps must be finite and positive")
+    validate_fold(m)
     t, u = 0, 1
     u_ids = [2 + i for i in range(d)]
     v_ids = [2 + d + i for i in range(d)]

@@ -231,9 +231,13 @@ def validate_graph(graph: WeightedGraph) -> None:
             raise InstanceError(f"coords violate the unit-disk edge rule at pair ({i}, {j})")
 
 
-def validate_instance(inst: Instance) -> None:
-    if inst.m < 1:
+def validate_fold(m: int) -> None:
+    if m < 1:
         raise InstanceError("fold requirement m must be >= 1")
+
+
+def validate_instance(inst: Instance) -> None:
+    validate_fold(inst.m)
     validate_graph(inst.graph)
 
 

@@ -12,9 +12,13 @@ full-scan greedy ``reference_greedy_dominating_set`` and the full-rescan
 connectors ``reference_greedy_connect`` and ``reference_pairwise_connect``,
 which the lazy ``greedy_dominating_set`` and the cached ``greedy_connect``
 and ``pairwise_connect`` must reproduce exactly, and ``merge_potential``,
-which evaluates a star on the library's component index.  The reference
+which evaluates a star on the library's component labels.  The reference
 connectors pick by ``reference_better_candidate``, which keeps a final
 leaf-count tie-break that the library's order leaves out as never deciding.
+They and ``merge_potential`` read components through
+``reference_component_neighbors`` and ``reference_best_star_at``, the label
+scans that re-derive each node's adjacent components from its adjacency and
+never read ``ComponentIndex.reach``, which the library's searches use.
 """
 
 from __future__ import annotations
@@ -24,13 +28,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from cdsopt.components import ComponentIndex
-from cdsopt.connector import (
-    ConnectReport,
-    StarCandidate,
-    _check_dominating,
-    best_star_at,
-    component_neighbors,
-)
+from cdsopt.connector import ConnectReport, StarCandidate, _better_candidate, _check_dominating
 from cdsopt.domination import DeficitState, GreedyStep, GreedyTrace, coverage_gain
 from cdsopt.graph import Instance, InstanceError, WeightedGraph
 
@@ -108,6 +106,70 @@ def coverage_value(inst: Instance, members) -> int:
 
 
 # ---------------------------------------------------------------------------
+# label-scan reference star search
+
+
+def reference_component_neighbors(idx: ComponentIndex, graph: WeightedGraph, u: int) -> set[int]:
+    """Labels of the distinct components of G[D] adjacent to u (u outside D)."""
+    label = idx.label
+    if label[u] >= 0:
+        raise ValueError(f"node {u} already in the indexed set")
+    return {label[v] for v in graph.adjacency[u] if label[v] >= 0}
+
+
+def reference_best_star_at(idx: ComponentIndex, graph: WeightedGraph, u: int) -> StarCandidate | None:
+    """Most efficient star centered at u, read from the labels alone.
+
+    Each free neighbor's components are re-derived by scanning its own
+    adjacency, so this ignores ``idx.reach``.
+    """
+    cost = graph.cost
+    adjacency = graph.adjacency
+    label = idx.label
+    if label[u] >= 0:
+        raise ValueError(f"node {u} already in the indexed set")
+    center_neighbors = {label[v] for v in adjacency[u] if label[v] >= 0}
+    eligible: list[tuple[float, int, int]] = []
+    for v in adjacency[u]:
+        if label[v] >= 0:
+            continue
+        # the one component v touches, or -1 for none or several
+        comp = -1
+        for w in adjacency[v]:
+            lw = label[w]
+            if lw >= 0:
+                if comp < 0:
+                    comp = lw
+                elif lw != comp:
+                    comp = -1
+                    break
+        if comp >= 0:
+            eligible.append((cost[v], v, comp))
+    eligible.sort()
+    kept: list[int] = []
+    covered = set(center_neighbors)
+    for leaf_cost, v, comp in eligible:
+        if comp in covered:
+            continue
+        kept.append(v)
+        covered.add(comp)
+
+    best: StarCandidate | None = None
+    gain = len(center_neighbors) - 1
+    total = cost[u]
+    for take in range(len(kept) + 1):
+        if take > 0:
+            total += cost[kept[take - 1]]
+            gain += 1
+        if gain < 1:
+            continue
+        cand = StarCandidate(center=u, leaves=tuple(kept[:take]), gain=gain, total_cost=total)
+        if best is None or _better_candidate(cand, best):
+            best = cand
+    return best
+
+
+# ---------------------------------------------------------------------------
 # independent star-value oracles
 
 
@@ -120,7 +182,7 @@ def merge_potential(idx: ComponentIndex, graph: WeightedGraph, center: int, leav
     index is not mutated.
     """
     center_adj = set(graph.adjacency[center])
-    covered = component_neighbors(idx, graph, center)
+    covered = reference_component_neighbors(idx, graph, center)
     value = len(covered) - 1
     prev_cost = None
     for leaf in leaves:
@@ -131,7 +193,7 @@ def merge_potential(idx: ComponentIndex, graph: WeightedGraph, center: int, leav
         if prev_cost is not None and graph.cost[leaf] < prev_cost:
             raise ValueError("leaves must be sorted by nondecreasing cost")
         prev_cost = graph.cost[leaf]
-        reached = component_neighbors(idx, graph, leaf)
+        reached = reference_component_neighbors(idx, graph, leaf)
         if reached - covered:
             value += 1
         covered |= reached
@@ -314,7 +376,7 @@ def reference_greedy_connect(inst: Instance, dominating_set) -> ConnectReport:
         for u in range(graph.node_count):
             if u in idx:
                 continue
-            cand = best_star_at(idx, graph, u)
+            cand = reference_best_star_at(idx, graph, u)
             if cand is not None and (best is None or reference_better_candidate(cand, best)):
                 best = cand
         if best is None:
@@ -346,7 +408,7 @@ def reference_pairwise_connect(inst: Instance, dominating_set) -> ConnectReport:
         for a in range(graph.node_count):
             if a in idx:
                 continue
-            reached_a = component_neighbors(idx, graph, a)
+            reached_a = reference_component_neighbors(idx, graph, a)
             gain = len(reached_a) - 1
             if gain >= 1:
                 cand = StarCandidate(center=a, leaves=(), gain=gain, total_cost=cost[a])
@@ -355,7 +417,7 @@ def reference_pairwise_connect(inst: Instance, dominating_set) -> ConnectReport:
             for b in graph.adjacency[a]:
                 if b <= a or b in idx:
                     continue
-                reached_b = component_neighbors(idx, graph, b)
+                reached_b = reference_component_neighbors(idx, graph, b)
                 pair_gain = len(reached_a | reached_b) - 1
                 if pair_gain >= 1:
                     cand = StarCandidate(

@@ -73,6 +73,30 @@ class TestGen:
         assert "side must be finite and positive" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "kind_args",
+        [
+            ["random", "--n", "5", "--p", "0.5", "--seed", "1"],
+            ["udg", "--n", "5", "--side", "1", "--seed", "1"],
+            ["fig1", "--d", "2", "--eps", "0.01"],
+        ],
+        ids=["random", "udg", "fig1"],
+    )
+    def test_zero_fold_exit_2(self, tmp_path, capsys, kind_args):
+        out = tmp_path / "g.cds"
+        code, _, err = run_cli(capsys, "gen", *kind_args, "--m", "0", "--out", str(out))
+        assert code == 2
+        assert "fold requirement m must be >= 1" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("eps", ["nan", "inf", "0"])
+    def test_fig1_bad_eps_exit_2(self, tmp_path, capsys, eps):
+        out = tmp_path / "f.cds"
+        code, _, err = run_cli(capsys, "gen", "fig1", "--d", "2", "--eps", eps, "--out", str(out))
+        assert code == 2
+        assert "eps must be finite and positive" in err
+        assert not out.exists()
+
 
 class TestSolve:
     def test_p3(self, p3_file, capsys):

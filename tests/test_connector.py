@@ -30,6 +30,8 @@ from helpers import (
     merge_potential,
     path_instance,
     random_dominating_set,
+    reference_best_star_at,
+    reference_component_neighbors,
     reference_greedy_connect,
     reference_pairwise_connect,
     simulate_star_value,
@@ -99,6 +101,25 @@ class TestComponentIndex:
                     assert idx.label[v] in present
                 else:
                     assert idx.label[v] == -1
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**6), udg=st.booleans(), pick=st.randoms(use_true_random=False))
+    def test_reach_matches_labels_after_every_add(self, seed, udg, pick):
+        n = 24
+        if udg:
+            g = gen_udg(n, 2.0, (1.0, 1.0), seed=seed).graph
+        else:
+            g = gen_random_connected(n, 0.2, (1.0, 1.0), seed=seed).graph
+        order = list(range(n))
+        pick.shuffle(order)
+        idx = ComponentIndex(g)
+        for u in order[: pick.randrange(1, n + 1)]:
+            idx.add(u)
+            for v in range(n):
+                if v in idx:
+                    assert idx.reach[v] == set()
+                else:
+                    assert idx.reach[v] == {idx.label[w] for w in g.adjacency[v] if w in idx}
 
 
 class TestComponentNeighbors:
@@ -257,6 +278,28 @@ class TestBestStar:
             assert best_lib == best_brute
             compared += 1
         assert compared >= 25
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        udg=st.booleans(),
+        share=st.floats(0.05, 0.9),
+        pick=st.randoms(use_true_random=False),
+    )
+    def test_matches_label_scan_reference(self, seed, udg, share, pick):
+        n = 30
+        if udg:
+            g = gen_udg(n, 2.5, (0.1, 10.0), seed=seed).graph
+        else:
+            g = gen_random_connected(n, 0.15, (0.1, 10.0), seed=seed).graph
+        members = [u for u in range(n) if pick.random() < share]
+        pick.shuffle(members)
+        idx = ComponentIndex(g, members)
+        for center in range(n):
+            if center in idx:
+                continue
+            assert best_star_at(idx, g, center) == reference_best_star_at(idx, g, center)
+            assert component_neighbors(idx, g, center) == reference_component_neighbors(idx, g, center)
 
 
 class TestGreedyConnect:

@@ -1,0 +1,67 @@
+"""Byte-identity of the ``--no-timing`` solve report on a small fixed corpus.
+
+The greedy's tie-breaking is part of its contract, so an optimisation must
+leave these reports unchanged to the byte.  Each case pins the sha256 of
+``json.dumps(solve_report_dict(result, include_timings=False), indent=2)``
+plus a newline, the text ``cds-opt solve --no-timing`` prints.  A digest may
+change only with a change that is meant to change outputs, and that change
+must say which outputs moved and why.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from cdsopt.generators import gen_fig1, gen_random_connected, gen_udg
+from cdsopt.solver import solve, solve_report_dict
+
+COST_RANGE = (0.1, 10.0)
+
+
+def _udg(n, side, seed):
+    return lambda: solve(gen_udg(n, side, COST_RANGE, seed))
+
+
+def _random(n, seed):
+    return lambda: solve(gen_random_connected(n, 3.0 / n, COST_RANGE, seed, m=2))
+
+
+def _fig1(d, connector):
+    def run():
+        inst, designated = gen_fig1(d, 0.01)
+        return solve(inst, given_ds=sorted(designated), connector=connector)
+
+    return run
+
+
+CASES = {
+    "udg-n150-s1": (_udg(150, 4.3, 1),
+        "9c6af578eab0ef95565c75b95c628c3e6c0d6cb2cf4ab030ad256bae0da12723",
+    ),
+    "udg-n180-s2": (_udg(180, 4.7, 2),
+        "262409bbdf320a8579be31cc7df18200e4c5558b807ae4b8e3358e0a298731d9",
+    ),
+    "udg-n200-s3": (_udg(200, 5.0, 3),
+        "c5075543c02ceeeea9c31432bbb25321ed61b8e0c6cdb8b771eac1e4880735b7",
+    ),
+    "random-n200-m2-s1": (_random(200, 1),
+        "89746bebeebf4b98b341644aee41c757e4935cacef4c1a888648b0b9c6b77274",
+    ),
+    "random-n200-m2-s2": (_random(200, 2),
+        "06fe5bc374fd8494b73d3b7d1345126914ed961e67794576ac47e0f2a5ed9958",
+    ),
+    "fig1-d30-star": (_fig1(30, "star"),
+        "f8f63fc0996e539771675aefb84ee887dfd423cdfea520e184221fb45d74239d",
+    ),
+    "fig1-d30-pairwise": (_fig1(30, "pairwise"),
+        "35eed0c47da5d9bacf3d1ce48d7292e2151018dc22b29562537e222aeb85dbc7",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_no_timing_report_digest(name):
+    run, digest = CASES[name]
+    text = json.dumps(solve_report_dict(run(), include_timings=False), indent=2) + "\n"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
