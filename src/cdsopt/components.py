@@ -42,8 +42,14 @@ class ComponentIndex:
     def component_count(self) -> int:
         return len(self._components)
 
-    def add(self, u: int) -> list[int]:
-        """Insert u; return the nodes whose label changed, u first."""
+    def add(self, u: int) -> set[int]:
+        """Insert u; return the free nodes whose ``reach`` entry changed.
+
+        Those are the free neighbors of every member relabeled into the
+        surviving component (each loses the old label) and the free
+        neighbors of u that did not yet touch u's component.  A free node
+        outside the returned set holds the same entry as before.
+        """
         label = self.label
         if label[u] >= 0:
             raise ValueError(f"node {u} already in the index")
@@ -52,7 +58,7 @@ class ComponentIndex:
         components = self._components
         touched = reach[u]
         reach[u] = set()
-        changed = [u]
+        changed: set[int] = set()
         if not touched:
             target = u
             label[u] = u
@@ -74,9 +80,10 @@ class ComponentIndex:
                             near = reach[x]
                             near.discard(root)
                             near.add(target)
+                            changed.add(x)
                 kept.extend(absorbed)
-                changed.extend(absorbed)
         for x in adjacency[u]:
-            if label[x] < 0:
+            if label[x] < 0 and target not in reach[x]:
                 reach[x].add(target)
+                changed.add(x)
         return changed

@@ -14,25 +14,29 @@ on the adversarial ladder family its cost grows linearly with the rung
 count while the star connector stays near the optimum.
 
 Both connectors run through one driver that keeps each free center's best
-candidate between rounds and recomputes only the centers a round can have
-changed.  A star at a center, like a pair at its lower-id node, reads the
+candidate in a heap of ``(-key, -gain, center, version, candidate)``
+tuples, where the key is ``domination.ratio_key`` of the candidate's gain
+and total cost: the exact gain/cost order as an integer, the same key the
+cover phase uses.  Recomputing a center bumps its version, and the pick
+pops entries until one is live (its center free and its version current).
+A star at a center, like a pair at its lower-id node, reads only the
 center's ``ComponentIndex.reach`` entry (the labels of the components it
-touches), which of its neighbors are free, and the reach entries of those
-free neighbors; no labels two hops out are scanned, so a center costs
-O(deg) plus a sort.  The index rewrites a reach entry only at a free
-neighbor of a node whose label changed (the candidate's nodes and the
-members of the components it absorbed), so after a candidate is added only
-free nodes within two hops of a changed node are stale, and only via a free
-middle node when two hops away.
-Candidate values can rise as well as fall between rounds, so lazy upper
-bounds would be wrong; this invalidation is explicit and exact.
+touches), which of its neighbors are members, and the reach entries of its
+free neighbors, so a center costs O(deg) plus a sort.  After a candidate
+joins, the stale centers are exactly the free nodes of R, N(R) and N(J),
+where J are the joined nodes and R the free nodes whose reach entry
+``ComponentIndex.add`` reports as changed; every other center keeps its
+entry.  Candidate values can rise as well as fall between rounds, so lazy
+upper bounds would be wrong; this invalidation is explicit and exact.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field, replace
 
 from .components import ComponentIndex
+from .domination import ratio_key, ratio_shift
 from .graph import Instance, WeightedGraph
 from .verify import verify_mds
 
@@ -69,21 +73,27 @@ def component_neighbors(idx: ComponentIndex, graph: WeightedGraph, u: int) -> se
     return set(idx.reach[u])
 
 
-def best_star_at(idx: ComponentIndex, graph: WeightedGraph, u: int) -> StarCandidate | None:
+def best_star_at(
+    idx: ComponentIndex, graph: WeightedGraph, u: int, shift: int | None = None
+) -> StarCandidate | None:
     """Most efficient star centered at u, or None when no star merges anything.
 
     Candidate leaves are the free neighbors touching exactly one component.
     Scanning them by (cost, id) and keeping only those whose component is
     still fresh, every prefix of the kept list is evaluated and the best
-    gain/cost prefix with positive gain is returned.  Some globally optimal
-    star always has this one-fresh-component-per-leaf shape, so the prefix
-    scan attains the optimum over all leaf subsets.
+    gain/cost prefix with positive gain is returned, ties going to the
+    larger gain.  Some globally optimal star always has this
+    one-fresh-component-per-leaf shape, so the prefix scan attains the
+    optimum over all leaf subsets.  ``shift`` is the ``ratio_shift`` of the
+    graph's costs, computed when not given.
     """
     cost = graph.cost
     label = idx.label
     reach = idx.reach
     if label[u] >= 0:
         raise ValueError(f"node {u} already in the indexed set")
+    if shift is None:
+        shift = ratio_shift(cost)
     center_neighbors = reach[u]
     eligible: list[tuple[float, int, int]] = []
     for v in graph.adjacency[u]:
@@ -99,7 +109,8 @@ def best_star_at(idx: ComponentIndex, graph: WeightedGraph, u: int) -> StarCandi
         kept.append(v)
         covered.add(comp)
 
-    best: StarCandidate | None = None
+    # prefixes grow in gain, so on an equal key the later one wins
+    best = None  # (key, take, gain, total)
     gain = len(center_neighbors) - 1
     total = cost[u]
     for take in range(len(kept) + 1):
@@ -108,55 +119,55 @@ def best_star_at(idx: ComponentIndex, graph: WeightedGraph, u: int) -> StarCandi
             gain += 1
         if gain < 1:
             continue
-        cand = StarCandidate(center=u, leaves=tuple(kept[:take]), gain=gain, total_cost=total)
-        if best is None or _better_candidate(cand, best):
-            best = cand
-    return best
+        key = ratio_key(gain, total, shift)
+        if best is None or key >= best[0]:
+            best = (key, take, gain, total)
+    if best is None:
+        return None
+    _, take, gain, total = best
+    return StarCandidate(center=u, leaves=tuple(kept[:take]), gain=gain, total_cost=total)
 
 
-def _better_candidate(a: StarCandidate, b: StarCandidate) -> bool:
-    """True when a beats b: efficiency, then gain, then center id.
-
-    No leaf-count key is needed: the prefixes ``best_star_at`` compares at one
-    center differ in gain, and ``best_pair_at`` tests only pairs, against a
-    best with no more leaves, keeping that best on a tie.
-    """
-    lhs = a.gain * b.total_cost
-    rhs = b.gain * a.total_cost
-    if lhs != rhs:
-        return lhs > rhs
-    if a.gain != b.gain:
-        return a.gain > b.gain
-    return a.center < b.center
-
-
-def best_pair_at(idx: ComponentIndex, graph: WeightedGraph, a: int) -> StarCandidate | None:
+def best_pair_at(
+    idx: ComponentIndex, graph: WeightedGraph, a: int, shift: int | None = None
+) -> StarCandidate | None:
     """Best of the singleton a and the free pairs (a, b) with b > a, or None.
 
-    A candidate's value is the number of components it touches minus one;
-    ties keep the first of the singleton and then b in adjacency order.
+    A candidate's value is the number of components it touches minus one.
+    Candidates are ordered by ``ratio_key`` and then gain; ties keep the
+    first of the singleton and then b in adjacency order.  ``shift`` is the
+    ``ratio_shift`` of the graph's costs, computed when not given.
     """
     cost = graph.cost
     label = idx.label
     reach = idx.reach
     if label[a] >= 0:
         raise ValueError(f"node {a} already in the indexed set")
+    if shift is None:
+        shift = ratio_shift(cost)
     reached_a = reach[a]
-    best: StarCandidate | None = None
+    best = None  # (key, gain, partner or -1, total)
     gain = len(reached_a) - 1
     if gain >= 1:
-        best = StarCandidate(center=a, leaves=(), gain=gain, total_cost=cost[a])
+        best = (ratio_key(gain, cost[a], shift), gain, -1, cost[a])
     for b in graph.adjacency[a]:
         if b <= a or label[b] >= 0:
             continue
         pair_gain = len(reached_a | reach[b]) - 1
-        if pair_gain >= 1:
-            cand = StarCandidate(
-                center=a, leaves=(b,), gain=pair_gain, total_cost=cost[a] + cost[b]
-            )
-            if best is None or _better_candidate(cand, best):
-                best = cand
-    return best
+        if pair_gain < 1:
+            continue
+        total = cost[a] + cost[b]
+        if best is None:
+            best = (ratio_key(pair_gain, total, shift), pair_gain, b, total)
+        elif pair_gain > best[1] or total < best[3]:
+            # otherwise no larger gain at no lower cost: it cannot win
+            key = ratio_key(pair_gain, total, shift)
+            if (key, pair_gain) > best[:2]:
+                best = (key, pair_gain, b, total)
+    if best is None:
+        return None
+    _, gain, b, total = best
+    return StarCandidate(center=a, leaves=() if b < 0 else (b,), gain=gain, total_cost=total)
 
 
 def _check_dominating(inst: Instance, members: set[int]) -> None:
@@ -166,63 +177,96 @@ def _check_dominating(inst: Instance, members: set[int]) -> None:
         raise ValueError(f"set is not dominating: node {u} has no neighbor inside")
 
 
-def _stale_centers(idx: ComponentIndex, graph: WeightedGraph, changed) -> set[int]:
-    """Nodes whose best candidate may differ now that the labels of ``changed`` moved.
+class _CandidateHeap:
+    """Each free center's best candidate, popped in the exact ratio order.
 
-    That is every node within one hop of a changed node, plus the neighbors
-    of the free ones among them; callers skip the members.
+    Entries are ``(-key, -gain, center, version, candidate)``.  ``refresh``
+    recomputes centers and pushes their new entries, bumping each center's
+    version, so an entry is live only while its center is free and its
+    version current; ``pop`` drops dead entries as they reach the top.
+    Live entries have distinct centers, so the pick does not depend on the
+    order of the pushes.
     """
-    label = idx.label
+
+    def __init__(self, idx: ComponentIndex, graph: WeightedGraph, best_at_center):
+        self.idx = idx
+        self.graph = graph
+        self.best_at_center = best_at_center
+        self.shift = ratio_shift(graph.cost)
+        self.version = [0] * graph.node_count
+        self.entries: list[tuple] = []
+
+    def live(self, entry: tuple) -> bool:
+        center = entry[2]
+        return self.idx.label[center] < 0 and entry[3] == self.version[center]
+
+    def refresh(self, centers) -> None:
+        idx, graph, shift = self.idx, self.graph, self.shift
+        label = idx.label
+        version = self.version
+        entries = self.entries
+        best_at_center = self.best_at_center
+        for u in centers:
+            if label[u] >= 0:
+                continue
+            version[u] += 1
+            cand = best_at_center(idx, graph, u, shift)
+            if cand is not None:
+                key = ratio_key(cand.gain, cand.total_cost, shift)
+                heapq.heappush(entries, (-key, -cand.gain, u, version[u], cand))
+
+    def pop(self) -> StarCandidate | None:
+        entries = self.entries
+        while entries:
+            entry = heapq.heappop(entries)
+            if self.live(entry):
+                return entry[4]
+        return None
+
+
+def _stale_centers(graph: WeightedGraph, joined, changed) -> set[int]:
+    """Nodes whose candidate may differ after ``joined`` entered the set.
+
+    ``changed`` are the free nodes whose reach entry changed.  A center's
+    candidate reads its own reach entry, which of its neighbors are members
+    and the reach entries of its free neighbors, so the stale nodes are
+    ``changed`` and the neighbors of ``changed`` and of ``joined``; callers
+    skip the members.
+    """
     adjacency = graph.adjacency
-    near = set(changed)
+    stale = set(changed)
     for x in changed:
-        near.update(adjacency[x])
-    stale = set()
-    for y in near:
-        if label[y] < 0:
-            stale.add(y)
-            stale.update(adjacency[y])
+        stale.update(adjacency[x])
+    for x in joined:
+        stale.update(adjacency[x])
     return stale
 
 
 def _connect(inst: Instance, dominating_set, method: str, best_at_center) -> ConnectReport:
     """Add the most efficient candidate until the set is connected.
 
-    ``best_at_center(idx, graph, u)`` is the best candidate at the free node
-    u, or None.  Each chosen candidate must merge as many components as it
-    promises, so at most (initial components - 1) rounds run.  Only the
-    ``_stale_centers`` are recomputed; ``_better_candidate`` orders distinct
-    centers strictly, so the pick does not depend on the cache's order.
+    ``best_at_center(idx, graph, u, shift)`` is the best candidate at the
+    free node u, or None.  Each chosen candidate must merge as many
+    components as it promises, so at most (initial components - 1) rounds
+    run.  Only the ``_stale_centers`` are recomputed each round.
     """
     ds = set(dominating_set)
     _check_dominating(inst, ds)
     graph = inst.graph
     idx = ComponentIndex(graph, sorted(ds))
-    label = idx.label
     report = ConnectReport(method=method, initial_components=idx.component_count)
-    best_at: dict[int, StarCandidate] = {}
+    heap = _CandidateHeap(idx, graph, best_at_center)
     stale = range(graph.node_count)
     while idx.component_count > 1:
-        for u in stale:
-            if label[u] >= 0:
-                continue
-            cand = best_at_center(idx, graph, u)
-            if cand is None:
-                best_at.pop(u, None)
-            else:
-                best_at[u] = cand
-        best: StarCandidate | None = None
-        for cand in best_at.values():
-            if best is None or _better_candidate(cand, best):
-                best = cand
+        heap.refresh(stale)
+        best = heap.pop()
         if best is None:
             raise RuntimeError(f"{method} connector stalled: no candidate merges components")
         before = idx.component_count
-        changed: list[int] = []
+        changed: set[int] = set()
         for node in best.nodes:
-            changed.extend(idx.add(node))
+            changed |= idx.add(node)
             report.connectors.add(node)
-            best_at.pop(node, None)
         after = idx.component_count
         if before - after != best.gain:
             raise RuntimeError(
@@ -231,7 +275,7 @@ def _connect(inst: Instance, dominating_set, method: str, best_at_center) -> Con
             )
         report.stars.append(best)
         report.component_trace.append(after)
-        stale = _stale_centers(idx, graph, changed)
+        stale = _stale_centers(graph, best.nodes, changed)
     return report
 
 

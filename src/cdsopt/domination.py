@@ -15,6 +15,8 @@ the standard greedy cover guarantee applies to the produced set.
 from __future__ import annotations
 
 import heapq
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .graph import Instance
@@ -72,77 +74,82 @@ def coverage_gain(state: DeficitState, u: int) -> int:
     return gain
 
 
-class _HeapEntry:
-    """A candidate node with its last known gain, ordered as the greedy picks.
+def ratio_shift(costs: Sequence[float]) -> int:
+    """The shift that makes ``ratio_key`` exact for these costs and their sums.
 
-    ``a < b`` means a is the better pick: larger gain/cost by
-    cross-multiplication, then larger gain, then smaller node id.
+    It is 2*B + 1, where B bounds the numerator bit length of every cost and
+    of every float sum of distinct costs (a star's total, in any order).  A
+    float x with 0 < x < 2**e has a numerator below 2**max(53, e): below
+    2**53 it is at most the 53-bit mantissa, above it x is an integer.  With
+    n costs each below 2**e, the exact sum of any of them is below
+    2**(e + n.bit_length()), and the rounding of a float sum of fewer than
+    2**52 positive terms stays below twice that.
     """
+    top = math.frexp(max(costs, default=1.0))[1]
+    bound = max(53, top + len(costs).bit_length() + 1)
+    return 2 * bound + 1
 
-    __slots__ = ("gain", "cost", "node")
 
-    def __init__(self, gain: int, cost: float, node: int):
-        self.gain = gain
-        self.cost = cost
-        self.node = node
+def ratio_key(gain: int, cost: float, shift: int) -> int:
+    """floor(gain / cost * 2**shift): the exact gain/cost order as one integer.
 
-    def __lt__(self, other: "_HeapEntry") -> bool:
-        lhs = self.gain * other.cost
-        rhs = other.gain * self.cost
-        if lhs != rhs:
-            return lhs > rhs
-        if self.gain != other.gain:
-            return self.gain > other.gain
-        return self.node < other.node
+    With cost = num/den, two unequal ratios differ by at least
+    1/(num1 * num2) > 2**-(2*B), so under the ``ratio_shift`` of the costs
+    compared their keys differ, larger ratio larger key; equal ratios give
+    equal keys.  Both greedy phases order their candidates by this key, then
+    by larger gain, then by smaller node id.  A star total can round up to
+    infinity; its ratio is 0, below every finite ratio's key of at least 1.
+    """
+    if cost == math.inf:
+        return 0
+    num, den = cost.as_integer_ratio()
+    return (gain * den << shift) // num
 
 
 def greedy_dominating_set(inst: Instance) -> tuple[set[int], GreedyTrace]:
     """Run the greedy cover, returning the m-fold dominating set and its trace.
 
-    Selection maximizes gain/cost, compared by cross-multiplication; ties
-    prefer the larger gain, then the smaller node id.  A tie is detected
-    exactly only when the products gain*cost are exactly representable, as
-    with integer or dyadic costs; otherwise rounding may split it.
-    Terminates because the potential strictly increases and is bounded by
-    m*n, at which point the set m-fold dominates the graph.
+    Selection maximizes gain/cost exactly, on the rational values of the
+    float costs, through ``ratio_key``; ties prefer the larger gain, then the
+    smaller node id.  A decimal tie such as 11/1.1 against 9/0.9 is decided
+    by the costs' binary values, not by rounded products: 1.1 is stored
+    further above 11/10, relatively, than 0.9 above 9/10, so 9/0.9 is the
+    larger ratio and the gain-9 node wins.  Terminates because the
+    potential strictly increases and is bounded by m*n, at which point the
+    set m-fold dominates the graph.
 
-    Candidates sit in a lazy max-heap ordered by that same rule on their
+    Candidates sit in a lazy heap of ``(-key, -gain, node)`` tuples on their
     last computed gain.  Costs are fixed and, the potential being
     submodular, gains never rise as the set grows, so a stored entry never
     ranks below its node's current value.  The top entry's gain is
     recomputed before it is taken: if unchanged, the node is the best free
     node; otherwise the entry is re-sifted (or dropped at gain 0) and the
-    new top is examined.  With integer, dyadic or all-equal costs the
-    picks equal those of a full left-to-right scan.  Where two ratios tie
-    exactly in decimal but round apart (11/1.1 against 9/0.9), the rounded
-    comparison is not transitive and the pick may differ from such a scan:
-    12 of 648 random and unit-disk instances with costs in steps of 0.1
-    did, one of them ending 0.1 cheaper and the rest at equal cost.
+    new top is examined.  The picks equal those of a full scan in the same
+    exact order.
     """
     g = inst.graph
     cost = g.cost
+    shift = ratio_shift(cost)
     state = DeficitState(inst)
-    heap: list[_HeapEntry] = []
+    heap: list[tuple[int, int, int]] = []
     for u in range(g.node_count):
         gain = coverage_gain(state, u)
         if gain > 0:
-            heap.append(_HeapEntry(gain, cost[u], u))
+            heap.append((-ratio_key(gain, cost[u], shift), -gain, u))
     heapq.heapify(heap)
     chosen: set[int] = set()
     steps: list[GreedyStep] = []
     running = 0.0
     while heap:
-        top = heap[0]
-        gain = coverage_gain(state, top.node)
-        if gain != top.gain:
+        _, neg_gain, u = heap[0]
+        gain = coverage_gain(state, u)
+        if gain != -neg_gain:
             if gain > 0:
-                top.gain = gain
-                heapq.heapreplace(heap, top)
+                heapq.heapreplace(heap, (-ratio_key(gain, cost[u], shift), -gain, u))
             else:
                 heapq.heappop(heap)
             continue
         heapq.heappop(heap)
-        u = top.node
         state.add(u)
         chosen.add(u)
         running += cost[u]

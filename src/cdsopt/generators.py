@@ -60,8 +60,8 @@ def gen_random_connected(
         raise InstanceError("n must be >= 1")
     if not 0 < edge_prob <= 1:
         raise InstanceError("edge_prob must be in (0, 1]")
-    if not 0 < lo <= hi:
-        raise InstanceError("cost range must satisfy 0 < lo <= hi")
+    if not (math.isfinite(hi) and 0 < lo <= hi):
+        raise InstanceError("cost range must be finite and satisfy 0 < lo <= hi")
     validate_fold(m)
     rng = random.Random(seed)
     tree_above: list[list[int]] = [[] for _ in range(n)]
@@ -119,8 +119,8 @@ def gen_udg(
         raise InstanceError("n must be >= 1")
     if not (math.isfinite(side) and side > 0):
         raise InstanceError("side must be finite and positive")
-    if not 0 < lo <= hi:
-        raise InstanceError("cost range must satisfy 0 < lo <= hi")
+    if not (math.isfinite(hi) and 0 < lo <= hi):
+        raise InstanceError("cost range must be finite and satisfy 0 < lo <= hi")
     validate_fold(m)
     rng = random.Random(seed)
     for _ in range(max_attempts):

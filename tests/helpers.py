@@ -18,7 +18,11 @@ leaf-count tie-break that the library's order leaves out as never deciding.
 They and ``merge_potential`` read components through
 ``reference_component_neighbors`` and ``reference_best_star_at``, the label
 scans that re-derive each node's adjacent components from its adjacency and
-never read ``ComponentIndex.reach``, which the library's searches use.
+never read ``ComponentIndex.reach``, which the library's searches use.  The
+references order candidates by cross-multiplied float products
+(``_better_candidate`` and ``reference_better_candidate``), not by the
+library's exact ``ratio_key``, so the two agree except on ties that only
+rounding decides.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from cdsopt.components import ComponentIndex
-from cdsopt.connector import ConnectReport, StarCandidate, _better_candidate, _check_dominating
+from cdsopt.connector import ConnectReport, StarCandidate, _check_dominating
 from cdsopt.domination import DeficitState, GreedyStep, GreedyTrace, coverage_gain
 from cdsopt.graph import Instance, InstanceError, WeightedGraph
 
@@ -115,6 +119,22 @@ def reference_component_neighbors(idx: ComponentIndex, graph: WeightedGraph, u: 
     if label[u] >= 0:
         raise ValueError(f"node {u} already in the indexed set")
     return {label[v] for v in graph.adjacency[u] if label[v] >= 0}
+
+
+def _better_candidate(a: StarCandidate, b: StarCandidate) -> bool:
+    """True when a beats b: efficiency, then gain, then center id.
+
+    No leaf-count key is needed: the prefixes ``best_star_at`` compares at one
+    center differ in gain, and ``best_pair_at`` tests only pairs, against a
+    best with no more leaves, keeping that best on a tie.
+    """
+    lhs = a.gain * b.total_cost
+    rhs = b.gain * a.total_cost
+    if lhs != rhs:
+        return lhs > rhs
+    if a.gain != b.gain:
+        return a.gain > b.gain
+    return a.center < b.center
 
 
 def reference_best_star_at(idx: ComponentIndex, graph: WeightedGraph, u: int) -> StarCandidate | None:

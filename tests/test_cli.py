@@ -89,6 +89,21 @@ class TestGen:
         assert "fold requirement m must be >= 1" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "kind_args",
+        [
+            ["random", "--n", "5", "--p", "0.5", "--seed", "1"],
+            ["udg", "--n", "5", "--side", "1", "--seed", "1"],
+        ],
+        ids=["random", "udg"],
+    )
+    def test_infinite_cost_range_exit_2(self, tmp_path, capsys, kind_args):
+        out = tmp_path / "g.cds"
+        code, _, err = run_cli(capsys, "gen", *kind_args, "--cost-hi", "inf", "--out", str(out))
+        assert code == 2
+        assert "cost range must be finite and satisfy 0 < lo <= hi" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("eps", ["nan", "inf", "0"])
     def test_fig1_bad_eps_exit_2(self, tmp_path, capsys, eps):
         out = tmp_path / "f.cds"

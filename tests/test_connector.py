@@ -8,16 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cdsopt.connector
 from cdsopt.components import ComponentIndex
 from cdsopt.connector import (
     StarCandidate,
+    _CandidateHeap,
     best_pair_at,
     best_star_at,
     component_neighbors,
     greedy_connect,
     pairwise_connect,
 )
-from cdsopt.domination import greedy_dominating_set
+from cdsopt.domination import greedy_dominating_set, ratio_key
 from cdsopt.generators import gen_fig1, gen_random_connected, gen_udg
 from cdsopt.verify import verify_cds
 from helpers import (
@@ -84,12 +86,10 @@ class TestComponentIndex:
         idx = ComponentIndex(g)
         present = set()
         for u in order[: pick.randrange(1, n + 1)]:
-            before = list(idx.label)
+            before = [set(near) for near in idx.reach]
             changed = idx.add(u)
             present.add(u)
-            assert changed[0] == u
-            assert len(changed) == len(set(changed))
-            assert set(changed) == {v for v in range(n) if idx.label[v] != before[v]}
+            assert changed == {v for v in range(n) if v not in idx and idx.reach[v] != before[v]}
             bfs = bfs_component_labels(g, present)
             # the same partition up to renaming: labels pair off one to one
             pairs = {(idx.label[v], bfs[v]) for v in present}
@@ -452,6 +452,18 @@ class TestPairwiseConnect:
         assert pairwise_connect(inst, {0, 2}).stars == [singleton]
         assert reference_pairwise_connect(inst, {0, 2}).stars == [singleton]
 
+    @pytest.mark.parametrize("connect", [greedy_connect, pairwise_connect], ids=["star", "pairwise"])
+    def test_star_total_rounding_to_infinity_ranks_last(self, connect):
+        # 1-2 and 4-5 both join 0 and 3; big + big rounds to inf, big + 2.0 to big
+        big = 1.7e308
+        edges = [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (5, 3)]
+        inst = make_instance(6, edges, costs=[1.0, big, big, 1.0, big, 2.0])
+        assert big + big == math.inf
+        assert connect(inst, {0, 3}).stars == [StarCandidate(center=4, leaves=(5,), gain=1, total_cost=big)]
+        # with no finite way across, the infinite total is still taken
+        path = path_instance(4, costs=[1.0, big, big, 1.0])
+        assert connect(path, {0, 3}).stars == [StarCandidate(center=1, leaves=(2,), gain=1, total_cost=math.inf)]
+
     def test_both_connectors_end_connected(self):
         rng = random.Random(13)
         for _ in range(100):
@@ -469,3 +481,107 @@ class TestPairwiseConnect:
         for bad in (-1, 5):
             with pytest.raises(ValueError, match="out of range"):
                 pairwise_connect(inst, {0, 2, 4, bad})
+
+
+class _CheckedHeap(_CandidateHeap):
+    """A candidate heap that checks every free center after each refresh."""
+
+    refreshes = 0
+
+    def refresh(self, centers):
+        super().refresh(centers)
+        live = {}
+        for entry in self.entries:
+            if self.live(entry):
+                assert entry[2] not in live, f"two live entries at center {entry[2]}"
+                live[entry[2]] = entry
+        for u in range(self.graph.node_count):
+            if u in self.idx:
+                assert u not in live
+                continue
+            fresh = self.best_at_center(self.idx, self.graph, u, self.shift)
+            entry = live.get(u)
+            if fresh is None:
+                assert entry is None, f"center {u}: live entry {entry[4]} but no candidate"
+            else:
+                assert entry is not None, f"center {u}: no live entry for {fresh}"
+                assert entry[4] == fresh
+                assert entry[:2] == (-ratio_key(fresh.gain, fresh.total_cost, self.shift), -fresh.gain)
+        type(self).refreshes += 1
+
+
+class TestCandidateHeap:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        kind=st.sampled_from(["random", "udg", "fig1"]),
+        n=st.integers(5, 40),
+        seed=st.integers(0, 10**6),
+        costs=st.sampled_from([(0.1, 10.0), (1.0, 1.0)]),
+        greedy_ds=st.booleans(),
+        m=st.integers(1, 2),
+        connector=st.sampled_from(["star", "pairwise"]),
+    )
+    def test_live_entries_equal_fresh_candidates(self, kind, n, seed, costs, greedy_ds, m, connector):
+        """After every round each free center's one live entry is its current best."""
+        if kind == "random":
+            inst = gen_random_connected(n, 3.0 / n, costs, seed=seed, m=m)
+        elif kind == "udg":
+            inst = gen_udg(n, math.sqrt(n / 5.0), costs, seed=seed, m=m)
+        else:
+            inst, designated = gen_fig1(max(1, n // 4), costs[0] / 10, m=m)
+        if kind == "fig1" and greedy_ds:
+            members = designated
+        elif greedy_ds:
+            members, _ = greedy_dominating_set(inst)
+        else:
+            members = random_dominating_set(random.Random(seed), inst.graph)
+        connect = greedy_connect if connector == "star" else pairwise_connect
+        _CheckedHeap.refreshes = 0
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cdsopt.connector, "_CandidateHeap", _CheckedHeap)
+            report = connect(inst, members)
+        assert _CheckedHeap.refreshes == len(report.stars)
+        assert bfs_component_count(inst.graph, set(members) | report.connectors) == 1
+
+
+class TestLadderWork:
+    """The connectors' work on the ladder from its designated set, pinned."""
+
+    @pytest.mark.parametrize("d", [50, 200])
+    def test_pairwise_best_pair_calls_linear(self, d):
+        # each round recomputes only the hub, so about 3d calls in all (the
+        # full rescan of every rung bottom each round made d(d+5)/2)
+        inst, designated = gen_fig1(d, 0.01)
+        calls = 0
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return best_pair_at(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cdsopt.connector, "best_pair_at", counted)
+            report = pairwise_connect(inst, designated)
+        assert calls <= 4 * d
+        assert len(report.stars) == d
+        cost = sum(inst.graph.cost[u] for u in report.connectors)
+        assert math.isclose(cost, d * 1.01, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("d", [50, 200])
+    def test_star_one_round_closed_form(self, d):
+        inst, designated = gen_fig1(d, 0.01)
+        calls = 0
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return best_star_at(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cdsopt.connector, "best_star_at", counted)
+            report = greedy_connect(inst, designated)
+        assert calls <= 4 * d
+        assert len(report.stars) == 1
+        assert report.connectors == {1} | set(range(2 + d, 2 + 2 * d))
+        cost = sum(inst.graph.cost[u] for u in report.connectors)
+        assert math.isclose(cost, 1 + (d + 1) * 0.01, rel_tol=1e-12)

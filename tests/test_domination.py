@@ -6,13 +6,15 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cdsopt.domination import (
     DeficitState,
     coverage_gain,
     greedy_dominating_set,
+    ratio_key,
+    ratio_shift,
 )
 from cdsopt.generators import gen_fig1, gen_random_connected, gen_udg
 from cdsopt.verify import verify_mds
@@ -242,6 +244,128 @@ class TestGreedy:
             assert coverage_value(inst, members) == inst.m * n
         assert steps_checked > 1000
         assert worst <= Fraction(1, 2**50), float(worst)
+
+
+TINY = 5e-324
+positive_floats = st.floats(min_value=TINY, allow_nan=False, allow_infinity=False)
+
+
+def exact_order(a, b):
+    return (a > b) - (a < b)
+
+
+class TestRatioKey:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        g1=st.integers(1, 10**6),
+        g2=st.integers(1, 10**6),
+        c1=positive_floats,
+        other=positive_floats,
+        step=st.sampled_from(["same", "up", "down", "double", "free"]),
+    )
+    def test_key_order_equals_fraction_order(self, g1, g2, c1, other, step):
+        if step == "same":
+            c2 = c1
+        elif step == "up":
+            c2 = math.nextafter(c1, math.inf)
+        elif step == "down":
+            c2 = math.nextafter(c1, 0.0)
+        elif step == "double":
+            # an equal ratio: twice the gain at twice the cost
+            c2, g2 = c1 * 2, g1 * 2
+        else:
+            c2 = other
+        assume(0 < c2 < math.inf)
+        shift = ratio_shift([c1, c2])
+        keys = ratio_key(g1, c1, shift), ratio_key(g2, c2, shift)
+        exact = Fraction(g1) / Fraction(c1), Fraction(g2) / Fraction(c2)
+        assert exact_order(*keys) == exact_order(*exact)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        costs=st.lists(
+            st.one_of(
+                positive_floats,
+                st.floats(min_value=TINY, max_value=1e-300),
+                st.floats(min_value=1e299, max_value=1e301),
+                st.integers(1, 30).map(lambda k: k / 10),
+            ),
+            min_size=2,
+            max_size=8,
+        ),
+        data=st.data(),
+    )
+    def test_key_order_exact_on_float_sums(self, costs, data):
+        """The shift of a cost list also separates float sums of its costs."""
+        shift = ratio_shift(costs)
+        picks = st.lists(st.sampled_from(range(len(costs))), min_size=1, unique=True)
+        totals = []
+        for _ in range(2):
+            total = 0.0
+            for i in data.draw(picks):
+                total += costs[i]
+            assume(total < math.inf)
+            totals.append((data.draw(st.integers(1, 1000)), total))
+        keys = [ratio_key(g, total, shift) for g, total in totals]
+        exact = [Fraction(g) / Fraction(total) for g, total in totals]
+        assert exact_order(*keys) == exact_order(*exact)
+
+    def test_shift_near_smallest_and_largest_costs(self):
+        big = 1e300
+        pairs = [
+            (TINY, math.nextafter(TINY, 1.0)),
+            (big, math.nextafter(big, math.inf)),
+            (math.nextafter(big, 0.0), big),
+            (TINY, big),
+        ]
+        for c1, c2 in pairs:
+            shift = ratio_shift([c1, c2])
+            for g1, g2 in [(1, 1), (1, 2), (2, 1), (3, 3), (10**6, 10**6 - 1)]:
+                keys = ratio_key(g1, c1, shift), ratio_key(g2, c2, shift)
+                exact = Fraction(g1) / Fraction(c1), Fraction(g2) / Fraction(c2)
+                assert exact_order(*keys) == exact_order(*exact), (c1, c2, g1, g2)
+        # a star total that rounds up to infinity ranks below every finite one
+        shift = ratio_shift([1.7e308, 1.7e308])
+        assert ratio_key(10**6, math.inf, shift) == 0 < ratio_key(1, 1.7e308, shift)
+        # 1e-323 is exactly twice 5e-324: gain 2 there ties gain 1 here
+        shift = ratio_shift([TINY, 2 * TINY])
+        assert ratio_key(2, 2 * TINY, shift) == ratio_key(1, TINY, shift)
+        # 1e300's numerator has 997 bits, so a fixed 107-bit shift cannot
+        # tell it from its neighbour, while the derived one can
+        after = math.nextafter(big, math.inf)
+        assert big.as_integer_ratio()[0].bit_length() == 997
+        assert ratio_key(1, big, 107) == ratio_key(1, after, 107)
+        shift = ratio_shift([big, after])
+        assert shift >= 2 * 997 + 1
+        assert ratio_key(1, big, shift) > ratio_key(1, after, shift)
+        # and the derived shift orders star totals of such costs
+        costs = [big, after, 3e299]
+        shift = ratio_shift(costs)
+        for g, total in [(2, big + after), (2, big + 3e299), (3, big + after + 3e299)]:
+            keys = ratio_key(g, total, shift), ratio_key(1, big, shift)
+            exact = Fraction(g) / Fraction(total), Fraction(1) / Fraction(big)
+            assert exact_order(*keys) == exact_order(*exact)
+
+    def test_decimal_tie_takes_exact_larger_ratio(self):
+        """11/1.1 against 9/0.9: equal in decimal, not in binary.
+
+        Node 0 (cost 1.1) has gain 11 and node 1 (cost 0.9) gain 9.  The
+        rounded products 11 * 0.9 and 9 * 1.1 are equal, so the float order
+        calls the ratios equal and takes the larger gain; the exact order
+        sees 9/0.9 > 11/1.1 and takes node 1.
+        """
+        # 0 and 1 share node 2; 0 has 9 more leaves, 1 has 7
+        edges = [(0, 2), (1, 2)]
+        edges += [(0, 3 + i) for i in range(9)]
+        edges += [(1, 12 + i) for i in range(7)]
+        costs = [1.1, 0.9] + [100.0] * 17
+        inst = make_instance(19, edges, costs=costs)
+        assert 11 * 0.9 == 9 * 1.1
+        assert Fraction(9) / Fraction(0.9) > Fraction(11) / Fraction(1.1)
+        _, trace = greedy_dominating_set(inst)
+        assert [(s.node, s.gain) for s in trace.steps[:2]] == [(1, 9), (0, 10)]
+        _, float_trace = reference_greedy_dominating_set(inst)
+        assert [(s.node, s.gain) for s in float_trace.steps[:2]] == [(0, 11), (1, 8)]
 
 
 def test_random_seeded_corpus_state_agreement():
