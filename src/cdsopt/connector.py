@@ -36,7 +36,7 @@ import heapq
 from dataclasses import dataclass, field, replace
 
 from .components import ComponentIndex
-from .domination import ratio_key, ratio_shift
+from .domination import ratio_key
 from .graph import Instance, WeightedGraph
 from .verify import verify_mds
 
@@ -73,9 +73,7 @@ def component_neighbors(idx: ComponentIndex, graph: WeightedGraph, u: int) -> se
     return set(idx.reach[u])
 
 
-def best_star_at(
-    idx: ComponentIndex, graph: WeightedGraph, u: int, shift: int | None = None
-) -> StarCandidate | None:
+def best_star_at(idx: ComponentIndex, graph: WeightedGraph, u: int) -> StarCandidate | None:
     """Most efficient star centered at u, or None when no star merges anything.
 
     Candidate leaves are the free neighbors touching exactly one component.
@@ -84,16 +82,14 @@ def best_star_at(
     gain/cost prefix with positive gain is returned, ties going to the
     larger gain.  Some globally optimal star always has this
     one-fresh-component-per-leaf shape, so the prefix scan attains the
-    optimum over all leaf subsets.  ``shift`` is the ``ratio_shift`` of the
-    graph's costs, computed when not given.
+    optimum over all leaf subsets.
     """
     cost = graph.cost
     label = idx.label
     reach = idx.reach
     if label[u] >= 0:
         raise ValueError(f"node {u} already in the indexed set")
-    if shift is None:
-        shift = ratio_shift(cost)
+    shift = graph.key_shift
     center_neighbors = reach[u]
     eligible: list[tuple[float, int, int]] = []
     for v in graph.adjacency[u]:
@@ -128,23 +124,19 @@ def best_star_at(
     return StarCandidate(center=u, leaves=tuple(kept[:take]), gain=gain, total_cost=total)
 
 
-def best_pair_at(
-    idx: ComponentIndex, graph: WeightedGraph, a: int, shift: int | None = None
-) -> StarCandidate | None:
+def best_pair_at(idx: ComponentIndex, graph: WeightedGraph, a: int) -> StarCandidate | None:
     """Best of the singleton a and the free pairs (a, b) with b > a, or None.
 
     A candidate's value is the number of components it touches minus one.
     Candidates are ordered by ``ratio_key`` and then gain; ties keep the
-    first of the singleton and then b in adjacency order.  ``shift`` is the
-    ``ratio_shift`` of the graph's costs, computed when not given.
+    first of the singleton and then b in adjacency order.
     """
     cost = graph.cost
     label = idx.label
     reach = idx.reach
     if label[a] >= 0:
         raise ValueError(f"node {a} already in the indexed set")
-    if shift is None:
-        shift = ratio_shift(cost)
+    shift = graph.key_shift
     reached_a = reach[a]
     best = None  # (key, gain, partner or -1, total)
     gain = len(reached_a) - 1
@@ -192,7 +184,6 @@ class _CandidateHeap:
         self.idx = idx
         self.graph = graph
         self.best_at_center = best_at_center
-        self.shift = ratio_shift(graph.cost)
         self.version = [0] * graph.node_count
         self.entries: list[tuple] = []
 
@@ -201,7 +192,8 @@ class _CandidateHeap:
         return self.idx.label[center] < 0 and entry[3] == self.version[center]
 
     def refresh(self, centers) -> None:
-        idx, graph, shift = self.idx, self.graph, self.shift
+        idx, graph = self.idx, self.graph
+        shift = graph.key_shift
         label = idx.label
         version = self.version
         entries = self.entries
@@ -210,7 +202,7 @@ class _CandidateHeap:
             if label[u] >= 0:
                 continue
             version[u] += 1
-            cand = best_at_center(idx, graph, u, shift)
+            cand = best_at_center(idx, graph, u)
             if cand is not None:
                 key = ratio_key(cand.gain, cand.total_cost, shift)
                 heapq.heappush(entries, (-key, -cand.gain, u, version[u], cand))
@@ -245,7 +237,7 @@ def _stale_centers(graph: WeightedGraph, joined, changed) -> set[int]:
 def _connect(inst: Instance, dominating_set, method: str, best_at_center) -> ConnectReport:
     """Add the most efficient candidate until the set is connected.
 
-    ``best_at_center(idx, graph, u, shift)`` is the best candidate at the
+    ``best_at_center(idx, graph, u)`` is the best candidate at the
     free node u, or None.  Each chosen candidate must merge as many
     components as it promises, so at most (initial components - 1) rounds
     run.  Only the ``_stale_centers`` are recomputed each round.

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .graph import Instance
@@ -74,31 +73,17 @@ def coverage_gain(state: DeficitState, u: int) -> int:
     return gain
 
 
-def ratio_shift(costs: Sequence[float]) -> int:
-    """The shift that makes ``ratio_key`` exact for these costs and their sums.
-
-    It is 2*B + 1, where B bounds the numerator bit length of every cost and
-    of every float sum of distinct costs (a star's total, in any order).  A
-    float x with 0 < x < 2**e has a numerator below 2**max(53, e): below
-    2**53 it is at most the 53-bit mantissa, above it x is an integer.  With
-    n costs each below 2**e, the exact sum of any of them is below
-    2**(e + n.bit_length()), and the rounding of a float sum of fewer than
-    2**52 positive terms stays below twice that.
-    """
-    top = math.frexp(max(costs, default=1.0))[1]
-    bound = max(53, top + len(costs).bit_length() + 1)
-    return 2 * bound + 1
-
-
 def ratio_key(gain: int, cost: float, shift: int) -> int:
     """floor(gain / cost * 2**shift): the exact gain/cost order as one integer.
 
     With cost = num/den, two unequal ratios differ by at least
-    1/(num1 * num2) > 2**-(2*B), so under the ``ratio_shift`` of the costs
-    compared their keys differ, larger ratio larger key; equal ratios give
-    equal keys.  Both greedy phases order their candidates by this key, then
-    by larger gain, then by smaller node id.  A star total can round up to
-    infinity; its ratio is 0, below every finite ratio's key of at least 1.
+    1/(num1 * num2) > 2**-(2*B), so under ``graph.ratio_shift`` of the
+    costs compared their keys differ, larger ratio larger key; equal ratios
+    give equal keys.  A graph computes that shift once, as
+    ``WeightedGraph.key_shift``, for its costs and every star total.  Both
+    greedy phases order their candidates by this key, then by larger gain,
+    then by smaller node id.  A star total can round up to infinity; its
+    ratio is 0, below every finite ratio's key of at least 1.
     """
     if cost == math.inf:
         return 0
@@ -129,7 +114,7 @@ def greedy_dominating_set(inst: Instance) -> tuple[set[int], GreedyTrace]:
     """
     g = inst.graph
     cost = g.cost
-    shift = ratio_shift(cost)
+    shift = g.key_shift
     state = DeficitState(inst)
     heap: list[tuple[int, int, int]] = []
     for u in range(g.node_count):

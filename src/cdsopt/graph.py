@@ -29,7 +29,9 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class InstanceError(ValueError):
@@ -39,6 +41,22 @@ class InstanceError(ValueError):
 def fmt_float(x: float) -> str:
     """Render a float with 17 significant digits (round-trip exact)."""
     return format(x, ".17g")
+
+
+def ratio_shift(costs: Sequence[float]) -> int:
+    """The shift that makes ``ratio_key`` exact for these costs and their sums.
+
+    It is 2*B + 1, where B bounds the numerator bit length of every cost and
+    of every float sum of distinct costs (a star's total, in any order).  A
+    float x with 0 < x < 2**e has a numerator below 2**max(53, e): below
+    2**53 it is at most the 53-bit mantissa, above it x is an integer.  With
+    n costs each below 2**e, the exact sum of any of them is below
+    2**(e + n.bit_length()), and the rounding of a float sum of fewer than
+    2**52 positive terms stays below twice that.
+    """
+    top = math.frexp(max(costs, default=1.0))[1]
+    bound = max(53, top + len(costs).bit_length() + 1)
+    return 2 * bound + 1
 
 
 @dataclass(frozen=True)
@@ -82,6 +100,11 @@ class WeightedGraph:
         )
         validate_graph(graph)
         return graph
+
+    @cached_property
+    def key_shift(self) -> int:
+        """``ratio_shift`` of the costs: every ``ratio_key`` on this graph uses it."""
+        return ratio_shift(self.cost)
 
     def degree(self, u: int) -> int:
         return len(self.adjacency[u])

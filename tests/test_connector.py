@@ -21,6 +21,7 @@ from cdsopt.connector import (
 )
 from cdsopt.domination import greedy_dominating_set, ratio_key
 from cdsopt.generators import gen_fig1, gen_random_connected, gen_udg
+from cdsopt.graph import ratio_shift
 from cdsopt.verify import verify_cds
 from helpers import (
     bfs_component_count,
@@ -453,6 +454,17 @@ class TestPairwiseConnect:
         assert reference_pairwise_connect(inst, {0, 2}).stars == [singleton]
 
     @pytest.mark.parametrize("connect", [greedy_connect, pairwise_connect], ids=["star", "pairwise"])
+    def test_neighbouring_huge_costs_ordered_by_graph_shift(self, connect):
+        # 1 and 2 each join 0 and 3; their costs are neighbouring floats near
+        # 1e300, which a fixed 107-bit shift ties (the tie would take node 1)
+        big = 1e300
+        after = math.nextafter(big, math.inf)
+        inst = make_instance(4, [(0, 1), (1, 3), (0, 2), (2, 3)], costs=[1.0, after, big, 1.0])
+        assert inst.graph.key_shift == ratio_shift(inst.graph.cost) >= 2 * 997 + 1
+        assert ratio_key(1, after, 107) == ratio_key(1, big, 107)
+        assert connect(inst, {0, 3}).stars == [StarCandidate(center=2, leaves=(), gain=1, total_cost=big)]
+
+    @pytest.mark.parametrize("connect", [greedy_connect, pairwise_connect], ids=["star", "pairwise"])
     def test_star_total_rounding_to_infinity_ranks_last(self, connect):
         # 1-2 and 4-5 both join 0 and 3; big + big rounds to inf, big + 2.0 to big
         big = 1.7e308
@@ -463,6 +475,33 @@ class TestPairwiseConnect:
         # with no finite way across, the infinite total is still taken
         path = path_instance(4, costs=[1.0, big, big, 1.0])
         assert connect(path, {0, 3}).stars == [StarCandidate(center=1, leaves=(2,), gain=1, total_cost=math.inf)]
+
+    def test_best_pair_equals_full_scan(self):
+        """``best_pair_at`` skips the key of a pair that cannot win; a full scan agrees."""
+        rng = random.Random(17)
+        for i in range(150):
+            base = gen_random_connected(14, 0.3, (1.0, 1.0), seed=rng.randrange(10**6))
+            if i % 2:
+                costs = [float(rng.randint(1, 3)) for _ in range(14)]
+            else:
+                costs = [rng.randint(1, 30) / 10 for _ in range(14)]
+            graph = make_instance(14, base.graph.edges(), costs=costs).graph
+            idx = ComponentIndex(graph, sorted(random_dominating_set(rng, graph)))
+            for a in range(graph.node_count):
+                if a in idx:
+                    continue
+                reached = reference_component_neighbors(idx, graph, a)
+                options = [((), costs[a], len(reached) - 1)]
+                for b in graph.adjacency[a]:
+                    if b > a and b not in idx:
+                        both = reached | reference_component_neighbors(idx, graph, b)
+                        options.append(((b,), costs[a] + costs[b], len(both) - 1))
+                best = None
+                for leaves, total, gain in options:
+                    rank = (ratio_key(gain, total, graph.key_shift), gain)
+                    if gain >= 1 and (best is None or rank > best[0]):
+                        best = (rank, StarCandidate(center=a, leaves=leaves, gain=gain, total_cost=total))
+                assert best_pair_at(idx, graph, a) == (best and best[1])
 
     def test_both_connectors_end_connected(self):
         rng = random.Random(13)
@@ -499,14 +538,14 @@ class _CheckedHeap(_CandidateHeap):
             if u in self.idx:
                 assert u not in live
                 continue
-            fresh = self.best_at_center(self.idx, self.graph, u, self.shift)
+            fresh = self.best_at_center(self.idx, self.graph, u)
             entry = live.get(u)
             if fresh is None:
                 assert entry is None, f"center {u}: live entry {entry[4]} but no candidate"
             else:
                 assert entry is not None, f"center {u}: no live entry for {fresh}"
                 assert entry[4] == fresh
-                assert entry[:2] == (-ratio_key(fresh.gain, fresh.total_cost, self.shift), -fresh.gain)
+                assert entry[:2] == (-ratio_key(fresh.gain, fresh.total_cost, self.graph.key_shift), -fresh.gain)
         type(self).refreshes += 1
 
 
