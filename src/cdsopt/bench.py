@@ -24,7 +24,7 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 
-from .generators import gen_fig1, gen_random_connected, gen_udg
+from .generators import KINDS, generate
 from .graph import fmt_float
 from .oracle import DEFAULT_NODE_BUDGET, proven_bounds
 from .solver import solve
@@ -54,16 +54,9 @@ BOUND_EPS = 1e-9
 # rejected instead of exhausting memory
 MAX_BATCH_CASES = 100_000
 
-
-_REQUIRED = object()
-
-# per kind: (field, converter, default), in case key order
-_COSTS = (("cost_lo", float, 0.1), ("cost_hi", float, 10.0))
-_KIND_FIELDS = {
-    "random": (("n", int, _REQUIRED), ("p", float, _REQUIRED), *_COSTS),
-    "udg": (("n", int, _REQUIRED), ("side", float, _REQUIRED), *_COSTS),
-    "fig1": (("d", int, _REQUIRED), ("eps", float, _REQUIRED)),
-}
+# (field, converter, default) of every entry, beside "kind", "m", "seeds"
+# and the parameters its kind has in KINDS
+_CASE_FIELDS = (("oracle", bool, False), ("node_budget", int, DEFAULT_NODE_BUDGET))
 
 
 def _convert(value, convert, key: str, where: str):
@@ -80,21 +73,27 @@ def _convert(value, convert, key: str, where: str):
 
 
 def _field(obj: dict, key: str, convert, default, where: str):
-    """``convert(obj[key])``, or ``default`` when absent; errors name ``where``."""
+    """``convert(obj[key])``, or ``default`` when absent (None: required); errors name ``where``."""
     if key not in obj:
-        if default is _REQUIRED:
+        if default is None:
             raise ValueError(f"{where}: missing field {key!r}")
         return default
     return _convert(obj[key], convert, key, where)
 
 
+def _reject_unknown(obj: dict, known, where: str) -> None:
+    for key in obj:
+        if key not in known:
+            raise ValueError(f"{where}: unknown field {key!r}")
+
+
 def load_batch_spec(text: str) -> list[dict]:
     """Parse and expand a batch spec into a deterministic list of cases.
 
-    A missing or malformed field raises ValueError naming its entry, as do an
-    empty ``m`` list, a ``seeds.count`` below 1, ``seeds`` on a ``fig1`` entry
-    (the ladder takes no seed, so its copies would be identical) and a batch
-    of more than ``MAX_BATCH_CASES`` cases.
+    A missing, unknown or malformed field raises ValueError naming its entry,
+    as do an empty ``m`` list, a ``seeds.count`` below 1, ``seeds`` on an
+    entry of a kind that takes no seed (its copies would be identical) and a
+    batch of more than ``MAX_BATCH_CASES`` cases.
     """
     doc = json.loads(text)
     if not isinstance(doc, dict) or "entries" not in doc or not isinstance(doc["entries"], list):
@@ -105,8 +104,10 @@ def load_batch_spec(text: str) -> list[dict]:
         if not isinstance(entry, dict):
             raise ValueError(f"{where} must be an object")
         kind = entry.get("kind")
-        if kind not in _KIND_FIELDS:
+        if not isinstance(kind, str) or kind not in KINDS:
             raise ValueError(f"{where}: unknown kind {kind!r}")
+        fields = _CASE_FIELDS + KINDS[kind].params
+        _reject_unknown(entry, ("kind", "m", "seeds", *(name for name, _, _ in fields)), where)
         m_values = entry.get("m", 1)
         if not isinstance(m_values, list):
             m_values = [m_values]
@@ -115,11 +116,12 @@ def load_batch_spec(text: str) -> list[dict]:
         m_values = [_convert(m, int, "m", where) for m in m_values]
         if any(m < 1 for m in m_values):
             raise ValueError(f"{where}: m must be >= 1")
-        if kind == "fig1" and "seeds" in entry:
-            raise ValueError(f"{where}: field 'seeds' does not apply to kind 'fig1', which takes no seed")
+        if not KINDS[kind].seeded and "seeds" in entry:
+            raise ValueError(f"{where}: field 'seeds' does not apply to kind {kind!r}, which takes no seed")
         seeds_spec = entry.get("seeds", {})
         if not isinstance(seeds_spec, dict):
             raise ValueError(f"{where}: field 'seeds' must be an object, got {seeds_spec!r}")
+        _reject_unknown(seeds_spec, ("start", "count"), f"{where} seeds")
         seed_start = _field(seeds_spec, "start", int, 0, f"{where} seeds")
         seed_count = _field(seeds_spec, "count", int, 1, f"{where} seeds")
         if seed_count < 1:
@@ -127,28 +129,15 @@ def load_batch_spec(text: str) -> list[dict]:
         total = len(cases) + len(m_values) * seed_count
         if total > MAX_BATCH_CASES:
             raise ValueError(f"{where}: batch would hold {total} cases, more than {MAX_BATCH_CASES}")
-        oracle = _field(entry, "oracle", bool, False, where)
-        node_budget = _field(entry, "node_budget", int, DEFAULT_NODE_BUDGET, where)
-        params = {key: _field(entry, key, conv, default, where) for key, conv, default in _KIND_FIELDS[kind]}
+        values = {key: _field(entry, key, conv, default, where) for key, conv, default in fields}
         for m in m_values:
             for seed in range(seed_start, seed_start + seed_count):
-                case = {"kind": kind, "m": m, "seed": seed, "oracle": oracle, "node_budget": node_budget}
-                case.update(params)
-                cases.append(case)
+                cases.append({"kind": kind, "m": m, "seed": seed, **values})
     return cases
 
 
 def build_case_instance(case: dict):
-    kind = case["kind"]
-    if kind == "random":
-        return gen_random_connected(
-            case["n"], case["p"], (case["cost_lo"], case["cost_hi"]), case["seed"], m=case["m"]
-        )
-    if kind == "udg":
-        return gen_udg(
-            case["n"], case["side"], (case["cost_lo"], case["cost_hi"]), case["seed"], m=case["m"]
-        )
-    return gen_fig1(case["d"], case["eps"], m=case["m"])[0]
+    return generate(case["kind"], case)[0]
 
 
 def run_case(case: dict) -> dict:

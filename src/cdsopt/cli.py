@@ -13,7 +13,7 @@ import json
 import sys
 
 from .bench import load_batch_spec, run_batch, summarize, write_csv
-from .generators import gen_fig1, gen_random_connected, gen_udg
+from .generators import KINDS, generate
 from .graph import Instance, InstanceError, parse_instance, serialize_instance
 from .oracle import DEFAULT_NODE_BUDGET, OracleBudgetError
 from .solver import solve, solve_report_dict, verify_report_dict
@@ -55,27 +55,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="generate an instance file")
     gen_sub = p_gen.add_subparsers(dest="kind", required=True)
-    g_random = gen_sub.add_parser("random", help="random connected graph")
-    g_random.add_argument("--n", type=int, required=True)
-    g_random.add_argument("--p", type=float, required=True)
-    g_random.add_argument("--seed", type=int, required=True)
-    g_random.add_argument("--m", type=int, default=1)
-    g_random.add_argument("--cost-lo", type=float, default=0.1)
-    g_random.add_argument("--cost-hi", type=float, default=10.0)
-    g_random.add_argument("--out", default=None)
-    g_udg = gen_sub.add_parser("udg", help="random connected unit-disk graph")
-    g_udg.add_argument("--n", type=int, required=True)
-    g_udg.add_argument("--side", type=float, required=True)
-    g_udg.add_argument("--seed", type=int, required=True)
-    g_udg.add_argument("--m", type=int, default=1)
-    g_udg.add_argument("--cost-lo", type=float, default=0.1)
-    g_udg.add_argument("--cost-hi", type=float, default=10.0)
-    g_udg.add_argument("--out", default=None)
-    g_fig1 = gen_sub.add_parser("fig1", help="adversarial ladder with a designated dominating set")
-    g_fig1.add_argument("--d", type=int, required=True)
-    g_fig1.add_argument("--eps", type=float, required=True)
-    g_fig1.add_argument("--m", type=int, default=1)
-    g_fig1.add_argument("--out", default=None)
+    for kind, spec in KINDS.items():
+        g = gen_sub.add_parser(kind, help=spec.help)
+        required = [row for row in spec.params if row[2] is None]
+        optional = [row for row in spec.params if row[2] is not None]
+        seed = [("seed", int, None)] if spec.seeded else []
+        for name, typ, default in required + seed + [("m", int, 1)] + optional:
+            g.add_argument("--" + name.replace("_", "-"), type=typ, required=default is None, default=default)
+        g.add_argument("--out", default=None)
 
     p_verify = sub.add_parser("verify", help="verify a solution file against an instance")
     p_verify.add_argument("instance")
@@ -107,7 +94,13 @@ def _parse_id_list(text: str) -> list[int]:
     tokens = text.replace(",", " ").split()
     if not tokens:
         raise ValueError("empty node id list")
-    return [int(tok) for tok in tokens]
+    ids = []
+    for tok in tokens:
+        try:
+            ids.append(int(tok))
+        except ValueError:
+            raise ValueError(f"malformed node id {tok!r}") from None
+    return ids
 
 
 def _resolve_given_ds(spec: str, instance_text: str) -> list[int]:
@@ -143,20 +136,11 @@ def cmd_solve(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    if args.kind == "random":
-        inst = gen_random_connected(
-            args.n, args.p, (args.cost_lo, args.cost_hi), args.seed, m=args.m
-        )
-        text = serialize_instance(inst)
-    elif args.kind == "udg":
-        inst = gen_udg(args.n, args.side, (args.cost_lo, args.cost_hi), args.seed, m=args.m)
-        text = serialize_instance(inst)
-    else:
-        inst, designated = gen_fig1(args.d, args.eps, m=args.m)
-        lines = serialize_instance(inst).splitlines()
-        ds_comment = f"{DESIGNATED_PREFIX} {' '.join(str(u) for u in sorted(designated))}"
-        lines.insert(1, ds_comment)
-        text = "\n".join(lines) + "\n"
+    inst, designated = generate(args.kind, vars(args))
+    text = serialize_instance(inst)
+    if designated is not None:
+        head, rest = text.split("\n", 1)
+        text = f"{head}\n{DESIGNATED_PREFIX} {' '.join(str(u) for u in sorted(designated))}\n{rest}"
     _emit(text, args.out)
     return 0
 

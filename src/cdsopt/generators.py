@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+from typing import NamedTuple
 
 from .graph import (
     Instance,
@@ -19,6 +20,8 @@ from .graph import (
     unit_disk_edges,
     validate_fold,
 )
+
+UDG_MAX_ATTEMPTS = 1000
 
 
 def _coin_bits(data: bytes, j: int) -> int:
@@ -107,12 +110,11 @@ def gen_udg(
     cost_range: tuple[float, float],
     seed: int,
     m: int = 1,
-    max_attempts: int = 1000,
 ) -> Instance:
     """Unit-disk graph: n points uniform in [0, side]^2, edges at distance <= 1.
 
     Resamples the point set until the graph is connected; raises after
-    ``max_attempts`` failures.  Coordinates are stored on the instance.
+    ``UDG_MAX_ATTEMPTS`` failures.  Coordinates are stored on the instance.
     """
     lo, hi = cost_range
     if n < 1:
@@ -123,7 +125,7 @@ def gen_udg(
         raise InstanceError("cost range must be finite and satisfy 0 < lo <= hi")
     validate_fold(m)
     rng = random.Random(seed)
-    for _ in range(max_attempts):
+    for _ in range(UDG_MAX_ATTEMPTS):
         pts = [(rng.uniform(0.0, side), rng.uniform(0.0, side)) for _ in range(n)]
         edges = unit_disk_edges(pts)
         nbrs: list[list[int]] = [[] for _ in range(n)]
@@ -136,7 +138,7 @@ def gen_udg(
             costs = [rng.uniform(lo, hi) for _ in range(n)]
             graph = WeightedGraph.from_edges(n, edges, costs, coords=pts)
             return Instance(graph=graph, m=m, label=f"udg-n{n}-side{side:g}-m{m}-s{seed}")
-    raise InstanceError(f"could not generate connected UDG after {max_attempts} attempts")
+    raise InstanceError(f"could not generate connected UDG after {UDG_MAX_ATTEMPTS} attempts")
 
 
 def gen_fig1(d: int, eps: float, m: int = 1) -> tuple[Instance, frozenset[int]]:
@@ -179,3 +181,27 @@ def gen_fig1(d: int, eps: float, m: int = 1) -> tuple[Instance, frozenset[int]]:
     designated = frozenset([t, *b_ids])
     return Instance(graph=graph, m=m, label=f"fig1-d{d}-eps{eps:g}"), designated
 
+
+# one row per instance kind, read by ``cds-opt gen`` and batch specs: its help,
+# whether it takes a seed, and its parameters (name, type, default or None if required)
+Kind = NamedTuple("Kind", [("help", str), ("seeded", bool), ("params", tuple)])
+
+_COSTS = (("cost_lo", float, 0.1), ("cost_hi", float, 10.0))
+KINDS = {
+    "random": Kind("random connected graph", True, (("n", int, None), ("p", float, None), *_COSTS)),
+    "udg": Kind("random connected unit-disk graph", True, (("n", int, None), ("side", float, None), *_COSTS)),
+    "fig1": Kind(
+        "adversarial ladder with a designated dominating set", False, (("d", int, None), ("eps", float, None))
+    ),
+}
+
+
+def generate(kind: str, params: dict) -> tuple[Instance, frozenset[int] | None]:
+    """The ``kind`` instance that ``params`` describe (its ``KINDS`` parameters,
+    ``m`` and, if seeded, ``seed``), with a ``fig1`` ladder's designated set or None."""
+    if kind == "fig1":
+        return gen_fig1(params["d"], params["eps"], m=params["m"])
+    costs = (params["cost_lo"], params["cost_hi"])
+    if kind == "random":
+        return gen_random_connected(params["n"], params["p"], costs, params["seed"], m=params["m"]), None
+    return gen_udg(params["n"], params["side"], costs, params["seed"], m=params["m"]), None

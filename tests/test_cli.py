@@ -9,6 +9,8 @@ import pytest
 import cdsopt.bench
 from cdsopt.bench import CSV_COLUMNS, load_batch_spec, pool_width
 from cdsopt.cli import main
+from cdsopt.generators import KINDS
+from cdsopt.graph import serialize_instance
 
 P3_TEXT = "cds 3 2 1\n1 1 1\n0 1\n1 2\n"
 
@@ -104,6 +106,24 @@ class TestGen:
         assert "cost range must be finite and satisfy 0 < lo <= hi" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_gen_matches_batch_case(self, capsys, kind):
+        # one value, none of them a default, for every parameter of every kind
+        values = {"n": 9, "p": 0.4, "side": 2.5, "cost_lo": 0.5, "cost_hi": 3.0, "d": 3, "eps": 0.02}
+        fields = {name: values[name] for name, _, _ in KINDS[kind].params}
+        argv = ["gen", kind, "--m", "2"]
+        entry = {"kind": kind, "m": 2, **fields}
+        if KINDS[kind].seeded:
+            argv += ["--seed", "4"]
+            entry["seeds"] = {"start": 4, "count": 1}
+        for name, value in fields.items():
+            argv += ["--" + name.replace("_", "-"), str(value)]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        gen_text = "".join(line for line in out.splitlines(True) if not line.startswith("# designated-ds:"))
+        (case,) = load_batch_spec(json.dumps({"entries": [entry]}))
+        assert gen_text == serialize_instance(cdsopt.bench.build_case_instance(case))
+
     @pytest.mark.parametrize("eps", ["nan", "inf", "0"])
     def test_fig1_bad_eps_exit_2(self, tmp_path, capsys, eps):
         out = tmp_path / "f.cds"
@@ -166,6 +186,11 @@ class TestSolve:
         code, _, err = run_cli(capsys, "solve", p3_file, "--given-ds")
         assert code == 2
         assert "designated-ds" in err
+
+    def test_given_ds_malformed_id_exit_2(self, p3_file, capsys):
+        code, _, err = run_cli(capsys, "solve", p3_file, "--given-ds", "0 x")
+        assert code == 2
+        assert "malformed node id 'x'" in err
 
     def test_oracle_section(self, fig1_file, capsys):
         code, out, _ = run_cli(capsys, "solve", fig1_file, "--oracle")
@@ -238,6 +263,13 @@ class TestVerifyCmd:
         code, _, err = run_cli(capsys, "verify", p3_file, str(sol))
         assert code == 2
         assert "out of range" in err
+
+    def test_malformed_id_exit_2(self, p3_file, tmp_path, capsys):
+        sol = tmp_path / "sol.txt"
+        sol.write_text("0 1.5 2\n")
+        code, _, err = run_cli(capsys, "verify", p3_file, str(sol))
+        assert code == 2
+        assert "malformed node id '1.5'" in err
 
 
 class TestBench:
@@ -377,6 +409,11 @@ class TestBench:
             ({"kind": "random", "n": 7, "p": 0.4, "seeds": {"count": 0}}, "entry 0 seeds: field 'count' must be >= 1, got 0"),
             ({"kind": "random", "n": 7, "p": 0.4, "seeds": {"count": -3}}, "entry 0 seeds: field 'count' must be >= 1, got -3"),
             ({"kind": "random", "n": 7, "p": 0.4, "m": []}, "entry 0: field 'm' must not be empty"),
+            ({"kind": "random", "n": 6, "p": 0.5, "seed": 5}, "entry 0: unknown field 'seed'"),
+            ({"kind": "random", "n": 6, "p": 0.5, "costlo": 1.0}, "entry 0: unknown field 'costlo'"),
+            ({"kind": "random", "n": 6, "p": 0.5, "side": 2.0}, "entry 0: unknown field 'side'"),
+            ({"kind": "random", "n": 6, "p": 0.5, "seeds": {"cnt": 5}}, "entry 0 seeds: unknown field 'cnt'"),
+            ({"kind": ["random"], "n": 6, "p": 0.5}, "entry 0: unknown kind ['random']"),
         ],
         ids=[
             "missing-n",
@@ -393,6 +430,11 @@ class TestBench:
             "seed-count-zero",
             "seed-count-negative",
             "m-empty",
+            "seed",
+            "costlo",
+            "side-on-random",
+            "seeds-cnt",
+            "kind-list",
         ],
     )
     def test_bad_entry_field_exit_2(self, tmp_path, capsys, entry, message):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cdsopt.generators
 from cdsopt.components import ComponentIndex
 from cdsopt.generators import _coin_bits, gen_fig1, gen_random_connected, gen_udg
 from cdsopt.graph import (
@@ -221,10 +222,11 @@ class TestUdgGenerator:
         assert a.graph.coords == b.graph.coords
         assert serialize_instance(a) == serialize_instance(b)
 
-    def test_retry_budget_error(self):
+    def test_retry_budget_error(self, monkeypatch):
         # two nodes far apart with a tiny retry budget cannot connect
+        monkeypatch.setattr(cdsopt.generators, "UDG_MAX_ATTEMPTS", 3)
         with pytest.raises(InstanceError, match="could not generate connected UDG"):
-            gen_udg(12, 50.0, (1.0, 1.0), seed=0, max_attempts=3)
+            gen_udg(12, 50.0, (1.0, 1.0), seed=0)
 
     def test_validator_passes(self):
         validate_instance(gen_udg(30, 4.0, (0.1, 10.0), seed=1))
