@@ -60,15 +60,15 @@ _CASE_FIELDS = (("oracle", bool, False), ("node_budget", int, DEFAULT_NODE_BUDGE
 
 
 def _convert(value, convert, key: str, where: str):
-    """``convert(value)``; only a bool field takes a JSON boolean, and an int
-    field takes no fractional number."""
+    """``convert(value)``; a bool field takes only a JSON boolean, a number
+    field only a JSON number that fits, and an int field no fractional one."""
     try:
-        if isinstance(value, bool) != (convert is bool):
+        if isinstance(value, bool) != (convert is bool) or not isinstance(value, (int, float)):
             raise TypeError
         if convert is int and isinstance(value, float) and not value.is_integer():
             raise ValueError
         return convert(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{where}: field {key!r} must be {convert.__name__}, got {value!r}") from None
 
 

@@ -85,15 +85,15 @@ def best_star_at(idx: ComponentIndex, graph: WeightedGraph, u: int) -> StarCandi
     optimum over all leaf subsets.
     """
     cost = graph.cost
-    label = idx.label
     reach = idx.reach
-    if label[u] >= 0:
+    if idx.label[u] >= 0:
         raise ValueError(f"node {u} already in the indexed set")
     shift = graph.key_shift
     center_neighbors = reach[u]
     eligible: list[tuple[float, int, int]] = []
     for v in graph.adjacency[u]:
-        if label[v] < 0 and len(reach[v]) == 1:
+        # a member's reach entry is empty, so this also skips members
+        if len(reach[v]) == 1:
             (comp,) = reach[v]
             eligible.append((cost[v], v, comp))
     eligible.sort()

@@ -38,7 +38,9 @@ class GreedyTrace:
 class DeficitState:
     """Incremental residual-domination bookkeeping for a growing node set.
 
-    Tracks per node: membership and the residual demand (deficit).
+    Tracks per node: membership and the residual demand (deficit).  A
+    member's deficit is 0 and deficits only fall, so a node with positive
+    deficit is outside the set: the neighbor loops test the deficit alone.
     """
 
     def __init__(self, inst: Instance):
@@ -54,7 +56,7 @@ class DeficitState:
         self.deficit[u] = 0
         self.in_set[u] = True
         for v in self.inst.graph.adjacency[u]:
-            if not self.in_set[v] and self.deficit[v] > 0:
+            if self.deficit[v] > 0:
                 self.deficit[v] -= 1
 
 
@@ -68,7 +70,7 @@ def coverage_gain(state: DeficitState, u: int) -> int:
         raise ValueError(f"node {u} already in the set")
     gain = state.deficit[u]
     for v in state.inst.graph.adjacency[u]:
-        if not state.in_set[v] and state.deficit[v] > 0:
+        if state.deficit[v] > 0:
             gain += 1
     return gain
 

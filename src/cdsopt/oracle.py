@@ -3,13 +3,15 @@
 The search decides nodes in id order (include branch first) and prunes on
 accumulated cost against the incumbent and on domination feasibility: a
 branch dies as soon as some excluded node can no longer collect m dominators
-from the chosen and still-undecided nodes.  Deciding a node IN leaves each
-neighbor's count of chosen plus undecided neighbors unchanged; only deciding
-a node OUT lowers it, and that decision checks the node itself and every OUT
-neighbor.  So at a leaf, where nothing is undecided, every OUT node already
-has m chosen neighbors and the chosen set is non-empty: only connectivity is
-left to check there.  Intended for desk-scale instances; the node budget
-guards against accidental exponential blowups.
+from the chosen and still-undecided nodes.  The search keeps one count per
+node, its chosen plus undecided neighbors.  Deciding a node IN leaves every
+such count unchanged, so the IN branch does no bookkeeping; only deciding a
+node OUT lowers its neighbors' counts, and that decision checks the node
+itself and every OUT neighbor.  So at a leaf, where nothing is undecided,
+every OUT node already has m chosen neighbors and the chosen set is
+non-empty: only connectivity is left to check there.  Intended for
+desk-scale instances; the node budget guards against accidental exponential
+blowups.
 """
 
 from __future__ import annotations
@@ -75,11 +77,8 @@ def _exact_search(inst: Instance, node_budget: int, require_connected: bool) -> 
 
     UNDECIDED, IN, OUT = 0, 1, 2
     status = [UNDECIDED] * n
-    chosen_nbrs = [0] * n
-    undecided_nbrs = [g.degree(u) for u in range(n)]
-
-    def feasible_out(u: int) -> bool:
-        return chosen_nbrs[u] + undecided_nbrs[u] >= m
+    # each node's chosen plus undecided neighbors
+    avail = [g.degree(u) for u in range(n)]
 
     def rec(i: int, cost_so_far: float) -> None:
         nonlocal best_cost, best_set, explored
@@ -96,24 +95,15 @@ def _exact_search(inst: Instance, node_budget: int, require_connected: bool) -> 
             return
 
         status[i] = IN
-        for w in adj[i]:
-            undecided_nbrs[w] -= 1
-            chosen_nbrs[w] += 1
         rec(i + 1, cost_so_far + cost[i])
-        for w in adj[i]:
-            undecided_nbrs[w] += 1
-            chosen_nbrs[w] -= 1
 
         status[i] = OUT
         for w in adj[i]:
-            undecided_nbrs[w] -= 1
-        viable = feasible_out(i) and all(
-            feasible_out(w) for w in adj[i] if status[w] == OUT
-        )
-        if viable:
+            avail[w] -= 1
+        if avail[i] >= m and all(avail[w] >= m for w in adj[i] if status[w] == OUT):
             rec(i + 1, cost_so_far)
         for w in adj[i]:
-            undecided_nbrs[w] += 1
+            avail[w] += 1
         status[i] = UNDECIDED
 
     try:

@@ -414,6 +414,10 @@ class TestBench:
             ({"kind": "random", "n": 6, "p": 0.5, "side": 2.0}, "entry 0: unknown field 'side'"),
             ({"kind": "random", "n": 6, "p": 0.5, "seeds": {"cnt": 5}}, "entry 0 seeds: unknown field 'cnt'"),
             ({"kind": ["random"], "n": 6, "p": 0.5}, "entry 0: unknown kind ['random']"),
+            ({"kind": "random", "n": "6", "p": 0.5}, "entry 0: field 'n' must be int, got '6'"),
+            ({"kind": "random", "n": 6, "p": "0.5"}, "entry 0: field 'p' must be float, got '0.5'"),
+            ({"kind": "random", "n": 6, "p": 0.5, "seeds": {"count": "3"}}, "entry 0 seeds: field 'count' must be int, got '3'"),
+            ({"kind": "random", "n": 6, "p": 10**400}, "entry 0: field 'p' must be float, got 1000"),
         ],
         ids=[
             "missing-n",
@@ -435,6 +439,10 @@ class TestBench:
             "side-on-random",
             "seeds-cnt",
             "kind-list",
+            "n-string",
+            "p-string",
+            "seed-count-string",
+            "p-huge-int",
         ],
     )
     def test_bad_entry_field_exit_2(self, tmp_path, capsys, entry, message):

@@ -19,18 +19,18 @@ from cdsopt.solver import solve, solve_report_dict
 COST_RANGE = (0.1, 10.0)
 
 
-def _udg(n, side, seed):
-    return lambda: solve(gen_udg(n, side, COST_RANGE, seed))
+def _udg(n, side, seed, with_oracle=False):
+    return lambda: solve(gen_udg(n, side, COST_RANGE, seed), with_oracle=with_oracle)
 
 
-def _random(n, seed):
-    return lambda: solve(gen_random_connected(n, 3.0 / n, COST_RANGE, seed, m=2))
+def _random(n, seed, with_oracle=False):
+    return lambda: solve(gen_random_connected(n, 3.0 / n, COST_RANGE, seed, m=2), with_oracle=with_oracle)
 
 
-def _fig1(d, connector):
+def _fig1(d, connector, with_oracle=False):
     def run():
         inst, designated = gen_fig1(d, 0.01)
-        return solve(inst, given_ds=sorted(designated), connector=connector)
+        return solve(inst, given_ds=sorted(designated), connector=connector, with_oracle=with_oracle)
 
     return run
 
@@ -51,11 +51,21 @@ CASES = {
     "random-n200-m2-s2": (_random(200, 2),
         "06fe5bc374fd8494b73d3b7d1345126914ed961e67794576ac47e0f2a5ed9958",
     ),
+    "udg-n12-s1-oracle": (_udg(12, 2.2, 1, with_oracle=True),
+        "509de7906387a4f8e06132007d94993c6d556bf8eb67c07d8b08b5c5b734cce5",
+    ),
+    "random-n14-m2-s1-oracle": (_random(14, 1, with_oracle=True),
+        "b49eb9adf9016339e8303b04114d97ba2b8e7eb1f38f50d63633931aa8feb738",
+    ),
     "fig1-d30-star": (_fig1(30, "star"),
         "f8f63fc0996e539771675aefb84ee887dfd423cdfea520e184221fb45d74239d",
     ),
     "fig1-d30-pairwise": (_fig1(30, "pairwise"),
         "35eed0c47da5d9bacf3d1ce48d7292e2151018dc22b29562537e222aeb85dbc7",
+    ),
+    # the ladder has equal-cost optima, so the oracle block's sets follow the search order
+    "fig1-d4-star-oracle": (_fig1(4, "star", with_oracle=True),
+        "545e75c193b748c572e65a103903469e692266d8d46a19cc1ca8bb8eed37c70b",
     ),
 }
 

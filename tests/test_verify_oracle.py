@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from cdsopt.generators import gen_fig1, gen_random_connected
+from cdsopt.generators import gen_fig1, gen_random_connected, gen_udg
 from cdsopt.oracle import (
     OracleBudgetError,
     exact_minimum_cds,
@@ -131,6 +131,42 @@ class TestExactSearch:
                 assert report.is_m_ds
                 assert report.is_connected or not require_connected
                 assert report.cost == result.opt_cost
+
+    @pytest.mark.parametrize(
+        "make, cds, mds",
+        [
+            (
+                lambda: gen_random_connected(24, 0.1, (0.1, 10.0), 1),
+                ((7, 10, 17, 20, 21), 26.032747969491474, 262027),
+                ((2, 3, 9, 12, 13, 14, 16, 20), 20.922334582351855, 43688),
+            ),
+            (
+                lambda: gen_random_connected(18, 0.25, (0.1, 10.0), 2, m=2),
+                ((3, 4, 5, 6, 10, 12), 14.58035085526122, 6897),
+                ((1, 2, 5, 6, 8, 12), 13.463731623030874, 2334),
+            ),
+            (
+                lambda: gen_udg(18, 2.8, (0.1, 10.0), 1),
+                ((1, 2, 7, 13, 15), 28.114367430676126, 10058),
+                ((6, 7, 11, 13), 15.705377344260077, 2217),
+            ),
+            (
+                # unit costs tie many partial sets with the incumbent
+                lambda: gen_random_connected(20, 0.2, (1.0, 1.0), 3),
+                ((3, 6, 8, 10), 4.0, 11379),
+                ((0, 3, 6, 8), 4.0, 4622),
+            ),
+        ],
+        ids=["random-n24-p0.1-s1", "random-n18-m2-s2", "udg-n18-s1", "random-n20-unit-cost-s3"],
+    )
+    def test_search_size_pinned(self, make, cds, mds):
+        """Pins the search, not only the optimum: a change to the branching
+        order or a prune moves these node counts even where the cost holds."""
+        inst = make()
+        n = inst.graph.node_count
+        for search, expected in ((exact_minimum_cds, cds), (exact_minimum_mds, mds)):
+            result = search(inst, node_budget=n)
+            assert (result.opt_set, result.opt_cost, result.nodes_explored) == expected
 
     def test_budget_guard(self):
         inst = gen_random_connected(17, 0.3, (1.0, 2.0), seed=0)
