@@ -17,6 +17,7 @@ from .graph import (
     InstanceError,
     WeightedGraph,
     components,
+    edge_adjacency,
     unit_disk_edges,
     validate_fold,
 )
@@ -127,16 +128,12 @@ def gen_udg(
     rng = random.Random(seed)
     for _ in range(UDG_MAX_ATTEMPTS):
         pts = [(rng.uniform(0.0, side), rng.uniform(0.0, side)) for _ in range(n)]
-        edges = unit_disk_edges(pts)
-        nbrs: list[list[int]] = [[] for _ in range(n)]
-        for i, j in edges:
-            nbrs[i].append(j)
-            nbrs[j].append(i)
+        adjacency = edge_adjacency(n, unit_disk_edges(pts))
         # connectivity is tested before the costs are drawn, so a rejected
         # point set consumes no cost draws
-        if len(components(nbrs)) == 1:
+        if len(components(adjacency)) == 1:
             costs = [rng.uniform(lo, hi) for _ in range(n)]
-            graph = WeightedGraph.from_edges(n, edges, costs, coords=pts)
+            graph = WeightedGraph.from_unit_disk(adjacency, costs, pts)
             return Instance(graph=graph, m=m, label=f"udg-n{n}-side{side:g}-m{m}-s{seed}")
     raise InstanceError(f"could not generate connected UDG after {UDG_MAX_ATTEMPTS} attempts")
 

@@ -13,16 +13,28 @@ parse; all other comments are ignored.  Canonical serialization sorts edges
 lexicographically and prints floats with 17 significant digits, so parse and
 serialize round-trip exactly.
 
-Each graph invariant has one owner.  ``from_edges`` rejects duplicate and
-out-of-range edges.  ``validate_graph`` checks the node count, loops, the
-cost values (finite and positive), connectivity through ``components`` and,
-on unit-disk instances, that the coordinates are finite and the edge set
+``edge_adjacency`` turns an edge list into sorted neighbour tuples and
+rejects out-of-range endpoints, loops and duplicate edges.
+``validate_graph`` checks every invariant of a built graph: the node count,
+that each
+neighbour tuple is strictly increasing, in range and loop-free, symmetry,
+the cost values (finite and positive), finite coordinates, connectivity
+through ``components`` and, on unit-disk instances, that the edge set
 equals ``unit_disk_edges``, the one place the distance rule is written.
+Construction and validation take time linear in the nodes plus the edges
+(plus one sort of an unsorted edge list), whatever the degrees.
 ``unit_disk_edges`` buckets the points into a grid of unit cells and applies
 the rule only to pairs of nearby cells, a proven superset of the edges, so
 it runs in time linear in the points plus the compared pairs.
-``parse_instance`` checks the text's shape and leaves every graph invariant
-to ``from_edges``.
+
+Who answers for the unit-disk rule depends on where the coordinates come
+from.  ``gen_udg`` builds its adjacency from ``unit_disk_edges`` of its own
+points and tests it with ``components`` before it draws the costs, so the
+rule and connectivity hold by construction and it builds through
+``WeightedGraph.from_unit_disk``, which runs every other check.
+``parse_instance``, and ``from_edges`` with caller-supplied coordinates,
+check the rule in full.  ``parse_instance`` checks the text's shape and
+leaves every graph invariant to ``from_edges``.
 """
 
 from __future__ import annotations
@@ -32,6 +44,7 @@ from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from operator import eq, itemgetter, lt
 
 
 class InstanceError(ValueError):
@@ -82,24 +95,37 @@ class WeightedGraph:
         coords: list[tuple[float, float]] | None = None,
     ) -> "WeightedGraph":
         """Build and fully validate a graph from an edge list."""
-        neighbors: list[set[int]] = [set() for _ in range(node_count)]
-        for u, v in edges:
-            if not (0 <= u < node_count and 0 <= v < node_count):
-                raise InstanceError(f"edge endpoint out of range: {u} {v}")
-            if v in neighbors[u]:
-                raise InstanceError(f"duplicate edge {min(u, v)} {max(u, v)}")
-            neighbors[u].add(v)
-            neighbors[v].add(u)
-        adjacency = tuple(tuple(sorted(s)) for s in neighbors)
-        del neighbors  # not kept alive while validate_graph runs
-        graph = cls(
-            node_count=node_count,
-            adjacency=adjacency,
-            cost=tuple(float(c) for c in costs),
-            coords=tuple((float(x), float(y)) for x, y in coords) if coords is not None else None,
-        )
+        graph = cls._unchecked(node_count, edge_adjacency(node_count, edges), costs, coords)
         validate_graph(graph)
         return graph
+
+    @classmethod
+    def from_unit_disk(
+        cls,
+        adjacency: tuple[tuple[int, ...], ...],
+        costs: list[float] | tuple[float, ...],
+        coords: list[tuple[float, float]],
+    ) -> "WeightedGraph":
+        """Build a unit-disk graph from its points' own edges, known to be connected.
+
+        ``adjacency`` must be ``edge_adjacency(len(coords),
+        unit_disk_edges(coords))`` and connected, as ``gen_udg`` establishes
+        before it draws the costs.  Both facts hold by construction, so of
+        ``validate_graph``'s checks this runs every one but connectivity and
+        the unit-disk rule.
+        """
+        graph = cls._unchecked(len(coords), adjacency, costs, coords)
+        _validate_fields(graph)
+        return graph
+
+    @classmethod
+    def _unchecked(cls, node_count, adjacency, costs, coords) -> "WeightedGraph":
+        return cls(
+            node_count=node_count,
+            adjacency=adjacency,
+            cost=tuple(map(float, costs)),
+            coords=tuple((float(x), float(y)) for x, y in coords) if coords is not None else None,
+        )
 
     @cached_property
     def key_shift(self) -> int:
@@ -215,8 +241,42 @@ def unit_disk_edges(coords) -> list[tuple[int, int]]:
     return edges
 
 
-def validate_graph(graph: WeightedGraph) -> None:
-    """Check every WeightedGraph invariant, raising InstanceError on the first failure."""
+def edge_adjacency(node_count: int, edges) -> tuple[tuple[int, ...], ...]:
+    """Sorted neighbour tuples of an edge list, rejecting bad edges.
+
+    Each edge is normalised to (min, max) and the list sorted, which is
+    linear on the already-sorted lists of ``parse_instance`` and
+    ``unit_disk_edges``.  Appending both ends of each pair in that order
+    keeps every list sorted: node w first receives its smaller neighbours a
+    from the pairs (a, w) in increasing a, then its larger ones from the
+    pairs (w, b) in increasing b.  Out-of-range endpoints (named as given),
+    loops and duplicate edges raise InstanceError.
+    """
+    pairs = sorted([e if e[0] <= e[1] else (e[1], e[0]) for e in edges])
+    if pairs and (pairs[0][0] < 0 or max(map(itemgetter(1), pairs)) >= node_count):
+        u, v = next((u, v) for u, v in edges if not (0 <= u < node_count and 0 <= v < node_count))
+        raise InstanceError(f"edge endpoint out of range: {u} {v}")
+    neighbors: list[list[int]] = [[] for _ in range(node_count)]
+    previous = None
+    for pair in pairs:
+        if pair == previous:
+            raise InstanceError(f"duplicate edge {pair[0]} {pair[1]}")
+        u, v = previous = pair
+        if u == v:
+            raise InstanceError(f"loop edge {u} {u}")
+        neighbors[u].append(v)
+        neighbors[v].append(u)
+    return tuple(map(tuple, neighbors))
+
+
+def _validate_fields(graph: WeightedGraph) -> None:
+    """Every ``validate_graph`` check but connectivity and the unit-disk rule.
+
+    One pass checks that each neighbour tuple is strictly increasing, in
+    range and free of its own node, and lists each node u under each of its
+    neighbours v.  Those lists come out sorted, so the adjacency is
+    symmetric iff they equal it.
+    """
     n = graph.node_count
     if n < 1:
         raise InstanceError("node count must be >= 1")
@@ -224,30 +284,42 @@ def validate_graph(graph: WeightedGraph) -> None:
         raise InstanceError("adjacency size does not match node count")
     if len(graph.cost) != n:
         raise InstanceError("cost vector size does not match node count")
-    for u in range(n):
-        nbrs = graph.adjacency[u]
-        if list(nbrs) != sorted(set(nbrs)):
+    mirror: list[list[int]] = [[] for _ in range(n)]
+    for u, nbrs in enumerate(graph.adjacency):
+        if not all(map(lt, nbrs, nbrs[1:])):
             raise InstanceError(f"adjacency of node {u} not sorted/duplicate-free")
+        if nbrs and not (0 <= nbrs[0] and nbrs[-1] < n):
+            v = next(v for v in nbrs if not 0 <= v < n)
+            raise InstanceError(f"edge endpoint out of range: {u} {v}")
+        if u in nbrs:
+            raise InstanceError(f"loop edge {u} {u}")
         for v in nbrs:
-            if v == u:
-                raise InstanceError(f"loop edge {u} {u}")
-            if not 0 <= v < n:
-                raise InstanceError(f"edge endpoint out of range: {u} {v}")
-            if u not in graph.adjacency[v]:
-                raise InstanceError(f"adjacency not symmetric at edge {u} {v}")
+            mirror[v].append(u)
+    if not all(map(eq, map(tuple, mirror), graph.adjacency)):
+        # name the first half-edge u -> v, in node and neighbour order, without v -> u
+        for u, (nbrs, back) in enumerate(zip(graph.adjacency, mirror)):
+            missing = set(nbrs).difference(back)
+            if missing:
+                raise InstanceError(f"adjacency not symmetric at edge {u} {min(missing)}")
     for u, c in enumerate(graph.cost):
         if not math.isfinite(c):
             raise InstanceError(f"malformed cost at node {u}")
         if c <= 0:
             raise InstanceError(f"non-positive cost at node {u}")
-    if len(components(graph.adjacency)) != 1:
-        raise InstanceError("disconnected graph")
     if graph.coords is not None:
         if len(graph.coords) != n:
             raise InstanceError("coords size does not match node count")
         for u, (x, y) in enumerate(graph.coords):
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise InstanceError(f"malformed coordinate at node {u}")
+
+
+def validate_graph(graph: WeightedGraph) -> None:
+    """Check every WeightedGraph invariant, raising InstanceError on the first failure."""
+    _validate_fields(graph)
+    if len(components(graph.adjacency)) != 1:
+        raise InstanceError("disconnected graph")
+    if graph.coords is not None:
         expected, actual = unit_disk_edges(graph.coords), graph.edges()
         if expected != actual:
             i, j = min(set(expected) ^ set(actual))

@@ -3,7 +3,10 @@
 The greedy's tie-breaking is part of its contract, so an optimisation must
 leave these reports unchanged to the byte.  Each case pins the sha256 of
 ``json.dumps(solve_report_dict(result, include_timings=False), indent=2)``
-plus a newline, the text ``cds-opt solve --no-timing`` prints.  A digest may
+plus a newline, the text ``cds-opt solve --no-timing`` prints.  The
+instance shapes the benchmark generates are pinned the same way, by the
+sha256 of their ``serialize_instance`` text, so a change to how graphs are
+built or checked shows directly if it alters any generated corpus.  A digest may
 change only with a change that is meant to change outputs, and that change
 must say which outputs moved and why.
 """
@@ -14,6 +17,7 @@ import json
 import pytest
 
 from cdsopt.generators import gen_fig1, gen_random_connected, gen_udg
+from cdsopt.graph import serialize_instance
 from cdsopt.solver import solve, solve_report_dict
 
 COST_RANGE = (0.1, 10.0)
@@ -74,4 +78,27 @@ CASES = {
 def test_no_timing_report_digest(name):
     run, digest = CASES[name]
     text = json.dumps(solve_report_dict(run(), include_timings=False), indent=2) + "\n"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+CORPORA = {
+    "udg-n800-side10-s1000": (lambda: gen_udg(800, 10.0, COST_RANGE, 1000),
+        "322a577e708d2e1ac4950a81b18a8fff5a8d5e4578ed13ab96472407b4b71f26",
+    ),
+    "udg-n18-side2.8-s0": (lambda: gen_udg(18, 2.8, COST_RANGE, 0),
+        "992872229fdfe0e833c1ffc870cd2976ef39fc4e13686d87275d9bfb96d6ae74",
+    ),
+    "random-n2000-m4-s1000": (lambda: gen_random_connected(2000, 3 / 2000, COST_RANGE, 1000, m=4),
+        "020a1354d0dd512ab54ff736cd56073343425ae0e372dc39b0e561476bf96c4f",
+    ),
+    "fig1-d401": (lambda: gen_fig1(401, 0.01)[0],
+        "424967e83e80267ee9a7788d7b3ec0358e7899f9b29986e2a94b1b6924ce3869",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORPORA))
+def test_generated_instance_digest(name):
+    generate, digest = CORPORA[name]
+    text = serialize_instance(generate())
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest

@@ -2,12 +2,16 @@
 
 import math
 import random
+import re
+import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cdsopt.generators
+import cdsopt.graph
 from cdsopt.components import ComponentIndex
 from cdsopt.generators import _coin_bits, gen_fig1, gen_random_connected, gen_udg
 from cdsopt.graph import (
@@ -370,8 +374,116 @@ class TestValidate:
 
     @pytest.mark.parametrize(
         "n,edges,fragment",
-        [(3, [(0, 1), (1, 1), (1, 2)], "loop edge 1 1"), (0, [], "node count must be >= 1")],
+        [
+            (3, [(0, 1), (1, 1), (1, 2)], "loop edge 1 1"),
+            (0, [], "node count must be >= 1"),
+            # unsorted input: the repeated pair is named smaller end first
+            (4, [(2, 3), (1, 2), (0, 1), (2, 1)], "duplicate edge 1 2"),
+            (3, [(1, 2), (0, 1), (1, 0)], "duplicate edge 0 1"),
+            # an out-of-range endpoint is named in the order the edge was given
+            (3, [(0, 1), (3, 1)], "edge endpoint out of range: 3 1"),
+            (3, [(1, 2), (0, -1)], "edge endpoint out of range: 0 -1"),
+        ],
     )
     def test_from_edges_rejects(self, n, edges, fragment):
-        with pytest.raises(InstanceError, match=fragment):
+        with pytest.raises(InstanceError, match=f"^{fragment}$"):
             WeightedGraph.from_edges(n, edges, [1.0] * n)
+
+    @pytest.mark.parametrize(
+        "adjacency,message",
+        [
+            (((1,), (2, 0), (1,)), "adjacency of node 1 not sorted/duplicate-free"),
+            (((1,), (0, 2, 2), (1,)), "adjacency of node 1 not sorted/duplicate-free"),
+            (((1,), (0, 1, 2), (1,)), "loop edge 1 1"),
+            (((1,), (0, 3), (1,)), "edge endpoint out of range: 1 3"),
+            (((-1, 1), (0, 2), (1,)), "edge endpoint out of range: 0 -1"),
+            # the first half-edge u -> v, in node and neighbour order, without v -> u
+            (((1,), (0,), (1,)), "adjacency not symmetric at edge 2 1"),
+            (((1, 2), (0, 2), (1,)), "adjacency not symmetric at edge 0 2"),
+            (((1, 3), (0, 2, 3), (1,), (1,)), "adjacency not symmetric at edge 0 3"),
+            (((1,), (0, 2), (1,), (), (1,)), "adjacency not symmetric at edge 4 1"),
+        ],
+    )
+    def test_validate_graph_names_the_fault(self, adjacency, message):
+        n = len(adjacency)
+        graph = WeightedGraph(node_count=n, adjacency=adjacency, cost=(1.0,) * n)
+        with pytest.raises(InstanceError, match=f"^{message}$"):
+            validate_graph(graph)
+
+    def test_from_unit_disk_runs_the_other_checks(self):
+        pts = [(0.0, 0.0), (0.5, 0.0)]
+        adjacency = ((1,), (0,))
+        assert WeightedGraph.from_unit_disk(adjacency, [1.0, 2.0], pts).edges() == [(0, 1)]
+        with pytest.raises(InstanceError, match="^non-positive cost at node 1$"):
+            WeightedGraph.from_unit_disk(adjacency, [1.0, 0.0], pts)
+        with pytest.raises(InstanceError, match="^adjacency not symmetric at edge 0 1$"):
+            WeightedGraph.from_unit_disk(((1,), ()), [1.0, 1.0], pts)
+        with pytest.raises(InstanceError, match="^malformed coordinate at node 1$"):
+            WeightedGraph.from_unit_disk(adjacency, [1.0, 1.0], [(0.0, 0.0), (math.nan, 0.0)])
+
+
+class TestUnitDiskChecksRunOnce:
+    """``gen_udg`` derives its edges from its own points, so it computes
+    ``unit_disk_edges`` and ``components`` once per drawn point set, while
+    parsed coordinates still get the full rule check."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = Counter()
+        for name in ("unit_disk_edges", "components"):
+            original = getattr(cdsopt.graph, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(cdsopt.graph, name, counted)
+            monkeypatch.setattr(cdsopt.generators, name, counted)
+        return counts
+
+    @pytest.mark.parametrize("n,side,seed,attempts", [(20, 2.0, 0, 1), (30, 4.0, 1, 4), (12, 4.0, 3, 32)])
+    def test_gen_udg_once_per_attempt(self, calls, monkeypatch, n, side, seed, attempts):
+        inst = gen_udg(n, side, (0.1, 10.0), seed=seed)
+        assert (calls["unit_disk_edges"], calls["components"]) == (attempts, attempts)
+        assert inst.graph.edges() == reference_unit_disk_edges(inst.graph.coords)
+        # the seed needs exactly that many point sets: one fewer is not enough
+        monkeypatch.setattr(cdsopt.generators, "UDG_MAX_ATTEMPTS", attempts - 1)
+        calls.clear()
+        with pytest.raises(InstanceError, match="could not generate connected UDG"):
+            gen_udg(n, side, (0.1, 10.0), seed=seed)
+        assert (calls["unit_disk_edges"], calls["components"]) == (attempts - 1, attempts - 1)
+
+    def test_parse_checks_the_rule_once(self, calls):
+        text = serialize_instance(gen_udg(30, 4.0, (0.1, 10.0), seed=1))
+        calls.clear()
+        parse_instance(text)
+        assert (calls["unit_disk_edges"], calls["components"]) == (1, 1)
+
+    @pytest.mark.parametrize(
+        "text,pair",
+        [
+            ("cds 4 3 1\n1 1 1 1\ncoords\n0 0\n0.5 0\n1 0\n5 0\n0 1\n1 2\n2 3\n", "(0, 2)"),
+            ("cds 2 1 1\n1 1\ncoords\n0 0\n1e200 0\n0 1\n", "(0, 1)"),
+        ],
+    )
+    def test_parse_still_rejects(self, calls, text, pair):
+        with pytest.raises(InstanceError, match=re.escape(f"coords violate the unit-disk edge rule at pair {pair}")):
+            parse_instance(text)
+        assert (calls["unit_disk_edges"], calls["components"]) == (1, 1)
+
+
+class TestLinearBuild:
+    """A star puts every edge on one node, so a build or check that scans a
+    neighbour tuple per half-edge is quadratic in it."""
+
+    def test_star_100k(self):
+        n = 100_000
+        edges = [(0, v) for v in range(1, n)]
+        text = "cds {} {} 1\n{}\n{}\n".format(n, n - 1, " ".join(["1"] * n), "\n".join(f"{u} {v}" for u, v in edges))
+        start = time.perf_counter()
+        built = WeightedGraph.from_edges(n, edges, [1.0] * n)
+        parsed = parse_instance(text).graph
+        elapsed = time.perf_counter() - start
+        assert built.degree(0) == parsed.degree(0) == n - 1
+        assert built.adjacency == parsed.adjacency
+        assert elapsed < 15.0, f"building a {n}-node star twice took {elapsed:.1f} s"
