@@ -27,7 +27,7 @@ from .graph import (
     Instance,
     InstanceError,
     WeightedGraph,
-    components,
+    component_labels,
     parse_instance,
     serialize_instance,
     validate_graph,
@@ -65,8 +65,8 @@ __all__ = [
     "VerifyReport",
     "WeightedGraph",
     "best_star_at",
+    "component_labels",
     "component_neighbors",
-    "components",
     "coverage_gain",
     "exact_minimum_cds",
     "exact_minimum_mds",

@@ -1,6 +1,7 @@
 """Insertion-only component labels of an induced subgraph, for the connector.
 
-Static connectivity of a fixed set is ``graph.components``.
+Static connectivity of a fixed set is ``graph.component_labels``; its flat
+labels follow the convention of ``ComponentIndex.label``.
 """
 
 from __future__ import annotations

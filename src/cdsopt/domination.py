@@ -23,6 +23,8 @@ from .graph import Instance
 
 @dataclass(frozen=True)
 class GreedyStep:
+    """One phase-1 pick; the field order is the report's step key order."""
+
     node: int
     gain: int
     ratio: float

@@ -16,7 +16,7 @@ from .graph import (
     Instance,
     InstanceError,
     WeightedGraph,
-    components,
+    component_labels,
     edge_adjacency,
     unit_disk_edges,
     validate_fold,
@@ -131,7 +131,7 @@ def gen_udg(
         adjacency = edge_adjacency(n, unit_disk_edges(pts))
         # connectivity is tested before the costs are drawn, so a rejected
         # point set consumes no cost draws
-        if len(components(adjacency)) == 1:
+        if component_labels(adjacency)[1] == 1:
             costs = [rng.uniform(lo, hi) for _ in range(n)]
             graph = WeightedGraph.from_unit_disk(adjacency, costs, pts)
             return Instance(graph=graph, m=m, label=f"udg-n{n}-side{side:g}-m{m}-s{seed}")

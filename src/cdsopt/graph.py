@@ -16,11 +16,12 @@ serialize round-trip exactly.
 ``edge_adjacency`` turns an edge list into sorted neighbour tuples and
 rejects out-of-range endpoints, loops and duplicate edges.
 ``validate_graph`` checks every invariant of a built graph: the node count,
-that each
-neighbour tuple is strictly increasing, in range and loop-free, symmetry,
-the cost values (finite and positive), finite coordinates, connectivity
-through ``components`` and, on unit-disk instances, that the edge set
-equals ``unit_disk_edges``, the one place the distance rule is written.
+that each neighbour tuple is strictly increasing, in range and loop-free,
+symmetry, the cost values (finite and positive), finite coordinates,
+connectivity through ``component_labels`` and, on unit-disk instances, that
+the edge set equals ``unit_disk_edges``, the one place the distance rule is
+written.  ``component_labels`` is the one routine for static connectivity:
+it fills a flat label list by a stack search, so it is linear too.
 Construction and validation take time linear in the nodes plus the edges
 (plus one sort of an unsorted edge list), whatever the degrees.
 ``unit_disk_edges`` buckets the points into a grid of unit cells and applies
@@ -29,8 +30,8 @@ it runs in time linear in the points plus the compared pairs.
 
 Who answers for the unit-disk rule depends on where the coordinates come
 from.  ``gen_udg`` builds its adjacency from ``unit_disk_edges`` of its own
-points and tests it with ``components`` before it draws the costs, so the
-rule and connectivity hold by construction and it builds through
+points and tests it with ``component_labels`` before it draws the costs, so
+the rule and connectivity hold by construction and it builds through
 ``WeightedGraph.from_unit_disk``, which runs every other check.
 ``parse_instance``, and ``from_edges`` with caller-supplied coordinates,
 check the rule in full.  ``parse_instance`` checks the text's shape and
@@ -40,7 +41,6 @@ leaves every graph invariant to ``from_edges``.
 from __future__ import annotations
 
 import math
-from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -157,29 +157,39 @@ class Instance:
     label: str = ""
 
 
-def components(adjacency, members=None) -> list[set[int]]:
-    """Connected components of the subgraph induced by ``members`` (default: all nodes).
+def component_labels(adjacency, members=None) -> tuple[list[int], int]:
+    """Components of the subgraph induced by ``members`` (default: all nodes).
 
-    ``adjacency[u]`` lists the neighbors of node u, so the routine also runs
-    on an edge list's adjacency before any graph is built.
+    Returns ``(label, count)``.  ``label`` is a flat list over all nodes: -1
+    outside the set, otherwise the smallest member of the node's component,
+    the representative convention of ``ComponentIndex.label``.  ``count`` is
+    the number of components.  ``adjacency[u]`` lists the neighbors of node
+    u, so the routine also runs on an edge list's adjacency before any graph
+    is built.
     """
-    member_set = set(range(len(adjacency))) if members is None else set(members)
-    seen: set[int] = set()
-    comps: list[set[int]] = []
-    for start in sorted(member_set):
-        if start in seen:
+    n = len(adjacency)
+    unseen = -2
+    if members is None:
+        label = [unseen] * n
+        starts = range(n)
+    else:
+        label = [-1] * n
+        starts = sorted(members)
+        for u in starts:
+            label[u] = unseen
+    count = 0
+    for start in starts:
+        if label[start] != unseen:
             continue
-        comp = {start}
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in adjacency[u]:
-                if v in member_set and v not in comp:
-                    comp.add(v)
-                    queue.append(v)
-        seen |= comp
-        comps.append(comp)
-    return comps
+        count += 1
+        label[start] = start
+        stack = [start]
+        while stack:
+            for v in adjacency[stack.pop()]:
+                if label[v] == unseen:
+                    label[v] = start
+                    stack.append(v)
+    return label, count
 
 
 # Cell offsets compared with each occupied cell besides itself: the forward
@@ -317,7 +327,7 @@ def _validate_fields(graph: WeightedGraph) -> None:
 def validate_graph(graph: WeightedGraph) -> None:
     """Check every WeightedGraph invariant, raising InstanceError on the first failure."""
     _validate_fields(graph)
-    if len(components(graph.adjacency)) != 1:
+    if component_labels(graph.adjacency)[1] != 1:
         raise InstanceError("disconnected graph")
     if graph.coords is not None:
         expected, actual = unit_disk_edges(graph.coords), graph.edges()

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Instance, components
+from .graph import Instance, component_labels
 
 
 DEFAULT_NODE_BUDGET = 16
@@ -88,7 +88,7 @@ def _exact_search(inst: Instance, node_budget: int, require_connected: bool) -> 
         if i == n:
             # m-fold domination holds here by the invariant in the module docstring
             chosen = [u for u in range(n) if status[u] == IN]
-            if require_connected and len(components(adj, chosen)) != 1:
+            if require_connected and component_labels(adj, chosen)[1] != 1:
                 return
             best_cost = cost_so_far
             best_set = tuple(chosen)
@@ -115,13 +115,15 @@ def _exact_search(inst: Instance, node_budget: int, require_connected: bool) -> 
 
 @dataclass(frozen=True)
 class RatioRecord:
-    """Observed cost ratios against the exact optima, with the matching bounds.
+    """The exact optima, the observed cost ratios against them, and the matching bounds.
 
     The bounds are those of ``proven_bounds``; ``bound_total`` is the sum of
-    the two phase bounds.
+    the two phase bounds.  The field order is the report's ``oracle`` key order.
     """
 
+    opt_set: tuple[int, ...]
     opt_cost: float
+    opt_mds_set: tuple[int, ...]
     opt_mds_cost: float
     ratio_d1: float
     ratio_d2: float
@@ -142,7 +144,9 @@ def ratio_report(
 ) -> RatioRecord:
     bound_d1, bound_d2, udg_bound_d2 = proven_bounds(inst)
     return RatioRecord(
+        opt_set=opt_cds.opt_set,
         opt_cost=opt_cds.opt_cost,
+        opt_mds_set=opt_mds.opt_set,
         opt_mds_cost=opt_mds.opt_cost,
         ratio_d1=cost_d1 / opt_mds.opt_cost,
         ratio_d2=cost_d2 / opt_cds.opt_cost,

@@ -31,8 +31,6 @@ class SolveResult:
     connect_report: ConnectReport
     verify_report: VerifyReport
     ratios: RatioRecord | None
-    opt_set: tuple[int, ...] | None
-    opt_mds_set: tuple[int, ...] | None
     timings: dict[str, float]
 
     @property
@@ -88,15 +86,11 @@ def solve(
     timings["verify_s"] = time.perf_counter() - t0
 
     ratios = None
-    opt_set = None
-    opt_mds_set = None
     if with_oracle:
         t0 = time.perf_counter()
         opt_cds = exact_minimum_cds(inst, node_budget=node_budget)
         opt_mds = exact_minimum_mds(inst, node_budget=node_budget)
         ratios = ratio_report(inst, cost_d1, cost_d2, cost_d1 + cost_d2, opt_cds, opt_mds)
-        opt_set = opt_cds.opt_set
-        opt_mds_set = opt_mds.opt_set
         timings["oracle_s"] = time.perf_counter() - t0
 
     return SolveResult(
@@ -109,24 +103,20 @@ def solve(
         connect_report=connect,
         verify_report=report,
         ratios=ratios,
-        opt_set=opt_set,
-        opt_mds_set=opt_mds_set,
         timings=timings,
     )
 
 
 def verify_report_dict(report: VerifyReport) -> dict:
-    return {
-        "is_m_ds": report.is_m_ds,
-        "is_connected": report.is_connected,
-        "is_cds": report.is_cds,
-        "violations": [[node, reason] for node, reason in report.violations],
-        "cost": report.cost,
-    }
+    return vars(report).copy()
 
 
 def solve_report_dict(result: SolveResult, include_timings: bool = True) -> dict:
-    """JSON-ready report with a stable key order (schema version 1)."""
+    """JSON-ready report with a stable key order, schema ``REPORT_SCHEMA``.
+
+    Steps, the verify block and the oracle block are their records' fields
+    in declaration order.
+    """
     inst = result.instance
     g = inst.graph
     doc = {
@@ -146,15 +136,7 @@ def solve_report_dict(result: SolveResult, include_timings: bool = True) -> dict
         },
         "phase1": {
             "given": result.phase1_trace.given,
-            "steps": [
-                {
-                    "node": s.node,
-                    "gain": s.gain,
-                    "ratio": s.ratio,
-                    "running_cost": s.running_cost,
-                }
-                for s in result.phase1_trace.steps
-            ],
+            "steps": [vars(step).copy() for step in result.phase1_trace.steps],
         },
         "phase2": {
             "method": result.connect_report.method,
@@ -171,23 +153,8 @@ def solve_report_dict(result: SolveResult, include_timings: bool = True) -> dict
             ],
         },
         "verify": verify_report_dict(result.verify_report),
-        "oracle": None,
+        "oracle": None if result.ratios is None else vars(result.ratios).copy(),
     }
-    if result.ratios is not None:
-        r = result.ratios
-        doc["oracle"] = {
-            "opt_set": list(result.opt_set),
-            "opt_cost": r.opt_cost,
-            "opt_mds_set": list(result.opt_mds_set),
-            "opt_mds_cost": r.opt_mds_cost,
-            "ratio_d1": r.ratio_d1,
-            "ratio_d2": r.ratio_d2,
-            "ratio_total": r.ratio_total,
-            "bound_d1": r.bound_d1,
-            "bound_d2": r.bound_d2,
-            "bound_total": r.bound_total,
-            "udg_bound_d2": r.udg_bound_d2,
-        }
     if include_timings:
         doc["timings"] = dict(result.timings)
     return doc

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import Instance, components
+from .graph import Instance, component_labels
 
 
 @dataclass
@@ -13,7 +13,8 @@ class VerifyReport:
 
     ``is_connected`` and ``is_cds`` stay None when only domination was
     checked.  ``violations`` holds (node, reason) pairs; the sentinel node -1
-    marks set-level failures such as an empty solution.
+    marks set-level failures such as an empty solution.  The field order is
+    the report's ``verify`` key order.
     """
 
     is_m_ds: bool
@@ -61,12 +62,13 @@ def verify_cds(inst: Instance, members) -> VerifyReport:
         report.is_connected = False
         report.violations.append((-1, "solution set is empty"))
     else:
-        comps = components(inst.graph.adjacency, member_set)
-        report.is_connected = len(comps) == 1
+        label, count = component_labels(inst.graph.adjacency, member_set)
+        report.is_connected = count == 1
         if not report.is_connected:
-            anchor = min(comps[0])
-            for comp in comps[1:]:
-                for u in sorted(comp):
+            # components by smallest member, ids ascending within each
+            anchor = min(member_set)
+            for u in sorted(member_set, key=lambda u: (label[u], u)):
+                if label[u] != anchor:
                     report.violations.append(
                         (u, f"node {u} disconnected from node {anchor} in the induced subgraph")
                     )

@@ -424,13 +424,13 @@ class TestValidate:
 
 class TestUnitDiskChecksRunOnce:
     """``gen_udg`` derives its edges from its own points, so it computes
-    ``unit_disk_edges`` and ``components`` once per drawn point set, while
+    ``unit_disk_edges`` and ``component_labels`` once per drawn point set, while
     parsed coordinates still get the full rule check."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         counts = Counter()
-        for name in ("unit_disk_edges", "components"):
+        for name in ("unit_disk_edges", "component_labels"):
             original = getattr(cdsopt.graph, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
@@ -444,20 +444,20 @@ class TestUnitDiskChecksRunOnce:
     @pytest.mark.parametrize("n,side,seed,attempts", [(20, 2.0, 0, 1), (30, 4.0, 1, 4), (12, 4.0, 3, 32)])
     def test_gen_udg_once_per_attempt(self, calls, monkeypatch, n, side, seed, attempts):
         inst = gen_udg(n, side, (0.1, 10.0), seed=seed)
-        assert (calls["unit_disk_edges"], calls["components"]) == (attempts, attempts)
+        assert (calls["unit_disk_edges"], calls["component_labels"]) == (attempts, attempts)
         assert inst.graph.edges() == reference_unit_disk_edges(inst.graph.coords)
         # the seed needs exactly that many point sets: one fewer is not enough
         monkeypatch.setattr(cdsopt.generators, "UDG_MAX_ATTEMPTS", attempts - 1)
         calls.clear()
         with pytest.raises(InstanceError, match="could not generate connected UDG"):
             gen_udg(n, side, (0.1, 10.0), seed=seed)
-        assert (calls["unit_disk_edges"], calls["components"]) == (attempts - 1, attempts - 1)
+        assert (calls["unit_disk_edges"], calls["component_labels"]) == (attempts - 1, attempts - 1)
 
     def test_parse_checks_the_rule_once(self, calls):
         text = serialize_instance(gen_udg(30, 4.0, (0.1, 10.0), seed=1))
         calls.clear()
         parse_instance(text)
-        assert (calls["unit_disk_edges"], calls["components"]) == (1, 1)
+        assert (calls["unit_disk_edges"], calls["component_labels"]) == (1, 1)
 
     @pytest.mark.parametrize(
         "text,pair",
@@ -469,7 +469,7 @@ class TestUnitDiskChecksRunOnce:
     def test_parse_still_rejects(self, calls, text, pair):
         with pytest.raises(InstanceError, match=re.escape(f"coords violate the unit-disk edge rule at pair {pair}")):
             parse_instance(text)
-        assert (calls["unit_disk_edges"], calls["components"]) == (1, 1)
+        assert (calls["unit_disk_edges"], calls["component_labels"]) == (1, 1)
 
 
 class TestLinearBuild:

@@ -5,7 +5,9 @@ import random
 
 import pytest
 
+from cdsopt.cli import main
 from cdsopt.generators import gen_fig1, gen_random_connected, gen_udg
+from cdsopt.graph import serialize_instance
 from cdsopt.oracle import (
     OracleBudgetError,
     exact_minimum_cds,
@@ -18,6 +20,7 @@ from helpers import (
     complete_instance,
     cycle_instance,
     exhaustive_minimum,
+    make_instance,
     path_instance,
     star_instance,
 )
@@ -68,6 +71,45 @@ class TestVerify:
     def test_out_of_range_id_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
             verify_cds(path_instance(3), {5})
+
+
+class TestViolationOrder:
+    """Domination failures come first, in node order; then every member
+    outside the first induced component, components taken by their smallest
+    member and ids ascending within each, anchored at the smallest member.
+
+    The solution {0, 5} + {1, 9} + {2, 3} has components whose smallest
+    members interleave with their other ids, and node 10 has no dominator.
+    """
+
+    # 0-5, 1-9 and 2-3 lie inside the solution; 4, 6, 7 and 8 join them
+    EDGES = [(0, 5), (1, 9), (2, 3), (0, 4), (1, 4), (2, 6), (6, 9), (3, 7), (5, 7), (3, 8), (8, 10)]
+    SOLUTION = [9, 3, 5, 0, 2, 1]
+    VIOLATIONS = [
+        (10, "node 10 has 0 < 1 dominators"),
+        (1, "node 1 disconnected from node 0 in the induced subgraph"),
+        (9, "node 9 disconnected from node 0 in the induced subgraph"),
+        (2, "node 2 disconnected from node 0 in the induced subgraph"),
+        (3, "node 3 disconnected from node 0 in the induced subgraph"),
+    ]
+
+    def test_verify_cds_order(self):
+        report = verify_cds(make_instance(11, self.EDGES), self.SOLUTION)
+        assert report.violations == self.VIOLATIONS
+        assert (report.is_m_ds, report.is_connected, report.is_cds, report.cost) == (False, False, False, 6.0)
+
+    def test_cli_verify_bytes(self, tmp_path, capsys):
+        inst_file = tmp_path / "inst.cds"
+        inst_file.write_text(serialize_instance(make_instance(11, self.EDGES)))
+        sol_file = tmp_path / "sol.txt"
+        sol_file.write_text(" ".join(map(str, self.SOLUTION)) + "\n")
+        assert main(["verify", str(inst_file), str(sol_file)]) == 1
+        pairs = ",\n".join(f'    [\n      {u},\n      "{reason}"\n    ]' for u, reason in self.VIOLATIONS)
+        expected = (
+            '{\n  "is_m_ds": false,\n  "is_connected": false,\n  "is_cds": false,\n'
+            f'  "violations": [\n{pairs}\n  ],\n  "cost": 6.0\n}}\n'
+        )
+        assert capsys.readouterr().out == expected
 
 
 class TestExactSearch:
@@ -197,6 +239,7 @@ class TestRatioReport:
         cds = exact_minimum_cds(inst)
         mds = exact_minimum_mds(inst)
         record = ratio_report(inst, mds.opt_cost, 0.0, cds.opt_cost, cds, mds)
+        assert (record.opt_set, record.opt_mds_set) == (cds.opt_set, mds.opt_set)
         assert record.ratio_d1 == 1.0
         assert record.ratio_total == 1.0
         assert record.ratio_d2 == 0.0
