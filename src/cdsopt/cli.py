@@ -14,8 +14,8 @@ import sys
 
 from .bench import load_batch_spec, run_batch, summarize, write_csv
 from .generators import KINDS, generate
-from .graph import Instance, InstanceError, parse_instance, serialize_instance
-from .oracle import DEFAULT_NODE_BUDGET, OracleBudgetError
+from .graph import Instance, parse_instance, serialize_instance
+from .oracle import DEFAULT_NODE_BUDGET
 from .solver import solve, solve_report_dict, verify_report_dict
 from .verify import verify_cds
 
@@ -82,6 +82,15 @@ def _read_instance(path: str) -> tuple[Instance, str]:
     return parse_instance(text), text
 
 
+def _json_text(doc) -> str:
+    """``doc`` as indented JSON, refusing the non-finite numbers JSON cannot hold."""
+    try:
+        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        # costs are finite, so only a sum or ratio past the float range gets here
+        raise ValueError("a cost sum or ratio overflows the float range; no report written") from None
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -131,7 +140,7 @@ def cmd_solve(args) -> int:
         node_budget=args.node_budget,
     )
     doc = solve_report_dict(result, include_timings=not args.no_timing)
-    _emit(json.dumps(doc, indent=2) + "\n", args.out)
+    _emit(_json_text(doc), args.out)
     return 0 if result.verify_report.is_cds else 3
 
 
@@ -150,7 +159,7 @@ def cmd_verify(args) -> int:
     with open(args.solution, "r", encoding="utf-8") as fh:
         ids = _parse_id_list(fh.read())
     report = verify_cds(inst, ids)
-    sys.stdout.write(json.dumps(verify_report_dict(report), indent=2) + "\n")
+    sys.stdout.write(_json_text(verify_report_dict(report)))
     return 0 if report.is_cds else 1
 
 
@@ -160,11 +169,12 @@ def cmd_bench(args) -> int:
     rows = run_batch(cases, threads=args.threads)
     import io
 
+    summary = summarize(rows)
+    summary_text = _json_text(summary)  # before any output, so an overflow writes neither file
     buf = io.StringIO()
     write_csv(rows, buf)
     _emit(buf.getvalue(), args.out_csv)
-    summary = summarize(rows)
-    _emit(json.dumps(summary, indent=2) + "\n", args.out_json)
+    _emit(summary_text, args.out_json)
     return 1 if summary["violations"] else 0
 
 
@@ -179,7 +189,7 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except (InstanceError, OracleBudgetError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,7 +1,9 @@
 """Insertion-only component labels of an induced subgraph, for the connector.
 
-Static connectivity of a fixed set is ``graph.component_labels``; its flat
-labels follow the convention of ``ComponentIndex.label``.
+Static connectivity of a fixed set is ``graph.component_labels``.  Both
+label a member by a member id of its component; only ``component_labels``
+picks the smallest, while ``ComponentIndex`` keeps the label of the largest
+component it merges.
 """
 
 from __future__ import annotations

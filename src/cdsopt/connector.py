@@ -89,7 +89,6 @@ def best_star_at(idx: ComponentIndex, graph: WeightedGraph, u: int) -> StarCandi
     if idx.label[u] >= 0:
         raise ValueError(f"node {u} already in the indexed set")
     shift = graph.key_shift
-    center_neighbors = reach[u]
     eligible: list[tuple[float, int, int]] = []
     for v in graph.adjacency[u]:
         # a member's reach entry is empty, so this also skips members
@@ -97,27 +96,24 @@ def best_star_at(idx: ComponentIndex, graph: WeightedGraph, u: int) -> StarCandi
             (comp,) = reach[v]
             eligible.append((cost[v], v, comp))
     eligible.sort()
+    covered = set(reach[u])
+    gain = len(covered) - 1
+    total = cost[u]
+    best = (ratio_key(gain, total, shift), 0, gain, total) if gain >= 1 else None  # (key, take, gain, total)
     kept: list[int] = []
-    covered = set(center_neighbors)
     for leaf_cost, v, comp in eligible:
         if comp in covered:
             continue
         kept.append(v)
         covered.add(comp)
-
-    # prefixes grow in gain, so on an equal key the later one wins
-    best = None  # (key, take, gain, total)
-    gain = len(center_neighbors) - 1
-    total = cost[u]
-    for take in range(len(kept) + 1):
-        if take > 0:
-            total += cost[kept[take - 1]]
-            gain += 1
+        total += leaf_cost
+        gain += 1
         if gain < 1:
             continue
         key = ratio_key(gain, total, shift)
+        # prefixes grow in gain, so on an equal key the later one wins
         if best is None or key >= best[0]:
-            best = (key, take, gain, total)
+            best = (key, len(kept), gain, total)
     if best is None:
         return None
     _, take, gain, total = best

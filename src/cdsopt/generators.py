@@ -116,6 +116,19 @@ def gen_udg(
 
     Resamples the point set until the graph is connected; raises after
     ``UDG_MAX_ATTEMPTS`` failures.  Coordinates are stored on the instance.
+
+    The graph holds every ``validate_graph`` invariant by construction, so
+    it is built without running that check:
+
+    - ``n >= 1``, the cost range and a finite positive ``side`` are checked
+      up front;
+    - ``edge_adjacency(n, unit_disk_edges(pts))`` returns n sorted,
+      loop-free, symmetric neighbour tuples, which are the unit-disk edges
+      of the stored points;
+    - costs are drawn from [lo, hi] with 0 < lo and hi finite, and points
+      from [0, side], so every cost is finite and positive and every
+      coordinate finite;
+    - connectivity is tested before the costs are drawn.
     """
     lo, hi = cost_range
     if n < 1:
@@ -133,7 +146,7 @@ def gen_udg(
         # point set consumes no cost draws
         if component_labels(adjacency)[1] == 1:
             costs = [rng.uniform(lo, hi) for _ in range(n)]
-            graph = WeightedGraph.from_unit_disk(adjacency, costs, pts)
+            graph = WeightedGraph(node_count=n, adjacency=adjacency, cost=tuple(costs), coords=tuple(pts))
             return Instance(graph=graph, m=m, label=f"udg-n{n}-side{side:g}-m{m}-s{seed}")
     raise InstanceError(f"could not generate connected UDG after {UDG_MAX_ATTEMPTS} attempts")
 

@@ -28,14 +28,9 @@ Construction and validation take time linear in the nodes plus the edges
 the rule only to pairs of nearby cells, a proven superset of the edges, so
 it runs in time linear in the points plus the compared pairs.
 
-Who answers for the unit-disk rule depends on where the coordinates come
-from.  ``gen_udg`` builds its adjacency from ``unit_disk_edges`` of its own
-points and tests it with ``component_labels`` before it draws the costs, so
-the rule and connectivity hold by construction and it builds through
-``WeightedGraph.from_unit_disk``, which runs every other check.
-``parse_instance``, and ``from_edges`` with caller-supplied coordinates,
-check the rule in full.  ``parse_instance`` checks the text's shape and
-leaves every graph invariant to ``from_edges``.
+``from_edges`` validates everything it builds, so ``parse_instance`` checks
+only the text's shape.  ``gen_udg``'s graph holds every invariant by
+construction, so it builds its ``WeightedGraph`` directly.
 """
 
 from __future__ import annotations
@@ -95,37 +90,14 @@ class WeightedGraph:
         coords: list[tuple[float, float]] | None = None,
     ) -> "WeightedGraph":
         """Build and fully validate a graph from an edge list."""
-        graph = cls._unchecked(node_count, edge_adjacency(node_count, edges), costs, coords)
-        validate_graph(graph)
-        return graph
-
-    @classmethod
-    def from_unit_disk(
-        cls,
-        adjacency: tuple[tuple[int, ...], ...],
-        costs: list[float] | tuple[float, ...],
-        coords: list[tuple[float, float]],
-    ) -> "WeightedGraph":
-        """Build a unit-disk graph from its points' own edges, known to be connected.
-
-        ``adjacency`` must be ``edge_adjacency(len(coords),
-        unit_disk_edges(coords))`` and connected, as ``gen_udg`` establishes
-        before it draws the costs.  Both facts hold by construction, so of
-        ``validate_graph``'s checks this runs every one but connectivity and
-        the unit-disk rule.
-        """
-        graph = cls._unchecked(len(coords), adjacency, costs, coords)
-        _validate_fields(graph)
-        return graph
-
-    @classmethod
-    def _unchecked(cls, node_count, adjacency, costs, coords) -> "WeightedGraph":
-        return cls(
+        graph = cls(
             node_count=node_count,
-            adjacency=adjacency,
+            adjacency=edge_adjacency(node_count, edges),
             cost=tuple(map(float, costs)),
             coords=tuple((float(x), float(y)) for x, y in coords) if coords is not None else None,
         )
+        validate_graph(graph)
+        return graph
 
     @cached_property
     def key_shift(self) -> int:
@@ -161,11 +133,11 @@ def component_labels(adjacency, members=None) -> tuple[list[int], int]:
     """Components of the subgraph induced by ``members`` (default: all nodes).
 
     Returns ``(label, count)``.  ``label`` is a flat list over all nodes: -1
-    outside the set, otherwise the smallest member of the node's component,
-    the representative convention of ``ComponentIndex.label``.  ``count`` is
-    the number of components.  ``adjacency[u]`` lists the neighbors of node
-    u, so the routine also runs on an edge list's adjacency before any graph
-    is built.
+    outside the set, otherwise the smallest member of the node's component.
+    ``ComponentIndex.label`` also labels by a member id, but not always the
+    smallest.  ``count`` is the number of components.  ``adjacency[u]``
+    lists the neighbors of node u, so the routine also runs on an edge
+    list's adjacency before any graph is built.
     """
     n = len(adjacency)
     unseen = -2
@@ -279,8 +251,8 @@ def edge_adjacency(node_count: int, edges) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, neighbors))
 
 
-def _validate_fields(graph: WeightedGraph) -> None:
-    """Every ``validate_graph`` check but connectivity and the unit-disk rule.
+def validate_graph(graph: WeightedGraph) -> None:
+    """Check every WeightedGraph invariant, raising InstanceError on the first failure.
 
     One pass checks that each neighbour tuple is strictly increasing, in
     range and free of its own node, and lists each node u under each of its
@@ -322,11 +294,6 @@ def _validate_fields(graph: WeightedGraph) -> None:
         for u, (x, y) in enumerate(graph.coords):
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise InstanceError(f"malformed coordinate at node {u}")
-
-
-def validate_graph(graph: WeightedGraph) -> None:
-    """Check every WeightedGraph invariant, raising InstanceError on the first failure."""
-    _validate_fields(graph)
     if component_labels(graph.adjacency)[1] != 1:
         raise InstanceError("disconnected graph")
     if graph.coords is not None:
@@ -346,15 +313,13 @@ def validate_instance(inst: Instance) -> None:
     validate_graph(inst.graph)
 
 
-def parse_instance(text: str | bytes) -> Instance:
+def parse_instance(text: str) -> Instance:
     """Parse instance text, validating every invariant.
 
     Raises InstanceError with a distinct diagnostic for malformed headers,
     non-positive costs, duplicate/loop edges, disconnected graphs, and
     coordinate blocks that contradict the unit-disk edge rule.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     label = ""
     rows: list[str] = []
     for raw in text.splitlines():

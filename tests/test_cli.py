@@ -13,6 +13,9 @@ from cdsopt.generators import KINDS
 from cdsopt.graph import serialize_instance
 
 P3_TEXT = "cds 3 2 1\n1 1 1\n0 1\n1 2\n"
+# every cost is finite, but any two of them sum past the float range
+OVERFLOW_TEXT = "cds 4 3 1\n1.7e308 1.7e308 1.7e308 1.7e308\n0 1\n1 2\n2 3\n"
+OVERFLOW_ERROR = "error: a cost sum or ratio overflows the float range; no report written\n"
 
 
 def run_cli(capsys, *argv):
@@ -25,6 +28,13 @@ def run_cli(capsys, *argv):
 def p3_file(tmp_path):
     path = tmp_path / "p3.cds"
     path.write_text(P3_TEXT)
+    return str(path)
+
+
+@pytest.fixture
+def overflow_file(tmp_path):
+    path = tmp_path / "overflow.cds"
+    path.write_text(OVERFLOW_TEXT)
     return str(path)
 
 
@@ -224,6 +234,12 @@ class TestSolve:
         assert code == 2
         assert "unit-disk edge rule at pair (0, 1)" in err
 
+    def test_cost_overflow_exit_2(self, overflow_file, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert run_cli(capsys, "solve", overflow_file, "--no-timing") == (2, "", OVERFLOW_ERROR)
+        assert run_cli(capsys, "solve", overflow_file, "--out", str(out)) == (2, "", OVERFLOW_ERROR)
+        assert not out.exists()
+
     def test_oracle_too_deep_exit_2(self, tmp_path, capsys):
         n = 1200
         path = tmp_path / "path.cds"
@@ -271,6 +287,11 @@ class TestVerifyCmd:
         assert code == 2
         assert "malformed node id '1.5'" in err
 
+    def test_cost_overflow_exit_2(self, overflow_file, tmp_path, capsys):
+        sol = tmp_path / "sol.txt"
+        sol.write_text("1 2\n")
+        assert run_cli(capsys, "verify", overflow_file, str(sol)) == (2, "", OVERFLOW_ERROR)
+
 
 class TestBench:
     def test_small_batch(self, tmp_path, capsys):
@@ -314,6 +335,17 @@ class TestBench:
         assert summary["rows"] == 8
         assert summary["violations"] == 0
         assert summary["max_ratio_total"] >= 1.0
+
+    def test_ratio_overflow_exit_2(self, tmp_path, capsys):
+        # the algorithm's and the oracle's costs both overflow, so the ratio is inf / inf
+        batch = tmp_path / "batch.json"
+        entry = {"kind": "random", "n": 6, "p": 0.5, "cost_lo": 1e308, "cost_hi": 1.7e308, "oracle": True}
+        batch.write_text(json.dumps({"entries": [entry]}))
+        csv_path, json_path = tmp_path / "rows.csv", tmp_path / "summary.json"
+        argv = ["bench", str(batch), "--out-csv", str(csv_path), "--out-json", str(json_path)]
+        assert run_cli(capsys, *argv) == (2, "", OVERFLOW_ERROR)
+        assert not csv_path.exists() and not json_path.exists()
+        assert run_cli(capsys, "bench", str(batch)) == (2, "", OVERFLOW_ERROR)
 
     def test_empty_batch(self, tmp_path, capsys):
         batch = tmp_path / "batch.json"

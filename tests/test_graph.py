@@ -3,11 +3,12 @@
 import math
 import random
 import re
+import sys
 import time
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cdsopt.generators
@@ -42,9 +43,9 @@ class TestParse:
         assert inst.m == 1
         assert inst.graph.adjacency == ((1,), (0, 2), (1,))
 
-    def test_accepts_bytes_and_comments(self):
+    def test_accepts_comments(self):
         text = "# a comment\n" + P3_TEXT
-        inst = parse_instance(text.encode("utf-8"))
+        inst = parse_instance(text)
         assert inst.graph.node_count == 3
         assert inst.label == ""
 
@@ -202,6 +203,20 @@ class TestRandomGenerator:
             gen_random_connected(5, 0.5, (0.0, 2.0), seed=0)
 
 
+@st.composite
+def udg_shapes(draw):
+    """(n, side) pairs up to sides that often take dozens of point sets to connect."""
+    n = draw(st.integers(1, 60))
+    return n, draw(st.floats(0.1, 0.7 * math.sqrt(n) + 0.5))
+
+
+def cost_ranges():
+    """Cost ranges 0 < lo <= hi < inf, weighted towards lo == hi, the
+    smallest subnormal lo and the largest finite hi."""
+    ends = st.one_of(st.floats(min_value=5e-324, max_value=sys.float_info.max), st.sampled_from([5e-324, sys.float_info.max]))
+    return st.one_of(ends.map(lambda c: (c, c)), st.tuples(ends, ends).map(lambda pair: tuple(sorted(pair))))
+
+
 class TestUdgGenerator:
     def test_two_close_nodes_always_adjacent(self):
         for seed in range(10):
@@ -234,6 +249,16 @@ class TestUdgGenerator:
 
     def test_validator_passes(self):
         validate_instance(gen_udg(30, 4.0, (0.1, 10.0), seed=1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=udg_shapes(), costs=cost_ranges(), seed=st.integers(0, 10**6), m=st.integers(1, 3))
+    # seeds that need 4 and 32 point sets
+    @example(shape=(30, 4.0), costs=(0.1, 10.0), seed=1, m=1)
+    @example(shape=(12, 4.0), costs=(5e-324, 5e-324), seed=3, m=3)
+    def test_valid_by_construction(self, shape, costs, seed, m):
+        # gen_udg skips validate_graph, so its graph must pass the full check
+        n, side = shape
+        validate_instance(gen_udg(n, side, costs, seed, m=m))
 
     @pytest.mark.parametrize("side", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_bad_side(self, side):
@@ -409,17 +434,6 @@ class TestValidate:
         graph = WeightedGraph(node_count=n, adjacency=adjacency, cost=(1.0,) * n)
         with pytest.raises(InstanceError, match=f"^{message}$"):
             validate_graph(graph)
-
-    def test_from_unit_disk_runs_the_other_checks(self):
-        pts = [(0.0, 0.0), (0.5, 0.0)]
-        adjacency = ((1,), (0,))
-        assert WeightedGraph.from_unit_disk(adjacency, [1.0, 2.0], pts).edges() == [(0, 1)]
-        with pytest.raises(InstanceError, match="^non-positive cost at node 1$"):
-            WeightedGraph.from_unit_disk(adjacency, [1.0, 0.0], pts)
-        with pytest.raises(InstanceError, match="^adjacency not symmetric at edge 0 1$"):
-            WeightedGraph.from_unit_disk(((1,), ()), [1.0, 1.0], pts)
-        with pytest.raises(InstanceError, match="^malformed coordinate at node 1$"):
-            WeightedGraph.from_unit_disk(adjacency, [1.0, 1.0], [(0.0, 0.0), (math.nan, 0.0)])
 
 
 class TestUnitDiskChecksRunOnce:
