@@ -11,7 +11,6 @@ from .connector import (
     ConnectReport,
     StarCandidate,
     best_star_at,
-    component_neighbors,
     greedy_connect,
     pairwise_connect,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "WeightedGraph",
     "best_star_at",
     "component_labels",
-    "component_neighbors",
     "coverage_gain",
     "exact_minimum_cds",
     "exact_minimum_mds",

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 
@@ -49,6 +50,10 @@ CSV_COLUMNS = [
 # float slack for bound comparisons: the proven inequalities are exact, the
 # comparison operands are products of floats
 BOUND_EPS = 1e-9
+
+# the error for a non-finite output number: costs are finite, so only a cost
+# sum or ratio past the float range makes one
+OVERFLOW_MESSAGE = "a cost sum or ratio overflows the float range; no report written"
 
 # every case dict is built before any runs, so a batch larger than this is
 # rejected instead of exhausting memory
@@ -204,6 +209,8 @@ def _cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(OVERFLOW_MESSAGE)
         return fmt_float(value)
     return str(value)
 

@@ -4,6 +4,8 @@ Exit codes: 0 success (for verify: solution valid; for bench: no bound
 violations), 1 failed verification / bound violation, 2 bad input
 (malformed instance, out-of-range ids, invalid parameters), 3 internal
 verification failure of a freshly computed solution (a solver bug).
+A cost sum or ratio past the float range exits 2 and writes no report;
+for bench, neither the CSV nor the summary.
 """
 
 from __future__ import annotations
@@ -12,11 +14,11 @@ import argparse
 import json
 import sys
 
-from .bench import load_batch_spec, run_batch, summarize, write_csv
+from .bench import OVERFLOW_MESSAGE, load_batch_spec, run_batch, summarize, write_csv
 from .generators import KINDS, generate
 from .graph import Instance, parse_instance, serialize_instance
 from .oracle import DEFAULT_NODE_BUDGET
-from .solver import solve, solve_report_dict, verify_report_dict
+from .solver import solve, solve_report_dict
 from .verify import verify_cds
 
 EMBEDDED_DS = "@embedded"
@@ -87,8 +89,7 @@ def _json_text(doc) -> str:
     try:
         return json.dumps(doc, indent=2, allow_nan=False) + "\n"
     except ValueError:
-        # costs are finite, so only a sum or ratio past the float range gets here
-        raise ValueError("a cost sum or ratio overflows the float range; no report written") from None
+        raise ValueError(OVERFLOW_MESSAGE) from None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -159,7 +160,7 @@ def cmd_verify(args) -> int:
     with open(args.solution, "r", encoding="utf-8") as fh:
         ids = _parse_id_list(fh.read())
     report = verify_cds(inst, ids)
-    sys.stdout.write(_json_text(verify_report_dict(report)))
+    sys.stdout.write(_json_text(vars(report)))
     return 0 if report.is_cds else 1
 
 
@@ -169,8 +170,9 @@ def cmd_bench(args) -> int:
     rows = run_batch(cases, threads=args.threads)
     import io
 
+    # both outputs are rendered before either is written, so an overflow writes neither file
     summary = summarize(rows)
-    summary_text = _json_text(summary)  # before any output, so an overflow writes neither file
+    summary_text = _json_text(summary)
     buf = io.StringIO()
     write_csv(rows, buf)
     _emit(buf.getvalue(), args.out_csv)

@@ -107,10 +107,6 @@ def solve(
     )
 
 
-def verify_report_dict(report: VerifyReport) -> dict:
-    return vars(report).copy()
-
-
 def solve_report_dict(result: SolveResult, include_timings: bool = True) -> dict:
     """JSON-ready report with a stable key order, schema ``REPORT_SCHEMA``.
 
@@ -152,7 +148,7 @@ def solve_report_dict(result: SolveResult, include_timings: bool = True) -> dict
                 for star in result.connect_report.stars
             ],
         },
-        "verify": verify_report_dict(result.verify_report),
+        "verify": vars(result.verify_report).copy(),
         "oracle": None if result.ratios is None else vars(result.ratios).copy(),
     }
     if include_timings:

@@ -1,28 +1,26 @@
-"""Shared test utilities: small instance builders and independent oracles.
+"""Shared test utilities: small instance builders and independent references.
 
-The oracle implementations here deliberately avoid the library's incremental
-data structures: components come from a plain BFS labeling, star values from
-literal formula evaluation or full per-prefix rebuilds, and optima from
-unpruned subset enumeration, and unit-disk edges from the all-pairs
-distance loop ``reference_unit_disk_edges``, which the grid-bucketed
-``unit_disk_edges`` must reproduce exactly, and seeded random graphs from
-the per-pair coin loop ``reference_gen_random_connected``, which the bulk
-``gen_random_connected`` must reproduce exactly.  The exceptions are the
-full-scan greedy ``reference_greedy_dominating_set`` and the full-rescan
-connectors ``reference_greedy_connect`` and ``reference_pairwise_connect``,
-which the lazy ``greedy_dominating_set`` and the cached ``greedy_connect``
-and ``pairwise_connect`` must reproduce exactly, and ``merge_potential``,
-which evaluates a star on the library's component labels.  The reference
-connectors pick by ``reference_better_candidate``, which keeps a final
-leaf-count tie-break that the library's order leaves out as never deciding.
-They and ``merge_potential`` read components through
-``reference_component_neighbors`` and ``reference_best_star_at``, the label
-scans that re-derive each node's adjacent components from its adjacency and
-never read ``ComponentIndex.reach``, which the library's searches use.  The
-references order candidates by cross-multiplied float products
-(``_better_candidate`` and ``reference_better_candidate``), not by the
-library's exact ``ratio_key``, so the two agree except on ties that only
-rounding decides.
+Each reference recomputes from scratch what the library computes
+incrementally or by a shortcut, and tests compare the two.  The library
+structure each one avoids:
+
+- ``bfs_component_labels``: a plain BFS in place of ``ComponentIndex``;
+- ``coverage_value``: a from-scratch deficit sum in place of ``DeficitState``;
+- ``reference_component_neighbors``: an adjacency label scan in place of ``ComponentIndex.reach``;
+- ``reference_best_star_at``: the same label scans in place of ``ComponentIndex.reach``;
+- ``merge_potential``: per-leaf label scans in place of ``best_star_at``'s prefix scan;
+- ``simulate_star_value``: a BFS per prefix in place of the capped merge recurrence;
+- ``formula_star_value``: the recurrence on BFS labels in place of ``ComponentIndex``;
+- ``brute_force_best_star``: every leaf subset in place of ``best_star_at``'s prefix scan;
+- ``reference_unit_disk_edges``: the all-pairs loop in place of ``unit_disk_edges``'s grid;
+- ``reference_gen_random_connected``: a ``random()`` per pair in place of bulk coins;
+- ``reference_better_candidate``: cross-multiplied float products in place of ``ratio_key``;
+- ``reference_greedy_dominating_set``: a scan per step in place of the lazy cover heap;
+- ``reference_connect``: a rescan per round in place of ``_CandidateHeap`` and ``_stale_centers``;
+- ``exhaustive_minimum``: an unpruned subset scan in place of the oracle's branch and bound.
+
+Ranking by float products, the references agree with the library except on
+ties that only rounding decides.
 """
 
 from __future__ import annotations
@@ -121,20 +119,17 @@ def reference_component_neighbors(idx: ComponentIndex, graph: WeightedGraph, u: 
     return {label[v] for v in graph.adjacency[u] if label[v] >= 0}
 
 
-def _better_candidate(a: StarCandidate, b: StarCandidate) -> bool:
-    """True when a beats b: efficiency, then gain, then center id.
-
-    No leaf-count key is needed: the prefixes ``best_star_at`` compares at one
-    center differ in gain, and ``best_pair_at`` tests only pairs, against a
-    best with no more leaves, keeping that best on a tie.
-    """
+def reference_better_candidate(a: StarCandidate, b: StarCandidate) -> bool:
+    """True when a beats b: efficiency, then gain, then center id, then fewer leaves."""
     lhs = a.gain * b.total_cost
     rhs = b.gain * a.total_cost
     if lhs != rhs:
         return lhs > rhs
     if a.gain != b.gain:
         return a.gain > b.gain
-    return a.center < b.center
+    if a.center != b.center:
+        return a.center < b.center
+    return len(a.leaves) < len(b.leaves)
 
 
 def reference_best_star_at(idx: ComponentIndex, graph: WeightedGraph, u: int) -> StarCandidate | None:
@@ -184,7 +179,7 @@ def reference_best_star_at(idx: ComponentIndex, graph: WeightedGraph, u: int) ->
         if gain < 1:
             continue
         cand = StarCandidate(center=u, leaves=tuple(kept[:take]), gain=gain, total_cost=total)
-        if best is None or _better_candidate(cand, best):
+        if best is None or reference_better_candidate(cand, best):
             best = cand
     return best
 
@@ -335,7 +330,11 @@ def reference_gen_random_connected(
 
 
 def reference_greedy_dominating_set(inst: Instance) -> tuple[set[int], GreedyTrace]:
-    """Greedy cover that evaluates every free node at every step."""
+    """Greedy cover that evaluates every free node at every step.
+
+    Each node is ranked as a leafless candidate by ``reference_better_candidate``,
+    so a full tie goes to the smaller id.
+    """
     g = inst.graph
     cost = g.cost
     state = DeficitState(inst)
@@ -343,110 +342,66 @@ def reference_greedy_dominating_set(inst: Instance) -> tuple[set[int], GreedyTra
     steps: list[GreedyStep] = []
     running = 0.0
     while True:
-        best_u = -1
-        best_gain = 0
+        best: StarCandidate | None = None
         for u in range(g.node_count):
             if state.in_set[u]:
                 continue
             gain = coverage_gain(state, u)
             if gain <= 0:
                 continue
-            if best_u < 0:
-                best_u, best_gain = u, gain
-                continue
-            lhs = gain * cost[best_u]
-            rhs = best_gain * cost[u]
-            if lhs > rhs or (lhs == rhs and gain > best_gain):
-                best_u, best_gain = u, gain
-        if best_u < 0:
+            cand = StarCandidate(center=u, leaves=(), gain=gain, total_cost=cost[u])
+            if best is None or reference_better_candidate(cand, best):
+                best = cand
+        if best is None:
             break
-        state.add(best_u)
-        chosen.add(best_u)
-        running += cost[best_u]
-        steps.append(GreedyStep(node=best_u, gain=best_gain, ratio=best_gain / cost[best_u], running_cost=running))
+        u = best.center
+        state.add(u)
+        chosen.add(u)
+        running += cost[u]
+        steps.append(GreedyStep(node=u, gain=best.gain, ratio=best.gain / cost[u], running_cost=running))
     return chosen, GreedyTrace(steps=steps)
 
 
 # ---------------------------------------------------------------------------
-# full-rescan reference connectors
+# full-rescan reference connector
 
 
-def reference_better_candidate(a: StarCandidate, b: StarCandidate) -> bool:
-    """True when a beats b: efficiency, then gain, then center id, then size."""
-    lhs = a.gain * b.total_cost
-    rhs = b.gain * a.total_cost
-    if lhs != rhs:
-        return lhs > rhs
-    if a.gain != b.gain:
-        return a.gain > b.gain
-    if a.center != b.center:
-        return a.center < b.center
-    return len(a.leaves) < len(b.leaves)
+def _reference_candidates(idx: ComponentIndex, graph: WeightedGraph, a: int, method: str):
+    """The candidates at the free node a: its best star, or its singleton and pairs."""
+    if method == "star":
+        cand = reference_best_star_at(idx, graph, a)
+        if cand is not None:
+            yield cand
+        return
+    cost = graph.cost
+    reached_a = reference_component_neighbors(idx, graph, a)
+    if len(reached_a) >= 2:
+        yield StarCandidate(center=a, leaves=(), gain=len(reached_a) - 1, total_cost=cost[a])
+    for b in graph.adjacency[a]:
+        if b <= a or b in idx:
+            continue
+        pair_gain = len(reached_a | reference_component_neighbors(idx, graph, b)) - 1
+        if pair_gain >= 1:
+            yield StarCandidate(center=a, leaves=(b,), gain=pair_gain, total_cost=cost[a] + cost[b])
 
 
-def reference_greedy_connect(inst: Instance, dominating_set) -> ConnectReport:
-    """Star connector that evaluates every free center in every round."""
+def reference_connect(inst: Instance, dominating_set, method: str) -> ConnectReport:
+    """Connector ``method`` ("star" or "pairwise") scoring every free node in every round."""
     ds = set(dominating_set)
     _check_dominating(inst, ds)
     graph = inst.graph
     idx = ComponentIndex(graph, sorted(ds))
-    report = ConnectReport(method="star", initial_components=idx.component_count)
+    report = ConnectReport(method=method, initial_components=idx.component_count)
     while idx.component_count > 1:
         best: StarCandidate | None = None
         for u in range(graph.node_count):
             if u in idx:
                 continue
-            cand = reference_best_star_at(idx, graph, u)
-            if cand is not None and (best is None or reference_better_candidate(cand, best)):
-                best = cand
-        if best is None:
-            raise RuntimeError("connector stalled: no star merges components")
-        before = idx.component_count
-        for node in best.nodes:
-            idx.add(node)
-            report.connectors.add(node)
-        after = idx.component_count
-        if before - after != best.gain:
-            raise RuntimeError(
-                f"selected star promised {best.gain} merges but delivered {before - after}"
-            )
-        report.stars.append(best)
-        report.component_trace.append(after)
-    return report
-
-
-def reference_pairwise_connect(inst: Instance, dominating_set) -> ConnectReport:
-    """Pairwise baseline that evaluates every singleton and pair in every round."""
-    ds = set(dominating_set)
-    _check_dominating(inst, ds)
-    graph = inst.graph
-    cost = graph.cost
-    idx = ComponentIndex(graph, sorted(ds))
-    report = ConnectReport(method="pairwise", initial_components=idx.component_count)
-    while idx.component_count > 1:
-        best: StarCandidate | None = None
-        for a in range(graph.node_count):
-            if a in idx:
-                continue
-            reached_a = reference_component_neighbors(idx, graph, a)
-            gain = len(reached_a) - 1
-            if gain >= 1:
-                cand = StarCandidate(center=a, leaves=(), gain=gain, total_cost=cost[a])
+            for cand in _reference_candidates(idx, graph, u, method):
                 if best is None or reference_better_candidate(cand, best):
                     best = cand
-            for b in graph.adjacency[a]:
-                if b <= a or b in idx:
-                    continue
-                reached_b = reference_component_neighbors(idx, graph, b)
-                pair_gain = len(reached_a | reached_b) - 1
-                if pair_gain >= 1:
-                    cand = StarCandidate(
-                        center=a, leaves=(b,), gain=pair_gain, total_cost=cost[a] + cost[b]
-                    )
-                    if best is None or reference_better_candidate(cand, best):
-                        best = cand
         if best is None:
-            raise RuntimeError("pairwise connector stalled: no candidate merges components")
+            raise RuntimeError(f"{method} connector stalled: no candidate merges components")
         before = idx.component_count
         for node in best.nodes:
             idx.add(node)
@@ -454,7 +409,8 @@ def reference_pairwise_connect(inst: Instance, dominating_set) -> ConnectReport:
         after = idx.component_count
         if before - after != best.gain:
             raise RuntimeError(
-                f"selected pair promised {best.gain} merges but delivered {before - after}"
+                f"{method} connector: selected candidate promised {best.gain} merges"
+                f" but delivered {before - after}"
             )
         report.stars.append(best)
         report.component_trace.append(after)

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit codes, report schema, byte stability."""
 
+import csv
 import json
 import math
 import os
@@ -346,6 +347,58 @@ class TestBench:
         assert run_cli(capsys, *argv) == (2, "", OVERFLOW_ERROR)
         assert not csv_path.exists() and not json_path.exists()
         assert run_cli(capsys, "bench", str(batch)) == (2, "", OVERFLOW_ERROR)
+
+    def test_cost_overflow_without_oracle_exit_2(self, tmp_path, capsys):
+        # no ratio reaches the summary, so only the CSV's cost cells overflow
+        batch = tmp_path / "batch.json"
+        entry = {"kind": "random", "n": 6, "p": 0.5, "cost_lo": 1e308, "cost_hi": 1.7e308}
+        batch.write_text(json.dumps({"entries": [entry]}))
+        csv_path, json_path = tmp_path / "rows.csv", tmp_path / "summary.json"
+        argv = ["bench", str(batch), "--out-csv", str(csv_path), "--out-json", str(json_path)]
+        assert run_cli(capsys, *argv) == (2, "", OVERFLOW_ERROR)
+        assert not csv_path.exists() and not json_path.exists()
+        assert run_cli(capsys, "bench", str(batch)) == (2, "", OVERFLOW_ERROR)
+
+    def _violation_run(self, tmp_path, capsys):
+        """Bench one UDG case whose phase 2 adds nodes; returns (exit code, violation cell, summary)."""
+        batch = tmp_path / "batch.json"
+        entry = {"kind": "udg", "n": 10, "side": 2.2, "seeds": {"start": 1}, "oracle": True}
+        batch.write_text(json.dumps({"entries": [entry]}))
+        csv_path, json_path = tmp_path / "rows.csv", tmp_path / "summary.json"
+        code = main(["bench", str(batch), "--out-csv", str(csv_path), "--out-json", str(json_path)])
+        capsys.readouterr()
+        with open(csv_path, newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert float(row["cost_d2"]) > 0
+        return code, row["violation"], json.loads(json_path.read_text())
+
+    def test_every_bound_check_flags_its_violation(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cdsopt.bench, "proven_bounds", lambda inst: (0.1, 0.1, 0.1))
+        code, violation, summary = self._violation_run(tmp_path, capsys)
+        assert violation == "; ".join(
+            [
+                "total cost exceeds (H(delta+m)+2H(delta-1))*opt",
+                "d1 cost exceeds H(delta+m)*opt_mds",
+                "d2 cost exceeds 2H(delta-1)*opt",
+                "d2 cost exceeds (11/3)*opt on UDG",
+            ]
+        )
+        assert summary["violations"] == 1
+        assert code == 1
+
+    def test_failed_verification_is_a_violation(self, tmp_path, capsys, monkeypatch):
+        real_solve = cdsopt.bench.solve
+
+        def unverified(*args, **kwargs):
+            result = real_solve(*args, **kwargs)
+            result.verify_report.is_cds = False
+            return result
+
+        monkeypatch.setattr(cdsopt.bench, "solve", unverified)
+        code, violation, summary = self._violation_run(tmp_path, capsys)
+        assert violation == "output failed verification"
+        assert summary["violations"] == 1
+        assert code == 1
 
     def test_empty_batch(self, tmp_path, capsys):
         batch = tmp_path / "batch.json"

@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -35,8 +36,7 @@ from helpers import (
     random_dominating_set,
     reference_best_star_at,
     reference_component_neighbors,
-    reference_greedy_connect,
-    reference_pairwise_connect,
+    reference_connect,
     simulate_star_value,
 )
 
@@ -378,10 +378,9 @@ class TestGreedyConnect:
             members = random_dominating_set(random.Random(seed), inst.graph)
         if connector == "star":
             fast = greedy_connect(inst, members)
-            ref = reference_greedy_connect(inst, members)
         else:
             fast = pairwise_connect(inst, members)
-            ref = reference_pairwise_connect(inst, members)
+        ref = reference_connect(inst, members, connector)
         assert fast.method == ref.method == connector
         assert fast.stars == ref.stars
         assert fast.component_trace == ref.component_trace
@@ -451,7 +450,7 @@ class TestPairwiseConnect:
         idx = ComponentIndex(inst.graph, [0, 2])
         assert best_pair_at(idx, inst.graph, 1) == singleton
         assert pairwise_connect(inst, {0, 2}).stars == [singleton]
-        assert reference_pairwise_connect(inst, {0, 2}).stars == [singleton]
+        assert reference_connect(inst, {0, 2}, "pairwise").stars == [singleton]
 
     @pytest.mark.parametrize("connect", [greedy_connect, pairwise_connect], ids=["star", "pairwise"])
     def test_neighbouring_huge_costs_ordered_by_graph_shift(self, connect):
@@ -520,6 +519,36 @@ class TestPairwiseConnect:
         for bad in (-1, 5):
             with pytest.raises(ValueError, match="out of range"):
                 pairwise_connect(inst, {0, 2, 4, bad})
+
+
+_SEARCHES = pytest.mark.parametrize(
+    "connect, method, search",
+    [(greedy_connect, "star", "best_star_at"), (pairwise_connect, "pairwise", "best_pair_at")],
+    ids=["star", "pairwise"],
+)
+
+
+class TestConnectorSelfChecks:
+    """The connector's stall and promised-merge checks, reached through a patched per-center search."""
+
+    @_SEARCHES
+    def test_stall(self, monkeypatch, connect, method, search):
+        monkeypatch.setattr(cdsopt.connector, search, lambda idx, graph, u: None)
+        with pytest.raises(RuntimeError, match=f"^{method} connector stalled: no candidate merges components$"):
+            connect(path_instance(5), {0, 2, 4})
+
+    @_SEARCHES
+    def test_broken_promise(self, monkeypatch, connect, method, search):
+        real = getattr(cdsopt.connector, search)
+
+        def inflated(idx, graph, u):
+            cand = real(idx, graph, u)
+            return None if cand is None else replace(cand, gain=cand.gain + 1)
+
+        monkeypatch.setattr(cdsopt.connector, search, inflated)
+        message = f"^{method} connector: selected candidate promised 2 merges but delivered 1$"
+        with pytest.raises(RuntimeError, match=message):
+            connect(path_instance(5), {0, 2, 4})
 
 
 class _CheckedHeap(_CandidateHeap):
