@@ -15,6 +15,12 @@ Each entry expands to one case per (m, seed) combination, solved in a worker
 pool of the --threads width and merged back in deterministic case order.  Any
 instance whose costs exceed a proven bound is flagged as a violation: that
 would falsify the implementation, not the theorems.
+
+The JSON summary holds ``schema``, ``rows``, ``violations``, and over the
+rows that have an oracle ratio ``max_ratio_total``, ``mean_ratio_total``,
+``max_ratio_to_bound`` (the largest ``ratio_total / bound_total``) and
+``max_ratio_to_bound_label`` (the label of that row, the first in case order
+on a tie); the last four are null when no row has a ratio.
 """
 
 from __future__ import annotations
@@ -223,11 +229,16 @@ def write_csv(rows: list[dict], fh) -> None:
 
 
 def summarize(rows: list[dict]) -> dict:
-    ratios = [row["ratio_total"] for row in rows if row["ratio_total"] is not None]
+    rated = [row for row in rows if row["ratio_total"] is not None]
+    ratios = [row["ratio_total"] for row in rated]
+    # max keeps the first of tied rows, so a tie names the earliest case
+    worst = max(rated, key=lambda row: row["ratio_total"] / row["bound_total"], default=None)
     return {
         "schema": 1,
         "rows": len(rows),
         "violations": sum(1 for row in rows if row["violation"]),
         "max_ratio_total": max(ratios) if ratios else None,
         "mean_ratio_total": sum(ratios) / len(ratios) if ratios else None,
+        "max_ratio_to_bound": worst["ratio_total"] / worst["bound_total"] if worst else None,
+        "max_ratio_to_bound_label": worst["label"] if worst else None,
     }

@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("batch", help="batch spec JSON file")
     p_bench.add_argument("--out-csv", default=None, help="CSV output path (default stdout)")
     p_bench.add_argument("--out-json", default=None, help="JSON summary path (default stdout)")
-    p_bench.add_argument("--threads", type=int, default=1, help="worker pool width (capped at cases and CPUs)")
+    p_bench.add_argument("--threads", type=int, default=1, help="worker pool width, at least 1 (capped at cases and CPUs)")
     return parser
 
 
@@ -125,7 +125,10 @@ def _resolve_given_ds(spec: str, instance_text: str) -> list[int]:
     if os.path.exists(spec):
         with open(spec, "r", encoding="utf-8") as fh:
             return _parse_id_list(fh.read())
-    return _parse_id_list(spec)
+    try:
+        return _parse_id_list(spec)
+    except ValueError as exc:
+        raise ValueError(f"{exc}, and no file {spec!r} exists") from None
 
 
 def cmd_solve(args) -> int:
@@ -165,6 +168,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.threads < 1:
+        raise ValueError("--threads must be >= 1")
     with open(args.batch, "r", encoding="utf-8") as fh:
         cases = load_batch_spec(fh.read())
     rows = run_batch(cases, threads=args.threads)

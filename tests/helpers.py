@@ -25,6 +25,7 @@ ties that only rounding decides.
 
 from __future__ import annotations
 
+import pathlib
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -33,6 +34,9 @@ from cdsopt.components import ComponentIndex
 from cdsopt.connector import ConnectReport, StarCandidate, _check_dominating
 from cdsopt.domination import DeficitState, GreedyStep, GreedyTrace, coverage_gain
 from cdsopt.graph import Instance, InstanceError, WeightedGraph
+
+# the ratio sweep's batch spec: seeded random and UDG corpora with the exact oracle
+RATIO_CORPUS = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "ratio_corpus.json"
 
 
 def make_instance(n, edges, costs=None, m=1, coords=None, label="") -> Instance:

@@ -1,15 +1,13 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
-Runs under pytest, or standalone via ``python3 tests/test_acceptance.py``
-(which prints one PASS/FAIL line per criterion and exits nonzero on any
-failure).  Corpora are frozen by construction: every instance comes from a
-seeded generator, so reruns are bit-identical.
+``python3 -m pytest tests/test_acceptance.py -v -s`` shows the PASS lines.
+Corpora are frozen by construction: every instance comes from a seeded
+generator, so reruns are bit-identical.
 """
 
 from __future__ import annotations
 
 import random
-import sys
 import time
 from fractions import Fraction
 from functools import lru_cache
@@ -20,8 +18,7 @@ from cdsopt.oracle import harmonic
 from cdsopt.solver import solve
 from cdsopt.verify import verify_cds, verify_mds
 
-sys.path.insert(0, __file__.rsplit("/", 1)[0])
-from helpers import (  # noqa: E402
+from helpers import (
     brute_force_best_star,
     coverage_value,
     degree_capped_instance,
@@ -31,8 +28,7 @@ from helpers import (  # noqa: E402
 
 
 # ---------------------------------------------------------------------------
-# shared corpora (cached so the pytest tests and the standalone runner reuse
-# one computation)
+# shared corpora (cached so the criteria that read one corpus solve it once)
 
 
 @lru_cache(maxsize=1)
@@ -70,7 +66,7 @@ def udg_corpus():
 # criteria
 
 
-def criterion_1_fig1_regression():
+def test_criterion_1_fig1_regression():
     """Star connector reproduces the analytic optimum on the ladder family
     while the pairwise baseline pays d*(1+eps); both in under a second."""
     eps = 0.01
@@ -95,7 +91,7 @@ def criterion_1_fig1_regression():
     print(f"ACCEPTANCE 1 (fig1 regression): PASS ({elapsed:.3f}s)")
 
 
-def criterion_2_overall_ratio_bound():
+def test_criterion_2_overall_ratio_bound():
     """c(D_G)/opt <= H(delta+m) + 2H(delta-1) on every corpus instance."""
     rows, elapsed = ratio_corpus()
     assert len(rows) >= 200
@@ -115,7 +111,7 @@ def criterion_2_overall_ratio_bound():
     )
 
 
-def criterion_3_phase1_bound():
+def test_criterion_3_phase1_bound():
     """c(D1) <= H(m+delta) * opt' with opt' the exact unconstrained optimum."""
     rows, _ = ratio_corpus()
     for inst, result in rows:
@@ -127,7 +123,7 @@ def criterion_3_phase1_bound():
     print(f"ACCEPTANCE 3 (phase-1 bound): PASS ({len(rows)} instances)")
 
 
-def criterion_4_udg_connector_bound():
+def test_criterion_4_udg_connector_bound():
     """c(D2) <= (11/3) * opt on connected unit-disk instances."""
     rows = udg_corpus()
     assert len(rows) >= 50
@@ -139,7 +135,7 @@ def criterion_4_udg_connector_bound():
     print(f"ACCEPTANCE 4 (UDG connector bound): PASS ({len(rows)} instances)")
 
 
-def criterion_5_polymatroid_properties():
+def test_criterion_5_polymatroid_properties():
     """10,000 nested-set triples: monotone, diminishing gains, zero at empty."""
     rng = random.Random(5150)
     triples = 0
@@ -165,7 +161,7 @@ def criterion_5_polymatroid_properties():
     print(f"ACCEPTANCE 5 (polymatroid properties): PASS ({triples} triples)")
 
 
-def criterion_6_star_search_vs_brute_force():
+def test_criterion_6_star_search_vs_brute_force():
     """Structured star search attains the exhaustive best efficiency.
 
     The restriction to single-fresh-component leaves is lossless for the
@@ -277,7 +273,7 @@ def _check_trace(label, graph, members, report, violations) -> tuple[int, int]:
     return steps, decreases
 
 
-def criterion_7_selected_star_exactness_and_progress():
+def test_criterion_7_selected_star_exactness_and_progress():
     """Traces: promised merges delivered, every pick optimal, no stalls.
 
     Four clauses, checked on every step of every trace:
@@ -333,7 +329,7 @@ def criterion_7_selected_star_exactness_and_progress():
     )
 
 
-def criterion_8_validity_corpus():
+def test_criterion_8_validity_corpus():
     """1,000 solves at n <= 60: output is a connected m-fold dominating set."""
     t0 = time.perf_counter()
     densities = (0.06, 0.1, 0.18, 0.3)
@@ -350,69 +346,3 @@ def criterion_8_validity_corpus():
     elapsed = time.perf_counter() - t0
     assert elapsed < 300.0, f"validity corpus took {elapsed:.1f}s"
     print(f"ACCEPTANCE 8 (validity corpus): PASS ({count} instances, {elapsed:.1f}s)")
-
-
-# ---------------------------------------------------------------------------
-# pytest entry points
-
-
-def test_criterion_1_fig1_regression():
-    criterion_1_fig1_regression()
-
-
-def test_criterion_2_overall_ratio_bound():
-    criterion_2_overall_ratio_bound()
-
-
-def test_criterion_3_phase1_bound():
-    criterion_3_phase1_bound()
-
-
-def test_criterion_4_udg_connector_bound():
-    criterion_4_udg_connector_bound()
-
-
-def test_criterion_5_polymatroid_properties():
-    criterion_5_polymatroid_properties()
-
-
-def test_criterion_6_star_search_vs_brute_force():
-    criterion_6_star_search_vs_brute_force()
-
-
-def test_criterion_7_selected_star_exactness_and_progress():
-    criterion_7_selected_star_exactness_and_progress()
-
-
-def test_criterion_8_validity_corpus():
-    criterion_8_validity_corpus()
-
-
-CRITERIA = [
-    (1, "fig1 regression", criterion_1_fig1_regression),
-    (2, "overall ratio bound", criterion_2_overall_ratio_bound),
-    (3, "phase-1 bound", criterion_3_phase1_bound),
-    (4, "UDG connector bound", criterion_4_udg_connector_bound),
-    (5, "polymatroid properties", criterion_5_polymatroid_properties),
-    (6, "star search vs brute force", criterion_6_star_search_vs_brute_force),
-    (7, "selected-star exactness/progress", criterion_7_selected_star_exactness_and_progress),
-    (8, "validity corpus", criterion_8_validity_corpus),
-]
-
-
-def main() -> int:
-    failures = 0
-    for number, name, fn in CRITERIA:
-        try:
-            fn()
-        except AssertionError as exc:
-            failures += 1
-            print(f"ACCEPTANCE {number} ({name}): FAIL - {exc}")
-        except Exception as exc:
-            failures += 1
-            print(f"ACCEPTANCE {number} ({name}): FAIL - {type(exc).__name__}: {exc}")
-    return 1 if failures else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -8,10 +8,11 @@ import os
 import pytest
 
 import cdsopt.bench
-from cdsopt.bench import CSV_COLUMNS, load_batch_spec, pool_width
+from cdsopt.bench import CSV_COLUMNS, load_batch_spec, pool_width, summarize
 from cdsopt.cli import main
 from cdsopt.generators import KINDS
 from cdsopt.graph import serialize_instance
+from helpers import RATIO_CORPUS
 
 P3_TEXT = "cds 3 2 1\n1 1 1\n0 1\n1 2\n"
 # every cost is finite, but any two of them sum past the float range
@@ -202,6 +203,12 @@ class TestSolve:
         code, _, err = run_cli(capsys, "solve", p3_file, "--given-ds", "0 x")
         assert code == 2
         assert "malformed node id 'x'" in err
+
+    def test_given_ds_missing_file_exit_2(self, p3_file, tmp_path, capsys):
+        missing = str(tmp_path / "missing.txt")
+        code, _, err = run_cli(capsys, "solve", p3_file, "--given-ds", missing)
+        assert code == 2
+        assert err == f"error: malformed node id {missing!r}, and no file {missing!r} exists\n"
 
     def test_oracle_section(self, fig1_file, capsys):
         code, out, _ = run_cli(capsys, "solve", fig1_file, "--oracle")
@@ -399,6 +406,32 @@ class TestBench:
         assert violation == "output failed verification"
         assert summary["violations"] == 1
         assert code == 1
+
+    def test_summary_names_the_row_closest_to_its_bound(self, tmp_path, capsys):
+        json_path = tmp_path / "summary.json"
+        code = main(["bench", str(RATIO_CORPUS), "--out-csv", str(tmp_path / "rows.csv"), "--out-json", str(json_path)])
+        capsys.readouterr()
+        assert code == 0
+        summary = json.loads(json_path.read_text())
+        assert round(summary["max_ratio_to_bound"], 4) == 0.3076
+        assert summary["max_ratio_to_bound_label"] == "random-n8-p0.3-m1-s21"
+
+    def test_summary_worst_row_first_on_ties_and_null_without_ratios(self):
+        def row(label, ratio_total, bound_total):
+            return {"label": label, "ratio_total": ratio_total, "bound_total": bound_total, "violation": ""}
+
+        rows = [row("a", None, 2.0), row("b", 1.0, 4.0), row("c", 2.0, 8.0)]
+        summary = summarize(rows)
+        assert (summary["max_ratio_to_bound"], summary["max_ratio_to_bound_label"]) == (0.25, "b")
+        for unrated in ([], rows[:1]):
+            summary = summarize(unrated)
+            assert (summary["max_ratio_to_bound"], summary["max_ratio_to_bound_label"]) == (None, None)
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exit_2(self, tmp_path, capsys, threads):
+        # the batch file does not exist: the width is refused before the spec is read
+        argv = ["bench", str(tmp_path / "missing.json"), "--threads", threads]
+        assert run_cli(capsys, *argv) == (2, "", "error: --threads must be >= 1\n")
 
     def test_empty_batch(self, tmp_path, capsys):
         batch = tmp_path / "batch.json"

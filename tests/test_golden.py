@@ -6,19 +6,24 @@ leave these reports unchanged to the byte.  Each case pins the sha256 of
 plus a newline, the text ``cds-opt solve --no-timing`` prints.  The
 instance shapes the benchmark generates are pinned the same way, by the
 sha256 of their ``serialize_instance`` text, so a change to how graphs are
-built or checked shows directly if it alters any generated corpus.  A digest may
+built or checked shows directly if it alters any generated corpus.  The
+ratio sweep's CSV, ``scripts/ratio_corpus.json`` run through the batch
+harness, is pinned by the sha256 of its ``write_csv`` text.  A digest may
 change only with a change that is meant to change outputs, and that change
 must say which outputs moved and why.
 """
 
 import hashlib
+import io
 import json
 
 import pytest
 
+from cdsopt.bench import load_batch_spec, run_batch, write_csv
 from cdsopt.generators import gen_fig1, gen_random_connected, gen_udg
 from cdsopt.graph import serialize_instance
 from cdsopt.solver import solve, solve_report_dict
+from helpers import RATIO_CORPUS
 
 COST_RANGE = (0.1, 10.0)
 
@@ -102,3 +107,10 @@ def test_generated_instance_digest(name):
     generate, digest = CORPORA[name]
     text = serialize_instance(generate())
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+def test_ratio_corpus_csv_digest():
+    buf = io.StringIO()
+    write_csv(run_batch(load_batch_spec(RATIO_CORPUS.read_text(encoding="utf-8"))), buf)
+    digest = hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
+    assert digest == "fbdf5ba3f6eee486885710d5a3a75297e25c539e917f69cb27c902fdca6519ce"
