@@ -41,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SPEC",
         help="connect this dominating set instead of running the greedy cover; "
-        "SPEC is a node-id file or an inline id list, and without a value the "
+        "SPEC is an inline id list or else a node-id file, and without a value the "
         "'# designated-ds:' comment of the instance file is used",
     )
     p_solve.add_argument(
@@ -114,21 +114,21 @@ def _parse_id_list(text: str) -> list[int]:
 
 
 def _resolve_given_ds(spec: str, instance_text: str) -> list[int]:
-    import os
-
     if spec == EMBEDDED_DS:
         for raw in instance_text.splitlines():
             line = raw.strip()
             if line.startswith(DESIGNATED_PREFIX):
                 return _parse_id_list(line[len(DESIGNATED_PREFIX):])
         raise ValueError("instance file carries no '# designated-ds:' comment")
-    if os.path.exists(spec):
-        with open(spec, "r", encoding="utf-8") as fh:
-            return _parse_id_list(fh.read())
     try:
         return _parse_id_list(spec)
     except ValueError as exc:
-        raise ValueError(f"{exc}, and no file {spec!r} exists") from None
+        error = exc
+    try:
+        with open(spec, "r", encoding="utf-8") as fh:
+            return _parse_id_list(fh.read())
+    except FileNotFoundError:
+        raise ValueError(f"{error}, and no file {spec!r} exists") from None
 
 
 def cmd_solve(args) -> int:

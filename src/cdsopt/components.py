@@ -1,14 +1,16 @@
 """Insertion-only component labels of an induced subgraph, for the connector.
 
-Static connectivity of a fixed set is ``graph.component_labels``.  Both
-label a member by a member id of its component; only ``component_labels``
-picks the smallest, while ``ComponentIndex`` keeps the label of the largest
-component it merges.
+``ComponentIndex`` starts from ``graph.component_labels``, labeling each
+component by its smallest member; an ``add`` keeps the largest merged
+component's label.  Label values never reach a pick: leaves sort by
+``(cost, v)`` with v unique, ``covered`` and ``reach[a] | reach[b]`` compare
+labels only by identity, and ``_stale_centers`` is exact whichever label
+survives a merge, so the start labels change no star, pair or trace.
 """
 
 from __future__ import annotations
 
-from .graph import WeightedGraph
+from .graph import WeightedGraph, component_labels
 
 
 class ComponentIndex:
@@ -24,19 +26,27 @@ class ComponentIndex:
     ``reach`` is a flat list of sets over all nodes: the entry of a
     non-member v is ``{label[w] for w in adjacency[v] if w in D}``, the
     labels of the components v is adjacent to, and a member's entry is
-    empty.  An add updates only the free neighbors of the nodes whose label
-    changed, so it costs O(deg) per changed node on top of the relabeling,
-    and the O(log n) relabels per member bound the total.
+    empty.  The constructor builds both from these definitions, and an add
+    updates only the free neighbors of relabeled nodes, at O(deg) each.
     """
 
     def __init__(self, graph: WeightedGraph, members=()):
         self._graph = graph
-        self.label = [-1] * graph.node_count
-        self.reach: list[set[int]] = [set() for _ in range(graph.node_count)]
-        # label -> the members carrying it
-        self._components: dict[int, list[int]] = {}
+        members = sorted(set(members))
         for u in members:
-            self.add(u)
+            self._check_id(u)
+        self.label = label = component_labels(graph.adjacency, members)[0]
+        self.reach: list[set[int]] = [
+            set() if label[v] >= 0 else {label[w] for w in nbrs if label[w] >= 0}
+            for v, nbrs in enumerate(graph.adjacency)
+        ]
+        self._components: dict[int, list[int]] = {}  # label -> its members
+        for u in members:
+            self._components.setdefault(label[u], []).append(u)
+
+    def _check_id(self, u: int) -> None:
+        if not 0 <= u < self._graph.node_count:
+            raise ValueError(f"node id {u} out of range 0..{self._graph.node_count - 1}")
 
     def __contains__(self, u: int) -> bool:
         return self.label[u] >= 0
@@ -53,6 +63,7 @@ class ComponentIndex:
         neighbors of u that did not yet touch u's component.  A free node
         outside the returned set holds the same entry as before.
         """
+        self._check_id(u)
         label = self.label
         if label[u] >= 0:
             raise ValueError(f"node {u} already in the index")

@@ -33,12 +33,11 @@ upper bounds would be wrong; this invalidation is explicit and exact.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .components import ComponentIndex
 from .domination import ratio_key
 from .graph import Instance, WeightedGraph
-from .verify import verify_mds
 
 
 @dataclass(frozen=True)
@@ -158,13 +157,6 @@ def best_pair_at(idx: ComponentIndex, graph: WeightedGraph, a: int) -> StarCandi
     return StarCandidate(center=a, leaves=() if b < 0 else (b,), gain=gain, total_cost=total)
 
 
-def _check_dominating(inst: Instance, members: set[int]) -> None:
-    report = verify_mds(replace(inst, m=1), members)
-    if not report.is_m_ds:
-        u = report.violations[0][0]
-        raise ValueError(f"set is not dominating: node {u} has no neighbor inside")
-
-
 class _CandidateHeap:
     """Each free center's best candidate, popped in the exact ratio order.
 
@@ -236,12 +228,14 @@ def _connect(inst: Instance, dominating_set, method: str, best_at_center) -> Con
     ``best_at_center(idx, graph, u)`` is the best candidate at the
     free node u, or None.  Each chosen candidate must merge as many
     components as it promises, so at most (initial components - 1) rounds
-    run.  Only the ``_stale_centers`` are recomputed each round.
+    run.  Only the ``_stale_centers`` are recomputed each round, and the
+    input check reads the index: a free node with empty reach is undominated.
     """
-    ds = set(dominating_set)
-    _check_dominating(inst, ds)
     graph = inst.graph
-    idx = ComponentIndex(graph, sorted(ds))
+    idx = ComponentIndex(graph, dominating_set)
+    for u, near in enumerate(idx.reach):
+        if not near and u not in idx:
+            raise ValueError(f"set is not dominating: node {u} has no neighbor inside")
     report = ConnectReport(method=method, initial_components=idx.component_count)
     heap = _CandidateHeap(idx, graph, best_at_center)
     stale = range(graph.node_count)

@@ -144,7 +144,7 @@ def gen_udg(
         adjacency = edge_adjacency(n, unit_disk_edges(pts))
         # connectivity is tested before the costs are drawn, so a rejected
         # point set consumes no cost draws
-        if component_labels(adjacency)[1] == 1:
+        if component_labels(adjacency, range(n))[1] == 1:
             costs = [rng.uniform(lo, hi) for _ in range(n)]
             graph = WeightedGraph(node_count=n, adjacency=adjacency, cost=tuple(costs), coords=tuple(pts))
             return Instance(graph=graph, m=m, label=f"udg-n{n}-side{side:g}-m{m}-s{seed}")

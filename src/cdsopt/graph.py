@@ -20,8 +20,8 @@ that each neighbour tuple is strictly increasing, in range and loop-free,
 symmetry, the cost values (finite and positive), finite coordinates,
 connectivity through ``component_labels`` and, on unit-disk instances, that
 the edge set equals ``unit_disk_edges``, the one place the distance rule is
-written.  ``component_labels`` is the one routine for static connectivity:
-it fills a flat label list by a stack search, so it is linear too.
+written.  ``component_labels`` is the one routine for static connectivity and
+seeds ``ComponentIndex``: a stack search of a given member set, linear too.
 Construction and validation take time linear in the nodes plus the edges
 (plus one sort of an unsorted edge list), whatever the degrees.
 ``unit_disk_edges`` buckets the points into a grid of unit cells and applies
@@ -129,26 +129,20 @@ class Instance:
     label: str = ""
 
 
-def component_labels(adjacency, members=None) -> tuple[list[int], int]:
-    """Components of the subgraph induced by ``members`` (default: all nodes).
+def component_labels(adjacency, members) -> tuple[list[int], int]:
+    """Components of the subgraph induced by ``members``.
 
     Returns ``(label, count)``.  ``label`` is a flat list over all nodes: -1
     outside the set, otherwise the smallest member of the node's component.
-    ``ComponentIndex.label`` also labels by a member id, but not always the
-    smallest.  ``count`` is the number of components.  ``adjacency[u]``
-    lists the neighbors of node u, so the routine also runs on an edge
-    list's adjacency before any graph is built.
+    ``count`` is the number of components.  ``adjacency[u]`` lists the
+    neighbors of node u, so the routine also runs on an edge list's
+    adjacency before any graph is built.
     """
-    n = len(adjacency)
     unseen = -2
-    if members is None:
-        label = [unseen] * n
-        starts = range(n)
-    else:
-        label = [-1] * n
-        starts = sorted(members)
-        for u in starts:
-            label[u] = unseen
+    label = [-1] * len(adjacency)
+    starts = sorted(members)
+    for u in starts:
+        label[u] = unseen
     count = 0
     for start in starts:
         if label[start] != unseen:
@@ -294,7 +288,7 @@ def validate_graph(graph: WeightedGraph) -> None:
         for u, (x, y) in enumerate(graph.coords):
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise InstanceError(f"malformed coordinate at node {u}")
-    if component_labels(graph.adjacency)[1] != 1:
+    if component_labels(graph.adjacency, range(n))[1] != 1:
         raise InstanceError("disconnected graph")
     if graph.coords is not None:
         expected, actual = unit_disk_edges(graph.coords), graph.edges()

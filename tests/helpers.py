@@ -16,7 +16,8 @@ structure each one avoids:
 - ``reference_gen_random_connected``: a ``random()`` per pair in place of bulk coins;
 - ``reference_better_candidate``: cross-multiplied float products in place of ``ratio_key``;
 - ``reference_greedy_dominating_set``: a scan per step in place of the lazy cover heap;
-- ``reference_connect``: a rescan per round in place of ``_CandidateHeap`` and ``_stale_centers``;
+- ``reference_connect``: a rescan per round in place of ``_CandidateHeap`` and ``_stale_centers``,
+  and ``verify_mds`` in place of the connector's input check on ``ComponentIndex.reach``;
 - ``exhaustive_minimum``: an unpruned subset scan in place of the oracle's branch and bound.
 
 Ranking by float products, the references agree with the library except on
@@ -27,13 +28,15 @@ from __future__ import annotations
 
 import pathlib
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
 from cdsopt.components import ComponentIndex
-from cdsopt.connector import ConnectReport, StarCandidate, _check_dominating
+from cdsopt.connector import ConnectReport, StarCandidate
 from cdsopt.domination import DeficitState, GreedyStep, GreedyTrace, coverage_gain
 from cdsopt.graph import Instance, InstanceError, WeightedGraph
+from cdsopt.verify import verify_mds
 
 # the ratio sweep's batch spec: seeded random and UDG corpora with the exact oracle
 RATIO_CORPUS = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "ratio_corpus.json"
@@ -392,7 +395,10 @@ def _reference_candidates(idx: ComponentIndex, graph: WeightedGraph, a: int, met
 def reference_connect(inst: Instance, dominating_set, method: str) -> ConnectReport:
     """Connector ``method`` ("star" or "pairwise") scoring every free node in every round."""
     ds = set(dominating_set)
-    _check_dominating(inst, ds)
+    check = verify_mds(replace(inst, m=1), ds)
+    if not check.is_m_ds:
+        u = check.violations[0][0]
+        raise ValueError(f"set is not dominating: node {u} has no neighbor inside")
     graph = inst.graph
     idx = ComponentIndex(graph, sorted(ds))
     report = ConnectReport(method=method, initial_components=idx.component_count)

@@ -51,7 +51,8 @@ def fig1_file(tmp_path, capsys):
 
 class TestGen:
     def test_fig1_file_shape(self, fig1_file):
-        text = open(fig1_file).read()
+        with open(fig1_file) as fh:
+            text = fh.read()
         assert "# designated-ds: 0 8 9 10" in text
         assert "cds 11 13 1" in text
 
@@ -180,6 +181,16 @@ class TestSolve:
         ds_file = tmp_path / "ds.txt"
         ds_file.write_text("0 1 2\n")
         code, out, _ = run_cli(capsys, "solve", p3_file, "--given-ds", str(ds_file))
+        assert code == 0
+        assert json.loads(out)["d1"] == [0, 1, 2]
+
+    def test_given_ds_id_list_before_file_of_that_name(self, p3_file, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "1").write_text("0 1 2\n")
+        code, out, _ = run_cli(capsys, "solve", p3_file, "--given-ds", "1")
+        assert code == 0
+        assert json.loads(out)["d1"] == [1]
+        code, out, _ = run_cli(capsys, "solve", p3_file, "--given-ds", "./1")
         assert code == 0
         assert json.loads(out)["d1"] == [0, 1, 2]
 

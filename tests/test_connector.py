@@ -67,6 +67,44 @@ class TestComponentIndex:
         with pytest.raises(ValueError):
             idx.add(0)
 
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_out_of_range_id_rejected(self, bad):
+        g = path_instance(3).graph
+        with pytest.raises(ValueError, match=f"^node id {bad} out of range 0..2$"):
+            ComponentIndex(g, [0, bad])
+        idx = ComponentIndex(g, [0])
+        with pytest.raises(ValueError, match=f"^node id {bad} out of range 0..2$"):
+            idx.add(bad)
+        assert idx.label == [0, -1, -1] and idx.component_count == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        n=st.integers(1, 30),
+        udg=st.booleans(),
+        pick=st.randoms(use_true_random=False),
+    )
+    def test_constructor_matches_adds(self, seed, n, udg, pick):
+        """Built from ``component_labels``, the index equals one grown by ``add``."""
+        if udg:
+            g = gen_udg(n, math.sqrt(n / 4.0), (1.0, 1.0), seed=seed).graph
+        else:
+            g = gen_random_connected(n, min(1.0, 3.0 / n), (1.0, 1.0), seed=seed).graph
+        members = [u for u in range(n) if pick.random() < pick.random()]
+        pick.shuffle(members)
+        built = ComponentIndex(g, members)
+        grown = ComponentIndex(g)
+        for u in members:
+            grown.add(u)
+        assert built.component_count == grown.component_count
+        # the same partition: labels pair off one to one on the members
+        pairs = {(built.label[u], grown.label[u]) for u in members}
+        assert len(pairs) == len({a for a, _ in pairs}) == len({b for _, b in pairs})
+        assert [x < 0 for x in built.label] == [x < 0 for x in grown.label]
+        # the same reach once the built labels are renamed to the grown ones
+        rename = dict(pairs)
+        assert [{rename[r] for r in near} for near in built.reach] == grown.reach
+
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**6), pick=st.randoms(use_true_random=False))
     def test_count_property(self, seed, pick):
@@ -386,6 +424,31 @@ class TestGreedyConnect:
         assert fast.component_trace == ref.component_trace
         assert fast.connectors == ref.connectors
         assert fast.initial_components == ref.initial_components
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        kind=st.sampled_from(["random", "udg"]),
+        n=st.integers(1, 40),
+        seed=st.integers(0, 10**6),
+        m=st.integers(1, 2),
+        pick=st.randoms(use_true_random=False),
+    )
+    def test_names_the_reference_undominated_node(self, kind, n, seed, m, pick):
+        """On a non-dominating set both connectors name the node ``verify_mds`` names first."""
+        if kind == "random":
+            inst = gen_random_connected(n, min(1.0, 3.0 / n), (1.0, 1.0), seed=seed, m=m)
+        else:
+            inst = gen_udg(n, math.sqrt(n / 5.0), (1.0, 1.0), seed=seed, m=m)
+        members = {u for u in range(n) if pick.random() < 0.5}
+        # leave one node and its neighbors out, so that node is undominated
+        lonely = pick.randrange(n)
+        members -= {lonely, *inst.graph.adjacency[lonely]}
+        with pytest.raises(ValueError, match="^set is not dominating: ") as ref:
+            reference_connect(inst, members, "star")
+        for connect in (greedy_connect, pairwise_connect):
+            with pytest.raises(ValueError) as err:
+                connect(inst, members)
+            assert str(err.value) == str(ref.value)
 
 
 class TestRatioNonMonotonicity:
