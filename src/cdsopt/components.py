@@ -4,8 +4,8 @@
 component by its smallest member; an ``add`` keeps the largest merged
 component's label.  Label values never reach a pick: leaves sort by
 ``(cost, v)`` with v unique, ``covered`` and ``reach[a] | reach[b]`` compare
-labels only by identity, and ``_stale_centers`` is exact whichever label
-survives a merge, so the start labels change no star, pair or trace.
+labels only by identity, and the connector's stale slots are exact whichever
+label survives a merge, so the start labels change no star, pair or trace.
 """
 
 from __future__ import annotations
@@ -33,8 +33,7 @@ class ComponentIndex:
     def __init__(self, graph: WeightedGraph, members=()):
         self._graph = graph
         members = sorted(set(members))
-        for u in members:
-            self._check_id(u)
+        # component_labels rejects an out-of-range member id
         self.label = label = component_labels(graph.adjacency, members)[0]
         self.reach: list[set[int]] = [
             set() if label[v] >= 0 else {label[w] for w in nbrs if label[w] >= 0}

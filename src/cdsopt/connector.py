@@ -13,21 +13,36 @@ A deliberately weaker baseline adds only single nodes and adjacent pairs;
 on the adversarial ladder family its cost grows linearly with the rung
 count while the star connector stays near the optimum.
 
-Both connectors run through one driver that keeps each free center's best
-candidate in a heap of ``(-key, -gain, center, version, candidate)``
-tuples, where the key is ``domination.ratio_key`` of the candidate's gain
-and total cost: the exact gain/cost order as an integer, the same key the
-cover phase uses.  Recomputing a center bumps its version, and the pick
-pops entries until one is live (its center free and its version current).
-A star at a center, like a pair at its lower-id node, reads only the
-center's ``ComponentIndex.reach`` entry (the labels of the components it
-touches), which of its neighbors are members, and the reach entries of its
-free neighbors, so a center costs O(deg) plus a sort.  After a candidate
-joins, the stale centers are exactly the free nodes of R, N(R) and N(J),
-where J are the joined nodes and R the free nodes whose reach entry
-``ComponentIndex.add`` reports as changed; every other center keeps its
-entry.  Candidate values can rise as well as fall between rounds, so lazy
-upper bounds would be wrong; this invalidation is explicit and exact.
+Both connectors run through one driver that keeps a heap of *slots*.  A
+slot is a ``(center, partner)`` pair: the star connector has one per free
+center, with partner -1, and the baseline has one per free node (its
+singleton, partner -1) and one per edge between free nodes, with
+``center < partner``.  Entries are ``(-key, -gain, center, partner, stamp,
+candidate)``, where the key is ``domination.ratio_key`` of the candidate's
+gain and total cost: the exact gain/cost order as an integer, the same key
+the cover phase uses.  Valuing a slot gives it a new stamp, and the pick
+pops entries until one is live (both its endpoints free and its stamp the
+slot's latest).  Adjacency lists are sorted, so on a full tie the singleton
+comes before its center's pairs, a pair before the pairs of later
+neighbors, and a center before larger ones: the order of ranking each
+center's candidates in adjacency order and then the centers by id.
+
+Recomputing only the slots a round can change is exact.  After a candidate
+joins, let J be the joined nodes and R the free nodes that
+``ComponentIndex.add`` reports, exactly those whose reach entry (the labels
+of the components a node touches) changed.  A star at center u reads u's
+reach entry, which of its neighbors are members and the reach entries of
+its free neighbors, so its value can change only when u is in R or a
+neighbor of u is in R or J: the stale star slots are the closed
+neighborhoods N[x] of x in R and J.  A singleton or pair reads only the
+reach entries of its endpoints and whether both are free, so a slot with no
+endpoint in R keeps its value, and a slot with an endpoint in J is dead:
+the stale baseline slots are the singleton of each x in R and its edges to
+free neighbors.  Every other slot keeps its entry.  Candidate values can
+rise as well as fall between rounds, so lazy upper bounds would be wrong;
+this invalidation is explicit and exact.  On the ladder no round changes
+the hub's reach entry, so the baseline values its 4d+1 slots in the first
+round and none after it.
 """
 
 from __future__ import annotations
@@ -119,117 +134,118 @@ def best_star_at(idx: ComponentIndex, graph: WeightedGraph, u: int) -> StarCandi
     return StarCandidate(center=u, leaves=tuple(kept[:take]), gain=gain, total_cost=total)
 
 
-def best_pair_at(idx: ComponentIndex, graph: WeightedGraph, a: int) -> StarCandidate | None:
-    """Best of the singleton a and the free pairs (a, b) with b > a, or None.
+def pair_candidate(idx: ComponentIndex, graph: WeightedGraph, a: int, b: int) -> StarCandidate | None:
+    """The singleton a (b == -1) or the free pair (a, b), or None when it merges nothing.
 
-    A candidate's value is the number of components it touches minus one.
-    Candidates are ordered by ``ratio_key`` and then gain; ties keep the
-    first of the singleton and then b in adjacency order.
+    A candidate's value is the number of components it touches minus one,
+    so it reads only the reach entries of a and b.
     """
-    cost = graph.cost
     label = idx.label
     reach = idx.reach
-    if label[a] >= 0:
-        raise ValueError(f"node {a} already in the indexed set")
-    shift = graph.key_shift
-    reached_a = reach[a]
-    best = None  # (key, gain, partner or -1, total)
-    gain = len(reached_a) - 1
-    if gain >= 1:
-        best = (ratio_key(gain, cost[a], shift), gain, -1, cost[a])
-    for b in graph.adjacency[a]:
-        if b <= a or label[b] >= 0:
-            continue
-        pair_gain = len(reached_a | reach[b]) - 1
-        if pair_gain < 1:
-            continue
+    for x in (a, b):
+        if x >= 0 and label[x] >= 0:
+            raise ValueError(f"node {x} already in the indexed set")
+    cost = graph.cost
+    if b < 0:
+        gain = len(reach[a]) - 1
+        leaves = ()
+        total = cost[a]
+    else:
+        gain = len(reach[a] | reach[b]) - 1
+        leaves = (b,)
         total = cost[a] + cost[b]
-        if best is None:
-            best = (ratio_key(pair_gain, total, shift), pair_gain, b, total)
-        elif pair_gain > best[1] or total < best[3]:
-            # otherwise no larger gain at no lower cost: it cannot win
-            key = ratio_key(pair_gain, total, shift)
-            if (key, pair_gain) > best[:2]:
-                best = (key, pair_gain, b, total)
-    if best is None:
+    if gain < 1:
         return None
-    _, gain, b, total = best
-    return StarCandidate(center=a, leaves=() if b < 0 else (b,), gain=gain, total_cost=total)
+    return StarCandidate(center=a, leaves=leaves, gain=gain, total_cost=total)
+
+
+def _star_slots(idx: ComponentIndex, graph: WeightedGraph, nodes) -> list[tuple[int, int]]:
+    """The star slots a change at the nodes can alter: the centers in each N[x]."""
+    adjacency = graph.adjacency
+    centers = set(nodes)
+    for x in nodes:
+        centers.update(adjacency[x])
+    return [(u, -1) for u in centers]
+
+
+def _pair_slots(idx: ComponentIndex, graph: WeightedGraph, nodes) -> set[tuple[int, int]]:
+    """The baseline slots a change at the nodes can alter: each x's singleton and free edges."""
+    adjacency = graph.adjacency
+    label = idx.label
+    slots = set()
+    for x in nodes:
+        slots.add((x, -1))
+        slots.update((x, y) if x < y else (y, x) for y in adjacency[x] if label[y] < 0)
+    return slots
 
 
 class _CandidateHeap:
-    """Each free center's best candidate, popped in the exact ratio order.
+    """Each live slot's candidate, popped in the exact ratio order.
 
-    Entries are ``(-key, -gain, center, version, candidate)``.  ``refresh``
-    recomputes centers and pushes their new entries, bumping each center's
-    version, so an entry is live only while its center is free and its
-    version current; ``pop`` drops dead entries as they reach the top.
-    Live entries have distinct centers, so the pick does not depend on the
-    order of the pushes.
+    ``value(idx, graph, center, partner)`` is the slot's candidate or None.
+    ``refresh`` values the given slots whose endpoints are free and pushes
+    their new entries under a fresh stamp, so an entry is live only while
+    both endpoints are free and its stamp is the slot's latest; ``pop``
+    drops dead entries as they reach the top.  Live entries have distinct
+    slots, so the pick does not depend on the order of the pushes.
     """
 
-    def __init__(self, idx: ComponentIndex, graph: WeightedGraph, best_at_center):
+    def __init__(self, idx: ComponentIndex, graph: WeightedGraph, value):
         self.idx = idx
         self.graph = graph
-        self.best_at_center = best_at_center
-        self.version = [0] * graph.node_count
+        self.value = value
+        self.stamp: dict[tuple[int, int], int] = {}  # slot -> its latest stamp
+        self.last_stamp = 0
         self.entries: list[tuple] = []
 
     def live(self, entry: tuple) -> bool:
-        center = entry[2]
-        return self.idx.label[center] < 0 and entry[3] == self.version[center]
+        label = self.idx.label
+        center, partner = entry[2], entry[3]
+        return (
+            label[center] < 0
+            and (partner < 0 or label[partner] < 0)
+            and self.stamp[center, partner] == entry[4]
+        )
 
-    def refresh(self, centers) -> None:
+    def refresh(self, slots) -> None:
         idx, graph = self.idx, self.graph
         shift = graph.key_shift
         label = idx.label
-        version = self.version
+        stamp = self.stamp
         entries = self.entries
-        best_at_center = self.best_at_center
-        for u in centers:
-            if label[u] >= 0:
+        value = self.value
+        count = self.last_stamp
+        for slot in slots:
+            center, partner = slot
+            if label[center] >= 0 or (partner >= 0 and label[partner] >= 0):
                 continue
-            version[u] += 1
-            cand = best_at_center(idx, graph, u)
+            count += 1
+            stamp[slot] = count
+            cand = value(idx, graph, center, partner)
             if cand is not None:
                 key = ratio_key(cand.gain, cand.total_cost, shift)
-                heapq.heappush(entries, (-key, -cand.gain, u, version[u], cand))
+                heapq.heappush(entries, (-key, -cand.gain, center, partner, count, cand))
+        self.last_stamp = count
 
     def pop(self) -> StarCandidate | None:
         entries = self.entries
         while entries:
             entry = heapq.heappop(entries)
             if self.live(entry):
-                return entry[4]
+                return entry[5]
         return None
 
 
-def _stale_centers(graph: WeightedGraph, joined, changed) -> set[int]:
-    """Nodes whose candidate may differ after ``joined`` entered the set.
-
-    ``changed`` are the free nodes whose reach entry changed.  A center's
-    candidate reads its own reach entry, which of its neighbors are members
-    and the reach entries of its free neighbors, so the stale nodes are
-    ``changed`` and the neighbors of ``changed`` and of ``joined``; callers
-    skip the members.
-    """
-    adjacency = graph.adjacency
-    stale = set(changed)
-    for x in changed:
-        stale.update(adjacency[x])
-    for x in joined:
-        stale.update(adjacency[x])
-    return stale
-
-
-def _connect(inst: Instance, dominating_set, method: str, best_at_center) -> ConnectReport:
+def _connect(inst: Instance, dominating_set, method: str, slots_of, value) -> ConnectReport:
     """Add the most efficient candidate until the set is connected.
 
-    ``best_at_center(idx, graph, u)`` is the best candidate at the
-    free node u, or None.  Each chosen candidate must merge as many
+    ``slots_of(idx, graph, nodes)`` lists the slots whose value a change
+    at the nodes can alter and ``value(idx, graph, center, partner)`` is a slot's
+    candidate, or None.  Each chosen candidate must merge as many
     components as it promises, so at most (initial components - 1) rounds
-    run.  Only the ``_stale_centers`` are recomputed each round, and the
-    input check reads the index: a free node with empty reach is undominated.
+    run.  The first round values every slot; later rounds only those of
+    the changed and joined nodes.  The input check reads the index: a free
+    node with empty reach is undominated.
     """
     graph = inst.graph
     idx = ComponentIndex(graph, dominating_set)
@@ -237,10 +253,10 @@ def _connect(inst: Instance, dominating_set, method: str, best_at_center) -> Con
         if not near and u not in idx:
             raise ValueError(f"set is not dominating: node {u} has no neighbor inside")
     report = ConnectReport(method=method, initial_components=idx.component_count)
-    heap = _CandidateHeap(idx, graph, best_at_center)
-    stale = range(graph.node_count)
+    heap = _CandidateHeap(idx, graph, value)
+    touched = range(graph.node_count)
     while idx.component_count > 1:
-        heap.refresh(stale)
+        heap.refresh(slots_of(idx, graph, touched))
         best = heap.pop()
         if best is None:
             raise RuntimeError(f"{method} connector stalled: no candidate merges components")
@@ -257,13 +273,16 @@ def _connect(inst: Instance, dominating_set, method: str, best_at_center) -> Con
             )
         report.stars.append(best)
         report.component_trace.append(after)
-        stale = _stale_centers(graph, best.nodes, changed)
+        touched = changed.union(best.nodes)
     return report
 
 
 def greedy_connect(inst: Instance, dominating_set) -> ConnectReport:
     """Connect a dominating set by repeatedly adding the most efficient star."""
-    return _connect(inst, dominating_set, "star", best_star_at)
+    # best_star_at is looked up at each call, so a wrapper on it sees every call
+    return _connect(
+        inst, dominating_set, "star", _star_slots, lambda idx, graph, u, _partner: best_star_at(idx, graph, u)
+    )
 
 
 def pairwise_connect(inst: Instance, dominating_set) -> ConnectReport:
@@ -274,4 +293,4 @@ def pairwise_connect(inst: Instance, dominating_set) -> ConnectReport:
     two nearest components are at most three hops apart, so some candidate
     always merges at least two of them.
     """
-    return _connect(inst, dominating_set, "pairwise", best_pair_at)
+    return _connect(inst, dominating_set, "pairwise", _pair_slots, pair_candidate)

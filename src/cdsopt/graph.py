@@ -35,6 +35,7 @@ construction, so it builds its ``WeightedGraph`` directly.
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -136,11 +137,16 @@ def component_labels(adjacency, members) -> tuple[list[int], int]:
     outside the set, otherwise the smallest member of the node's component.
     ``count`` is the number of components.  ``adjacency[u]`` lists the
     neighbors of node u, so the routine also runs on an edge list's
-    adjacency before any graph is built.
+    adjacency before any graph is built.  A member id outside
+    ``0..n-1`` raises ValueError naming the smallest such id.
     """
     unseen = -2
-    label = [-1] * len(adjacency)
+    n = len(adjacency)
+    label = [-1] * n
     starts = sorted(members)
+    if starts and (starts[0] < 0 or starts[-1] >= n):
+        u = starts[0] if starts[0] < 0 else starts[bisect.bisect_left(starts, n)]
+        raise ValueError(f"node id {u} out of range 0..{n - 1}")
     for u in starts:
         label[u] = unseen
     count = 0

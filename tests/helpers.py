@@ -16,7 +16,8 @@ structure each one avoids:
 - ``reference_gen_random_connected``: a ``random()`` per pair in place of bulk coins;
 - ``reference_better_candidate``: cross-multiplied float products in place of ``ratio_key``;
 - ``reference_greedy_dominating_set``: a scan per step in place of the lazy cover heap;
-- ``reference_connect``: a rescan per round in place of ``_CandidateHeap`` and ``_stale_centers``,
+- ``reference_pick``: a scan of every free node's candidates in place of ``_CandidateHeap``'s slots;
+- ``reference_connect``: ``reference_pick`` each round in place of recomputing the stale slots,
   and ``verify_mds`` in place of the connector's input check on ``ComponentIndex.reach``;
 - ``exhaustive_minimum``: an unpruned subset scan in place of the oracle's branch and bound.
 
@@ -392,6 +393,18 @@ def _reference_candidates(idx: ComponentIndex, graph: WeightedGraph, a: int, met
             yield StarCandidate(center=a, leaves=(b,), gain=pair_gain, total_cost=cost[a] + cost[b])
 
 
+def reference_pick(idx: ComponentIndex, graph: WeightedGraph, method: str) -> StarCandidate | None:
+    """The best candidate of connector ``method`` over every free node, or None."""
+    best: StarCandidate | None = None
+    for u in range(graph.node_count):
+        if u in idx:
+            continue
+        for cand in _reference_candidates(idx, graph, u, method):
+            if best is None or reference_better_candidate(cand, best):
+                best = cand
+    return best
+
+
 def reference_connect(inst: Instance, dominating_set, method: str) -> ConnectReport:
     """Connector ``method`` ("star" or "pairwise") scoring every free node in every round."""
     ds = set(dominating_set)
@@ -403,13 +416,7 @@ def reference_connect(inst: Instance, dominating_set, method: str) -> ConnectRep
     idx = ComponentIndex(graph, sorted(ds))
     report = ConnectReport(method=method, initial_components=idx.component_count)
     while idx.component_count > 1:
-        best: StarCandidate | None = None
-        for u in range(graph.node_count):
-            if u in idx:
-                continue
-            for cand in _reference_candidates(idx, graph, u, method):
-                if best is None or reference_better_candidate(cand, best):
-                    best = cand
+        best = reference_pick(idx, graph, method)
         if best is None:
             raise RuntimeError(f"{method} connector stalled: no candidate merges components")
         before = idx.component_count

@@ -14,10 +14,10 @@ from cdsopt.components import ComponentIndex
 from cdsopt.connector import (
     StarCandidate,
     _CandidateHeap,
-    best_pair_at,
     best_star_at,
     component_neighbors,
     greedy_connect,
+    pair_candidate,
     pairwise_connect,
 )
 from cdsopt.domination import greedy_dominating_set, ratio_key
@@ -37,6 +37,7 @@ from helpers import (
     reference_best_star_at,
     reference_component_neighbors,
     reference_connect,
+    reference_pick,
     simulate_star_value,
 )
 
@@ -183,6 +184,9 @@ class TestComponentNeighbors:
         idx = ComponentIndex(inst.graph, [0])
         with pytest.raises(ValueError):
             component_neighbors(idx, inst.graph, 0)
+        for a, b in [(0, -1), (0, 1), (1, 0)]:
+            with pytest.raises(ValueError, match="^node 0 already in the indexed set$"):
+                pair_candidate(idx, inst.graph, a, b)
 
 
 class TestMergePotential:
@@ -511,7 +515,9 @@ class TestPairwiseConnect:
         assert 1.0 + 1e-17 == 1.0
         singleton = StarCandidate(center=1, leaves=(), gain=1, total_cost=1.0)
         idx = ComponentIndex(inst.graph, [0, 2])
-        assert best_pair_at(idx, inst.graph, 1) == singleton
+        assert pair_candidate(idx, inst.graph, 1, -1) == singleton
+        pair = pair_candidate(idx, inst.graph, 1, 3)
+        assert (pair.gain, pair.total_cost) == (singleton.gain, singleton.total_cost)
         assert pairwise_connect(inst, {0, 2}).stars == [singleton]
         assert reference_connect(inst, {0, 2}, "pairwise").stars == [singleton]
 
@@ -539,7 +545,7 @@ class TestPairwiseConnect:
         assert connect(path, {0, 3}).stars == [StarCandidate(center=1, leaves=(2,), gain=1, total_cost=math.inf)]
 
     def test_best_pair_equals_full_scan(self):
-        """``best_pair_at`` skips the key of a pair that cannot win; a full scan agrees."""
+        """Every slot's ``pair_candidate`` and the heap's pick order agree with a full scan."""
         rng = random.Random(17)
         for i in range(150):
             base = gen_random_connected(14, 0.3, (1.0, 1.0), seed=rng.randrange(10**6))
@@ -549,21 +555,34 @@ class TestPairwiseConnect:
                 costs = [rng.randint(1, 30) / 10 for _ in range(14)]
             graph = make_instance(14, base.graph.edges(), costs=costs).graph
             idx = ComponentIndex(graph, sorted(random_dominating_set(rng, graph)))
+            slots = []
+            ranked = []
             for a in range(graph.node_count):
                 if a in idx:
                     continue
                 reached = reference_component_neighbors(idx, graph, a)
-                options = [((), costs[a], len(reached) - 1)]
+                options = [(-1, costs[a], len(reached) - 1)]
                 for b in graph.adjacency[a]:
                     if b > a and b not in idx:
                         both = reached | reference_component_neighbors(idx, graph, b)
-                        options.append(((b,), costs[a] + costs[b], len(both) - 1))
-                best = None
-                for leaves, total, gain in options:
-                    rank = (ratio_key(gain, total, graph.key_shift), gain)
-                    if gain >= 1 and (best is None or rank > best[0]):
-                        best = (rank, StarCandidate(center=a, leaves=leaves, gain=gain, total_cost=total))
-                assert best_pair_at(idx, graph, a) == (best and best[1])
+                        options.append((b, costs[a] + costs[b], len(both) - 1))
+                for b, total, gain in options:
+                    cand = None
+                    if gain >= 1:
+                        leaves = () if b < 0 else (b,)
+                        cand = StarCandidate(center=a, leaves=leaves, gain=gain, total_cost=total)
+                    assert pair_candidate(idx, graph, a, b) == cand
+                    slots.append((a, b))
+                    if cand is not None:
+                        ranked.append(((-ratio_key(gain, total, graph.key_shift), -gain), cand))
+            # equal ranks keep the scan order: centers by id, the singleton, then b in adjacency order
+            ranked.sort(key=lambda item: item[0])
+            heap = _CandidateHeap(idx, graph, pair_candidate)
+            heap.refresh(reversed(slots))
+            popped = []
+            while (cand := heap.pop()) is not None:
+                popped.append(cand)
+            assert popped == [cand for _, cand in ranked]
 
     def test_both_connectors_end_connected(self):
         rng = random.Random(13)
@@ -586,17 +605,17 @@ class TestPairwiseConnect:
 
 _SEARCHES = pytest.mark.parametrize(
     "connect, method, search",
-    [(greedy_connect, "star", "best_star_at"), (pairwise_connect, "pairwise", "best_pair_at")],
+    [(greedy_connect, "star", "best_star_at"), (pairwise_connect, "pairwise", "pair_candidate")],
     ids=["star", "pairwise"],
 )
 
 
 class TestConnectorSelfChecks:
-    """The connector's stall and promised-merge checks, reached through a patched per-center search."""
+    """The connector's stall and promised-merge checks, reached through a patched slot evaluator."""
 
     @_SEARCHES
     def test_stall(self, monkeypatch, connect, method, search):
-        monkeypatch.setattr(cdsopt.connector, search, lambda idx, graph, u: None)
+        monkeypatch.setattr(cdsopt.connector, search, lambda idx, graph, *slot: None)
         with pytest.raises(RuntimeError, match=f"^{method} connector stalled: no candidate merges components$"):
             connect(path_instance(5), {0, 2, 4})
 
@@ -604,8 +623,8 @@ class TestConnectorSelfChecks:
     def test_broken_promise(self, monkeypatch, connect, method, search):
         real = getattr(cdsopt.connector, search)
 
-        def inflated(idx, graph, u):
-            cand = real(idx, graph, u)
+        def inflated(idx, graph, *slot):
+            cand = real(idx, graph, *slot)
             return None if cand is None else replace(cand, gain=cand.gain + 1)
 
         monkeypatch.setattr(cdsopt.connector, search, inflated)
@@ -614,30 +633,43 @@ class TestConnectorSelfChecks:
             connect(path_instance(5), {0, 2, 4})
 
 
-class _CheckedHeap(_CandidateHeap):
-    """A candidate heap that checks every free center after each refresh."""
+def _free_slots(idx, graph, method):
+    """Every slot with free endpoints: each free center, and for pairwise each free edge."""
+    free = [u for u in range(graph.node_count) if u not in idx]
+    slots = [(u, -1) for u in free]
+    if method == "pairwise":
+        slots += [(a, b) for a in free for b in graph.adjacency[a] if b > a and b not in idx]
+    return slots
 
+
+class _CheckedHeap(_CandidateHeap):
+    """A candidate heap that checks every free slot and the pick after each refresh."""
+
+    method = "star"
     refreshes = 0
 
-    def refresh(self, centers):
-        super().refresh(centers)
+    def refresh(self, slots):
+        super().refresh(slots)
         live = {}
         for entry in self.entries:
             if self.live(entry):
-                assert entry[2] not in live, f"two live entries at center {entry[2]}"
-                live[entry[2]] = entry
-        for u in range(self.graph.node_count):
-            if u in self.idx:
-                assert u not in live
-                continue
-            fresh = self.best_at_center(self.idx, self.graph, u)
-            entry = live.get(u)
+                slot = entry[2:4]
+                assert slot not in live, f"two live entries at slot {slot}"
+                live[slot] = entry
+        free = _free_slots(self.idx, self.graph, self.method)
+        assert set(live) <= set(free)
+        for slot in free:
+            fresh = self.value(self.idx, self.graph, *slot)
+            entry = live.get(slot)
             if fresh is None:
-                assert entry is None, f"center {u}: live entry {entry[4]} but no candidate"
+                assert entry is None, f"slot {slot}: live entry {entry[5]} but no candidate"
             else:
-                assert entry is not None, f"center {u}: no live entry for {fresh}"
-                assert entry[4] == fresh
+                assert entry is not None, f"slot {slot}: no live entry for {fresh}"
+                assert entry[5] == fresh
                 assert entry[:2] == (-ratio_key(fresh.gain, fresh.total_cost, self.graph.key_shift), -fresh.gain)
+        # live entries have distinct slots, so the order never reaches the stamp
+        first = min(live.values(), default=None)
+        assert (first and first[5]) == reference_pick(self.idx, self.graph, self.method)
         type(self).refreshes += 1
 
 
@@ -653,7 +685,7 @@ class TestCandidateHeap:
         connector=st.sampled_from(["star", "pairwise"]),
     )
     def test_live_entries_equal_fresh_candidates(self, kind, n, seed, costs, greedy_ds, m, connector):
-        """After every round each free center's one live entry is its current best."""
+        """After every round each free slot's one live entry is its current value, and the first is the pick."""
         if kind == "random":
             inst = gen_random_connected(n, 3.0 / n, costs, seed=seed, m=m)
         elif kind == "udg":
@@ -669,6 +701,7 @@ class TestCandidateHeap:
         connect = greedy_connect if connector == "star" else pairwise_connect
         _CheckedHeap.refreshes = 0
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_CheckedHeap, "method", connector)
             mp.setattr(cdsopt.connector, "_CandidateHeap", _CheckedHeap)
             report = connect(inst, members)
         assert _CheckedHeap.refreshes == len(report.stars)
@@ -679,21 +712,22 @@ class TestLadderWork:
     """The connectors' work on the ladder from its designated set, pinned."""
 
     @pytest.mark.parametrize("d", [50, 200])
-    def test_pairwise_best_pair_calls_linear(self, d):
-        # each round recomputes only the hub, so about 3d calls in all (the
-        # full rescan of every rung bottom each round made d(d+5)/2)
+    def test_pairwise_slot_evaluations_linear(self, d):
+        # the first round values the 2d+1 singletons and 2d edges of the free
+        # nodes, and no later round changes a reach entry (a rescan of the
+        # hub's d pairs each round made O(d^2) pair unions)
         inst, designated = gen_fig1(d, 0.01)
         calls = 0
 
         def counted(*args):
             nonlocal calls
             calls += 1
-            return best_pair_at(*args)
+            return pair_candidate(*args)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cdsopt.connector, "best_pair_at", counted)
+            mp.setattr(cdsopt.connector, "pair_candidate", counted)
             report = pairwise_connect(inst, designated)
-        assert calls <= 4 * d
+        assert calls <= 5 * d
         assert len(report.stars) == d
         cost = sum(inst.graph.cost[u] for u in report.connectors)
         assert math.isclose(cost, d * 1.01, rel_tol=1e-12)

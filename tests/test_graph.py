@@ -19,6 +19,7 @@ from cdsopt.graph import (
     Instance,
     InstanceError,
     WeightedGraph,
+    component_labels,
     parse_instance,
     serialize_instance,
     unit_disk_edges,
@@ -434,6 +435,21 @@ class TestValidate:
         graph = WeightedGraph(node_count=n, adjacency=adjacency, cost=(1.0,) * n)
         with pytest.raises(InstanceError, match=f"^{message}$"):
             validate_graph(graph)
+
+
+class TestComponentLabels:
+    def test_labels_each_component_by_its_smallest_member(self):
+        adjacency = parse_instance(P3_TEXT).graph.adjacency
+        assert component_labels(adjacency, [2, 0]) == ([0, -1, 2], 2)
+        assert component_labels(adjacency, [2, 1]) == ([-1, 1, 1], 1)
+        assert component_labels(adjacency, []) == ([-1, -1, -1], 0)
+
+    @pytest.mark.parametrize("members, bad", [([0, -1], -1), ([0, 3], 3), ([5, 1, -2, 4], -2), ([5, 0, 4], 4)])
+    def test_out_of_range_member_rejected(self, members, bad):
+        # a negative id would otherwise alias a node from the end of the label list
+        adjacency = parse_instance(P3_TEXT).graph.adjacency
+        with pytest.raises(ValueError, match=f"^node id {bad} out of range 0..2$"):
+            component_labels(adjacency, members)
 
 
 class TestUnitDiskChecksRunOnce:
