@@ -3,9 +3,10 @@
 ``ComponentIndex`` starts from ``graph.component_labels``, labeling each
 component by its smallest member; an ``add`` keeps the largest merged
 component's label.  Label values never reach a pick: leaves sort by
-``(cost, v)`` with v unique, ``covered`` and ``reach[a] | reach[b]`` compare
-labels only by identity, and the connector's stale slots are exact whichever
-label survives a merge, so the start labels change no star, pair or trace.
+``(cost, v)`` with v unique, ``single``, ``covered`` and ``reach[a] |
+reach[b]`` compare labels only by identity, and the connector's stale slots
+are exact whichever label survives a merge, so the start labels change no
+star, pair or trace.
 """
 
 from __future__ import annotations
@@ -28,6 +29,11 @@ class ComponentIndex:
     labels of the components v is adjacent to, and a member's entry is
     empty.  The constructor builds both from these definitions, and an add
     updates only the free neighbors of relabeled nodes, at O(deg) each.
+
+    ``single`` is a flat list over all nodes: a free node whose ``reach``
+    entry holds exactly one label holds that label, and every other node,
+    members included, holds -1.  An add writes it wherever it writes a
+    ``reach`` entry and clears u's, so its upkeep is O(1) per changed node.
     """
 
     def __init__(self, graph: WeightedGraph, members=()):
@@ -39,6 +45,7 @@ class ComponentIndex:
             set() if label[v] >= 0 else {label[w] for w in nbrs if label[w] >= 0}
             for v, nbrs in enumerate(graph.adjacency)
         ]
+        self.single = [next(iter(near)) if len(near) == 1 else -1 for near in self.reach]
         self._components: dict[int, list[int]] = {}  # label -> its members
         for u in members:
             self._components.setdefault(label[u], []).append(u)
@@ -68,9 +75,11 @@ class ComponentIndex:
             raise ValueError(f"node {u} already in the index")
         adjacency = self._graph.adjacency
         reach = self.reach
+        single = self.single
         components = self._components
         touched = reach[u]
         reach[u] = set()
+        single[u] = -1
         changed: set[int] = set()
         if not touched:
             target = u
@@ -93,10 +102,13 @@ class ComponentIndex:
                             near = reach[x]
                             near.discard(root)
                             near.add(target)
+                            single[x] = target if len(near) == 1 else -1
                             changed.add(x)
                 kept.extend(absorbed)
         for x in adjacency[u]:
             if label[x] < 0 and target not in reach[x]:
-                reach[x].add(target)
+                near = reach[x]
+                near.add(target)
+                single[x] = target if len(near) == 1 else -1
                 changed.add(x)
         return changed

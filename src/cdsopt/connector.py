@@ -31,18 +31,20 @@ Recomputing only the slots a round can change is exact.  After a candidate
 joins, let J be the joined nodes and R the free nodes that
 ``ComponentIndex.add`` reports, exactly those whose reach entry (the labels
 of the components a node touches) changed.  A star at center u reads u's
-reach entry, which of its neighbors are members and the reach entries of
-its free neighbors, so its value can change only when u is in R or a
-neighbor of u is in R or J: the stale star slots are the closed
-neighborhoods N[x] of x in R and J.  A singleton or pair reads only the
-reach entries of its endpoints and whether both are free, so a slot with no
-endpoint in R keeps its value, and a slot with an endpoint in J is dead:
-the stale baseline slots are the singleton of each x in R and its edges to
-free neighbors.  Every other slot keeps its entry.  Candidate values can
+reach entry and, through ``single``, which of its neighbors are members and
+the reach entries of its free neighbors, so its value can change only when
+u is in R or a neighbor of u is in R or J: the stale star slots are the
+free centers of the closed neighborhoods N[x] of x in R and J.  A singleton
+or pair reads only the reach entries of its endpoints and whether both are
+free, so a slot with no endpoint in R keeps its value, and a slot with an
+endpoint in J is dead: the stale baseline slots are the singleton of each x
+in R and its edges to free neighbors.  Every other slot keeps its entry.  Candidate values can
 rise as well as fall between rounds, so lazy upper bounds would be wrong;
-this invalidation is explicit and exact.  On the ladder no round changes
-the hub's reach entry, so the baseline values its 4d+1 slots in the first
-round and none after it.
+this invalidation is explicit and exact.  A round's work is the slots of
+the changed and joined nodes, so it is not linear in general: a hub whose
+reach entry changes every round is revalued every round.  The ladder has no
+such round, since no round changes its hub's reach entry, so on the ladder
+the baseline values its 4d+1 slots in the first round and none after it.
 """
 
 from __future__ import annotations
@@ -90,30 +92,35 @@ def component_neighbors(idx: ComponentIndex, graph: WeightedGraph, u: int) -> se
 def best_star_at(idx: ComponentIndex, graph: WeightedGraph, u: int) -> StarCandidate | None:
     """Most efficient star centered at u, or None when no star merges anything.
 
-    Candidate leaves are the free neighbors touching exactly one component.
-    Scanning them by (cost, id) and keeping only those whose component is
-    still fresh, every prefix of the kept list is evaluated and the best
-    gain/cost prefix with positive gain is returned, ties going to the
-    larger gain.  Some globally optimal star always has this
-    one-fresh-component-per-leaf shape, so the prefix scan attains the
-    optimum over all leaf subsets.
+    Candidate leaves are the free neighbors touching exactly one component
+    that u does not already touch: those v with ``idx.single[v]`` set and
+    outside ``reach[u]``, since a leaf whose one component the center
+    reaches merges nothing.  Scanning them by (cost, id) and keeping only
+    those whose component is still fresh, every prefix of the kept list is
+    evaluated and the best gain/cost prefix with positive gain is returned,
+    ties going to the larger gain.  Some globally optimal star always has
+    this one-fresh-component-per-leaf shape, so the prefix scan attains the
+    optimum over all leaf subsets.  A call reads ``single`` once per
+    neighbor of u and sorts only the leaves with a fresh component: O(deg u)
+    reads, plus a sort of the fresh leaves.
     """
     cost = graph.cost
-    reach = idx.reach
     if idx.label[u] >= 0:
         raise ValueError(f"node {u} already in the indexed set")
+    single = idx.single
+    near = idx.reach[u]
     shift = graph.key_shift
     eligible: list[tuple[float, int, int]] = []
     for v in graph.adjacency[u]:
-        # a member's reach entry is empty, so this also skips members
-        if len(reach[v]) == 1:
-            (comp,) = reach[v]
+        # a member's single entry is -1, so this also skips members
+        comp = single[v]
+        if comp >= 0 and comp not in near:
             eligible.append((cost[v], v, comp))
     eligible.sort()
-    covered = set(reach[u])
-    gain = len(covered) - 1
+    gain = len(near) - 1
     total = cost[u]
     best = (ratio_key(gain, total, shift), 0, gain, total) if gain >= 1 else None  # (key, take, gain, total)
+    covered: set[int] = set()
     kept: list[int] = []
     for leaf_cost, v, comp in eligible:
         if comp in covered:
@@ -160,22 +167,24 @@ def pair_candidate(idx: ComponentIndex, graph: WeightedGraph, a: int, b: int) ->
 
 
 def _star_slots(idx: ComponentIndex, graph: WeightedGraph, nodes) -> list[tuple[int, int]]:
-    """The star slots a change at the nodes can alter: the centers in each N[x]."""
+    """The star slots a change at the nodes can alter: the free centers in each N[x]."""
     adjacency = graph.adjacency
+    label = idx.label
     centers = set(nodes)
     for x in nodes:
         centers.update(adjacency[x])
-    return [(u, -1) for u in centers]
+    return [(u, -1) for u in centers if label[u] < 0]
 
 
 def _pair_slots(idx: ComponentIndex, graph: WeightedGraph, nodes) -> set[tuple[int, int]]:
-    """The baseline slots a change at the nodes can alter: each x's singleton and free edges."""
+    """The baseline slots a change at the nodes can alter: each free x's singleton and free edges."""
     adjacency = graph.adjacency
     label = idx.label
     slots = set()
     for x in nodes:
-        slots.add((x, -1))
-        slots.update((x, y) if x < y else (y, x) for y in adjacency[x] if label[y] < 0)
+        if label[x] < 0:
+            slots.add((x, -1))
+            slots.update((x, y) if x < y else (y, x) for y in adjacency[x] if label[y] < 0)
     return slots
 
 
@@ -183,7 +192,7 @@ class _CandidateHeap:
     """Each live slot's candidate, popped in the exact ratio order.
 
     ``value(idx, graph, center, partner)`` is the slot's candidate or None.
-    ``refresh`` values the given slots whose endpoints are free and pushes
+    ``refresh`` values the given slots, each with free endpoints, and pushes
     their new entries under a fresh stamp, so an entry is live only while
     both endpoints are free and its stamp is the slot's latest; ``pop``
     drops dead entries as they reach the top.  Live entries have distinct
@@ -210,15 +219,12 @@ class _CandidateHeap:
     def refresh(self, slots) -> None:
         idx, graph = self.idx, self.graph
         shift = graph.key_shift
-        label = idx.label
         stamp = self.stamp
         entries = self.entries
         value = self.value
         count = self.last_stamp
         for slot in slots:
             center, partner = slot
-            if label[center] >= 0 or (partner >= 0 and label[partner] >= 0):
-                continue
             count += 1
             stamp[slot] = count
             cand = value(idx, graph, center, partner)
@@ -239,13 +245,14 @@ class _CandidateHeap:
 def _connect(inst: Instance, dominating_set, method: str, slots_of, value) -> ConnectReport:
     """Add the most efficient candidate until the set is connected.
 
-    ``slots_of(idx, graph, nodes)`` lists the slots whose value a change
-    at the nodes can alter and ``value(idx, graph, center, partner)`` is a slot's
-    candidate, or None.  Each chosen candidate must merge as many
-    components as it promises, so at most (initial components - 1) rounds
-    run.  The first round values every slot; later rounds only those of
-    the changed and joined nodes.  The input check reads the index: a free
-    node with empty reach is undominated.
+    ``slots_of(idx, graph, nodes)`` lists the slots with free endpoints
+    whose value a change at the nodes can alter and ``value(idx, graph,
+    center, partner)`` is a slot's candidate, or None.  Each chosen
+    candidate must merge as many components as it promises, so at most
+    (initial components - 1) rounds run.  The first round values every
+    slot; later rounds only those of the changed and joined nodes.  The
+    input check reads the index: a free node with empty reach is
+    undominated.
     """
     graph = inst.graph
     idx = ComponentIndex(graph, dominating_set)

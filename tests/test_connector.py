@@ -23,6 +23,7 @@ from cdsopt.connector import (
 from cdsopt.domination import greedy_dominating_set, ratio_key
 from cdsopt.generators import gen_fig1, gen_random_connected, gen_udg
 from cdsopt.graph import ratio_shift
+from cdsopt.solver import solve
 from cdsopt.verify import verify_cds
 from helpers import (
     bfs_component_count,
@@ -40,6 +41,13 @@ from helpers import (
     reference_pick,
     simulate_star_value,
 )
+
+
+def _assert_single_matches_reach(idx):
+    """``single[v]`` is the one label of ``reach[v]`` when it has one, else -1 (members included)."""
+    assert len(idx.single) == len(idx.reach)
+    for v, near in enumerate(idx.reach):
+        assert idx.single[v] == (next(iter(near)) if len(near) == 1 else -1), f"node {v}"
 
 
 class TestComponentIndex:
@@ -97,6 +105,7 @@ class TestComponentIndex:
         grown = ComponentIndex(g)
         for u in members:
             grown.add(u)
+            _assert_single_matches_reach(grown)
         assert built.component_count == grown.component_count
         # the same partition: labels pair off one to one on the members
         pairs = {(built.label[u], grown.label[u]) for u in members}
@@ -105,6 +114,7 @@ class TestComponentIndex:
         # the same reach once the built labels are renamed to the grown ones
         rename = dict(pairs)
         assert [{rename[r] for r in near} for near in built.reach] == grown.reach
+        _assert_single_matches_reach(built)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**6), pick=st.randoms(use_true_random=False))
@@ -153,6 +163,7 @@ class TestComponentIndex:
         order = list(range(n))
         pick.shuffle(order)
         idx = ComponentIndex(g)
+        _assert_single_matches_reach(idx)
         for u in order[: pick.randrange(1, n + 1)]:
             idx.add(u)
             for v in range(n):
@@ -160,6 +171,7 @@ class TestComponentIndex:
                     assert idx.reach[v] == set()
                 else:
                     assert idx.reach[v] == {idx.label[w] for w in g.adjacency[v] if w in idx}
+            _assert_single_matches_reach(idx)
 
 
 class TestComponentNeighbors:
@@ -453,6 +465,42 @@ class TestGreedyConnect:
             with pytest.raises(ValueError) as err:
                 connect(inst, members)
             assert str(err.value) == str(ref.value)
+
+
+class TestCostScaling:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        kind=st.sampled_from(["random", "udg"]),
+        n=st.integers(10, 49),
+        seed=st.integers(0, 10**6),
+        costs=st.sampled_from([(0.1, 10.0), (1.0, 1.0)]),
+        m=st.integers(1, 3),
+        connector=st.sampled_from(["star", "pairwise"]),
+    )
+    def test_power_of_two_scaling_keeps_every_pick(self, kind, n, seed, costs, m, connector):
+        """Scaling every cost by 2**j scales every float sum exactly, and ``ratio_key`` orders exactly.
+
+        So both phases pick the same nodes with the same gains.  Only ids
+        and gains are compared: costs and ratios scale with the costs.
+        """
+        if kind == "random":
+            inst = gen_random_connected(n, 3.0 / n, costs, seed=seed, m=m)
+        else:
+            inst = gen_udg(n, math.sqrt(n / 5.0), costs, seed=seed, m=m)
+
+        def picks(scale):
+            graph = replace(inst.graph, cost=tuple(c * scale for c in inst.graph.cost))
+            result = solve(replace(inst, graph=graph), connector=connector)
+            report = result.connect_report
+            return (
+                [(step.node, step.gain) for step in result.phase1_trace.steps],
+                [(star.center, star.leaves, star.gain) for star in report.stars],
+                report.component_trace,
+            )
+
+        base = picks(1.0)
+        for j in (-3, -2, -1, 1, 2, 3):
+            assert picks(2.0**j) == base, f"scale 2**{j}"
 
 
 class TestRatioNonMonotonicity:
@@ -750,3 +798,24 @@ class TestLadderWork:
         assert report.connectors == {1} | set(range(2 + d, 2 + 2 * d))
         cost = sum(inst.graph.cost[u] for u in report.connectors)
         assert math.isclose(cost, 1 + (d + 1) * 0.01, rel_tol=1e-12)
+
+
+class TestUdgStarWork:
+    """The star connector's work on the first udg-star benchmark instance, pinned."""
+
+    def test_star_calls_rounds_components(self):
+        inst = gen_udg(800, 10.0, (0.1, 10.0), 1000)
+        members, _ = greedy_dominating_set(inst)
+        calls = 0
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return best_star_at(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cdsopt.connector, "best_star_at", counted)
+            report = greedy_connect(inst, members)
+        assert calls == 3452
+        assert len(report.stars) == 29
+        assert report.initial_components == 36

@@ -54,6 +54,10 @@ CASES = {
     "udg-n200-s3": (_udg(200, 5.0, 3),
         "c5075543c02ceeeea9c31432bbb25321ed61b8e0c6cdb8b771eac1e4880735b7",
     ),
+    # the first udg-star benchmark instance at seed 1, whose text udg-n800-side10-s1000 pins
+    "udg-n800-s1000": (_udg(800, 10.0, 1000),
+        "696d4bb256d40cb6da6d81e5295db9cd38fbc17f21718f8d7b977eaa4d89ccbb",
+    ),
     "random-n200-m2-s1": (_random(200, 1),
         "89746bebeebf4b98b341644aee41c757e4935cacef4c1a888648b0b9c6b77274",
     ),
