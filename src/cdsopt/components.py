@@ -11,7 +11,7 @@ star, pair or trace.
 
 from __future__ import annotations
 
-from .graph import WeightedGraph, component_labels
+from .graph import WeightedGraph, checked_ids, component_labels
 
 
 class ComponentIndex:
@@ -50,10 +50,6 @@ class ComponentIndex:
         for u in members:
             self._components.setdefault(label[u], []).append(u)
 
-    def _check_id(self, u: int) -> None:
-        if not 0 <= u < self._graph.node_count:
-            raise ValueError(f"node id {u} out of range 0..{self._graph.node_count - 1}")
-
     def __contains__(self, u: int) -> bool:
         return self.label[u] >= 0
 
@@ -69,7 +65,8 @@ class ComponentIndex:
         neighbors of u that did not yet touch u's component.  A free node
         outside the returned set holds the same entry as before.
         """
-        self._check_id(u)
+        if not 0 <= u < self._graph.node_count:
+            checked_ids(self._graph.node_count, (u,))  # raises the range error
         label = self.label
         if label[u] >= 0:
             raise ValueError(f"node {u} already in the index")

@@ -141,7 +141,7 @@ def best_star_at(idx: ComponentIndex, graph: WeightedGraph, u: int) -> StarCandi
     return StarCandidate(center=u, leaves=tuple(kept[:take]), gain=gain, total_cost=total)
 
 
-def pair_candidate(idx: ComponentIndex, graph: WeightedGraph, a: int, b: int) -> StarCandidate | None:
+def pair_candidate(idx: ComponentIndex, graph: WeightedGraph, a: int, b: int = -1) -> StarCandidate | None:
     """The singleton a (b == -1) or the free pair (a, b), or None when it merges nothing.
 
     A candidate's value is the number of components it touches minus one,
@@ -191,8 +191,9 @@ def _pair_slots(idx: ComponentIndex, graph: WeightedGraph, nodes) -> set[tuple[i
 class _CandidateHeap:
     """Each live slot's candidate, popped in the exact ratio order.
 
-    ``value(idx, graph, center, partner)`` is the slot's candidate or None.
-    ``refresh`` values the given slots, each with free endpoints, and pushes
+    ``refresh`` values the given slots, each with free endpoints, by
+    ``value(idx, graph, center)`` when the partner is -1 and ``value(idx,
+    graph, center, partner)`` otherwise (the candidate or None), and pushes
     their new entries under a fresh stamp, so an entry is live only while
     both endpoints are free and its stamp is the slot's latest; ``pop``
     drops dead entries as they reach the top.  Live entries have distinct
@@ -227,7 +228,7 @@ class _CandidateHeap:
             center, partner = slot
             count += 1
             stamp[slot] = count
-            cand = value(idx, graph, center, partner)
+            cand = value(idx, graph, center) if partner < 0 else value(idx, graph, center, partner)
             if cand is not None:
                 key = ratio_key(cand.gain, cand.total_cost, shift)
                 heapq.heappush(entries, (-key, -cand.gain, center, partner, count, cand))
@@ -246,13 +247,13 @@ def _connect(inst: Instance, dominating_set, method: str, slots_of, value) -> Co
     """Add the most efficient candidate until the set is connected.
 
     ``slots_of(idx, graph, nodes)`` lists the slots with free endpoints
-    whose value a change at the nodes can alter and ``value(idx, graph,
-    center, partner)`` is a slot's candidate, or None.  Each chosen
-    candidate must merge as many components as it promises, so at most
-    (initial components - 1) rounds run.  The first round values every
-    slot; later rounds only those of the changed and joined nodes.  The
-    input check reads the index: a free node with empty reach is
-    undominated.
+    whose value a change at the nodes can alter, and ``value(idx, graph,
+    center)`` (partner -1) or ``value(idx, graph, center, partner)`` is a
+    slot's candidate, or None.  Each chosen candidate must merge as many
+    components as it promises, so at most (initial components - 1) rounds
+    run.  The first round values every slot; later rounds only those of the
+    changed and joined nodes.  The input check reads the index: a free node
+    with empty reach is undominated.
     """
     graph = inst.graph
     idx = ComponentIndex(graph, dominating_set)
@@ -286,10 +287,7 @@ def _connect(inst: Instance, dominating_set, method: str, slots_of, value) -> Co
 
 def greedy_connect(inst: Instance, dominating_set) -> ConnectReport:
     """Connect a dominating set by repeatedly adding the most efficient star."""
-    # best_star_at is looked up at each call, so a wrapper on it sees every call
-    return _connect(
-        inst, dominating_set, "star", _star_slots, lambda idx, graph, u, _partner: best_star_at(idx, graph, u)
-    )
+    return _connect(inst, dominating_set, "star", _star_slots, best_star_at)
 
 
 def pairwise_connect(inst: Instance, dominating_set) -> ConnectReport:

@@ -28,9 +28,12 @@ Construction and validation take time linear in the nodes plus the edges
 the rule only to pairs of nearby cells, a proven superset of the edges, so
 it runs in time linear in the points plus the compared pairs.
 
-``from_edges`` validates everything it builds, so ``parse_instance`` checks
-only the text's shape.  ``gen_udg``'s graph holds every invariant by
-construction, so it builds its ``WeightedGraph`` directly.
+``from_edges`` validates everything it builds.  ``parse_instance`` checks
+the text's shape and, line by line, rejects loops, out-of-range endpoints
+and edge lines with ``u >= v``.  ``gen_udg``'s graph holds every invariant
+by construction, so it builds its ``WeightedGraph`` directly.
+Every entry point that takes node ids raises its range error through
+``checked_ids``, so each names the same bad id.
 """
 
 from __future__ import annotations
@@ -130,6 +133,19 @@ class Instance:
     label: str = ""
 
 
+def checked_ids(n: int, ids) -> list[int]:
+    """The node ids, sorted, after checking that each lies in ``0..n-1``.
+
+    A bad id raises ValueError naming the smallest negative id, else the
+    smallest id >= n.
+    """
+    ids = sorted(ids)
+    if ids and (ids[0] < 0 or ids[-1] >= n):
+        u = ids[0] if ids[0] < 0 else ids[bisect.bisect_left(ids, n)]
+        raise ValueError(f"node id {u} out of range 0..{n - 1}")
+    return ids
+
+
 def component_labels(adjacency, members) -> tuple[list[int], int]:
     """Components of the subgraph induced by ``members``.
 
@@ -138,15 +154,12 @@ def component_labels(adjacency, members) -> tuple[list[int], int]:
     ``count`` is the number of components.  ``adjacency[u]`` lists the
     neighbors of node u, so the routine also runs on an edge list's
     adjacency before any graph is built.  A member id outside
-    ``0..n-1`` raises ValueError naming the smallest such id.
+    ``0..n-1`` raises through ``checked_ids``.
     """
     unseen = -2
     n = len(adjacency)
     label = [-1] * n
-    starts = sorted(members)
-    if starts and (starts[0] < 0 or starts[-1] >= n):
-        u = starts[0] if starts[0] < 0 else starts[bisect.bisect_left(starts, n)]
-        raise ValueError(f"node id {u} out of range 0..{n - 1}")
+    starts = checked_ids(n, members)
     for u in starts:
         label[u] = unseen
     count = 0

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import Instance, component_labels
+from .graph import Instance, checked_ids, component_labels
 
 
 @dataclass
@@ -24,19 +24,12 @@ class VerifyReport:
     cost: float = 0.0
 
 
-def _check_members(inst: Instance, members) -> set[int]:
-    member_set = set(members)
-    n = inst.graph.node_count
-    for u in member_set:
-        if not 0 <= u < n:
-            raise ValueError(f"node id {u} out of range 0..{n - 1}")
-    return member_set
-
-
 def verify_mds(inst: Instance, members) -> VerifyReport:
     """Check that every node outside the set has at least m neighbors inside."""
-    member_set = _check_members(inst, members)
+    member_set = set(members)
     g = inst.graph
+    if member_set and not (0 <= min(member_set) and max(member_set) < g.node_count):
+        checked_ids(g.node_count, member_set)  # raises the range error
     m = inst.m
     violations: list[tuple[int, str]] = []
     for u in range(g.node_count):

@@ -205,6 +205,14 @@ class TestSolve:
         assert code == 2
         assert "out of range" in err
 
+    def test_given_ds_names_the_smallest_negative_id(self, p3_file, capsys):
+        assert run_cli(capsys, "solve", p3_file, "--given-ds", "0 99 -1") == (2, "", "error: node id -1 out of range 0..2\n")
+
+    def test_given_ds_empty_list_exit_2(self, p3_file, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        expected = (2, "", "error: empty node id list, and no file ',' exists\n")
+        assert run_cli(capsys, "solve", p3_file, "--given-ds", ",") == expected
+
     def test_given_ds_missing_comment_exit_2(self, p3_file, capsys):
         code, _, err = run_cli(capsys, "solve", p3_file, "--given-ds")
         assert code == 2
@@ -298,6 +306,11 @@ class TestVerifyCmd:
         code, _, err = run_cli(capsys, "verify", p3_file, str(sol))
         assert code == 2
         assert "out of range" in err
+
+    def test_names_the_smallest_negative_id(self, p3_file, tmp_path, capsys):
+        sol = tmp_path / "sol.txt"
+        sol.write_text("0 99 -1\n")
+        assert run_cli(capsys, "verify", p3_file, str(sol)) == (2, "", "error: node id -1 out of range 0..2\n")
 
     def test_malformed_id_exit_2(self, p3_file, tmp_path, capsys):
         sol = tmp_path / "sol.txt"
@@ -518,6 +531,12 @@ class TestBench:
         assert code == 2
         assert "unknown kind" in err
 
+    def test_spec_without_entries_list_exit_2(self, tmp_path, capsys):
+        batch = tmp_path / "batch.json"
+        batch.write_text("[]")
+        expected = (2, "", "error: batch spec must be an object with an 'entries' list\n")
+        assert run_cli(capsys, "bench", str(batch)) == expected
+
     @pytest.mark.parametrize(
         "entry, message",
         [
@@ -547,6 +566,8 @@ class TestBench:
             ({"kind": "random", "n": 6, "p": "0.5"}, "entry 0: field 'p' must be float, got '0.5'"),
             ({"kind": "random", "n": 6, "p": 0.5, "seeds": {"count": "3"}}, "entry 0 seeds: field 'count' must be int, got '3'"),
             ({"kind": "random", "n": 6, "p": 10**400}, "entry 0: field 'p' must be float, got 1000"),
+            (3, "entry 0 must be an object"),
+            ({"kind": "fig1", "d": 3, "eps": 0.01, "m": 0}, "entry 0: m must be >= 1"),
         ],
         ids=[
             "missing-n",
@@ -572,6 +593,8 @@ class TestBench:
             "p-string",
             "seed-count-string",
             "p-huge-int",
+            "entry-not-object",
+            "m-zero",
         ],
     )
     def test_bad_entry_field_exit_2(self, tmp_path, capsys, entry, message):

@@ -199,6 +199,8 @@ class TestComponentNeighbors:
         for a, b in [(0, -1), (0, 1), (1, 0)]:
             with pytest.raises(ValueError, match="^node 0 already in the indexed set$"):
                 pair_candidate(idx, inst.graph, a, b)
+        with pytest.raises(ValueError, match="^node 0 already in the indexed set$"):
+            best_star_at(idx, inst.graph, 0)
 
 
 class TestMergePotential:
@@ -680,6 +682,10 @@ class TestConnectorSelfChecks:
         with pytest.raises(RuntimeError, match=message):
             connect(path_instance(5), {0, 2, 4})
 
+    def test_unknown_connector_rejected(self):
+        with pytest.raises(ValueError, match="^unknown connector 'nope'$"):
+            solve(path_instance(3), connector="nope")
+
 
 def _free_slots(idx, graph, method):
     """Every slot with free endpoints: each free center, and for pairwise each free edge."""
@@ -707,7 +713,7 @@ class _CheckedHeap(_CandidateHeap):
         free = _free_slots(self.idx, self.graph, self.method)
         assert set(live) <= set(free)
         for slot in free:
-            fresh = self.value(self.idx, self.graph, *slot)
+            fresh = self.value(self.idx, self.graph, *(slot if slot[1] >= 0 else slot[:1]))
             entry = live.get(slot)
             if fresh is None:
                 assert entry is None, f"slot {slot}: live entry {entry[5]} but no candidate"

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import cdsopt.generators
 import cdsopt.graph
 from cdsopt.components import ComponentIndex
+from cdsopt.connector import greedy_connect, pairwise_connect
 from cdsopt.generators import _coin_bits, gen_fig1, gen_random_connected, gen_udg
 from cdsopt.graph import (
     Instance,
@@ -26,9 +27,12 @@ from cdsopt.graph import (
     validate_graph,
     validate_instance,
 )
+from cdsopt.solver import solve
+from cdsopt.verify import verify_cds, verify_mds
 from helpers import (
     bfs_component_count,
     make_instance,
+    path_instance,
     reference_gen_random_connected,
     reference_unit_disk_edges,
 )
@@ -61,6 +65,14 @@ class TestParse:
             ("graph 3 2 1\n1 1 1\n0 1\n1 2\n", "malformed header"),
             ("cds 3 2\n1 1 1\n0 1\n1 2\n", "malformed header"),
             ("cds 3 2 0\n1 1 1\n0 1\n1 2\n", "m must be >= 1"),
+            ("cds 3 x 1\n1 1 1\n0 1\n1 2\n", "malformed header: counts must be integers"),
+            ("cds 3 -1 1\n1 1 1\n", "malformed header: edge count must be >= 0"),
+            ("cds 3 2 1\n", "missing cost line"),
+            ("cds 3 2 1\n1 abc 1\n0 1\n1 2\n", "malformed cost 'abc'"),
+            ("cds 2 1 1\n1 1\ncoords\n0 0\n", "coords block truncated"),
+            ("cds 2 1 1\n1 1\ncoords\n0 0 0\n1 0\n0 1\n", "coords line must hold exactly two values"),
+            ("cds 3 2 1\n1 1 1\n0 1 2\n1 2\n", "malformed edge line \\['0', '1', '2'\\]"),
+            ("cds 3 2 1\n1 1 1\n0 x\n1 2\n", "malformed edge line \\['0', 'x'\\]"),
             ("cds 0 0 1\n\n", "node count"),
             ("cds 3 2 1\n1 0 1\n0 1\n1 2\n", "non-positive cost"),
             ("cds 3 2 1\n1 -2 1\n0 1\n1 2\n", "non-positive cost"),
@@ -266,6 +278,10 @@ class TestUdgGenerator:
         with pytest.raises(InstanceError, match="side must be finite and positive"):
             gen_udg(1, side, (1.0, 1.0), seed=0)
 
+    def test_rejects_zero_nodes(self):
+        with pytest.raises(InstanceError, match="^n must be >= 1$"):
+            gen_udg(0, 1.0, (1.0, 1.0), 0)
+
 
 def _nudge(v: float, steps: int) -> float:
     """``v`` moved ``steps`` floats up (positive) or down (negative)."""
@@ -436,6 +452,25 @@ class TestValidate:
         with pytest.raises(InstanceError, match=f"^{message}$"):
             validate_graph(graph)
 
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (
+                lambda: validate_graph(WeightedGraph(node_count=3, adjacency=((1,), (0,)), cost=(1.0, 1.0, 1.0))),
+                "adjacency size does not match node count",
+            ),
+            (lambda: WeightedGraph.from_edges(3, [(0, 1), (1, 2)], [1.0, 1.0]), "cost vector size does not match node count"),
+            (
+                lambda: WeightedGraph.from_edges(2, [(0, 1)], [1.0, 1.0], coords=[(0.0, 0.0)]),
+                "coords size does not match node count",
+            ),
+        ],
+        ids=["adjacency", "cost", "coords"],
+    )
+    def test_size_mismatch_rejected(self, build, message):
+        with pytest.raises(InstanceError, match=f"^{message}$"):
+            build()
+
 
 class TestComponentLabels:
     def test_labels_each_component_by_its_smallest_member(self):
@@ -450,6 +485,36 @@ class TestComponentLabels:
         adjacency = parse_instance(P3_TEXT).graph.adjacency
         with pytest.raises(ValueError, match=f"^node id {bad} out of range 0..2$"):
             component_labels(adjacency, members)
+
+
+class TestOneIdCheck:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        kind=st.sampled_from(["path", "random"]),
+        n=st.integers(1, 12),
+        seed=st.integers(0, 10**6),
+        data=st.data(),
+    )
+    def test_every_entry_point_names_the_same_bad_id(self, kind, n, seed, data):
+        """Each entry point taking node ids names the smallest negative id, else the smallest id >= n."""
+        inst = path_instance(n) if kind == "path" else gen_random_connected(n, 0.3, (1.0, 2.0), seed=seed)
+        good = data.draw(st.lists(st.integers(0, n - 1), max_size=n))
+        bad = data.draw(st.lists(st.integers(-5, -1) | st.integers(n, n + 5), min_size=1, max_size=4))
+        ids = data.draw(st.permutations(good + bad))
+        negative = [u for u in ids if u < 0]
+        named = min(negative) if negative else min(u for u in ids if u >= n)
+        message = f"^node id {named} out of range 0..{n - 1}$"
+        entry_points = [
+            lambda: verify_mds(inst, ids),
+            lambda: verify_cds(inst, ids),
+            lambda: solve(inst, given_ds=ids),
+            lambda: greedy_connect(inst, ids),
+            lambda: pairwise_connect(inst, ids),
+            lambda: ComponentIndex(inst.graph, ids),
+        ]
+        for call in entry_points:
+            with pytest.raises(ValueError, match=message):
+                call()
 
 
 class TestUnitDiskChecksRunOnce:

@@ -222,6 +222,13 @@ class TestExactSearch:
         with pytest.raises(OracleBudgetError, match="instance too deep .*: 1200 nodes"):
             exact_minimum_cds(inst, node_budget=2000)
 
+    @pytest.mark.parametrize("search", [exact_minimum_cds, exact_minimum_mds])
+    def test_depth_guard_message(self, search):
+        # within the node budget, but deeper than the recursion limit
+        with pytest.raises(OracleBudgetError) as caught:
+            search(path_instance(1100), node_budget=1100)
+        assert str(caught.value) == "instance too deep for the oracle's recursive search: 1100 nodes"
+
 
 class TestHarmonic:
     def test_values(self):
