@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdsopt.cli import main
 from cdsopt.generators import gen_fig1, gen_random_connected, gen_udg
@@ -15,6 +17,7 @@ from cdsopt.oracle import (
     harmonic,
     ratio_report,
 )
+from cdsopt.solver import solve
 from cdsopt.verify import verify_cds, verify_mds
 from helpers import (
     complete_instance,
@@ -209,6 +212,101 @@ class TestExactSearch:
         for search, expected in ((exact_minimum_cds, cds), (exact_minimum_mds, mds)):
             result = search(inst, node_budget=n)
             assert (result.opt_set, result.opt_cost, result.nodes_explored) == expected
+
+    @pytest.mark.parametrize(
+        "make, cds, mds",
+        [
+            (
+                lambda: gen_random_connected(24, 0.1, (0.1, 10.0), 1),
+                ((7, 10, 17, 20, 21), 26.032747969491474, 178265),
+                ((2, 3, 9, 12, 13, 14, 16, 20), 20.922334582351855, 13195),
+            ),
+            (
+                lambda: gen_random_connected(18, 0.25, (0.1, 10.0), 2, m=2),
+                ((3, 4, 5, 6, 10, 12), 14.58035085526122, 1381),
+                ((1, 2, 5, 6, 8, 12), 13.463731623030874, 799),
+            ),
+            (
+                lambda: gen_udg(18, 2.8, (0.1, 10.0), 1),
+                ((1, 2, 7, 13, 15), 28.114367430676126, 8438),
+                ((6, 7, 11, 13), 15.705377344260077, 537),
+            ),
+            (
+                lambda: gen_random_connected(20, 0.2, (1.0, 1.0), 3),
+                ((3, 6, 8, 10), 4.0, 11029),
+                ((0, 3, 6, 8), 4.0, 4382),
+            ),
+        ],
+        ids=["random-n24-p0.1-s1", "random-n18-m2-s2", "udg-n18-s1", "random-n20-unit-cost-s3"],
+    )
+    def test_seeded_search_size_pinned(self, make, cds, mds):
+        """The search seeded with the solver's own sets, as ``solve`` runs it:
+        the optima of ``test_search_size_pinned`` in fewer nodes."""
+        inst = make()
+        n = inst.graph.node_count
+        result = solve(inst)
+        for search, incumbent, expected in (
+            (exact_minimum_cds, result.dominating_and_connectors, cds),
+            (exact_minimum_mds, result.d1, mds),
+        ):
+            seeded = search(inst, node_budget=n, incumbent=incumbent)
+            assert (seeded.opt_set, seeded.opt_cost, seeded.nodes_explored) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        n=st.integers(1, 11),
+        m=st.integers(1, 2),
+        udg=st.booleans(),
+        costs=st.sampled_from(["uniform", "unit", "mixed"]),
+        pick=st.randoms(use_true_random=False),
+    )
+    def test_incumbent_never_changes_the_answer(self, seed, n, m, udg, costs, pick):
+        """Any feasible incumbent, V, the solver's sets or the optimum itself,
+        gives the unseeded opt_set and opt_cost and never a larger search.
+        Costs mixing 1e16 with 1.0 make float sums absorb the small terms."""
+        if udg:
+            inst = gen_udg(n, math.sqrt(n / 4.0), (0.1, 10.0), seed=seed, m=m)
+        else:
+            inst = gen_random_connected(n, 0.3, (0.1, 10.0), seed=seed, m=m)
+        if costs != "uniform":
+            adj = inst.graph.adjacency
+            edges = [(u, w) for u in range(n) for w in adj[u] if u < w]
+            weights = [1.0 if costs == "unit" else pick.choice((1e16, 1.0)) for _ in range(n)]
+            inst = make_instance(n, edges, weights, m=m)
+        result = solve(inst)
+        for search, solver_set in (
+            (exact_minimum_cds, result.dominating_and_connectors),
+            (exact_minimum_mds, result.d1),
+        ):
+            plain = search(inst)
+            whole = search(inst, incumbent=range(n))
+            assert whole == plain
+            for incumbent in (solver_set, plain.opt_set):
+                seeded = search(inst, incumbent=incumbent)
+                assert (seeded.opt_set, seeded.opt_cost) == (plain.opt_set, plain.opt_cost)
+                assert seeded.nodes_explored <= plain.nodes_explored
+
+    def test_overflowing_costs_return_the_incumbent(self):
+        # every connected dominating set of P4 has two nodes, whose costs sum to inf
+        inst = path_instance(4, costs=[1.7e308] * 4)
+        assert exact_minimum_cds(inst) == exact_minimum_cds(inst, incumbent=range(4))
+        assert exact_minimum_cds(inst).opt_set == (0, 1, 2, 3)
+        seeded = exact_minimum_cds(inst, incumbent={2, 1})
+        assert (seeded.opt_set, seeded.opt_cost) == ((1, 2), math.inf)
+
+    def test_disconnected_incumbent_rejected(self):
+        # {0, 2, 4} dominates the path but does not induce a connected subgraph
+        with pytest.raises(ValueError, match="^incumbent is not a feasible solution: node 2 disconnected"):
+            exact_minimum_cds(path_instance(5), incumbent={0, 2, 4})
+        assert exact_minimum_mds(path_instance(5), incumbent={0, 2, 4}).opt_cost == 2.0
+
+    @pytest.mark.parametrize("search", [exact_minimum_cds, exact_minimum_mds])
+    def test_non_dominating_incumbent_rejected(self, search):
+        with pytest.raises(ValueError, match="^incumbent is not a feasible solution: node 2 has 0 < 1 dominators"):
+            search(path_instance(3), incumbent={0})
+        with pytest.raises(ValueError, match="out of range"):
+            search(path_instance(3), incumbent={0, 1, 5})
 
     def test_budget_guard(self):
         inst = gen_random_connected(17, 0.3, (1.0, 2.0), seed=0)
