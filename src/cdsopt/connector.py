@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 
 from .components import ComponentIndex
 from .domination import ratio_key
-from .graph import Instance, WeightedGraph
+from .graph import Instance, WeightedGraph, checked_ids
 
 
 @dataclass(frozen=True)
@@ -104,6 +104,8 @@ def best_star_at(idx: ComponentIndex, graph: WeightedGraph, u: int) -> StarCandi
     neighbor of u and sorts only the leaves with a fresh component: O(deg u)
     reads, plus a sort of the fresh leaves.
     """
+    if not 0 <= u < graph.node_count:
+        checked_ids(graph.node_count, (u,))  # raises the range error
     cost = graph.cost
     if idx.label[u] >= 0:
         raise ValueError(f"node {u} already in the indexed set")
@@ -147,6 +149,9 @@ def pair_candidate(idx: ComponentIndex, graph: WeightedGraph, a: int, b: int = -
     A candidate's value is the number of components it touches minus one,
     so it reads only the reach entries of a and b.
     """
+    n = graph.node_count
+    if not (0 <= a < n and -1 <= b < n):
+        checked_ids(n, (a,) if b == -1 else (a, b))  # raises the range error
     label = idx.label
     reach = idx.reach
     for x in (a, b):

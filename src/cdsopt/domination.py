@@ -18,7 +18,7 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from .graph import Instance
+from .graph import Instance, checked_ids
 
 
 @dataclass(frozen=True)
@@ -53,6 +53,8 @@ class DeficitState:
 
     def add(self, u: int) -> None:
         """Insert u, zeroing its own deficit and relieving uncovered neighbors."""
+        if not 0 <= u < len(self.in_set):
+            checked_ids(len(self.in_set), (u,))  # raises the range error
         if self.in_set[u]:
             raise ValueError(f"node {u} already in the set")
         self.deficit[u] = 0
@@ -68,6 +70,8 @@ def coverage_gain(state: DeficitState, u: int) -> int:
     Equals u's own deficit plus the number of uncovered neighbors outside
     the set whose deficit it would relieve.
     """
+    if not 0 <= u < len(state.in_set):
+        checked_ids(len(state.in_set), (u,))  # raises the range error
     if state.in_set[u]:
         raise ValueError(f"node {u} already in the set")
     gain = state.deficit[u]

@@ -123,12 +123,15 @@ def gen_udg(
     - ``n >= 1``, the cost range and a finite positive ``side`` are checked
       up front;
     - ``edge_adjacency(n, unit_disk_edges(pts))`` returns n sorted,
-      loop-free, symmetric neighbour tuples, which are the unit-disk edges
-      of the stored points;
+      in-range, loop-free, symmetric neighbour tuples, the guarantee that
+      lets ``WeightedGraph.from_edges`` skip the adjacency checks too, and
+      they hold exactly the unit-disk edges of the stored points, computed
+      once per point set;
     - costs are drawn from [lo, hi] with 0 < lo and hi finite, and points
       from [0, side], so every cost is finite and positive and every
       coordinate finite;
-    - connectivity is tested before the costs are drawn.
+    - connectivity is tested, once per point set, before the costs are
+      drawn.
     """
     lo, hi = cost_range
     if n < 1:

@@ -24,16 +24,20 @@ written.  ``component_labels`` is the one routine for static connectivity and
 seeds ``ComponentIndex``: a stack search of a given member set, linear too.
 Construction and validation take time linear in the nodes plus the edges
 (plus one sort of an unsorted edge list), whatever the degrees.
-``unit_disk_edges`` buckets the points into a grid of unit cells and applies
-the rule only to pairs of nearby cells, a proven superset of the edges, so
-it runs in time linear in the points plus the compared pairs.
+``unit_disk_edges`` buckets the points into a grid of half-unit cells and
+applies the rule only to pairs of nearby cells, a proven superset of the
+edges, so it runs in time linear in the points plus the compared pairs
+(plus one sort of the occupied cells).
 
-``from_edges`` validates everything it builds.  ``parse_instance`` checks
-the text's shape and, line by line, rejects loops, out-of-range endpoints
-and edge lines with ``u >= v``.  ``gen_udg``'s graph holds every invariant
-by construction, so it builds its ``WeightedGraph`` directly.
-Every entry point that takes node ids raises its range error through
-``checked_ids``, so each names the same bad id.
+Each check runs once.  ``from_edges`` skips the adjacency checks, which
+``edge_adjacency`` makes hold by construction, and checks the rest in
+``validate_graph``'s order, so both raise the same message on the same graph.
+``parse_instance`` checks the text's shape and reads the edge lines in one
+pass; only when that pass fails does it rescan them line by line, to name
+the first malformed line, loop or line without ``0 <= u < v < n``.
+``gen_udg``'s graph holds every invariant by construction, so it builds its
+``WeightedGraph`` directly.  Every entry point that takes node ids raises
+its range error through ``checked_ids``, so each names the same bad id.
 """
 
 from __future__ import annotations
@@ -93,14 +97,20 @@ class WeightedGraph:
         costs: list[float] | tuple[float, ...],
         coords: list[tuple[float, float]] | None = None,
     ) -> "WeightedGraph":
-        """Build and fully validate a graph from an edge list."""
+        """Build a graph from an edge list, checking every invariant.
+
+        ``edge_adjacency`` builds sorted, in-range, loop-free, symmetric
+        neighbour tuples by construction, so only the sizes and
+        ``_check_contents`` are checked here, in ``validate_graph``'s order.
+        """
         graph = cls(
             node_count=node_count,
             adjacency=edge_adjacency(node_count, edges),
             cost=tuple(map(float, costs)),
             coords=tuple((float(x), float(y)) for x, y in coords) if coords is not None else None,
         )
-        validate_graph(graph)
+        _check_sizes(graph)
+        _check_contents(graph)
         return graph
 
     @cached_property
@@ -177,11 +187,20 @@ def component_labels(adjacency, members) -> tuple[list[int], int]:
     return label, count
 
 
-# Cell offsets compared with each occupied cell besides itself: the forward
-# half of the 5x5 stencil without its corners.  Every backward offset is the
-# forward offset of the other cell, so each pair of cells is compared once.
-_FORWARD_CELLS = ((0, 1), (0, 2)) + tuple(
-    (dx, dy) for dx in (1, 2) for dy in range(-2, 3) if (dx, abs(dy)) != (2, 2)
+def _cell_gap(k: int) -> float:
+    """A lower bound on the distance along one axis between points whose half-unit cells are k apart."""
+    return max(abs(k) - 1, 0) / 2
+
+
+# Half-cell offsets compared with each occupied cell besides itself: the
+# forward half of the 37 offsets (dx, dy) with gap(dx)**2 + gap(dy)**2 <= 1.
+# Every backward offset is the forward offset of the other cell, so each pair
+# of cells is compared once.
+_FORWARD_CELLS = tuple(
+    (dx, dy)
+    for dx in range(4)
+    for dy in range(-3, 4)
+    if (dx, dy) > (0, 0) and _cell_gap(dx) ** 2 + _cell_gap(dy) ** 2 <= 1
 )
 
 
@@ -189,51 +208,77 @@ def unit_disk_edges(coords) -> list[tuple[int, int]]:
     """The unit-disk edge set: sorted (i, j), i < j, at Euclidean distance <= 1.
 
     A pair is an edge iff ``(xi - xj) ** 2 + (yi - yj) ** 2 <= 1.0`` in
-    floats; the coordinates must be finite.  Points are bucketed into unit
-    cells keyed by ``(floor(x), floor(y))`` (Bentley, Stanat and Williams'
-    fixed-radius near-neighbour search), and the predicate is evaluated only
-    on pairs in the same cell or in cells at an offset from
+    floats; the coordinates must be finite.  Points are bucketed into
+    half-unit cells keyed by ``(floor(2x), floor(2y))`` (Bentley, Stanat and
+    Williams' fixed-radius near-neighbour search), and the predicate is
+    evaluated only on pairs in the same cell or in cells at an offset from
     ``_FORWARD_CELLS``.  Those pairs are a superset of the edges:
 
-    - If the predicate holds, ``fl(xi - xj) ** 2`` rounds to at most 1, so
-      ``|fl(xi - xj)| <= 1``; the exact difference is then at most
-      ``1 + 2**-53``, and the floors differ by at most 2.  The same holds
-      for y, so every edge lies within the 5x5 stencil.
-    - A 3x3 stencil is not enough: for ``(2.0, 0.0)`` and
-      ``(nextafter(1.0, 0.0), 0.0)`` the difference rounds to exactly 1.0,
-      an edge whose cells are two apart.
-    - Cells two apart in both axes hold no edge: both exact differences
-      exceed 1, rounding is monotone and 1.0 is a float, so both squares are
-      at least 1 and their sum at least 2.
+    - The key is computed as ``2*floor(x) + (x - floor(x) >= 0.5)``, since
+      ``2*x`` overflows near 1.7e308.  The difference is exact except for
+      -0.5 < x < 0, where it and its rounding are both at least 0.5, so the
+      comparison always decides as it would on the exact fractional part.
+    - Two points whose cells are k apart along an axis differ there by at
+      least ``gap(k) = max(|k| - 1, 0) / 2`` exactly; let h = min(gap(k), 2).
+      h and h**2 are exact floats and rounding is monotone, so the rounded
+      difference is at least h in magnitude, its square at least h**2 and
+      the rounded sum at least ``h(kx)**2 + h(ky)**2``.  Off the stencil
+      ``gap(kx)**2 + gap(ky)**2 > 1``, so that sum exceeds 1 (h = 2 alone
+      gives 4) and the predicate fails.  ``**`` calls the C ``pow``, which
+      is not always correctly rounded, but it is exact on each h, and the
+      exact square of a float above h is over an ulp above h**2, more than
+      ``pow``'s error.
+    - The stencil needs cells 3 apart: for ``(1.5, 0.0)`` and
+      ``(nextafter(0.5, 0.0), 0.0)`` the difference rounds to exactly 1.0,
+      an edge whose cells are 3 apart.
 
     The predicate is symmetric (``fl(a - b) == -fl(b - a)``), so the order
-    in which a pair is compared does not matter.  Every compared pair is
-    less than 3 apart per axis, so far-apart points never overflow a square.
+    in which a pair is compared does not matter, and each compared pair is
+    less than 2 apart per axis, so far-apart points never overflow a
+    square.  Each point collects its hits with one comprehension and files
+    them under the smaller id; each node's list is then sorted, so the edge
+    list comes out sorted without a sort of pairs.  The 37 cells cover 9.25
+    square units around a point, against 21 for the 5x5 unit-cell stencil
+    without its corners.
     """
+    # one int object per id, shared by every pair below, so that an adjacency
+    # built from the pairs holds no second copy of an id
+    ids = list(range(len(coords)))
     cells: dict[tuple[int, int], list[tuple[int, float, float]]] = {}
-    for i, (x, y) in enumerate(coords):
-        key = (math.floor(x), math.floor(y))
+    for i, (x, y) in zip(ids, coords):
+        fx, fy = math.floor(x), math.floor(y)
+        key = (2 * fx + (x - fx >= 0.5), 2 * fy + (y - fy >= 0.5))
         if key in cells:
             cells[key].append((i, x, y))
         else:
             cells[key] = [(i, x, y)]
-    edges: list[tuple[int, int]] = []
-    for (cx, cy), points in cells.items():
-        near: list[tuple[int, float, float]] = []
-        for dx, dy in _FORWARD_CELLS:
-            other = cells.get((cx + dx, cy + dy))
+    if not cells:
+        return []
+    # number the cells column by column, leaving room for dy in -3..3 between
+    # columns, so that each offset is one integer step that reaches no other cell
+    low = min(ky for _, ky in cells)
+    width = max(ky for _, ky in cells) - low + 4
+    grid = {kx * width + ky - low: points for (kx, ky), points in cells.items()}
+    steps = [dx * width + dy for dx, dy in _FORWARD_CELLS]
+    upper: list[list[int]] = [[] for _ in coords]  # node i's neighbours j > i
+    # in key order, consecutive cells share most of their stencil, which
+    # keeps the points they read in cache on large instances
+    for key in sorted(grid):
+        points = grid[key]
+        # the cell's own points first: each point is compared with the later ones
+        near = points.copy()
+        for step in steps:
+            other = grid.get(key + step)
             if other is not None:
                 near += other
-        for a, (i, xi, yi) in enumerate(points):
-            # a cell lists its points in increasing id order
-            for j, xj, yj in points[a + 1:]:
-                if (xi - xj) ** 2 + (yi - yj) ** 2 <= 1.0:
-                    edges.append((i, j))
-            for j, xj, yj in near:
-                if (xi - xj) ** 2 + (yi - yj) ** 2 <= 1.0:
-                    edges.append((i, j) if i < j else (j, i))
-    edges.sort()
-    return edges
+        for a, (i, xi, yi) in enumerate(points, 1):
+            mine = upper[i]
+            for j in [j for j, xj, yj in near[a:] if (xi - xj) ** 2 + (yi - yj) ** 2 <= 1.0]:
+                if i < j:
+                    mine.append(j)
+                else:
+                    upper[j].append(i)
+    return [(i, j) for i, later in zip(ids, upper) for j in sorted(later)]
 
 
 def edge_adjacency(node_count: int, edges) -> tuple[tuple[int, ...], ...]:
@@ -267,18 +312,14 @@ def edge_adjacency(node_count: int, edges) -> tuple[tuple[int, ...], ...]:
 def validate_graph(graph: WeightedGraph) -> None:
     """Check every WeightedGraph invariant, raising InstanceError on the first failure.
 
-    One pass checks that each neighbour tuple is strictly increasing, in
-    range and free of its own node, and lists each node u under each of its
-    neighbours v.  Those lists come out sorted, so the adjacency is
-    symmetric iff they equal it.
+    The checks run in this order: the sizes, the adjacency's shape, then
+    ``_check_contents``.  One pass checks that each neighbour tuple is
+    strictly increasing, in range and free of its own node, and lists each
+    node u under each of its neighbours v.  Those lists come out sorted, so
+    the adjacency is symmetric iff they equal it.
     """
+    _check_sizes(graph)
     n = graph.node_count
-    if n < 1:
-        raise InstanceError("node count must be >= 1")
-    if len(graph.adjacency) != n:
-        raise InstanceError("adjacency size does not match node count")
-    if len(graph.cost) != n:
-        raise InstanceError("cost vector size does not match node count")
     mirror: list[list[int]] = [[] for _ in range(n)]
     for u, nbrs in enumerate(graph.adjacency):
         if not all(map(lt, nbrs, nbrs[1:])):
@@ -296,6 +337,23 @@ def validate_graph(graph: WeightedGraph) -> None:
             missing = set(nbrs).difference(back)
             if missing:
                 raise InstanceError(f"adjacency not symmetric at edge {u} {min(missing)}")
+    _check_contents(graph)
+
+
+def _check_sizes(graph: WeightedGraph) -> None:
+    """The node count, and the sizes of the adjacency and cost vectors."""
+    n = graph.node_count
+    if n < 1:
+        raise InstanceError("node count must be >= 1")
+    if len(graph.adjacency) != n:
+        raise InstanceError("adjacency size does not match node count")
+    if len(graph.cost) != n:
+        raise InstanceError("cost vector size does not match node count")
+
+
+def _check_contents(graph: WeightedGraph) -> None:
+    """The checks after the adjacency's shape: costs, coordinates, connectivity and the unit-disk rule."""
+    n = graph.node_count
     for u, c in enumerate(graph.cost):
         if not math.isfinite(c):
             raise InstanceError(f"malformed cost at node {u}")
@@ -324,6 +382,22 @@ def validate_fold(m: int) -> None:
 def validate_instance(inst: Instance) -> None:
     validate_fold(inst.m)
     validate_graph(inst.graph)
+
+
+def _reject_edge_lines(block: list[str], edge_count: int, n: int) -> None:
+    """Raise the diagnostic for the first bad line of an edge block, else for its truncation."""
+    for parts in map(str.split, block):
+        if len(parts) != 2:
+            raise InstanceError(f"malformed edge line {parts!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            raise InstanceError(f"malformed edge line {parts!r}") from exc
+        if u == v:
+            raise InstanceError(f"loop edge {u} {v}")
+        if not (0 <= u < v < n):
+            raise InstanceError(f"edge {u} {v} must satisfy 0 <= u < v < n")
+    raise InstanceError(f"expected {edge_count} edge lines, found {len(block)}")
 
 
 def parse_instance(text: str) -> Instance:
@@ -392,23 +466,15 @@ def parse_instance(text: str) -> Instance:
                 raise InstanceError(f"malformed coordinate {parts!r}") from exc
             coords.append((x, y))
 
-    edges: list[tuple[int, int]] = []
-    for k in range(edge_count):
-        if pos >= len(rows):
-            raise InstanceError(f"expected {edge_count} edge lines, found {k}")
-        parts = rows[pos].split()
-        pos += 1
-        if len(parts) != 2:
-            raise InstanceError(f"malformed edge line {parts!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise InstanceError(f"malformed edge line {parts!r}") from exc
-        if u == v:
-            raise InstanceError(f"loop edge {u} {v}")
-        if not (0 <= u < v < n):
-            raise InstanceError(f"edge {u} {v} must satisfy 0 <= u < v < n")
-        edges.append((u, v))
+    block = rows[pos:pos + edge_count]
+    pos += len(block)
+    try:
+        # a bad line is dropped by the filter or raises, so the count falls short
+        edges = [(u, v) for a, b in map(str.split, block) for u, v in [(int(a), int(b))] if 0 <= u < v < n]
+    except ValueError:
+        edges = []
+    if len(edges) != edge_count:
+        _reject_edge_lines(block, edge_count, n)
     if pos != len(rows):
         raise InstanceError("trailing content after edge list")
 

@@ -14,13 +14,15 @@ from hypothesis import strategies as st
 import cdsopt.generators
 import cdsopt.graph
 from cdsopt.components import ComponentIndex
-from cdsopt.connector import greedy_connect, pairwise_connect
+from cdsopt.connector import best_star_at, greedy_connect, pair_candidate, pairwise_connect
+from cdsopt.domination import DeficitState, coverage_gain
 from cdsopt.generators import _coin_bits, gen_fig1, gen_random_connected, gen_udg
 from cdsopt.graph import (
     Instance,
     InstanceError,
     WeightedGraph,
     component_labels,
+    edge_adjacency,
     parse_instance,
     serialize_instance,
     unit_disk_edges,
@@ -38,6 +40,41 @@ from helpers import (
 )
 
 P3_TEXT = "cds 3 2 1\n1 1 1\n0 1\n1 2\n"
+BIG = sys.float_info.max
+
+
+def path_text_with(faults: dict[int, str | None], n: int = 40) -> str:
+    """The n-node path's text with edge line k replaced by ``faults[k]``,
+    or dropped when that is None; the header still claims n - 1 edges."""
+    lines = [f"{i} {i + 1}" for i in range(n - 1)]
+    for k, line in sorted(faults.items(), reverse=True):
+        if line is None:
+            del lines[k]
+        else:
+            lines[k] = line
+    return f"cds {n} {n - 1} 1\n" + " ".join(["1"] * n) + "\n" + "\n".join(lines) + "\n"
+
+
+# each fault of an edge line, on the first, a middle and the last of 39 lines
+BAD_EDGE_LINES = [
+    ("5", "malformed edge line \\['5'\\]"),
+    ("5 6 7", "malformed edge line \\['5', '6', '7'\\]"),
+    ("5 5", "loop edge 5 5"),
+    ("6 5", "edge 6 5 must satisfy 0 <= u < v < n"),
+    ("5 40", "edge 5 40 must satisfy 0 <= u < v < n"),
+]
+LATE_EDGE_FAULTS = [
+    (path_text_with({k: line}), fragment) for k in (0, 19, 38) for line, fragment in BAD_EDGE_LINES
+] + [
+    (path_text_with({38: None}), "expected 39 edge lines, found 38"),
+    (path_text_with({0: None, 1: None}), "expected 39 edge lines, found 37"),
+    # two faults: the earlier line is named, whatever its kind
+    (path_text_with({12: "13 12", 30: "x"}), "edge 13 12 must satisfy"),
+    (path_text_with({12: "x", 30: "13 12"}), "malformed edge line \\['x'\\]"),
+    (path_text_with({3: "7 7", 38: None}), "loop edge 7 7"),
+    # a line fault is named before a graph fault on an earlier line
+    (path_text_with({1: "0 1", 30: "31 31"}), "loop edge 31 31"),
+]
 
 
 class TestParse:
@@ -89,6 +126,7 @@ class TestParse:
             ("cds 1 0 1\n1\ncoords\nx 0\n", "malformed coordinate \\['x', '0'\\]"),
             ("cds 1 0 1\n1\ncoords\nnan 0\n", "malformed coordinate at node 0"),
             ("cds 2 1 1\n1 1\ncoords\n0 0\n0 -inf\n0 1\n", "malformed coordinate at node 1"),
+            *LATE_EDGE_FAULTS,
         ],
     )
     def test_diagnostics(self, text, fragment):
@@ -294,14 +332,15 @@ def _nudge(v: float, steps: int) -> float:
 def tricky_points(draw):
     """Point sets that sit on the unit-disk rule's rounding edges.
 
-    Base points lie within 1e-3, 1 or 4 of the origin, or on integers;
-    derived points are a base point moved by -1, 0 or +1 per axis and then a
-    few floats either way, so distances of one ulp around 1 (and duplicates)
-    are common, including pairs whose unit cells are two apart.
+    Base points lie within 1e-3, 1 or 4 of the origin, or on multiples of
+    1/2; derived points are a base point moved by -1, -1/2, 0, +1/2 or +1
+    per axis and then a few floats either way, so distances of one ulp
+    around 1 (and duplicates) are common, including pairs whose half-unit
+    cells are three apart.
     """
     scale = draw(st.sampled_from([1e-3, 1.0, 4.0]))
     coordinate = st.floats(-scale, scale, allow_nan=False, allow_infinity=False)
-    aligned = st.integers(-3, 3).map(float)
+    aligned = st.integers(-6, 6).map(lambda k: k / 2)
     points = draw(
         st.lists(
             st.one_of(st.tuples(coordinate, coordinate), st.tuples(aligned, aligned)),
@@ -309,7 +348,7 @@ def tricky_points(draw):
             max_size=15,
         )
     )
-    offset = st.sampled_from([-1.0, 0.0, 1.0])
+    offset = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])
     for _ in range(draw(st.integers(0, 20))):
         x, y = draw(st.sampled_from(points))
         points.append(
@@ -349,6 +388,52 @@ class TestUnitDiskEdges:
         assert reference_unit_disk_edges(points) == [(0, 1)]
         assert unit_disk_edges(points) == [(0, 1)]
         make_instance(2, [(0, 1)], coords=points)
+
+    @pytest.mark.parametrize(
+        "points,edges",
+        [
+            # the difference rounds to exactly 1.0: half-unit cells 3 and 0 in x,
+            # -3 and -1 in x, 3 and 0 in y
+            ([(1.5, 0.0), (math.nextafter(0.5, 0.0), 0.0)], [(0, 1)]),
+            ([(-1.5, 0.25), (math.nextafter(-0.5, 0.0), 0.25)], [(0, 1)]),
+            ([(0.25, 1.5), (0.25, math.nextafter(0.5, 0.0))], [(0, 1)]),
+            # cells 1 apart in x and 3 in y: dx**2 is below half an ulp of 1
+            ([(0.5, 1.5), (math.nextafter(0.5, 0.0), math.nextafter(0.5, 0.0))], [(0, 1)]),
+            # 3 cells apart in x and 2 in y: outside the stencil and no edge
+            ([(1.5, 1.0), (math.nextafter(0.5, 0.0), math.nextafter(0.5, 0.0))], []),
+            # on half-integers
+            (
+                [(0.5, 0.5), (1.5, 0.5), (0.5, 1.5), (-0.5, 0.5), (1.0, 1.0)],
+                [(0, 1), (0, 2), (0, 3), (0, 4), (1, 4), (2, 4)],
+            ),
+            # 0.5 - (-0.5 - ulp) rounds to 1.0 across cells 1 and -2; 1.5 + ulp - 0.5 does not
+            (
+                [(0.5, 0.0), (math.nextafter(1.5, 2.0), 0.0), (math.nextafter(-0.5, -1.0), 0.0),
+                 (math.nextafter(0.5, 0.0), 1.0)],
+                [(0, 2), (0, 3)],
+            ),
+            # one float either side of half-integers: 1 + 2**-53 is a tie and rounds to 1.0
+            (
+                [(-0.5, -0.5), (-5e-324, -0.5), (0.5, math.nextafter(-0.5, 0.0)), (math.nextafter(0.5, 1.0), -0.5)],
+                [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],
+            ),
+            # within one ulp of the largest float: 2*x would overflow to inf
+            ([(BIG, 0.0), (BIG, 1.0), (-BIG, 0.0)], [(0, 1)]),
+            (
+                [(0.0, math.nextafter(BIG, 0.0)), (0.5, math.nextafter(BIG, 0.0)), (0.5, -BIG), (-0.5, -BIG)],
+                [(0, 1), (2, 3)],
+            ),
+            ([(BIG, -BIG)] * 2 + [(-BIG, BIG)] * 2, [(0, 1), (2, 3)]),
+        ],
+    )
+    def test_half_cell_stencil(self, points, edges):
+        assert reference_unit_disk_edges(points) == edges
+        assert unit_disk_edges(points) == edges
+
+    def test_stencil_proof_premises(self):
+        # 37 offsets in all, and pow is exact on the per-axis gaps the proof uses
+        assert len(cdsopt.graph._FORWARD_CELLS) == 18
+        assert [h**2 for h in (0.0, 0.5, 1.0, 1.5, 2.0)] == [0.0, 0.25, 1.0, 2.25, 4.0]
 
     def test_far_apart_points_do_not_overflow(self):
         assert unit_disk_edges([(0.0, 0.0), (1e200, 0.0), (-1e308, 1e308)]) == []
@@ -471,6 +556,60 @@ class TestValidate:
         with pytest.raises(InstanceError, match=f"^{message}$"):
             build()
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 7))
+    def test_from_edges_agrees_with_validate_graph(self, data, n):
+        """from_edges skips the adjacency checks that edge_adjacency makes
+        redundant: on any edge list it raises what validate_graph raises on
+        the graph edge_adjacency builds, and accepts what it accepts."""
+        maybe = st.sampled_from([None, None, None, "fault"])  # a fault in about one draw of four
+        edges = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=6)) if n else []
+        if data.draw(st.booleans()):
+            edges += [(i, i + 1) for i in range(n - 1)]  # a spanning path, so some graphs are connected
+        if data.draw(maybe):
+            edges.append(data.draw(st.sampled_from([(-1, 0), (0, n), (n, n)])))
+        costs = data.draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n))
+        if data.draw(maybe):
+            if costs and data.draw(st.booleans()):
+                costs[data.draw(st.integers(0, n - 1))] = data.draw(st.sampled_from([0.0, -1.0, math.inf, math.nan]))
+            else:
+                costs = costs[1:] if data.draw(st.booleans()) else costs + [1.0]
+        point = st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0))
+        coords = data.draw(st.none() | st.lists(point, min_size=n, max_size=n))
+        if coords is not None and data.draw(maybe):
+            if coords and data.draw(st.booleans()):
+                bad = data.draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+                coords[data.draw(st.integers(0, n - 1))] = (bad, 0.0)
+            else:
+                coords = coords[1:] if data.draw(st.booleans()) else coords + [(0.0, 0.0)]
+        if coords is not None and all(map(math.isfinite, sum(coords, ()))) and data.draw(st.booleans()):
+            # the unit-disk edges, often valid, or with one pair added or dropped
+            edges = unit_disk_edges(coords)
+            pairs = [(i, j) for i in range(len(coords)) for j in range(i + 1, len(coords))]
+            if pairs and data.draw(st.booleans()):
+                pair = data.draw(st.sampled_from(pairs))
+                edges = [e for e in edges if e != pair] if pair in edges else sorted(edges + [pair])
+        try:
+            adjacency = edge_adjacency(n, edges)
+        except InstanceError as exc:
+            expected = str(exc)
+        else:
+            graph = WeightedGraph(
+                node_count=n, adjacency=adjacency, cost=tuple(costs), coords=None if coords is None else tuple(coords)
+            )
+            try:
+                validate_graph(graph)
+                expected = None
+            except InstanceError as exc:
+                expected = str(exc)
+        try:
+            built = WeightedGraph.from_edges(n, edges, costs, coords=coords)
+        except InstanceError as exc:
+            assert str(exc) == expected
+        else:
+            assert expected is None
+            assert built.adjacency == adjacency
+
 
 class TestComponentLabels:
     def test_labels_each_component_by_its_smallest_member(self):
@@ -515,6 +654,25 @@ class TestOneIdCheck:
         for call in entry_points:
             with pytest.raises(ValueError, match=message):
                 call()
+
+    @pytest.mark.parametrize("bad", [-3, -2, 5])  # a partner of -1 means none
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda inst, idx, u: best_star_at(idx, inst.graph, u),
+            lambda inst, idx, u: pair_candidate(idx, inst.graph, u),
+            lambda inst, idx, u: pair_candidate(idx, inst.graph, 2, u),
+            lambda inst, idx, u: coverage_gain(DeficitState(inst), u),
+            lambda inst, idx, u: DeficitState(inst).add(u),
+        ],
+        ids=["best_star_at", "pair_candidate", "pair_candidate-partner", "coverage_gain", "DeficitState.add"],
+    )
+    def test_per_node_functions_reject_bad_ids(self, call, bad):
+        # a negative id would otherwise read the node counted from the end
+        inst = path_instance(5)
+        idx = ComponentIndex(inst.graph, [0, 4])
+        with pytest.raises(ValueError, match=f"^node id {bad} out of range 0..4$"):
+            call(inst, idx, bad)
 
 
 class TestUnitDiskChecksRunOnce:
