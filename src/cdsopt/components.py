@@ -32,8 +32,11 @@ class ComponentIndex:
 
     ``single`` is a flat list over all nodes: a free node whose ``reach``
     entry holds exactly one label holds that label, and every other node,
-    members included, holds -1.  An add writes it wherever it writes a
-    ``reach`` entry and clears u's, so its upkeep is O(1) per changed node.
+    members included, holds -1.  An add recomputes it once for each node
+    whose ``reach`` entry it changed and clears u's, so its upkeep is O(1)
+    per changed node, and it reports the nodes whose ``single`` entry
+    changed: the connector revalues a star only when its center's ``reach``
+    entry or a neighbor's ``single`` entry changed.
     """
 
     def __init__(self, graph: WeightedGraph, members=()):
@@ -57,13 +60,16 @@ class ComponentIndex:
     def component_count(self) -> int:
         return len(self._components)
 
-    def add(self, u: int) -> set[int]:
-        """Insert u; return the free nodes whose ``reach`` entry changed.
+    def add(self, u: int) -> tuple[set[int], set[int]]:
+        """Insert u; return the nodes whose ``reach`` entry and whose ``single`` entry changed.
 
-        Those are the free neighbors of every member relabeled into the
-        surviving component (each loses the old label) and the free
+        The first set holds the free neighbors of every member relabeled
+        into the surviving component (each loses the old label) and the free
         neighbors of u that did not yet touch u's component.  A free node
-        outside the returned set holds the same entry as before.
+        outside it holds the same ``reach`` entry as before.  The second set
+        holds u when its ``single`` entry was a label, and each node of the
+        first set whose ``single`` entry differs from before the add; every
+        other node holds the same ``single`` entry as before.
         """
         if not 0 <= u < self._graph.node_count:
             checked_ids(self._graph.node_count, (u,))  # raises the range error
@@ -76,6 +82,7 @@ class ComponentIndex:
         components = self._components
         touched = reach[u]
         reach[u] = set()
+        flipped = {u} if single[u] >= 0 else set()
         single[u] = -1
         changed: set[int] = set()
         if not touched:
@@ -99,13 +106,16 @@ class ComponentIndex:
                             near = reach[x]
                             near.discard(root)
                             near.add(target)
-                            single[x] = target if len(near) == 1 else -1
                             changed.add(x)
                 kept.extend(absorbed)
         for x in adjacency[u]:
             if label[x] < 0 and target not in reach[x]:
-                near = reach[x]
-                near.add(target)
-                single[x] = target if len(near) == 1 else -1
+                reach[x].add(target)
                 changed.add(x)
-        return changed
+        # every changed entry holds target
+        for x in changed:
+            now = target if len(reach[x]) == 1 else -1
+            if single[x] != now:
+                single[x] = now
+                flipped.add(x)
+        return changed, flipped

@@ -17,34 +17,42 @@ Both connectors run through one driver that keeps a heap of *slots*.  A
 slot is a ``(center, partner)`` pair: the star connector has one per free
 center, with partner -1, and the baseline has one per free node (its
 singleton, partner -1) and one per edge between free nodes, with
-``center < partner``.  Entries are ``(-key, -gain, center, partner, stamp,
-candidate)``, where the key is ``domination.ratio_key`` of the candidate's
-gain and total cost: the exact gain/cost order as an integer, the same key
-the cover phase uses.  Valuing a slot gives it a new stamp, and the pick
-pops entries until one is live (both its endpoints free and its stamp the
-slot's latest).  Adjacency lists are sorted, so on a full tie the singleton
-comes before its center's pairs, a pair before the pairs of later
+``center < partner``.  Valuing a slot (``best_star_at`` or
+``pair_candidate``) gives the tuple ``(key, gain, leaves, total_cost)``, or
+None when it merges nothing, where the key is ``domination.ratio_key`` of
+the gain and total cost: the exact gain/cost order as an integer, the same
+key the cover phase uses, computed once per valuation.  The heap holds flat
+entries ``(-key, -gain, center, partner, stamp, leaves, total_cost)``.
+Valuing a slot gives it a new stamp, and the pick pops entries until one is
+live (both its endpoints free and its stamp the slot's latest) and builds
+the round's one ``StarCandidate`` from it.  Stamps are unique, so entries
+never compare past them.  Adjacency lists are sorted, so on a full tie the
+singleton comes before its center's pairs, a pair before the pairs of later
 neighbors, and a center before larger ones: the order of ranking each
 center's candidates in adjacency order and then the centers by id.
 
-Recomputing only the slots a round can change is exact.  After a candidate
-joins, let J be the joined nodes and R the free nodes that
-``ComponentIndex.add`` reports, exactly those whose reach entry (the labels
-of the components a node touches) changed.  A star at center u reads u's
-reach entry and, through ``single``, which of its neighbors are members and
-the reach entries of its free neighbors, so its value can change only when
-u is in R or a neighbor of u is in R or J: the stale star slots are the
-free centers of the closed neighborhoods N[x] of x in R and J.  A singleton
-or pair reads only the reach entries of its endpoints and whether both are
-free, so a slot with no endpoint in R keeps its value, and a slot with an
-endpoint in J is dead: the stale baseline slots are the singleton of each x
-in R and its edges to free neighbors.  Every other slot keeps its entry.  Candidate values can
-rise as well as fall between rounds, so lazy upper bounds would be wrong;
-this invalidation is explicit and exact.  A round's work is the slots of
-the changed and joined nodes, so it is not linear in general: a hub whose
-reach entry changes every round is revalued every round.  The ladder has no
-such round, since no round changes its hub's reach entry, so on the ladder
-the baseline values its 4d+1 slots in the first round and none after it.
+Recomputing only the slots a round can change is exact.  ``best_star_at``
+at a free center c reads three things: c's reach entry (the labels of the
+components c touches), ``single[v]`` for each neighbor v of c (-1 for a
+member), and the fixed costs.  Over a round's adds, ``ComponentIndex.add``
+reports R, the free nodes whose reach entry changed, and S, the nodes whose
+``single`` entry changed, joined nodes included.  A center that is still
+free, outside R and with no neighbor in S reads what it read before the
+round, so its value is unchanged: the stale star slots are the free nodes of
+R and the free neighbors of S.  S lies within R and
+the joined nodes, so this is a subset of the closed neighborhoods of the
+changed and joined nodes.  A singleton or pair reads only the reach entries
+of its endpoints and whether both are free, so a slot with no endpoint in R
+keeps its value, and a slot with an endpoint that joined is dead: the stale
+baseline slots are the singleton of each x in R and its edges to free
+neighbors.  Every other slot keeps its entry.  Candidate values can rise as
+well as fall between rounds, so lazy upper bounds would be wrong; this
+invalidation is explicit and exact.  A round's work is the slots of R and
+the neighbors of S, so it is not linear in general: a hub whose reach entry
+changes every round is revalued every round, and a node of S with many free
+neighbors revalues them all.  The ladder has no such round, since no round
+changes its hub's reach entry, so on the ladder the baseline values its
+4d+1 slots in the first round and none after it.
 """
 
 from __future__ import annotations
@@ -89,10 +97,11 @@ def component_neighbors(idx: ComponentIndex, graph: WeightedGraph, u: int) -> se
     return set(idx.reach[u])
 
 
-def best_star_at(idx: ComponentIndex, graph: WeightedGraph, u: int) -> StarCandidate | None:
+def best_star_at(idx: ComponentIndex, graph: WeightedGraph, u: int) -> tuple | None:
     """Most efficient star centered at u, or None when no star merges anything.
 
-    Candidate leaves are the free neighbors touching exactly one component
+    The star is returned as ``(key, gain, leaves, total_cost)``, with the
+    ``ratio_key`` its prefix won by.  Candidate leaves are the free neighbors touching exactly one component
     that u does not already touch: those v with ``idx.single[v]`` set and
     outside ``reach[u]``, since a leaf whose one component the center
     reaches merges nothing.  Scanning them by (cost, id) and keeping only
@@ -139,15 +148,16 @@ def best_star_at(idx: ComponentIndex, graph: WeightedGraph, u: int) -> StarCandi
             best = (key, len(kept), gain, total)
     if best is None:
         return None
-    _, take, gain, total = best
-    return StarCandidate(center=u, leaves=tuple(kept[:take]), gain=gain, total_cost=total)
+    key, take, gain, total = best
+    return key, gain, tuple(kept[:take]), total
 
 
-def pair_candidate(idx: ComponentIndex, graph: WeightedGraph, a: int, b: int = -1) -> StarCandidate | None:
+def pair_candidate(idx: ComponentIndex, graph: WeightedGraph, a: int, b: int = -1) -> tuple | None:
     """The singleton a (b == -1) or the free pair (a, b), or None when it merges nothing.
 
-    A candidate's value is the number of components it touches minus one,
-    so it reads only the reach entries of a and b.
+    The candidate is returned as ``(key, gain, leaves, total_cost)``.  Its
+    gain is the number of components it touches minus one, so it reads only
+    the reach entries of a and b.
     """
     n = graph.node_count
     if not (0 <= a < n and -1 <= b < n):
@@ -168,25 +178,25 @@ def pair_candidate(idx: ComponentIndex, graph: WeightedGraph, a: int, b: int = -
         total = cost[a] + cost[b]
     if gain < 1:
         return None
-    return StarCandidate(center=a, leaves=leaves, gain=gain, total_cost=total)
+    return ratio_key(gain, total, graph.key_shift), gain, leaves, total
 
 
-def _star_slots(idx: ComponentIndex, graph: WeightedGraph, nodes) -> list[tuple[int, int]]:
-    """The star slots a change at the nodes can alter: the free centers in each N[x]."""
+def _star_slots(idx: ComponentIndex, graph: WeightedGraph, changed, flipped) -> list[tuple[int, int]]:
+    """The star slots a round can alter: the free nodes of ``changed`` and the free neighbors of ``flipped``."""
     adjacency = graph.adjacency
     label = idx.label
-    centers = set(nodes)
-    for x in nodes:
+    centers = set(changed)
+    for x in flipped:
         centers.update(adjacency[x])
     return [(u, -1) for u in centers if label[u] < 0]
 
 
-def _pair_slots(idx: ComponentIndex, graph: WeightedGraph, nodes) -> set[tuple[int, int]]:
-    """The baseline slots a change at the nodes can alter: each free x's singleton and free edges."""
+def _pair_slots(idx: ComponentIndex, graph: WeightedGraph, changed, flipped) -> set[tuple[int, int]]:
+    """The baseline slots a round can alter: each free x of ``changed``, its singleton and its free edges."""
     adjacency = graph.adjacency
     label = idx.label
     slots = set()
-    for x in nodes:
+    for x in changed:
         if label[x] < 0:
             slots.add((x, -1))
             slots.update((x, y) if x < y else (y, x) for y in adjacency[x] if label[y] < 0)
@@ -194,14 +204,16 @@ def _pair_slots(idx: ComponentIndex, graph: WeightedGraph, nodes) -> set[tuple[i
 
 
 class _CandidateHeap:
-    """Each live slot's candidate, popped in the exact ratio order.
+    """Each live slot's value, popped in the exact ratio order.
 
     ``refresh`` values the given slots, each with free endpoints, by
     ``value(idx, graph, center)`` when the partner is -1 and ``value(idx,
-    graph, center, partner)`` otherwise (the candidate or None), and pushes
-    their new entries under a fresh stamp, so an entry is live only while
-    both endpoints are free and its stamp is the slot's latest; ``pop``
-    drops dead entries as they reach the top.  Live entries have distinct
+    graph, center, partner)`` otherwise (``(key, gain, leaves,
+    total_cost)`` or None), and pushes their new entries ``(-key, -gain,
+    center, partner, stamp, leaves, total_cost)`` under a fresh stamp, so an
+    entry is live only while both endpoints are free and its stamp is the
+    slot's latest; ``pop`` drops dead entries as they reach the top and
+    builds the candidate of the first live one.  Live entries have distinct
     slots, so the pick does not depend on the order of the pushes.
     """
 
@@ -224,7 +236,6 @@ class _CandidateHeap:
 
     def refresh(self, slots) -> None:
         idx, graph = self.idx, self.graph
-        shift = graph.key_shift
         stamp = self.stamp
         entries = self.entries
         value = self.value
@@ -233,10 +244,10 @@ class _CandidateHeap:
             center, partner = slot
             count += 1
             stamp[slot] = count
-            cand = value(idx, graph, center) if partner < 0 else value(idx, graph, center, partner)
-            if cand is not None:
-                key = ratio_key(cand.gain, cand.total_cost, shift)
-                heapq.heappush(entries, (-key, -cand.gain, center, partner, count, cand))
+            val = value(idx, graph, center) if partner < 0 else value(idx, graph, center, partner)
+            if val is not None:
+                key, gain, leaves, total = val
+                heapq.heappush(entries, (-key, -gain, center, partner, count, leaves, total))
         self.last_stamp = count
 
     def pop(self) -> StarCandidate | None:
@@ -244,21 +255,23 @@ class _CandidateHeap:
         while entries:
             entry = heapq.heappop(entries)
             if self.live(entry):
-                return entry[5]
+                _, neg_gain, center, _, _, leaves, total = entry
+                return StarCandidate(center=center, leaves=leaves, gain=-neg_gain, total_cost=total)
         return None
 
 
 def _connect(inst: Instance, dominating_set, method: str, slots_of, value) -> ConnectReport:
     """Add the most efficient candidate until the set is connected.
 
-    ``slots_of(idx, graph, nodes)`` lists the slots with free endpoints
-    whose value a change at the nodes can alter, and ``value(idx, graph,
-    center)`` (partner -1) or ``value(idx, graph, center, partner)`` is a
-    slot's candidate, or None.  Each chosen candidate must merge as many
-    components as it promises, so at most (initial components - 1) rounds
-    run.  The first round values every slot; later rounds only those of the
-    changed and joined nodes.  The input check reads the index: a free node
-    with empty reach is undominated.
+    ``slots_of(idx, graph, changed, flipped)`` lists the slots with free
+    endpoints whose value can differ after a round whose adds changed the
+    reach entries of ``changed`` and the ``single`` entries of ``flipped``,
+    and ``value(idx, graph, center)`` (partner -1) or ``value(idx, graph,
+    center, partner)`` is a slot's value, or None.  Each chosen candidate
+    must merge as many components as it promises, so at most (initial
+    components - 1) rounds run.  The first round values every slot; later
+    rounds only those the last round's adds can alter.  The input check
+    reads the index: a free node with empty reach is undominated.
     """
     graph = inst.graph
     idx = ComponentIndex(graph, dominating_set)
@@ -267,16 +280,19 @@ def _connect(inst: Instance, dominating_set, method: str, slots_of, value) -> Co
             raise ValueError(f"set is not dominating: node {u} has no neighbor inside")
     report = ConnectReport(method=method, initial_components=idx.component_count)
     heap = _CandidateHeap(idx, graph, value)
-    touched = range(graph.node_count)
+    changed: set[int] | range = range(graph.node_count)
+    flipped: set[int] = set()
     while idx.component_count > 1:
-        heap.refresh(slots_of(idx, graph, touched))
+        heap.refresh(slots_of(idx, graph, changed, flipped))
         best = heap.pop()
         if best is None:
             raise RuntimeError(f"{method} connector stalled: no candidate merges components")
         before = idx.component_count
-        changed: set[int] = set()
+        changed, flipped = set(), set()
         for node in best.nodes:
-            changed |= idx.add(node)
+            reach_changed, single_changed = idx.add(node)
+            changed |= reach_changed
+            flipped |= single_changed
             report.connectors.add(node)
         after = idx.component_count
         if before - after != best.gain:
@@ -286,7 +302,6 @@ def _connect(inst: Instance, dominating_set, method: str, slots_of, value) -> Co
             )
         report.stars.append(best)
         report.component_trace.append(after)
-        touched = changed.union(best.nodes)
     return report
 
 

@@ -118,9 +118,6 @@ class WeightedGraph:
         """``ratio_shift`` of the costs: every ``ratio_key`` on this graph uses it."""
         return ratio_shift(self.cost)
 
-    def degree(self, u: int) -> int:
-        return len(self.adjacency[u])
-
     @property
     def max_degree(self) -> int:
         return max(len(nbrs) for nbrs in self.adjacency)
@@ -193,22 +190,24 @@ def _cell_gap(k: int) -> float:
 
 
 # Half-cell offsets compared with each occupied cell besides itself: the
-# forward half of the 37 offsets (dx, dy) with gap(dx)**2 + gap(dy)**2 <= 1.
+# forward half of the 37 offsets (dx, dy) with gap(dx)*gap(dx) + gap(dy)*gap(dy) <= 1.
 # Every backward offset is the forward offset of the other cell, so each pair
 # of cells is compared once.
 _FORWARD_CELLS = tuple(
     (dx, dy)
     for dx in range(4)
     for dy in range(-3, 4)
-    if (dx, dy) > (0, 0) and _cell_gap(dx) ** 2 + _cell_gap(dy) ** 2 <= 1
+    if (dx, dy) > (0, 0) and _cell_gap(dx) * _cell_gap(dx) + _cell_gap(dy) * _cell_gap(dy) <= 1
 )
 
 
 def unit_disk_edges(coords) -> list[tuple[int, int]]:
     """The unit-disk edge set: sorted (i, j), i < j, at Euclidean distance <= 1.
 
-    A pair is an edge iff ``(xi - xj) ** 2 + (yi - yj) ** 2 <= 1.0`` in
-    floats; the coordinates must be finite.  Points are bucketed into
+    A pair is an edge iff ``sx * sx + sy * sy <= 1.0`` in floats, where
+    ``sx = xi - xj`` and ``sy = yi - yj``; the coordinates must be finite.
+    Each operation is correctly rounded IEEE arithmetic, so the edge set is
+    the same on every conforming platform.  Points are bucketed into
     half-unit cells keyed by ``(floor(2x), floor(2y))`` (Bentley, Stanat and
     Williams' fixed-radius near-neighbour search), and the predicate is
     evaluated only on pairs in the same cell or in cells at an offset from
@@ -220,14 +219,11 @@ def unit_disk_edges(coords) -> list[tuple[int, int]]:
       comparison always decides as it would on the exact fractional part.
     - Two points whose cells are k apart along an axis differ there by at
       least ``gap(k) = max(|k| - 1, 0) / 2`` exactly; let h = min(gap(k), 2).
-      h and h**2 are exact floats and rounding is monotone, so the rounded
-      difference is at least h in magnitude, its square at least h**2 and
-      the rounded sum at least ``h(kx)**2 + h(ky)**2``.  Off the stencil
-      ``gap(kx)**2 + gap(ky)**2 > 1``, so that sum exceeds 1 (h = 2 alone
-      gives 4) and the predicate fails.  ``**`` calls the C ``pow``, which
-      is not always correctly rounded, but it is exact on each h, and the
-      exact square of a float above h is over an ulp above h**2, more than
-      ``pow``'s error.
+      h and h*h are exact floats and rounding is monotone, so the rounded
+      difference is at least h in magnitude, its square at least h*h and
+      the rounded sum at least ``h(kx)*h(kx) + h(ky)*h(ky)``.  Off the
+      stencil ``gap(kx)*gap(kx) + gap(ky)*gap(ky) > 1``, so that sum
+      exceeds 1 (h = 2 alone gives 4) and the predicate fails.
     - The stencil needs cells 3 apart: for ``(1.5, 0.0)`` and
       ``(nextafter(0.5, 0.0), 0.0)`` the difference rounds to exactly 1.0,
       an edge whose cells are 3 apart.
@@ -273,7 +269,7 @@ def unit_disk_edges(coords) -> list[tuple[int, int]]:
                 near += other
         for a, (i, xi, yi) in enumerate(points, 1):
             mine = upper[i]
-            for j in [j for j, xj, yj in near[a:] if (xi - xj) ** 2 + (yi - yj) ** 2 <= 1.0]:
+            for j in [j for j, xj, yj in near[a:] if (sx := xi - xj) * sx + (sy := yi - yj) * sy <= 1.0]:
                 if i < j:
                     mine.append(j)
                 else:

@@ -50,6 +50,10 @@ def make_instance(n, edges, costs=None, m=1, coords=None, label="") -> Instance:
     return Instance(graph=graph, m=m, label=label)
 
 
+def degree(graph: WeightedGraph, u: int) -> int:
+    return len(graph.adjacency[u])
+
+
 def path_instance(k, m=1, costs=None) -> Instance:
     return make_instance(k, [(i, i + 1) for i in range(k - 1)], costs=costs, m=m)
 
@@ -294,7 +298,7 @@ def reference_unit_disk_edges(coords) -> list[tuple[int, int]]:
         (i, j)
         for i, (xi, yi) in enumerate(coords)
         for j, (xj, yj) in enumerate(coords[i + 1:], i + 1)
-        if (xi - xj) ** 2 + (yi - yj) ** 2 <= 1.0
+        if (sx := xi - xj) * sx + (sy := yi - yj) * sy <= 1.0
     ]
 
 

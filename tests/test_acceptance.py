@@ -193,7 +193,8 @@ def test_criterion_6_star_search_vs_brute_force():
             star = best_star_at(idx, g, center)
             brute = brute_force_best_star(g, members, center)
             if star is not None:
-                eff = Fraction(star.gain) / Fraction(star.total_cost)
+                _, gain, _, total_cost = star
+                eff = Fraction(gain) / Fraction(total_cost)
                 assert brute is not None and eff <= brute, (
                     f"{inst.label} center {center}: structured star beats exhaustive search"
                 )

@@ -43,6 +43,13 @@ from helpers import (
 )
 
 
+def _value(cand, graph):
+    """A candidate as the slot value the library returns: ``(key, gain, leaves, total_cost)``."""
+    if cand is None:
+        return None
+    return ratio_key(cand.gain, cand.total_cost, graph.key_shift), cand.gain, cand.leaves, cand.total_cost
+
+
 def _assert_single_matches_reach(idx):
     """``single[v]`` is the one label of ``reach[v]`` when it has one, else -1 (members included)."""
     assert len(idx.single) == len(idx.reach)
@@ -137,7 +144,7 @@ class TestComponentIndex:
         present = set()
         for u in order[: pick.randrange(1, n + 1)]:
             before = [set(near) for near in idx.reach]
-            changed = idx.add(u)
+            changed, _ = idx.add(u)
             present.add(u)
             assert changed == {v for v in range(n) if v not in idx and idx.reach[v] != before[v]}
             bfs = bfs_component_labels(g, present)
@@ -171,6 +178,25 @@ class TestComponentIndex:
                     assert idx.reach[v] == set()
                 else:
                     assert idx.reach[v] == {idx.label[w] for w in g.adjacency[v] if w in idx}
+            _assert_single_matches_reach(idx)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**6), udg=st.booleans(), pick=st.randoms(use_true_random=False))
+    def test_single_changes_reported_after_every_add(self, seed, udg, pick):
+        """``add`` reports exactly the nodes whose ``single`` entry differs from before it, joined node included."""
+        n = 24
+        if udg:
+            g = gen_udg(n, 2.0, (1.0, 1.0), seed=seed).graph
+        else:
+            g = gen_random_connected(n, 0.2, (1.0, 1.0), seed=seed).graph
+        order = list(range(n))
+        pick.shuffle(order)
+        start = pick.randrange(0, n)
+        idx = ComponentIndex(g, order[:start])
+        for u in order[start:]:
+            before = list(idx.single)
+            _, flipped = idx.add(u)
+            assert flipped == {v for v in range(n) if idx.single[v] != before[v]}
             _assert_single_matches_reach(idx)
 
 
@@ -267,11 +293,12 @@ class TestBestStar:
         idx = ComponentIndex(inst.graph, sorted(designated))
         star = best_star_at(idx, inst.graph, 1)
         assert star is not None
-        assert star.center == 1
-        assert set(star.leaves) == {5, 6, 7}
-        assert star.gain == 3
-        assert math.isclose(star.total_cost, 1.04, rel_tol=0, abs_tol=1e-12)
-        assert math.isclose(star.gain / star.total_cost, 3 / 1.04, rel_tol=1e-12)
+        key, gain, leaves, total_cost = star
+        assert set(leaves) == {5, 6, 7}
+        assert gain == 3
+        assert key == ratio_key(gain, total_cost, inst.graph.key_shift)
+        assert math.isclose(total_cost, 1.04, rel_tol=0, abs_tol=1e-12)
+        assert math.isclose(gain / total_cost, 3 / 1.04, rel_tol=1e-12)
 
     def test_none_when_nothing_merges(self):
         inst = complete_instance(3)
@@ -294,7 +321,7 @@ class TestBestStar:
                 if star is None:
                     continue
                 seen_comps = set(component_neighbors(idx, g, center))
-                for leaf in star.leaves:
+                for leaf in star[2]:
                     reached = component_neighbors(idx, g, leaf)
                     assert len(reached) == 1
                     comp = next(iter(reached))
@@ -325,7 +352,8 @@ class TestBestStar:
                 star = best_star_at(idx, g, center)
                 brute = brute_force_best_star(g, members, center)
                 if star is not None:
-                    eff = Fraction(star.gain) / Fraction(star.total_cost)
+                    _, gain, _, total_cost = star
+                    eff = Fraction(gain) / Fraction(total_cost)
                     # prefix stars are a subfamily of all leaf subsets
                     assert brute is not None and eff <= brute
                     if best_lib is None or eff > best_lib:
@@ -355,7 +383,7 @@ class TestBestStar:
         for center in range(n):
             if center in idx:
                 continue
-            assert best_star_at(idx, g, center) == reference_best_star_at(idx, g, center)
+            assert best_star_at(idx, g, center) == _value(reference_best_star_at(idx, g, center), g)
             assert component_neighbors(idx, g, center) == reference_component_neighbors(idx, g, center)
 
 
@@ -565,9 +593,9 @@ class TestPairwiseConnect:
         assert 1.0 + 1e-17 == 1.0
         singleton = StarCandidate(center=1, leaves=(), gain=1, total_cost=1.0)
         idx = ComponentIndex(inst.graph, [0, 2])
-        assert pair_candidate(idx, inst.graph, 1, -1) == singleton
-        pair = pair_candidate(idx, inst.graph, 1, 3)
-        assert (pair.gain, pair.total_cost) == (singleton.gain, singleton.total_cost)
+        assert pair_candidate(idx, inst.graph, 1, -1) == _value(singleton, inst.graph)
+        key, gain, _, total_cost = _value(singleton, inst.graph)
+        assert pair_candidate(idx, inst.graph, 1, 3) == (key, gain, (3,), total_cost)
         assert pairwise_connect(inst, {0, 2}).stars == [singleton]
         assert reference_connect(inst, {0, 2}, "pairwise").stars == [singleton]
 
@@ -621,7 +649,7 @@ class TestPairwiseConnect:
                     if gain >= 1:
                         leaves = () if b < 0 else (b,)
                         cand = StarCandidate(center=a, leaves=leaves, gain=gain, total_cost=total)
-                    assert pair_candidate(idx, graph, a, b) == cand
+                    assert pair_candidate(idx, graph, a, b) == _value(cand, graph)
                     slots.append((a, b))
                     if cand is not None:
                         ranked.append(((-ratio_key(gain, total, graph.key_shift), -gain), cand))
@@ -674,8 +702,8 @@ class TestConnectorSelfChecks:
         real = getattr(cdsopt.connector, search)
 
         def inflated(idx, graph, *slot):
-            cand = real(idx, graph, *slot)
-            return None if cand is None else replace(cand, gain=cand.gain + 1)
+            val = real(idx, graph, *slot)
+            return None if val is None else (val[0], val[1] + 1, *val[2:])
 
         monkeypatch.setattr(cdsopt.connector, search, inflated)
         message = f"^{method} connector: selected candidate promised 2 merges but delivered 1$"
@@ -716,14 +744,17 @@ class _CheckedHeap(_CandidateHeap):
             fresh = self.value(self.idx, self.graph, *(slot if slot[1] >= 0 else slot[:1]))
             entry = live.get(slot)
             if fresh is None:
-                assert entry is None, f"slot {slot}: live entry {entry[5]} but no candidate"
+                assert entry is None, f"slot {slot}: live entry {entry} but no candidate"
             else:
                 assert entry is not None, f"slot {slot}: no live entry for {fresh}"
-                assert entry[5] == fresh
-                assert entry[:2] == (-ratio_key(fresh.gain, fresh.total_cost, self.graph.key_shift), -fresh.gain)
+                key, gain, leaves, total_cost = fresh
+                assert entry[5:] == (leaves, total_cost)
+                assert entry[:2] == (-key, -gain)
+                assert key == ratio_key(gain, total_cost, self.graph.key_shift)
         # live entries have distinct slots, so the order never reaches the stamp
         first = min(live.values(), default=None)
-        assert (first and first[5]) == reference_pick(self.idx, self.graph, self.method)
+        pick = first and StarCandidate(center=first[2], leaves=first[5], gain=-first[1], total_cost=first[6])
+        assert pick == reference_pick(self.idx, self.graph, self.method)
         type(self).refreshes += 1
 
 
@@ -760,6 +791,23 @@ class TestCandidateHeap:
             report = connect(inst, members)
         assert _CheckedHeap.refreshes == len(report.stars)
         assert bfs_component_count(inst.graph, set(members) | report.connectors) == 1
+
+    @pytest.mark.parametrize("connect", [greedy_connect, pairwise_connect], ids=["star", "pairwise"])
+    def test_one_candidate_per_round(self, monkeypatch, connect):
+        """Slots are valued as tuples; a run builds one ``StarCandidate`` per round, from the popped entry."""
+        inst = gen_udg(800, 10.0, (0.1, 10.0), 1000)
+        members, _ = greedy_dominating_set(inst)
+        built = 0
+
+        def counted(*args, **kwargs):
+            nonlocal built
+            built += 1
+            return StarCandidate(*args, **kwargs)
+
+        monkeypatch.setattr(cdsopt.connector, "StarCandidate", counted)
+        report = connect(inst, members)
+        assert len(report.stars) > 1
+        assert built == len(report.stars)
 
 
 class TestLadderWork:
@@ -822,6 +870,6 @@ class TestUdgStarWork:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cdsopt.connector, "best_star_at", counted)
             report = greedy_connect(inst, members)
-        assert calls == 3452
+        assert calls == 3136
         assert len(report.stars) == 29
         assert report.initial_components == 36

@@ -21,6 +21,7 @@ from cdsopt.verify import verify_mds
 from helpers import (
     complete_instance,
     coverage_value,
+    degree,
     make_instance,
     path_instance,
     reference_greedy_dominating_set,
@@ -51,7 +52,7 @@ class TestCoverageGain:
             inst = gen_random_connected(10, 0.4, (0.1, 10.0), seed=5, m=m)
             state = DeficitState(inst)
             for u in range(10):
-                assert coverage_gain(state, u) == m + inst.graph.degree(u)
+                assert coverage_gain(state, u) == m + degree(inst.graph, u)
 
     def test_zero_once_set_dominates(self):
         inst = path_instance(5)

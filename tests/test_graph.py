@@ -33,6 +33,7 @@ from cdsopt.solver import solve
 from cdsopt.verify import verify_cds, verify_mds
 from helpers import (
     bfs_component_count,
+    degree,
     make_instance,
     path_instance,
     reference_gen_random_connected,
@@ -282,7 +283,7 @@ class TestUdgGenerator:
             (i, j)
             for i in range(50)
             for j in range(i + 1, 50)
-            if (pts[i][0] - pts[j][0]) ** 2 + (pts[i][1] - pts[j][1]) ** 2 <= 1.0
+            if (sx := pts[i][0] - pts[j][0]) * sx + (sy := pts[i][1] - pts[j][1]) * sy <= 1.0
         }
         assert set(g.edges()) == expected
 
@@ -328,15 +329,29 @@ def _nudge(v: float, steps: int) -> float:
     return v
 
 
+# (x, y, edge): (0, 0) and (x, y) are within an ulp of distance 1, and
+# x ** 2 != x * x on x86-64 Linux with glibc (Python 3.11.7), so squaring by
+# pow and by multiplication decide the pair differently; edge is the
+# decision of x * x + y * y <= 1.0.  Found by a seeded search (random.Random(2026),
+# x uniform in [0, 1), y a few floats around sqrt(1 - x * x)).
+POW_SENSITIVE_PAIRS = [
+    (0.8677057107638032, 0.4970782629605555, True),
+    (0.5751751233032123, 0.8180303035542966, True),
+    (0.8724813330755572, 0.4886474428815715, False),
+    (0.9058408730894515, 0.4236181212372062, False),
+]
+
+
 @st.composite
 def tricky_points(draw):
     """Point sets that sit on the unit-disk rule's rounding edges.
 
     Base points lie within 1e-3, 1 or 4 of the origin, or on multiples of
-    1/2; derived points are a base point moved by -1, -1/2, 0, +1/2 or +1
-    per axis and then a few floats either way, so distances of one ulp
-    around 1 (and duplicates) are common, including pairs whose half-unit
-    cells are three apart.
+    1/2, and may include the origin and a point of ``POW_SENSITIVE_PAIRS``;
+    derived points are a base point moved by -1, -1/2, 0, +1/2 or +1 per
+    axis and then a few floats either way, so distances of one ulp around 1
+    (and duplicates) are common, including pairs whose half-unit cells are
+    three apart.
     """
     scale = draw(st.sampled_from([1e-3, 1.0, 4.0]))
     coordinate = st.floats(-scale, scale, allow_nan=False, allow_infinity=False)
@@ -348,6 +363,9 @@ def tricky_points(draw):
             max_size=15,
         )
     )
+    if draw(st.booleans()):
+        x, y, _ = draw(st.sampled_from(POW_SENSITIVE_PAIRS))
+        points += [(0.0, 0.0), (x, y)]
     offset = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])
     for _ in range(draw(st.integers(0, 20))):
         x, y = draw(st.sampled_from(points))
@@ -397,7 +415,7 @@ class TestUnitDiskEdges:
             ([(1.5, 0.0), (math.nextafter(0.5, 0.0), 0.0)], [(0, 1)]),
             ([(-1.5, 0.25), (math.nextafter(-0.5, 0.0), 0.25)], [(0, 1)]),
             ([(0.25, 1.5), (0.25, math.nextafter(0.5, 0.0))], [(0, 1)]),
-            # cells 1 apart in x and 3 in y: dx**2 is below half an ulp of 1
+            # cells 1 apart in x and 3 in y: dx * dx is below half an ulp of 1
             ([(0.5, 1.5), (math.nextafter(0.5, 0.0), math.nextafter(0.5, 0.0))], [(0, 1)]),
             # 3 cells apart in x and 2 in y: outside the stencil and no edge
             ([(1.5, 1.0), (math.nextafter(0.5, 0.0), math.nextafter(0.5, 0.0))], []),
@@ -430,10 +448,18 @@ class TestUnitDiskEdges:
         assert reference_unit_disk_edges(points) == edges
         assert unit_disk_edges(points) == edges
 
+    @pytest.mark.parametrize("x, y, edge", POW_SENSITIVE_PAIRS)
+    def test_rule_squares_by_multiplication(self, x, y, edge):
+        assert (x * x + y * y <= 1.0) == edge
+        edges = [(0, 1)] if edge else []
+        for points in ([(0.0, 0.0), (x, y)], [(-x, 0.0), (0.0, y)]):
+            assert reference_unit_disk_edges(points) == edges
+            assert unit_disk_edges(points) == edges
+
     def test_stencil_proof_premises(self):
-        # 37 offsets in all, and pow is exact on the per-axis gaps the proof uses
+        # 37 offsets in all, and squaring is exact on the per-axis gaps the proof uses
         assert len(cdsopt.graph._FORWARD_CELLS) == 18
-        assert [h**2 for h in (0.0, 0.5, 1.0, 1.5, 2.0)] == [0.0, 0.25, 1.0, 2.25, 4.0]
+        assert [h * h for h in (0.0, 0.5, 1.0, 1.5, 2.0)] == [0.0, 0.25, 1.0, 2.25, 4.0]
 
     def test_far_apart_points_do_not_overflow(self):
         assert unit_disk_edges([(0.0, 0.0), (1e200, 0.0), (-1e308, 1e308)]) == []
@@ -454,9 +480,9 @@ class TestFig1Generator:
             assert g.node_count == 3 * d + 2
             assert g.edge_count == 4 * d + 1
             # hub u is node 1: adjacent to the top node and every rung bottom
-            assert g.degree(1) == d + 1
+            assert degree(g, 1) == d + 1
             for i in range(d):
-                assert g.degree(2 + i) == 2
+                assert degree(g, 2 + i) == 2
             assert len(designated) == d + 1
             assert bfs_component_count(g, designated) == d + 1
             idx = ComponentIndex(g, sorted(designated))
@@ -737,6 +763,6 @@ class TestLinearBuild:
         built = WeightedGraph.from_edges(n, edges, [1.0] * n)
         parsed = parse_instance(text).graph
         elapsed = time.perf_counter() - start
-        assert built.degree(0) == parsed.degree(0) == n - 1
+        assert degree(built, 0) == degree(parsed, 0) == n - 1
         assert built.adjacency == parsed.adjacency
         assert elapsed < 15.0, f"building a {n}-node star twice took {elapsed:.1f} s"
