@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 from typing import NamedTuple
 
 from .graph import (
@@ -17,12 +18,17 @@ from .graph import (
     InstanceError,
     WeightedGraph,
     component_labels,
-    edge_adjacency,
-    unit_disk_edges,
+    unit_disk_adjacency,
     validate_fold,
 )
 
 UDG_MAX_ATTEMPTS = 1000
+# ``gen_random_connected`` spends one coin per pair whatever p is: n = 20,000
+# (199,990,000 pairs, about 7 s on a 2-CPU VM) is the largest n it takes
+RANDOM_MAX_PAIRS = 2 * 10**8
+# ``gen_udg`` stores and compares in proportion to its edges: 4 times the
+# 1.25M expected edges of n = 10^5 at side 111.8
+UDG_MAX_EXPECTED_EDGES = 5 * 10**6
 
 
 def _coin_bits(data: bytes, j: int) -> int:
@@ -44,6 +50,7 @@ def gen_random_connected(
 
     Costs are uniform in ``cost_range``.  The spanning tree guarantees
     connectivity without rejection sampling, so generation always terminates.
+    More than ``RANDOM_MAX_PAIRS`` pairs raises before any draw.
 
     Draw contract, which fixes every seeded corpus: after the shuffle and the
     tree draws, each pair (u, v), u < v, that is not a tree edge takes one
@@ -62,6 +69,8 @@ def gen_random_connected(
     lo, hi = cost_range
     if n < 1:
         raise InstanceError("n must be >= 1")
+    if n * (n - 1) // 2 > RANDOM_MAX_PAIRS:
+        raise InstanceError(f"n = {n} draws a coin for each of n(n-1)/2 pairs, more than {RANDOM_MAX_PAIRS:,}")
     if not 0 < edge_prob <= 1:
         raise InstanceError("edge_prob must be in (0, 1]")
     if not (math.isfinite(hi) and 0 < lo <= hi):
@@ -116,17 +125,18 @@ def gen_udg(
 
     Resamples the point set until the graph is connected; raises after
     ``UDG_MAX_ATTEMPTS`` failures.  Coordinates are stored on the instance.
+    A request whose expected edge count, ``min(n(n-1)/2, pi*n^2/(2*side^2))``,
+    exceeds ``UDG_MAX_EXPECTED_EDGES`` raises before any draw.
 
     The graph holds every ``validate_graph`` invariant by construction, so
     it is built without running that check:
 
     - ``n >= 1``, the cost range and a finite positive ``side`` are checked
       up front;
-    - ``edge_adjacency(n, unit_disk_edges(pts))`` returns n sorted,
-      in-range, loop-free, symmetric neighbour tuples, the guarantee that
-      lets ``WeightedGraph.from_edges`` skip the adjacency checks too, and
-      they hold exactly the unit-disk edges of the stored points, computed
-      once per point set;
+    - ``unit_disk_adjacency(pts)`` returns n sorted, in-range, loop-free,
+      symmetric neighbour tuples (each hit is filed under both ends, and
+      each list is sorted once), and they hold exactly the unit-disk edges
+      of the stored points, computed once per point set;
     - costs are drawn from [lo, hi] with 0 < lo and hi finite, and points
       from [0, side], so every cost is finite and positive and every
       coordinate finite;
@@ -140,11 +150,16 @@ def gen_udg(
         raise InstanceError("side must be finite and positive")
     if not (math.isfinite(hi) and 0 < lo <= hi):
         raise InstanceError("cost range must be finite and satisfy 0 < lo <= hi")
+    # twice the expected edge count, in exact arithmetic, so that no n or side overflows
+    if min(n * (n - 1), Fraction(math.pi) * n * n / Fraction(side) ** 2) > 2 * UDG_MAX_EXPECTED_EDGES:
+        raise InstanceError(
+            f"n = {n} points at side {side:g} make about pi*n^2/(2*side^2) edges, more than {UDG_MAX_EXPECTED_EDGES:,}"
+        )
     validate_fold(m)
     rng = random.Random(seed)
     for _ in range(UDG_MAX_ATTEMPTS):
         pts = [(rng.uniform(0.0, side), rng.uniform(0.0, side)) for _ in range(n)]
-        adjacency = edge_adjacency(n, unit_disk_edges(pts))
+        adjacency = unit_disk_adjacency(pts)
         # connectivity is tested before the costs are drawn, so a rejected
         # point set consumes no cost draws
         if component_labels(adjacency, range(n))[1] == 1:

@@ -19,15 +19,19 @@ rejects out-of-range endpoints, loops and duplicate edges.
 that each neighbour tuple is strictly increasing, in range and loop-free,
 symmetry, the cost values (finite and positive), finite coordinates,
 connectivity through ``component_labels`` and, on unit-disk instances, that
-the edge set equals ``unit_disk_edges``, the one place the distance rule is
-written.  ``component_labels`` is the one routine for static connectivity and
-seeds ``ComponentIndex``: a stack search of a given member set, linear too.
-Construction and validation take time linear in the nodes plus the edges
-(plus one sort of an unsorted edge list), whatever the degrees.
-``unit_disk_edges`` buckets the points into a grid of half-unit cells and
-applies the rule only to pairs of nearby cells, a proven superset of the
-edges, so it runs in time linear in the points plus the compared pairs
-(plus one sort of the occupied cells).
+the neighbour tuples equal ``unit_disk_adjacency``'s, the one place the
+distance rule is written.  ``component_labels`` is the one routine for static
+connectivity and seeds ``ComponentIndex``: a stack search of a given member
+set, linear too.  Construction and validation take time linear in the nodes
+plus the edges (plus one sort of an unsorted edge list), whatever the degrees
+and wherever the points lie.  ``unit_disk_adjacency`` buckets the points into
+a grid of half-unit cells and applies the rule only to pairs of nearby cells,
+a proven superset of the edges, so it runs in time linear in the points plus
+the compared pairs (plus one sort of the occupied cells and of each
+neighbour list).  The points of one cell are pairwise adjacent, so a file
+whose points have fewer neighbours than cell-mates is rejected in one pass
+over the cells; otherwise the compared pairs are at most 37 times the
+declared edges plus 18 per point.
 
 Each check runs once.  ``from_edges`` skips the adjacency checks, which
 ``edge_adjacency`` makes hold by construction, and checks the rest in
@@ -201,8 +205,14 @@ _FORWARD_CELLS = tuple(
 )
 
 
-def unit_disk_edges(coords) -> list[tuple[int, int]]:
-    """The unit-disk edge set: sorted (i, j), i < j, at Euclidean distance <= 1.
+def _rule_violation(i: int, j: int) -> InstanceError:
+    """The error naming a pair on which a file's edges and the unit-disk rule disagree."""
+    return InstanceError(f"coords violate the unit-disk edge rule at pair ({min(i, j)}, {max(i, j)})")
+
+
+def unit_disk_adjacency(coords, declared=None) -> tuple[tuple[int, ...], ...]:
+    """The unit-disk graph's sorted neighbour tuples: i and j are adjacent iff
+    they lie at Euclidean distance <= 1.
 
     A pair is an edge iff ``sx * sx + sy * sy <= 1.0`` in floats, where
     ``sx = xi - xj`` and ``sy = yi - yj``; the coordinates must be finite.
@@ -231,14 +241,27 @@ def unit_disk_edges(coords) -> list[tuple[int, int]]:
     The predicate is symmetric (``fl(a - b) == -fl(b - a)``), so the order
     in which a pair is compared does not matter, and each compared pair is
     less than 2 apart per axis, so far-apart points never overflow a
-    square.  Each point collects its hits with one comprehension and files
-    them under the smaller id; each node's list is then sorted, so the edge
-    list comes out sorted without a sort of pairs.  The 37 cells cover 9.25
-    square units around a point, against 21 for the 5x5 unit-cell stencil
-    without its corners.
+    square.  Each hit appends j to i's list and i to j's, and each list is
+    sorted once.  The 37 cells cover 9.25 square units around a point,
+    against 21 for the 5x5 unit-cell stencil without its corners.
+
+    ``declared``, when given, is the symmetric adjacency a file declares,
+    with E edges; before the scan, it is checked against each cell's size
+    in O(n), so that a wrong file is rejected in O(n + E):
+
+    - Points in one cell are pairwise adjacent: the keys are exact, so each
+      axis differs by less than 1/2, and by monotone rounding each rounded
+      difference is at most 1/2, its square at most 1/4 and the sum at most
+      1/2.  In a valid file every point therefore has at least |cell| - 1
+      neighbours.  If one has fewer, InstanceError names the smallest such
+      point and its smallest cell-mate missing from its neighbours.
+    - Otherwise the same-cell pairs W = sum of |cell|(|cell| - 1)/2 total at
+      most E, since each point has at least |cell| - 1 of the 2E half-edges.
+      Each cell meets at most 36 others, and |A||B| <= (|A|^2 + |B|^2)/2,
+      so the pairs across cells are at most 18 * sum |A|^2 = 18(2W + n),
+      and the scan compares at most 37W + 18n <= 37E + 18n pairs.
     """
-    # one int object per id, shared by every pair below, so that an adjacency
-    # built from the pairs holds no second copy of an id
+    # one int object per id, shared by every neighbour tuple below
     ids = list(range(len(coords)))
     cells: dict[tuple[int, int], list[tuple[int, float, float]]] = {}
     for i, (x, y) in zip(ids, coords):
@@ -248,15 +271,21 @@ def unit_disk_edges(coords) -> list[tuple[int, int]]:
             cells[key].append((i, x, y))
         else:
             cells[key] = [(i, x, y)]
+    if declared is not None:
+        short = [(i, points) for points in cells.values() for i, _, _ in points if len(declared[i]) < len(points) - 1]
+        if short:
+            i, points = min(short, key=itemgetter(0))
+            nbrs = set(declared[i])
+            raise _rule_violation(i, min(j for j, _, _ in points if j != i and j not in nbrs))
     if not cells:
-        return []
+        return ()
     # number the cells column by column, leaving room for dy in -3..3 between
     # columns, so that each offset is one integer step that reaches no other cell
     low = min(ky for _, ky in cells)
     width = max(ky for _, ky in cells) - low + 4
     grid = {kx * width + ky - low: points for (kx, ky), points in cells.items()}
     steps = [dx * width + dy for dx, dy in _FORWARD_CELLS]
-    upper: list[list[int]] = [[] for _ in coords]  # node i's neighbours j > i
+    neighbors: list[list[int]] = [[] for _ in ids]
     # in key order, consecutive cells share most of their stencil, which
     # keeps the points they read in cache on large instances
     for key in sorted(grid):
@@ -268,22 +297,20 @@ def unit_disk_edges(coords) -> list[tuple[int, int]]:
             if other is not None:
                 near += other
         for a, (i, xi, yi) in enumerate(points, 1):
-            mine = upper[i]
-            for j in [j for j, xj, yj in near[a:] if (sx := xi - xj) * sx + (sy := yi - yj) * sy <= 1.0]:
-                if i < j:
-                    mine.append(j)
-                else:
-                    upper[j].append(i)
-    return [(i, j) for i, later in zip(ids, upper) for j in sorted(later)]
+            hits = [j for j, xj, yj in near[a:] if (sx := xi - xj) * sx + (sy := yi - yj) * sy <= 1.0]
+            neighbors[i] += hits
+            for j in hits:
+                neighbors[j].append(i)
+    return tuple([tuple(sorted(nbrs)) for nbrs in neighbors])
 
 
 def edge_adjacency(node_count: int, edges) -> tuple[tuple[int, ...], ...]:
     """Sorted neighbour tuples of an edge list, rejecting bad edges.
 
     Each edge is normalised to (min, max) and the list sorted, which is
-    linear on the already-sorted lists of ``parse_instance`` and
-    ``unit_disk_edges``.  Appending both ends of each pair in that order
-    keeps every list sorted: node w first receives its smaller neighbours a
+    linear on the already-sorted edge lines of ``parse_instance``.
+    Appending both ends of each pair in that order keeps every list
+    sorted: node w first receives its smaller neighbours a
     from the pairs (a, w) in increasing a, then its larger ones from the
     pairs (w, b) in increasing b.  Out-of-range endpoints (named as given),
     loops and duplicate edges raise InstanceError.
@@ -364,10 +391,12 @@ def _check_contents(graph: WeightedGraph) -> None:
     if component_labels(graph.adjacency, range(n))[1] != 1:
         raise InstanceError("disconnected graph")
     if graph.coords is not None:
-        expected, actual = unit_disk_edges(graph.coords), graph.edges()
-        if expected != actual:
-            i, j = min(set(expected) ^ set(actual))
-            raise InstanceError(f"coords violate the unit-disk edge rule at pair ({i}, {j})")
+        expected = unit_disk_adjacency(graph.coords, graph.adjacency)
+        if not all(map(eq, expected, graph.adjacency)):
+            # both adjacencies are symmetric, so the smallest pair (i, j) of the
+            # edge sets' symmetric difference lies at the first node whose tuples differ
+            i = next(i for i, (a, b) in enumerate(zip(expected, graph.adjacency)) if a != b)
+            raise _rule_violation(i, min(set(expected[i]) ^ set(graph.adjacency[i])))
 
 
 def validate_fold(m: int) -> None:

@@ -12,7 +12,7 @@ structure each one avoids:
 - ``simulate_star_value``: a BFS per prefix in place of the capped merge recurrence;
 - ``formula_star_value``: the recurrence on BFS labels in place of ``ComponentIndex``;
 - ``brute_force_best_star``: every leaf subset in place of ``best_star_at``'s prefix scan;
-- ``reference_unit_disk_edges``: the all-pairs loop in place of ``unit_disk_edges``'s grid;
+- ``reference_unit_disk_edges``: the all-pairs loop in place of ``unit_disk_adjacency``'s grid;
 - ``reference_gen_random_connected``: a ``random()`` per pair in place of bulk coins;
 - ``reference_better_candidate``: cross-multiplied float products in place of ``ratio_key``;
 - ``reference_greedy_dominating_set``: a scan per step in place of the lazy cover heap;

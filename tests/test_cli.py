@@ -89,6 +89,21 @@ class TestGen:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "kind_args, message",
+        [
+            (["random", "--n", "1000000", "--p", "0.000003"], "more than 200,000,000"),
+            (["udg", "--n", "100000", "--side", "1"], "edges, more than 5,000,000"),
+        ],
+        ids=["random", "udg"],
+    )
+    def test_oversized_request_exit_2(self, tmp_path, capsys, kind_args, message):
+        out = tmp_path / "g.cds"
+        code, _, err = run_cli(capsys, "gen", *kind_args, "--seed", "1", "--out", str(out))
+        assert code == 2
+        assert message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "kind_args",
         [
             ["random", "--n", "5", "--p", "0.5", "--seed", "1"],

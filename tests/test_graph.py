@@ -16,7 +16,14 @@ import cdsopt.graph
 from cdsopt.components import ComponentIndex
 from cdsopt.connector import best_star_at, greedy_connect, pair_candidate, pairwise_connect
 from cdsopt.domination import DeficitState, coverage_gain
-from cdsopt.generators import _coin_bits, gen_fig1, gen_random_connected, gen_udg
+from cdsopt.generators import (
+    RANDOM_MAX_PAIRS,
+    UDG_MAX_EXPECTED_EDGES,
+    _coin_bits,
+    gen_fig1,
+    gen_random_connected,
+    gen_udg,
+)
 from cdsopt.graph import (
     Instance,
     InstanceError,
@@ -25,7 +32,7 @@ from cdsopt.graph import (
     edge_adjacency,
     parse_instance,
     serialize_instance,
-    unit_disk_edges,
+    unit_disk_adjacency,
     validate_graph,
     validate_instance,
 )
@@ -246,6 +253,17 @@ class TestRandomGenerator:
         assert [data[8 * j + 3] for j in range(k)] == [int(x * 256) for x in values]
         assert bulk.getstate() == calls.getstate()
 
+    def test_pair_cap_boundary(self):
+        # n = 20,000 is the largest n under the cap; the cap is checked before the
+        # fold, so at the cap the fold check speaks, and past it no coin is drawn
+        n = 20_000
+        assert n * (n - 1) // 2 <= RANDOM_MAX_PAIRS < (n + 1) * n // 2
+        with pytest.raises(InstanceError, match="^fold requirement m must be >= 1$"):
+            gen_random_connected(n, 3 / n, (1.0, 2.0), seed=0, m=0)
+        message = f"^n = {n + 1} draws a coin for each of n\\(n-1\\)/2 pairs, more than 200,000,000$"
+        with pytest.raises(InstanceError, match=message):
+            gen_random_connected(n + 1, 3 / n, (1.0, 2.0), seed=0)
+
     def test_parameter_checks(self):
         with pytest.raises(InstanceError):
             gen_random_connected(0, 0.5, (1.0, 2.0), seed=0)
@@ -321,6 +339,19 @@ class TestUdgGenerator:
         with pytest.raises(InstanceError, match="^n must be >= 1$"):
             gen_udg(0, 1.0, (1.0, 1.0), 0)
 
+    def test_edge_cap_boundary(self):
+        # the side at which pi * n^2 / (2 * side^2) meets the cap, for n = 10^5;
+        # the cap is checked before the fold, so an admitted request meets the fold check
+        n = 100_000
+        side = math.sqrt(math.pi * n * n / (2 * UDG_MAX_EXPECTED_EDGES))
+        admitted = [(n, side * (1 + 1e-12)), (n, 111.8), (3, 1e-300), (10**310, 1e308)]
+        for size, width in admitted:
+            with pytest.raises(InstanceError, match="^fold requirement m must be >= 1$"):
+                gen_udg(size, width, (1.0, 1.0), seed=0, m=0)
+        for size, width in [(n, side * (1 - 1e-12)), (n, 1.0), (10**400, 1e-300)]:
+            with pytest.raises(InstanceError, match=r"edges, more than 5,000,000$"):
+                gen_udg(size, width, (1.0, 1.0), seed=0, m=0)
+
 
 def _nudge(v: float, steps: int) -> float:
     """``v`` moved ``steps`` floats up (positive) or down (negative)."""
@@ -382,14 +413,14 @@ class TestUnitDiskEdges:
     @settings(max_examples=200, deadline=None)
     @given(points=tricky_points())
     def test_matches_all_pairs_reference(self, points):
-        assert unit_disk_edges(points) == reference_unit_disk_edges(points)
+        assert unit_disk_adjacency(points) == edge_adjacency(len(points), reference_unit_disk_edges(points))
 
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(1, 150), side=st.sampled_from([0.5, 3.0, 12.0]), seed=st.integers(0, 10**6))
     def test_matches_all_pairs_reference_on_uniform_points(self, n, side, seed):
         rng = random.Random(seed)
         points = [(rng.uniform(-side, side), rng.uniform(-side, side)) for _ in range(n)]
-        assert unit_disk_edges(points) == reference_unit_disk_edges(points)
+        assert unit_disk_adjacency(points) == edge_adjacency(len(points), reference_unit_disk_edges(points))
 
     @pytest.mark.parametrize(
         "points",
@@ -404,7 +435,7 @@ class TestUnitDiskEdges:
     )
     def test_edge_across_two_cells(self, points):
         assert reference_unit_disk_edges(points) == [(0, 1)]
-        assert unit_disk_edges(points) == [(0, 1)]
+        assert unit_disk_adjacency(points) == edge_adjacency(len(points), reference_unit_disk_edges(points))
         make_instance(2, [(0, 1)], coords=points)
 
     @pytest.mark.parametrize(
@@ -446,7 +477,7 @@ class TestUnitDiskEdges:
     )
     def test_half_cell_stencil(self, points, edges):
         assert reference_unit_disk_edges(points) == edges
-        assert unit_disk_edges(points) == edges
+        assert unit_disk_adjacency(points) == edge_adjacency(len(points), reference_unit_disk_edges(points))
 
     @pytest.mark.parametrize("x, y, edge", POW_SENSITIVE_PAIRS)
     def test_rule_squares_by_multiplication(self, x, y, edge):
@@ -454,7 +485,7 @@ class TestUnitDiskEdges:
         edges = [(0, 1)] if edge else []
         for points in ([(0.0, 0.0), (x, y)], [(-x, 0.0), (0.0, y)]):
             assert reference_unit_disk_edges(points) == edges
-            assert unit_disk_edges(points) == edges
+            assert unit_disk_adjacency(points) == edge_adjacency(len(points), reference_unit_disk_edges(points))
 
     def test_stencil_proof_premises(self):
         # 37 offsets in all, and squaring is exact on the per-axis gaps the proof uses
@@ -462,7 +493,9 @@ class TestUnitDiskEdges:
         assert [h * h for h in (0.0, 0.5, 1.0, 1.5, 2.0)] == [0.0, 0.25, 1.0, 2.25, 4.0]
 
     def test_far_apart_points_do_not_overflow(self):
-        assert unit_disk_edges([(0.0, 0.0), (1e200, 0.0), (-1e308, 1e308)]) == []
+        points = [(0.0, 0.0), (1e200, 0.0), (-1e308, 1e308)]
+        assert reference_unit_disk_edges(points) == []
+        assert unit_disk_adjacency(points) == ((), (), ())
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_coordinate_rejected(self, bad):
@@ -610,7 +643,7 @@ class TestValidate:
                 coords = coords[1:] if data.draw(st.booleans()) else coords + [(0.0, 0.0)]
         if coords is not None and all(map(math.isfinite, sum(coords, ()))) and data.draw(st.booleans()):
             # the unit-disk edges, often valid, or with one pair added or dropped
-            edges = unit_disk_edges(coords)
+            edges = reference_unit_disk_edges(coords)
             pairs = [(i, j) for i in range(len(coords)) for j in range(i + 1, len(coords))]
             if pairs and data.draw(st.booleans()):
                 pair = data.draw(st.sampled_from(pairs))
@@ -703,13 +736,13 @@ class TestOneIdCheck:
 
 class TestUnitDiskChecksRunOnce:
     """``gen_udg`` derives its edges from its own points, so it computes
-    ``unit_disk_edges`` and ``component_labels`` once per drawn point set, while
+    ``unit_disk_adjacency`` and ``component_labels`` once per drawn point set, while
     parsed coordinates still get the full rule check."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         counts = Counter()
-        for name in ("unit_disk_edges", "component_labels"):
+        for name in ("unit_disk_adjacency", "component_labels"):
             original = getattr(cdsopt.graph, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
@@ -723,20 +756,20 @@ class TestUnitDiskChecksRunOnce:
     @pytest.mark.parametrize("n,side,seed,attempts", [(20, 2.0, 0, 1), (30, 4.0, 1, 4), (12, 4.0, 3, 32)])
     def test_gen_udg_once_per_attempt(self, calls, monkeypatch, n, side, seed, attempts):
         inst = gen_udg(n, side, (0.1, 10.0), seed=seed)
-        assert (calls["unit_disk_edges"], calls["component_labels"]) == (attempts, attempts)
+        assert (calls["unit_disk_adjacency"], calls["component_labels"]) == (attempts, attempts)
         assert inst.graph.edges() == reference_unit_disk_edges(inst.graph.coords)
         # the seed needs exactly that many point sets: one fewer is not enough
         monkeypatch.setattr(cdsopt.generators, "UDG_MAX_ATTEMPTS", attempts - 1)
         calls.clear()
         with pytest.raises(InstanceError, match="could not generate connected UDG"):
             gen_udg(n, side, (0.1, 10.0), seed=seed)
-        assert (calls["unit_disk_edges"], calls["component_labels"]) == (attempts - 1, attempts - 1)
+        assert (calls["unit_disk_adjacency"], calls["component_labels"]) == (attempts - 1, attempts - 1)
 
     def test_parse_checks_the_rule_once(self, calls):
         text = serialize_instance(gen_udg(30, 4.0, (0.1, 10.0), seed=1))
         calls.clear()
         parse_instance(text)
-        assert (calls["unit_disk_edges"], calls["component_labels"]) == (1, 1)
+        assert (calls["unit_disk_adjacency"], calls["component_labels"]) == (1, 1)
 
     @pytest.mark.parametrize(
         "text,pair",
@@ -748,7 +781,132 @@ class TestUnitDiskChecksRunOnce:
     def test_parse_still_rejects(self, calls, text, pair):
         with pytest.raises(InstanceError, match=re.escape(f"coords violate the unit-disk edge rule at pair {pair}")):
             parse_instance(text)
-        assert (calls["unit_disk_edges"], calls["component_labels"]) == (1, 1)
+        assert (calls["unit_disk_adjacency"], calls["component_labels"]) == (1, 1)
+
+
+def udg_text(coords, edges) -> str:
+    """Unit-disk instance text with unit costs, holding the given points and edge lines."""
+    lines = [f"cds {len(coords)} {len(edges)} 1", " ".join(["1"] * len(coords)), "coords"]
+    lines += [f"{x!r} {y!r}" for x, y in coords]
+    lines += [f"{u} {v}" for u, v in edges]
+    return "\n".join(lines) + "\n"
+
+
+def colocated_path_text(n: int) -> str:
+    """n points at (0, 0) with the path 0-1-...-(n-1) as edges: connected, but far
+    from the complete graph that the unit-disk rule asks for."""
+    return udg_text([(0.0, 0.0)] * n, [(v, v + 1) for v in range(n - 1)])
+
+
+def expected_parse_error(coords, edges) -> str | None:
+    """The message ``parse_instance`` must raise on these points and edges, from
+    references only: a union-find for connectivity, the half-cells' sizes for the
+    clump check, and the all-pairs edge set for the smallest disagreeing pair."""
+    n = len(coords)
+    root = list(range(n))
+
+    def find(u):
+        while root[u] != u:
+            u = root[u]
+        return u
+
+    for u, v in edges:
+        root[find(u)] = find(v)
+    if len({find(u) for u in range(n)}) > 1:
+        return "disconnected graph"
+    nbrs = [set() for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    cells = {}
+    for i, (x, y) in enumerate(coords):
+        cells.setdefault((math.floor(2 * x), math.floor(2 * y)), []).append(i)
+    mates = {i: cell for cell in cells.values() for i in cell}
+    short = [i for i in range(n) if len(nbrs[i]) < len(mates[i]) - 1]
+    if short:
+        i = short[0]
+        j = min(j for j in mates[i] if j != i and j not in nbrs[i])
+        pair = (min(i, j), max(i, j))
+    else:
+        diff = set(reference_unit_disk_edges(coords)) ^ set(edges)
+        if not diff:
+            return None
+        pair = min(diff)
+    return f"coords violate the unit-disk edge rule at pair ({pair[0]}, {pair[1]})"
+
+
+class TestUnitDiskRuleNamesThePair:
+    """A wrong unit-disk file names the smallest pair on which its edges and the
+    all-pairs rule disagree, except where a half-cell shows a point short of
+    neighbours: then it names that point and a missing cell-mate."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(2, 30),
+        side=st.sampled_from([0.8, 1.5, 2.5, 4.0]),
+        seed=st.integers(0, 10**6),
+        fault=st.sampled_from(["drop", "add", "move"]),
+        data=st.data(),
+    )
+    def test_perturbed_instance(self, n, side, seed, fault, data):
+        inst = gen_udg(n, side, (1.0, 1.0), seed=seed)
+        coords, edges = list(inst.graph.coords), inst.graph.edges()
+        if fault == "add":
+            # a pair the scan compares, cells at most 3 apart per axis, that is no edge
+            cell = [(math.floor(2 * x), math.floor(2 * y)) for x, y in coords]
+            near = [
+                (i, j)
+                for i in range(n)
+                for j in range(i + 1, n)
+                if abs(cell[i][0] - cell[j][0]) <= 3 and abs(cell[i][1] - cell[j][1]) <= 3
+            ]
+            candidates = sorted(set(near) - set(edges))
+            fault = "add" if candidates else "drop"
+        if fault == "drop" and edges:
+            edges.remove(data.draw(st.sampled_from(edges)))
+        elif fault == "add":
+            edges = sorted(edges + [data.draw(st.sampled_from(candidates))])
+        else:
+            u = data.draw(st.integers(0, n - 1))
+            target = data.draw(st.sampled_from(["anywhere", "near"]))
+            if target == "anywhere":
+                coords[u] = (data.draw(st.floats(0.0, side)), data.draw(st.floats(0.0, side)))
+            else:
+                x, y = coords[data.draw(st.integers(0, n - 1))]
+                coords[u] = (x + data.draw(st.floats(-1.5, 1.5)), y + data.draw(st.floats(-1.5, 1.5)))
+        expected = expected_parse_error(coords, edges)
+        text = udg_text(coords, edges)
+        if expected is None:
+            assert parse_instance(text).graph.edges() == edges
+        else:
+            with pytest.raises(InstanceError, match=f"^{re.escape(expected)}$"):
+                parse_instance(text)
+
+    def test_short_point_is_named_before_a_smaller_pair(self):
+        # node 0 has its two neighbours but one is wrong: the smallest disagreeing
+        # pair is (0, 2), but node 1 has one neighbour for two cell-mates
+        coords = [(0.0, 0.0), (0.1, 0.0), (0.2, 0.0), (5.0, 0.0)]
+        edges = [(0, 1), (0, 3), (2, 3)]
+        assert min(set(reference_unit_disk_edges(coords)) ^ set(edges)) == (0, 2)
+        with pytest.raises(InstanceError, match=r"^coords violate the unit-disk edge rule at pair \(1, 2\)$"):
+            parse_instance(udg_text(coords, edges))
+
+    def test_colocated_4000_fails_fast(self):
+        text = colocated_path_text(4000)
+        start = time.perf_counter()
+        with pytest.raises(InstanceError, match=r"^coords violate the unit-disk edge rule at pair \(0, 2\)$"):
+            parse_instance(text)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 1.0, f"rejecting 4,000 co-located points took {elapsed:.2f} s"
+
+    def test_colocated_100k_fails_in_linear_time(self):
+        # the all-pairs edge set of these points has about 5e9 pairs
+        text = colocated_path_text(100_000)
+        start = time.perf_counter()
+        with pytest.raises(InstanceError, match=r"^coords violate the unit-disk edge rule at pair \(0, 2\)$"):
+            parse_instance(text)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 15.0, f"rejecting 100,000 co-located points took {elapsed:.1f} s"
 
 
 class TestLinearBuild:
