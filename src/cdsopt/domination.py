@@ -17,12 +17,12 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .graph import Instance, checked_ids
+from .graph import Instance, checked_ids, validate_fold
 
 
-@dataclass(frozen=True)
-class GreedyStep:
+class GreedyStep(NamedTuple):
     """One phase-1 pick; the field order is the report's step key order."""
 
     node: int
@@ -40,28 +40,56 @@ class GreedyTrace:
 class DeficitState:
     """Incremental residual-domination bookkeeping for a growing node set.
 
-    Tracks per node: membership and the residual demand (deficit).  A
-    member's deficit is 0 and deficits only fall, so a node with positive
-    deficit is outside the set: the neighbor loops test the deficit alone.
+    Tracks per node: membership, the residual demand (deficit) and the
+    exact coverage gain, ``gain[u] == coverage_gain(self, u)`` for each free
+    u and 0 for each member.  A member's deficit is 0 and deficits only
+    fall, so a node with positive deficit is outside the set.
+
+    A free node's gain is its deficit plus its neighbors of positive
+    deficit, so it starts at m + deg(u) (the constructor checks m >= 1, so
+    every deficit starts positive) and changes only when a deficit falls:
+    by one at the node whose deficit falls, and by one at each free
+    neighbor of a node whose deficit reaches 0.  ``add(u)`` pays
+    O(deg(u)) for u's neighbors plus O(deg(v)) for each neighbor v whose
+    deficit reaches 0.  Each node joins once and reaches deficit 0 once, so
+    the upkeep over any sequence of adds is O(n + E).
     """
 
     def __init__(self, inst: Instance):
+        validate_fold(inst.m)
         n = inst.graph.node_count
         self.inst = inst
         self.in_set = [False] * n
         self.deficit = [inst.m] * n
+        self.gain = [inst.m + len(nbrs) for nbrs in inst.graph.adjacency]
 
     def add(self, u: int) -> None:
-        """Insert u, zeroing its own deficit and relieving uncovered neighbors."""
+        """Insert u, zeroing its own deficit and gain and relieving uncovered neighbors."""
         if not 0 <= u < len(self.in_set):
             checked_ids(len(self.in_set), (u,))  # raises the range error
-        if self.in_set[u]:
+        in_set = self.in_set
+        if in_set[u]:
             raise ValueError(f"node {u} already in the set")
-        self.deficit[u] = 0
-        self.in_set[u] = True
-        for v in self.inst.graph.adjacency[u]:
-            if self.deficit[v] > 0:
-                self.deficit[v] -= 1
+        adjacency = self.inst.graph.adjacency
+        deficit = self.deficit
+        gain = self.gain
+        # a neighbor v loses 1 as its own deficit falls, and each free
+        # neighbor loses 1 more if u's deficit was positive and now is 0
+        lost = 2 if deficit[u] > 0 else 1
+        deficit[u] = 0
+        gain[u] = 0
+        in_set[u] = True
+        for v in adjacency[u]:
+            d = deficit[v]
+            if d > 0:
+                deficit[v] = d - 1
+                gain[v] -= lost
+                if d == 1:
+                    for w in adjacency[v]:
+                        if not in_set[w]:
+                            gain[w] -= 1
+            elif lost == 2 and not in_set[v]:
+                gain[v] -= 1
 
 
 def coverage_gain(state: DeficitState, u: int) -> int:
@@ -114,31 +142,41 @@ def greedy_dominating_set(inst: Instance) -> tuple[set[int], GreedyTrace]:
     Candidates sit in a lazy heap of ``(-key, -gain, node)`` tuples on their
     last computed gain.  Costs are fixed and, the potential being
     submodular, gains never rise as the set grows, so a stored entry never
-    ranks below its node's current value.  The top entry's gain is
-    recomputed before it is taken: if unchanged, the node is the best free
-    node; otherwise the entry is re-sifted (or dropped at gain 0) and the
-    new top is examined.  The picks equal those of a full scan in the same
-    exact order.
+    ranks below its node's current value.  The top entry's gain is read
+    from ``DeficitState.gain``, which the state keeps exact, in O(1): if
+    unchanged, the node is the best free node; otherwise the entry is
+    re-sifted (or dropped at gain 0) and the new top is examined.  The
+    picks equal those of a full scan in the same exact order, and no step
+    rescans a neighborhood, so a hub that reaches the top after every pick
+    costs O(log n) each time rather than O(deg).
+
+    Each node's key factors are computed once: with cost = num/den,
+    ``scaled = den << shift``, and ``gain * scaled // num`` is the integer
+    ``ratio_key(gain, cost, shift)`` (node costs are finite, so its inf
+    branch never applies).
     """
     g = inst.graph
     cost = g.cost
     shift = g.key_shift
     state = DeficitState(inst)
-    heap: list[tuple[int, int, int]] = []
-    for u in range(g.node_count):
-        gain = coverage_gain(state, u)
-        if gain > 0:
-            heap.append((-ratio_key(gain, cost[u], shift), -gain, u))
+    current = state.gain
+    num: list[int] = []
+    scaled: list[int] = []
+    for c in cost:
+        c_num, c_den = c.as_integer_ratio()
+        num.append(c_num)
+        scaled.append(c_den << shift)
+    heap = [(-(gain * scaled[u] // num[u]), -gain, u) for u, gain in enumerate(current)]
     heapq.heapify(heap)
     chosen: set[int] = set()
     steps: list[GreedyStep] = []
     running = 0.0
     while heap:
         _, neg_gain, u = heap[0]
-        gain = coverage_gain(state, u)
+        gain = current[u]
         if gain != -neg_gain:
             if gain > 0:
-                heapq.heapreplace(heap, (-ratio_key(gain, cost[u], shift), -gain, u))
+                heapq.heapreplace(heap, (-(gain * scaled[u] // num[u]), -gain, u))
             else:
                 heapq.heappop(heap)
             continue
@@ -146,5 +184,5 @@ def greedy_dominating_set(inst: Instance) -> tuple[set[int], GreedyTrace]:
         state.add(u)
         chosen.add(u)
         running += cost[u]
-        steps.append(GreedyStep(node=u, gain=gain, ratio=gain / cost[u], running_cost=running))
+        steps.append(GreedyStep(u, gain, gain / cost[u], running))
     return chosen, GreedyTrace(steps=steps)

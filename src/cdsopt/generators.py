@@ -126,7 +126,8 @@ def gen_udg(
     Resamples the point set until the graph is connected; raises after
     ``UDG_MAX_ATTEMPTS`` failures.  Coordinates are stored on the instance.
     A request whose expected edge count, ``min(n(n-1)/2, pi*n^2/(2*side^2))``,
-    exceeds ``UDG_MAX_EXPECTED_EDGES`` raises before any draw.
+    exceeds ``UDG_MAX_EXPECTED_EDGES`` raises before any draw, as does one
+    with n - 1 above it, since a connected graph has at least n - 1 edges.
 
     The graph holds every ``validate_graph`` invariant by construction, so
     it is built without running that check:
@@ -150,6 +151,11 @@ def gen_udg(
         raise InstanceError("side must be finite and positive")
     if not (math.isfinite(hi) and 0 < lo <= hi):
         raise InstanceError("cost range must be finite and satisfy 0 < lo <= hi")
+    # a connected graph on n nodes has at least n - 1 edges, whatever the side
+    if n - 1 > UDG_MAX_EXPECTED_EDGES:
+        raise InstanceError(
+            f"n = {n} connected points make at least n - 1 edges, more than {UDG_MAX_EXPECTED_EDGES:,}"
+        )
     # twice the expected edge count, in exact arithmetic, so that no n or side overflows
     if min(n * (n - 1), Fraction(math.pi) * n * n / Fraction(side) ** 2) > 2 * UDG_MAX_EXPECTED_EDGES:
         raise InstanceError(

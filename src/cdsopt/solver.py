@@ -133,7 +133,7 @@ def solve_report_dict(result: SolveResult, include_timings: bool = True) -> dict
         },
         "phase1": {
             "given": result.phase1_trace.given,
-            "steps": [vars(step).copy() for step in result.phase1_trace.steps],
+            "steps": [step._asdict() for step in result.phase1_trace.steps],
         },
         "phase2": {
             "method": result.connect_report.method,

@@ -72,6 +72,20 @@ def star_instance(leaf_count, m=1, costs=None) -> Instance:
     return make_instance(leaf_count + 1, [(0, i) for i in range(1, leaf_count + 1)], costs=costs, m=m)
 
 
+def comb_instance(k) -> Instance:
+    """Hub 0 (cost 1), leaves 1..k (cost 1000) on the hub, and helper k+1+i
+    pendant on leaf 1+i, m = 1.
+
+    Helper i's ratio is k+2 for i = 0 and k+1.5-i after, so the greedy takes
+    the helpers in id order, each with gain 2, then the hub with gain 1.
+    After each helper pick the hub's stored key (its gain before that pick)
+    still beats the next helper, so the hub reaches the heap top k times.
+    """
+    costs = [1.0] + [1000.0] * k + [2 / (k + 2)] + [2 / (k + 1.5 - i) for i in range(1, k)]
+    edges = [(0, 1 + i) for i in range(k)] + [(1 + i, k + 1 + i) for i in range(k)]
+    return make_instance(2 * k + 1, edges, costs=costs, m=1, label=f"comb-{k}")
+
+
 # ---------------------------------------------------------------------------
 # independent component oracles
 

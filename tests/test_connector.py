@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cdsopt.connector
+import cdsopt.domination
 from cdsopt.components import ComponentIndex
 from cdsopt.connector import (
     StarCandidate,
@@ -20,7 +21,7 @@ from cdsopt.connector import (
     pair_candidate,
     pairwise_connect,
 )
-from cdsopt.domination import greedy_dominating_set, ratio_key
+from cdsopt.domination import coverage_gain, greedy_dominating_set, ratio_key
 from cdsopt.generators import gen_fig1, gen_random_connected, gen_udg
 from cdsopt.graph import ratio_shift
 from cdsopt.solver import solve
@@ -29,6 +30,7 @@ from helpers import (
     bfs_component_count,
     bfs_component_labels,
     brute_force_best_star,
+    comb_instance,
     complete_instance,
     formula_star_value,
     make_instance,
@@ -873,3 +875,34 @@ class TestUdgStarWork:
         assert calls == 3136
         assert len(report.stars) == 29
         assert report.initial_components == 36
+
+
+class TestCoverWork:
+    """Phase 1's work on a hub and on the first random-cover benchmark instance, pinned."""
+
+    @staticmethod
+    def counted_cover(inst):
+        calls = 0
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return coverage_gain(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cdsopt.domination, "coverage_gain", counted)
+            _, trace = greedy_dominating_set(inst)
+        return trace, calls
+
+    def test_comb_hub_costs_no_rescan(self):
+        # the hub's stale key tops the heap after every helper pick; a
+        # coverage_gain rescan there made O(k^2) neighbour visits
+        k = 2000
+        trace, calls = self.counted_cover(comb_instance(k))
+        assert calls == 0
+        assert [(s.node, s.gain) for s in trace.steps] == [(k + 1 + i, 2) for i in range(k)] + [(0, 1)]
+
+    def test_random_cover_steps(self):
+        trace, calls = self.counted_cover(gen_random_connected(2000, 3 / 2000, (0.1, 10.0), 1000, m=4))
+        assert calls == 0
+        assert len(trace.steps) == 1473

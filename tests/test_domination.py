@@ -86,6 +86,30 @@ class TestCoverageGain:
                 continue
             assert coverage_gain(state, u) == coverage_value(inst, members | {u}) - base
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        udg=st.booleans(),
+        n=st.integers(1, 60),
+        density=st.sampled_from([0.05, 0.2, 0.6]),
+        seed=st.integers(0, 10**6),
+        m=st.integers(1, 4),
+        order=st.randoms(use_true_random=False),
+    )
+    def test_gain_list_matches_scan_after_every_add(self, udg, n, density, seed, m, order):
+        # density is p for a random graph, and sets 9, 18 or 42 points per unit^2 for a UDG
+        if udg:
+            inst = gen_udg(n, math.sqrt(n / (6 + 60 * density)) + 0.5, (0.1, 10.0), seed, m=m)
+        else:
+            inst = gen_random_connected(n, density, (0.1, 10.0), seed, m=m)
+        state = DeficitState(inst)
+        assert state.gain == [coverage_gain(state, u) for u in range(n)]
+        nodes = list(range(n))
+        order.shuffle(nodes)
+        for u in nodes:
+            state.add(u)
+            for v in range(n):
+                assert state.gain[v] == (0 if state.in_set[v] else coverage_gain(state, v))
+
 
 class TestPolymatroidProperties:
     @settings(max_examples=100, deadline=None)

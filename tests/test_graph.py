@@ -344,13 +344,24 @@ class TestUdgGenerator:
         # the cap is checked before the fold, so an admitted request meets the fold check
         n = 100_000
         side = math.sqrt(math.pi * n * n / (2 * UDG_MAX_EXPECTED_EDGES))
-        admitted = [(n, side * (1 + 1e-12)), (n, 111.8), (3, 1e-300), (10**310, 1e308)]
+        admitted = [(n, side * (1 + 1e-12)), (n, 111.8), (3, 1e-300)]
         for size, width in admitted:
             with pytest.raises(InstanceError, match="^fold requirement m must be >= 1$"):
                 gen_udg(size, width, (1.0, 1.0), seed=0, m=0)
-        for size, width in [(n, side * (1 - 1e-12)), (n, 1.0), (10**400, 1e-300)]:
+        rejected = [(n, side * (1 - 1e-12)), (n, 1.0), (UDG_MAX_EXPECTED_EDGES + 1, 1e-300), (10**400, 1e-300)]
+        for size, width in rejected:
             with pytest.raises(InstanceError, match=r"edges, more than 5,000,000$"):
                 gen_udg(size, width, (1.0, 1.0), seed=0, m=0)
+
+    def test_node_count_cap_boundary(self):
+        # a connected graph on n points has at least n - 1 edges, so n - 1 above
+        # the cap is refused however sparse the square, before any point is drawn
+        cap = UDG_MAX_EXPECTED_EDGES
+        with pytest.raises(InstanceError, match="^fold requirement m must be >= 1$"):
+            gen_udg(cap + 1, 1e308, (1.0, 1.0), seed=0, m=0)
+        for size in (cap + 2, 10**12, 10**310):
+            with pytest.raises(InstanceError, match=r"at least n - 1 edges, more than 5,000,000$"):
+                gen_udg(size, 1e308, (1.0, 1.0), seed=0, m=0)
 
 
 def _nudge(v: float, steps: int) -> float:
