@@ -53,9 +53,9 @@ CSV_COLUMNS = [
     "violation",
 ]
 
-# float slack for bound comparisons: the proven inequalities are exact, the
-# comparison operands are products of floats
-BOUND_EPS = 1e-9
+# float slack for bound comparisons, relative so that it scales with the
+# costs: the proven inequalities are exact, the operands are products of floats
+BOUND_RTOL = 1e-9
 
 # the error for a non-finite output number: costs are finite, so only a cost
 # sum or ratio past the float range makes one
@@ -170,13 +170,13 @@ def run_case(case: dict) -> dict:
         r = result.ratios
         opt, opt_mds = r.opt_cost, r.opt_mds_cost
         ratio_total = r.ratio_total
-        if result.cost_total > bound_total * opt + BOUND_EPS:
+        if result.cost_total > bound_total * opt * (1 + BOUND_RTOL):
             problems.append("total cost exceeds (H(delta+m)+2H(delta-1))*opt")
-        if result.cost_d1 > bound_d1 * opt_mds + BOUND_EPS:
+        if result.cost_d1 > bound_d1 * opt_mds * (1 + BOUND_RTOL):
             problems.append("d1 cost exceeds H(delta+m)*opt_mds")
-        if result.cost_d2 > bound_d2 * opt + BOUND_EPS:
+        if result.cost_d2 > bound_d2 * opt * (1 + BOUND_RTOL):
             problems.append("d2 cost exceeds 2H(delta-1)*opt")
-        if udg_bound_d2 is not None and result.cost_d2 > udg_bound_d2 * opt + BOUND_EPS:
+        if udg_bound_d2 is not None and result.cost_d2 > udg_bound_d2 * opt * (1 + BOUND_RTOL):
             problems.append("d2 cost exceeds (11/3)*opt on UDG")
     return {
         "label": inst.label,

@@ -41,8 +41,8 @@ class DeficitState:
     """Incremental residual-domination bookkeeping for a growing node set.
 
     Tracks per node: membership, the residual demand (deficit) and the
-    exact coverage gain, ``gain[u] == coverage_gain(self, u)`` for each free
-    u and 0 for each member.  A member's deficit is 0 and deficits only
+    exact coverage gain ``gain[u]`` for each free u (what ``coverage_gain``
+    returns) and 0 for each member.  A member's deficit is 0 and deficits only
     fall, so a node with positive deficit is outside the set.
 
     A free node's gain is its deficit plus its neighbors of positive
@@ -96,17 +96,13 @@ def coverage_gain(state: DeficitState, u: int) -> int:
     """Potential increase from adding u, without mutating the state.
 
     Equals u's own deficit plus the number of uncovered neighbors outside
-    the set whose deficit it would relieve.
+    the set whose deficit it would relieve, as ``state.gain`` keeps it.
     """
     if not 0 <= u < len(state.in_set):
         checked_ids(len(state.in_set), (u,))  # raises the range error
     if state.in_set[u]:
         raise ValueError(f"node {u} already in the set")
-    gain = state.deficit[u]
-    for v in state.inst.graph.adjacency[u]:
-        if state.deficit[v] > 0:
-            gain += 1
-    return gain
+    return state.gain[u]
 
 
 def ratio_key(gain: int, cost: float, shift: int) -> int:

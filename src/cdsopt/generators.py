@@ -26,8 +26,9 @@ UDG_MAX_ATTEMPTS = 1000
 # ``gen_random_connected`` spends one coin per pair whatever p is: n = 20,000
 # (199,990,000 pairs, about 7 s on a 2-CPU VM) is the largest n it takes
 RANDOM_MAX_PAIRS = 2 * 10**8
-# ``gen_udg`` stores and compares in proportion to its edges: 4 times the
-# 1.25M expected edges of n = 10^5 at side 111.8
+# the edge budget of the generators that store and compare in proportion to
+# their edges: 4 times the 1.25M expected edges of ``gen_udg`` at n = 10^5 and
+# side 111.8; ``gen_fig1`` takes d up to 1,249,999 (4d + 1 edges)
 UDG_MAX_EXPECTED_EDGES = 5 * 10**6
 
 
@@ -182,7 +183,9 @@ def gen_fig1(d: int, eps: float, m: int = 1) -> tuple[Instance, frozenset[int]]:
     u_i; each u_i adjacent to its rung bottom v_i; each v_i adjacent to the
     hub u and to a private anchor b_i.  Costs: c(u_i)=1, c(v_i)=eps,
     c(u)=1+eps, c(t)=c(b_i)=1.  The designated dominating set is
-    {t, b_1..b_d}, whose induced subgraph has d+1 components.
+    {t, b_1..b_d}, whose induced subgraph has d+1 components.  A ladder of
+    more than ``UDG_MAX_EXPECTED_EDGES`` edges (4d+1) raises before any
+    allocation.
 
     On this family the best single star {u, v_1..v_d} reconnects everything
     at cost 1+(d+1)*eps, while a connector limited to node pairs pays
@@ -190,6 +193,8 @@ def gen_fig1(d: int, eps: float, m: int = 1) -> tuple[Instance, frozenset[int]]:
     """
     if d < 1:
         raise InstanceError("d must be >= 1")
+    if 4 * d + 1 > UDG_MAX_EXPECTED_EDGES:
+        raise InstanceError(f"d = {d} makes 4d + 1 edges, more than {UDG_MAX_EXPECTED_EDGES:,}")
     if not (math.isfinite(eps) and eps > 0):
         raise InstanceError("eps must be finite and positive")
     validate_fold(m)

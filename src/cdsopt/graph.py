@@ -215,7 +215,8 @@ def unit_disk_adjacency(coords, declared=None) -> tuple[tuple[int, ...], ...]:
     they lie at Euclidean distance <= 1.
 
     A pair is an edge iff ``sx * sx + sy * sy <= 1.0`` in floats, where
-    ``sx = xi - xj`` and ``sy = yi - yj``; the coordinates must be finite.
+    ``sx = xi - xj`` and ``sy = yi - yj``; there must be at least one point,
+    and the coordinates must be finite.
     Each operation is correctly rounded IEEE arithmetic, so the edge set is
     the same on every conforming platform.  Points are bucketed into
     half-unit cells keyed by ``(floor(2x), floor(2y))`` (Bentley, Stanat and
@@ -277,8 +278,6 @@ def unit_disk_adjacency(coords, declared=None) -> tuple[tuple[int, ...], ...]:
             i, points = min(short, key=itemgetter(0))
             nbrs = set(declared[i])
             raise _rule_violation(i, min(j for j, _, _ in points if j != i and j not in nbrs))
-    if not cells:
-        return ()
     # number the cells column by column, leaving room for dy in -3..3 between
     # columns, so that each offset is one integer step that reaches no other cell
     low = min(ky for _, ky in cells)

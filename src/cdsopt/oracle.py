@@ -25,14 +25,20 @@ nothing is undecided, every OUT node already has m chosen neighbors and the
 chosen set is non-empty: only connectivity is left to check there.  The leaf
 checks it with a flood fill over per-node neighbor masks, since the set is
 already an int; decoding it into a list for ``component_labels`` cost about
-11% of the search.  ``opt_set`` is decoded once, at the end.  Intended for
-desk-scale instances; the node budget guards against accidental exponential
-blowups.
+11% of the search.  A CDS search builds the masks once, before it recurses;
+an MDS search builds none.  ``opt_set`` is decoded once, at the end.
+
+Intended for desk-scale instances.  Two refusals run before any O(n + E)
+work, the incumbent check included: the node budget, which guards against
+accidental exponential blowups, and the depth limit.  The search recurses
+once per node, so it refuses n > ``sys.getrecursionlimit() // 2``; the other
+half of the interpreter's limit is left for the caller's frames.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .graph import Instance
@@ -90,19 +96,15 @@ def exact_minimum_mds(
     return _exact_search(inst, node_budget, False, incumbent)
 
 
-def _bitmask(nodes, n: int) -> int:
-    """The set of node ids as an int, bit u for node u, in O(n + len(nodes))."""
-    bits = bytearray((n + 7) // 8)
-    for u in nodes:
-        bits[u >> 3] |= 1 << (u & 7)
-    return int.from_bytes(bits, "little")
-
-
 def _exact_search(inst: Instance, node_budget: int, require_connected: bool, incumbent) -> OracleResult:
     g = inst.graph
     n = g.node_count
     if n > node_budget:
         raise OracleBudgetError(f"instance too large for oracle: {n} nodes > budget {node_budget}")
+    # the search recurses once per node; half the interpreter's limit leaves
+    # room for the caller's frames
+    if n > sys.getrecursionlimit() // 2:
+        raise OracleBudgetError(f"instance too deep for the oracle's recursive search: {n} nodes")
     adj = g.adjacency
     cost = g.cost
     m = inst.m
@@ -125,15 +127,13 @@ def _exact_search(inst: Instance, node_budget: int, require_connected: bool, inc
     # the incumbent leaf itself beats this bound, so the search always ends
     # on L*; only when the costs overflow to inf does the incumbent stand
     best_cost = math.nextafter(incumbent_cost, math.inf)
-    best_mask = _bitmask(incumbent, n)
+    best_mask = sum(1 << u for u in incumbent)
     explored = 0
 
     out = [False] * n
     # each node's chosen plus undecided neighbors
     avail = list(map(len, adj))
-    # per-node neighbor masks, built at the first leaf: the depth guard
-    # fires long before that on a graph too big to build them for cheaply
-    nbr_masks: list[int] = []
+    nbr_masks = [sum(1 << v for v in nbrs) for nbrs in adj] if require_connected else []
 
     def rec(i: int, cost_so_far: float, in_mask: int) -> None:
         nonlocal best_cost, best_mask, explored
@@ -143,8 +143,6 @@ def _exact_search(inst: Instance, node_budget: int, require_connected: bool, inc
         if i == n:
             # m-fold domination holds here by the invariant in the module docstring
             if require_connected:
-                if not nbr_masks:
-                    nbr_masks.extend(_bitmask(adj[u], n) for u in range(n))
                 # flood fill G[in_mask] from its lowest node
                 frontier = in_mask & -in_mask
                 rest = in_mask ^ frontier
@@ -177,10 +175,7 @@ def _exact_search(inst: Instance, node_budget: int, require_connected: bool, inc
             avail[w] += 1
         out[i] = False
 
-    try:
-        rec(0, 0.0, 0)
-    except RecursionError:
-        raise OracleBudgetError(f"instance too deep for the oracle's recursive search: {n} nodes") from None
+    rec(0, 0.0, 0)
     opt_set = tuple(u for u in range(n) if best_mask >> u & 1)
     return OracleResult(opt_set=opt_set, opt_cost=best_cost, nodes_explored=explored)
 

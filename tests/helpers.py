@@ -35,7 +35,7 @@ from itertools import combinations
 
 from cdsopt.components import ComponentIndex
 from cdsopt.connector import ConnectReport, StarCandidate
-from cdsopt.domination import DeficitState, GreedyStep, GreedyTrace, coverage_gain
+from cdsopt.domination import DeficitState, GreedyStep, GreedyTrace
 from cdsopt.graph import Instance, InstanceError, WeightedGraph
 from cdsopt.verify import verify_mds
 
@@ -355,6 +355,18 @@ def reference_gen_random_connected(
 # full-scan reference greedy cover
 
 
+def reference_coverage_gain(state: DeficitState, u: int) -> int:
+    """u's deficit plus its neighbors of positive deficit, by an O(deg(u)) scan.
+
+    Reads only ``state.deficit``, so it checks ``state.gain`` independently.
+    """
+    gain = state.deficit[u]
+    for v in state.inst.graph.adjacency[u]:
+        if state.deficit[v] > 0:
+            gain += 1
+    return gain
+
+
 def reference_greedy_dominating_set(inst: Instance) -> tuple[set[int], GreedyTrace]:
     """Greedy cover that evaluates every free node at every step.
 
@@ -372,7 +384,7 @@ def reference_greedy_dominating_set(inst: Instance) -> tuple[set[int], GreedyTra
         for u in range(g.node_count):
             if state.in_set[u]:
                 continue
-            gain = coverage_gain(state, u)
+            gain = reference_coverage_gain(state, u)
             if gain <= 0:
                 continue
             cand = StarCandidate(center=u, leaves=(), gain=gain, total_cost=cost[u])

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: exit codes, report schema, byte stability."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -91,17 +92,27 @@ class TestGen:
     @pytest.mark.parametrize(
         "kind_args, message",
         [
-            (["random", "--n", "1000000", "--p", "0.000003"], "more than 200,000,000"),
-            (["udg", "--n", "100000", "--side", "1"], "edges, more than 5,000,000"),
+            (["random", "--n", "1000000", "--p", "0.000003", "--seed", "1"], "more than 200,000,000"),
+            (["udg", "--n", "100000", "--side", "1", "--seed", "1"], "edges, more than 5,000,000"),
+            (["fig1", "--d", "1000000000000", "--eps", "0.01"], "4d + 1 edges, more than 5,000,000"),
         ],
-        ids=["random", "udg"],
+        ids=["random", "udg", "fig1"],
     )
     def test_oversized_request_exit_2(self, tmp_path, capsys, kind_args, message):
         out = tmp_path / "g.cds"
-        code, _, err = run_cli(capsys, "gen", *kind_args, "--seed", "1", "--out", str(out))
+        code, _, err = run_cli(capsys, "gen", *kind_args, "--out", str(out))
         assert code == 2
         assert message in err
         assert not out.exists()
+
+    def test_oversized_batch_entry_exit_2(self, tmp_path, capsys):
+        batch = tmp_path / "batch.json"
+        batch.write_text(json.dumps({"entries": [{"kind": "fig1", "d": 10**12, "eps": 0.01}]}))
+        csv_path = tmp_path / "rows.csv"
+        code, out, err = run_cli(capsys, "bench", str(batch), "--out-csv", str(csv_path))
+        assert (code, out) == (2, "")
+        assert err == "error: d = 1000000000000 makes 4d + 1 edges, more than 5,000,000\n"
+        assert not csv_path.exists()
 
     @pytest.mark.parametrize(
         "kind_args",
@@ -445,6 +456,57 @@ class TestBench:
         assert violation == "output failed verification"
         assert summary["violations"] == 1
         assert code == 1
+
+    @staticmethod
+    def _inflate_solve(monkeypatch, factor):
+        """Make the bench's solve report each phase at ``factor`` times its cost."""
+        real_solve = cdsopt.bench.solve
+
+        def inflated(*args, **kwargs):
+            result = real_solve(*args, **kwargs)
+            result.cost_d1 *= factor
+            result.cost_d2 *= factor
+            return result
+
+        monkeypatch.setattr(cdsopt.bench, "solve", inflated)
+
+    @pytest.mark.parametrize("cost_range", [(0.1, 10.0), (1e-12, 1e-11)])
+    def test_bound_checks_flag_at_every_cost_scale(self, monkeypatch, cost_range):
+        self._inflate_solve(monkeypatch, 20)
+        entry = {"kind": "random", "n": 10, "p": 0.3, "m": 1, "seeds": {"start": 3}, "oracle": True}
+        entry["cost_lo"], entry["cost_hi"] = cost_range
+        (case,) = load_batch_spec(json.dumps({"entries": [entry]}))
+        assert cdsopt.bench.run_case(case)["violation"] == "; ".join(
+            [
+                "total cost exceeds (H(delta+m)+2H(delta-1))*opt",
+                "d1 cost exceeds H(delta+m)*opt_mds",
+                "d2 cost exceeds 2H(delta-1)*opt",
+            ]
+        )
+
+    @pytest.mark.parametrize("factor", [1, 20])
+    def test_scaling_every_cost_keeps_every_violation(self, monkeypatch, factor):
+        # a power of two scales every cost, sum and optimum exactly
+        self._inflate_solve(monkeypatch, factor)
+        cases = load_batch_spec(RATIO_CORPUS.read_text(encoding="utf-8"))
+        real_build = cdsopt.bench.build_case_instance
+
+        def violations():
+            return [cdsopt.bench.run_case(case)["violation"] for case in cases]
+
+        plain = violations()
+
+        def scaled_build(case):
+            inst = real_build(case)
+            graph = dataclasses.replace(inst.graph, cost=tuple(c * 2**-40 for c in inst.graph.cost))
+            return dataclasses.replace(inst, graph=graph)
+
+        monkeypatch.setattr(cdsopt.bench, "build_case_instance", scaled_build)
+        assert violations() == plain
+        if factor == 1:
+            assert set(plain) == {""}
+        else:
+            assert all(v.startswith("total cost exceeds") for v in plain)
 
     def test_summary_names_the_row_closest_to_its_bound(self, tmp_path, capsys):
         json_path = tmp_path / "summary.json"

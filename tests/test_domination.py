@@ -24,6 +24,7 @@ from helpers import (
     degree,
     make_instance,
     path_instance,
+    reference_coverage_gain,
     reference_greedy_dominating_set,
 )
 
@@ -102,13 +103,13 @@ class TestCoverageGain:
         else:
             inst = gen_random_connected(n, density, (0.1, 10.0), seed, m=m)
         state = DeficitState(inst)
-        assert state.gain == [coverage_gain(state, u) for u in range(n)]
+        assert state.gain == [reference_coverage_gain(state, u) for u in range(n)]
         nodes = list(range(n))
         order.shuffle(nodes)
         for u in nodes:
             state.add(u)
             for v in range(n):
-                assert state.gain[v] == (0 if state.in_set[v] else coverage_gain(state, v))
+                assert state.gain[v] == (0 if state.in_set[v] else reference_coverage_gain(state, v))
 
 
 class TestPolymatroidProperties:

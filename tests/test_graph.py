@@ -552,6 +552,17 @@ class TestFig1Generator:
         with pytest.raises(InstanceError):
             gen_fig1(2, 0.0)
 
+    def test_edge_cap_boundary(self):
+        # d = 1,249,999 is the largest ladder whose 4d + 1 edges fit the cap; the
+        # cap is checked before the fold, so at the cap the fold check speaks
+        d = 1_249_999
+        assert 4 * d + 1 <= UDG_MAX_EXPECTED_EDGES < 4 * (d + 1) + 1
+        with pytest.raises(InstanceError, match="^fold requirement m must be >= 1$"):
+            gen_fig1(d, 0.01, m=0)
+        for size in (d + 1, 10**12):
+            with pytest.raises(InstanceError, match=f"^d = {size} makes 4d \\+ 1 edges, more than 5,000,000$"):
+                gen_fig1(size, 0.01, m=0)
+
 
 class TestValidate:
     def test_rejects_m_zero(self):

@@ -327,6 +327,18 @@ class TestExactSearch:
             search(path_instance(1100), node_budget=1100)
         assert str(caught.value) == "instance too deep for the oracle's recursive search: 1100 nodes"
 
+    def test_depth_limit_is_half_the_recursion_limit(self, monkeypatch):
+        monkeypatch.setattr("sys.getrecursionlimit", lambda: 64)
+        result = exact_minimum_cds(star_instance(31), node_budget=100)
+        assert (result.opt_set, result.opt_cost) == ((0,), 1.0)
+        with pytest.raises(OracleBudgetError, match="^instance too deep for the oracle's recursive search: 33 nodes$"):
+            exact_minimum_cds(star_instance(32), node_budget=100)
+
+    def test_depth_refusal_precedes_the_incumbent_check(self):
+        # {0} does not dominate the path, but the instance is refused before it is read
+        with pytest.raises(OracleBudgetError, match="^instance too deep"):
+            exact_minimum_cds(path_instance(1100), node_budget=1100, incumbent={0})
+
 
 class TestHarmonic:
     def test_values(self):
