@@ -32,7 +32,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 
 from .generators import KINDS, generate
-from .graph import fmt_float
+from .graph import fmt_float, left_sum
 from .oracle import DEFAULT_NODE_BUDGET, proven_bounds
 from .solver import solve
 
@@ -238,7 +238,7 @@ def summarize(rows: list[dict]) -> dict:
         "rows": len(rows),
         "violations": sum(1 for row in rows if row["violation"]),
         "max_ratio_total": max(ratios) if ratios else None,
-        "mean_ratio_total": sum(ratios) / len(ratios) if ratios else None,
+        "mean_ratio_total": left_sum(ratios) / len(ratios) if ratios else None,
         "max_ratio_to_bound": worst["ratio_total"] / worst["bound_total"] if worst else None,
         "max_ratio_to_bound_label": worst["label"] if worst else None,
     }

@@ -79,6 +79,19 @@ def ratio_shift(costs: Sequence[float]) -> int:
     return 2 * bound + 1
 
 
+def left_sum(values):
+    """``values`` added left to right from the int 0, as ``sum`` does before 3.12.
+
+    From Python 3.12 ``sum`` compensates float rounding, so its result
+    depends on the interpreter; every cost and ratio the reports print is
+    summed here instead, so each report is the same on every version.
+    """
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
 @dataclass(frozen=True)
 class WeightedGraph:
     """Undirected simple graph with positive node costs.

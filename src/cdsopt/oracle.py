@@ -15,24 +15,54 @@ L* costs more.  The incumbent only cuts work; the answer and, with V as the
 incumbent, the search tree are those of a bound of sum(cost).  When the
 costs overflow to inf no leaf beats the bound and the incumbent is returned.
 
-The chosen (IN) set travels down the recursion as an int bitmask, and a list
-flags the OUT nodes.  The search keeps one count per node, its chosen plus
-undecided neighbors.  Deciding a node IN leaves every such count unchanged,
-so the IN branch does no bookkeeping; only deciding a node OUT lowers its
-neighbors' counts, and the loop that lowers them checks each OUT neighbor
-(the node's own count must already be at least m).  So at a leaf, where
-nothing is undecided, every OUT node already has m chosen neighbors and the
-chosen set is non-empty: only connectivity is left to check there.  The leaf
-checks it with a flood fill over per-node neighbor masks, since the set is
-already an int; decoding it into a list for ``component_labels`` cost about
-11% of the search.  A CDS search builds the masks once, before it recurses;
-an MDS search builds none.  ``opt_set`` is decoded once, at the end.
+Two more prunes cut only subtrees that hold no leaf the search would take,
+so they keep L*, ``opt_cost`` and its float bits, and lower only
+``nodes_explored``:
+
+- *Forced nodes (both searches).*  A bitmask ``forced`` holds the undecided
+  nodes that every completion must choose: a node with fewer than m chosen
+  plus undecided neighbors, and every undecided neighbor of an OUT node
+  with exactly m.  Counts only fall along a path, so ``forced`` only grows
+  and travels down by value.  A node returns when its cost plus the forced
+  costs, added in increasing id order, is at least the incumbent's.  Every
+  leaf below sums a superset of those costs in the same relative order; the
+  costs are positive and float rounding is monotone, so inserting a term
+  never lowers a left-to-right sum, and the leaf costs at least that float
+  and cannot replace the incumbent.  A forced node is never decided OUT.
+  Since every undecided neighbor of a tight OUT node is forced, no OUT
+  decision can leave a node short: the domination check is this skip.
+- *Connectivity (CDS only).*  Once node i is decided OUT, the chosen nodes
+  must still lie in one component of G[chosen + {v > i}], or no leaf below
+  is connected.  ``_links`` precomputes, for each depth i and each u < i,
+  the nodes below i that u reaches directly or through one component of
+  G[{v > i}]; the check is then the leaf's flood fill over the chosen nodes
+  alone, with ``links[i]`` in place of the neighbor masks.  Deciding a node
+  IN leaves chosen + undecided as it was, so only OUT decisions check.  The
+  precompute floods G[{v > i}] once per depth, O(n^2) big-int operations
+  plus O(n) per node and component it touches: 0.2 ms at n = 24 and about
+  0.14 s at n = 500, the depth limit below (2 shared CPUs, Python 3.11).
+  A plain flood fill of G[chosen + undecided] prunes the same nodes but
+  walks the undecided ones too: on a random graph with n = 32 the search
+  took 2.4-2.9 s with it and 0.85-1.06 s with ``links``.
+
+On the ``oracle-bounds`` benchmark cases the two prunes take the search from
+1,660,957 to 200,679 nodes per pass, with the same answers.
+
+The chosen (IN) set and ``forced`` travel down the recursion as int
+bitmasks.  The search keeps one count per node, its chosen plus undecided
+neighbors.  Deciding a node IN leaves every such count unchanged, so the IN
+branch does no bookkeeping; only deciding a node OUT lowers its neighbors'
+counts.  So at a leaf, where nothing is undecided, every OUT node already
+has m chosen neighbors and the chosen set is non-empty: only connectivity
+is left to check there, by a flood fill over per-node neighbor masks, since
+the set is already an int.  ``opt_set`` is decoded once, at the end.
 
 Intended for desk-scale instances.  Two refusals run before any O(n + E)
-work, the incumbent check included: the node budget, which guards against
-accidental exponential blowups, and the depth limit.  The search recurses
-once per node, so it refuses n > ``sys.getrecursionlimit() // 2``; the other
-half of the interpreter's limit is left for the caller's frames.
+work, the incumbent check and the ``_links`` precompute included: the node
+budget, which guards against accidental exponential blowups, and the depth
+limit.  The search recurses once per node, so it refuses n >
+``sys.getrecursionlimit() // 2``; the other half of the interpreter's limit
+is left for the caller's frames.
 """
 
 from __future__ import annotations
@@ -41,7 +71,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .graph import Instance
+from .graph import Instance, left_sum
 from .verify import verify_cds, verify_mds
 
 
@@ -61,7 +91,7 @@ class OracleResult:
 
 def harmonic(k: int) -> float:
     """Harmonic number H(k) = sum of 1/i for i in 1..k, with H(k)=0 for k <= 0."""
-    return sum(1.0 / i for i in range(1, k + 1)) if k > 0 else 0.0
+    return left_sum(1.0 / i for i in range(1, k + 1)) if k > 0 else 0.0
 
 
 def proven_bounds(inst: Instance) -> tuple[float, float, float | None]:
@@ -120,64 +150,115 @@ def _exact_search(inst: Instance, node_budget: int, require_connected: bool, inc
                 "incumbent is not a feasible solution: "
                 + "; ".join(reason for _, reason in report.violations[:3])
             )
-    # summed in id order like a leaf's cost_so_far (sum() compensates on 3.12+)
-    incumbent_cost = 0.0
-    for u in incumbent:
-        incumbent_cost += cost[u]
     # the incumbent leaf itself beats this bound, so the search always ends
     # on L*; only when the costs overflow to inf does the incumbent stand
-    best_cost = math.nextafter(incumbent_cost, math.inf)
+    best_cost = math.nextafter(left_sum(cost[u] for u in incumbent), math.inf)
     best_mask = sum(1 << u for u in incumbent)
     explored = 0
 
-    out = [False] * n
     # each node's chosen plus undecided neighbors
     avail = list(map(len, adj))
-    nbr_masks = [sum(1 << v for v in nbrs) for nbrs in adj] if require_connected else []
+    nbr_masks = [sum(1 << v for v in nbrs) for nbrs in adj]
+    links = _links(nbr_masks) if require_connected else []
 
-    def rec(i: int, cost_so_far: float, in_mask: int) -> None:
+    def rec(i: int, cost_so_far: float, in_mask: int, forced: int) -> None:
         nonlocal best_cost, best_mask, explored
         explored += 1
-        if cost_so_far >= best_cost:
+        # every leaf below chooses the forced nodes too, after the chosen ones
+        bound = cost_so_far
+        rest = forced
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            bound += cost[low.bit_length() - 1]
+        if bound >= best_cost:
             return
         if i == n:
             # m-fold domination holds here by the invariant in the module docstring
-            if require_connected:
-                # flood fill G[in_mask] from its lowest node
-                frontier = in_mask & -in_mask
-                rest = in_mask ^ frontier
-                while frontier and rest:
-                    low = frontier & -frontier
-                    frontier ^= low
-                    grow = nbr_masks[low.bit_length() - 1] & rest
-                    rest ^= grow
-                    frontier |= grow
-                if rest:
-                    return
+            if require_connected and not _joined(in_mask, nbr_masks):
+                return
             best_cost = cost_so_far
             best_mask = in_mask
             return
 
-        rec(i + 1, cost_so_far + cost[i], in_mask | 1 << i)
+        bit = 1 << i
+        rec(i + 1, cost_so_far + cost[i], in_mask | bit, forced & ~bit)
 
-        # i OUT lowers no count of its own, so a short node needs no bookkeeping
-        if avail[i] < m:
+        # a forced node OUT leaves some node short of m dominators
+        if forced & bit:
             return
-        out[i] = True
-        feasible = True
+        undecided = -(bit << 1)
+        # i OUT with exactly m leaves every undecided neighbor of i forced
+        if avail[i] == m:
+            forced |= nbr_masks[i] & undecided
         for w in adj[i]:
             avail[w] -= 1
-            if out[w] and avail[w] < m:
-                feasible = False
-        if feasible:
-            rec(i + 1, cost_so_far, in_mask)
+            if w > i:
+                if avail[w] < m:
+                    forced |= 1 << w
+            elif avail[w] == m and not in_mask >> w & 1:
+                # an OUT neighbor now needs every undecided neighbor it has left
+                forced |= nbr_masks[w] & undecided
+        if not (require_connected and in_mask) or _joined(in_mask, links[i]):
+            rec(i + 1, cost_so_far, in_mask, forced)
         for w in adj[i]:
             avail[w] += 1
-        out[i] = False
 
-    rec(0, 0.0, 0)
+    # a node with fewer than m neighbors is in every solution
+    rec(0, 0.0, 0, sum(1 << u for u in range(n) if avail[u] < m))
     opt_set = tuple(u for u in range(n) if best_mask >> u & 1)
     return OracleResult(opt_set=opt_set, opt_cost=best_cost, nodes_explored=explored)
+
+
+def _joined(members: int, links: list[int]) -> bool:
+    """Whether a flood fill from the lowest member along ``links`` reaches every member."""
+    frontier = members & -members
+    rest = members ^ frontier
+    while frontier and rest:
+        low = frontier & -frontier
+        frontier ^= low
+        grow = links[low.bit_length() - 1] & rest
+        rest ^= grow
+        frontier |= grow
+    return not rest
+
+
+def _links(nbr_masks: list[int]) -> list[list[int]]:
+    """``links[i][u]``, for u < i: the nodes below i that u reaches through G[{v > i}].
+
+    That is N(u) plus N(C) for each component C of G[{v > i}] that u
+    touches, restricted to the nodes below i.  Two chosen nodes are linked
+    iff they are adjacent or touch one component of the undecided nodes, so
+    after node i is decided OUT, the chosen nodes lie in one component of
+    G[chosen + undecided] iff ``_joined(chosen, links[i])``.
+    """
+    n = len(nbr_masks)
+    links = []
+    for i in range(n):
+        below = (1 << i) - 1
+        row = [nbr_masks[u] & below for u in range(i)]
+        rest = -(2 << i) & ((1 << n) - 1)
+        while rest:
+            # flood one component C of the nodes above i, collecting N(C)
+            frontier = rest & -rest
+            rest ^= frontier
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                nbrs = nbr_masks[low.bit_length() - 1]
+                reach |= nbrs
+                grow = nbrs & rest
+                rest ^= grow
+                frontier |= grow
+            reach &= below
+            touched = reach
+            while touched:
+                low = touched & -touched
+                touched ^= low
+                row[low.bit_length() - 1] |= reach
+        links.append(row)
+    return links
 
 
 @dataclass(frozen=True)

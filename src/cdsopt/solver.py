@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .connector import ConnectReport, greedy_connect, pairwise_connect
 from .domination import GreedyTrace, greedy_dominating_set
-from .graph import Instance
+from .graph import Instance, left_sum
 from .oracle import (
     DEFAULT_NODE_BUDGET,
     RatioRecord,
@@ -78,8 +78,8 @@ def solve(
     timings["phase2_s"] = time.perf_counter() - t0
 
     cost = inst.graph.cost
-    cost_d1 = sum(cost[u] for u in d1)
-    cost_d2 = sum(cost[u] for u in connect.connectors)
+    cost_d1 = left_sum(cost[u] for u in d1)
+    cost_d2 = left_sum(cost[u] for u in connect.connectors)
 
     t0 = time.perf_counter()
     report = verify_cds(inst, d1 | connect.connectors)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import Instance, checked_ids, component_labels
+from .graph import Instance, checked_ids, component_labels, left_sum
 
 
 @dataclass
@@ -43,7 +43,7 @@ def verify_mds(inst: Instance, members) -> VerifyReport:
         is_connected=None,
         is_cds=None,
         violations=violations,
-        cost=sum(g.cost[u] for u in member_set),
+        cost=left_sum(g.cost[u] for u in member_set),
     )
 
 

@@ -19,7 +19,9 @@ structure each one avoids:
 - ``reference_pick``: a scan of every free node's candidates in place of ``_CandidateHeap``'s slots;
 - ``reference_connect``: ``reference_pick`` each round in place of recomputing the stale slots,
   and ``verify_mds`` in place of the connector's input check on ``ComponentIndex.reach``;
-- ``exhaustive_minimum``: an unpruned subset scan in place of the oracle's branch and bound.
+- ``exhaustive_minimum``: an unpruned subset scan in place of the oracle's branch and bound;
+- ``reference_exact_search``: the branch and bound without the oracle's connectivity and
+  forced-cost prunes.
 
 Ranking by float products, the references agree with the library except on
 ties that only rounding decides.
@@ -27,6 +29,7 @@ ties that only rounding decides.
 
 from __future__ import annotations
 
+import math
 import pathlib
 import random
 from dataclasses import replace
@@ -37,6 +40,7 @@ from cdsopt.components import ComponentIndex
 from cdsopt.connector import ConnectReport, StarCandidate
 from cdsopt.domination import DeficitState, GreedyStep, GreedyTrace
 from cdsopt.graph import Instance, InstanceError, WeightedGraph
+from cdsopt.oracle import OracleResult
 from cdsopt.verify import verify_mds
 
 # the ratio sweep's batch spec: seeded random and UDG corpora with the exact oracle
@@ -493,6 +497,73 @@ def exhaustive_minimum(inst: Instance, require_connected: bool):
         if best_cost is None or cost < best_cost:
             best_cost, best_set = cost, members
     return best_cost, best_set
+
+
+def reference_exact_search(inst: Instance, require_connected: bool, incumbent=None) -> OracleResult:
+    """The oracle's branch and bound with only its domination and incumbent cuts.
+
+    It decides nodes in id order, include branch first, and a leaf replaces
+    the incumbent only when it costs strictly less, so it returns the same
+    L* as ``_exact_search``; it just never prunes a subtree for connectivity
+    or for the cost of the nodes every completion must choose.  ``incumbent``
+    must be feasible (default: all of V).
+    """
+    adj = inst.graph.adjacency
+    cost = inst.graph.cost
+    n = inst.graph.node_count
+    m = inst.m
+    incumbent = range(n) if incumbent is None else sorted(set(incumbent))
+    incumbent_cost = 0.0
+    for u in incumbent:
+        incumbent_cost += cost[u]
+    best_cost = math.nextafter(incumbent_cost, math.inf)
+    best_mask = sum(1 << u for u in incumbent)
+    explored = 0
+
+    out = [False] * n
+    avail = list(map(len, adj))
+    nbr_masks = [sum(1 << v for v in nbrs) for nbrs in adj]
+
+    def rec(i: int, cost_so_far: float, in_mask: int) -> None:
+        nonlocal best_cost, best_mask, explored
+        explored += 1
+        if cost_so_far >= best_cost:
+            return
+        if i == n:
+            if require_connected:
+                frontier = in_mask & -in_mask
+                rest = in_mask ^ frontier
+                while frontier and rest:
+                    low = frontier & -frontier
+                    frontier ^= low
+                    grow = nbr_masks[low.bit_length() - 1] & rest
+                    rest ^= grow
+                    frontier |= grow
+                if rest:
+                    return
+            best_cost = cost_so_far
+            best_mask = in_mask
+            return
+
+        rec(i + 1, cost_so_far + cost[i], in_mask | 1 << i)
+
+        if avail[i] < m:
+            return
+        out[i] = True
+        feasible = True
+        for w in adj[i]:
+            avail[w] -= 1
+            if out[w] and avail[w] < m:
+                feasible = False
+        if feasible:
+            rec(i + 1, cost_so_far, in_mask)
+        for w in adj[i]:
+            avail[w] += 1
+        out[i] = False
+
+    rec(0, 0.0, 0)
+    opt_set = tuple(u for u in range(n) if best_mask >> u & 1)
+    return OracleResult(opt_set=opt_set, opt_cost=best_cost, nodes_explored=explored)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Solution validation, exact search vs. unpruned enumeration, ratios."""
+"""Solution validation, exact search vs. unpruned enumeration and the unpruned search, ratios."""
 
 import math
 import random
@@ -25,6 +25,7 @@ from helpers import (
     exhaustive_minimum,
     make_instance,
     path_instance,
+    reference_exact_search,
     star_instance,
 )
 
@@ -70,6 +71,13 @@ class TestVerify:
         assert verify_mds(cycle_instance(4, m=2), {0, 2}).is_m_ds
         assert not verify_mds(path_instance(3), set()).is_m_ds
         assert verify_mds(path_instance(3), {0, 1, 2}).is_m_ds
+
+    def test_cost_is_summed_left_to_right(self):
+        # a compensated sum (Python 3.12+ ``sum``) gives 1e16 + 2; the reports
+        # print the left-to-right sum on every version
+        report = verify_cds(path_instance(3, costs=[1e16, 1.0, 1.0]), {0, 1, 2})
+        assert report.is_cds
+        assert report.cost == 1e16
 
     def test_out_of_range_id_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -182,24 +190,24 @@ class TestExactSearch:
         [
             (
                 lambda: gen_random_connected(24, 0.1, (0.1, 10.0), 1),
-                ((7, 10, 17, 20, 21), 26.032747969491474, 262027),
-                ((2, 3, 9, 12, 13, 14, 16, 20), 20.922334582351855, 43688),
+                ((7, 10, 17, 20, 21), 26.032747969491474, 59082),
+                ((2, 3, 9, 12, 13, 14, 16, 20), 20.922334582351855, 13251),
             ),
             (
                 lambda: gen_random_connected(18, 0.25, (0.1, 10.0), 2, m=2),
-                ((3, 4, 5, 6, 10, 12), 14.58035085526122, 6897),
-                ((1, 2, 5, 6, 8, 12), 13.463731623030874, 2334),
+                ((3, 4, 5, 6, 10, 12), 14.58035085526122, 3186),
+                ((1, 2, 5, 6, 8, 12), 13.463731623030874, 1465),
             ),
             (
                 lambda: gen_udg(18, 2.8, (0.1, 10.0), 1),
-                ((1, 2, 7, 13, 15), 28.114367430676126, 10058),
-                ((6, 7, 11, 13), 15.705377344260077, 2217),
+                ((1, 2, 7, 13, 15), 28.114367430676126, 1687),
+                ((6, 7, 11, 13), 15.705377344260077, 1668),
             ),
             (
                 # unit costs tie many partial sets with the incumbent
                 lambda: gen_random_connected(20, 0.2, (1.0, 1.0), 3),
-                ((3, 6, 8, 10), 4.0, 11379),
-                ((0, 3, 6, 8), 4.0, 4622),
+                ((3, 6, 8, 10), 4.0, 3370),
+                ((0, 3, 6, 8), 4.0, 1599),
             ),
         ],
         ids=["random-n24-p0.1-s1", "random-n18-m2-s2", "udg-n18-s1", "random-n20-unit-cost-s3"],
@@ -218,23 +226,23 @@ class TestExactSearch:
         [
             (
                 lambda: gen_random_connected(24, 0.1, (0.1, 10.0), 1),
-                ((7, 10, 17, 20, 21), 26.032747969491474, 178265),
-                ((2, 3, 9, 12, 13, 14, 16, 20), 20.922334582351855, 13195),
+                ((7, 10, 17, 20, 21), 26.032747969491474, 39696),
+                ((2, 3, 9, 12, 13, 14, 16, 20), 20.922334582351855, 2830),
             ),
             (
                 lambda: gen_random_connected(18, 0.25, (0.1, 10.0), 2, m=2),
-                ((3, 4, 5, 6, 10, 12), 14.58035085526122, 1381),
-                ((1, 2, 5, 6, 8, 12), 13.463731623030874, 799),
+                ((3, 4, 5, 6, 10, 12), 14.58035085526122, 464),
+                ((1, 2, 5, 6, 8, 12), 13.463731623030874, 374),
             ),
             (
                 lambda: gen_udg(18, 2.8, (0.1, 10.0), 1),
-                ((1, 2, 7, 13, 15), 28.114367430676126, 8438),
-                ((6, 7, 11, 13), 15.705377344260077, 537),
+                ((1, 2, 7, 13, 15), 28.114367430676126, 992),
+                ((6, 7, 11, 13), 15.705377344260077, 292),
             ),
             (
                 lambda: gen_random_connected(20, 0.2, (1.0, 1.0), 3),
-                ((3, 6, 8, 10), 4.0, 11029),
-                ((0, 3, 6, 8), 4.0, 4382),
+                ((3, 6, 8, 10), 4.0, 3090),
+                ((0, 3, 6, 8), 4.0, 1359),
             ),
         ],
         ids=["random-n24-p0.1-s1", "random-n18-m2-s2", "udg-n18-s1", "random-n20-unit-cost-s3"],
@@ -287,6 +295,55 @@ class TestExactSearch:
                 assert (seeded.opt_set, seeded.opt_cost) == (plain.opt_set, plain.opt_cost)
                 assert seeded.nodes_explored <= plain.nodes_explored
 
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        n=st.integers(1, 14),
+        m=st.integers(1, 3),
+        udg=st.booleans(),
+        costs=st.sampled_from(["uniform", "unit", "huge-and-one", "tenths"]),
+        pick=st.randoms(use_true_random=False),
+    )
+    def test_prunes_keep_the_reference_answer(self, seed, n, m, udg, costs, pick):
+        """The connectivity and forced-cost prunes return the reference
+        search's opt_set and opt_cost, without and with the solver's sets as
+        incumbents, and never explore more nodes."""
+        if udg:
+            inst = gen_udg(n, math.sqrt(n / 4.0), (0.1, 10.0), seed=seed, m=m)
+        else:
+            inst = gen_random_connected(n, 0.3, (0.1, 10.0), seed=seed, m=m)
+        if costs != "uniform":
+            adj = inst.graph.adjacency
+            edges = [(u, w) for u in range(n) for w in adj[u] if u < w]
+            choices = {"unit": (1.0,), "huge-and-one": (1e16, 1.0), "tenths": (0.1, 0.2, 0.3)}[costs]
+            inst = make_instance(n, edges, [pick.choice(choices) for _ in range(n)], m=m)
+        result = solve(inst)
+        for search, require_connected, solver_set in (
+            (exact_minimum_cds, True, result.dominating_and_connectors),
+            (exact_minimum_mds, False, result.d1),
+        ):
+            for incumbent in (None, solver_set):
+                pruned = search(inst, incumbent=incumbent)
+                reference = reference_exact_search(inst, require_connected, incumbent)
+                assert (pruned.opt_set, pruned.opt_cost) == (reference.opt_set, reference.opt_cost)
+                assert pruned.nodes_explored <= reference.nodes_explored
+
+    def test_udg_n30_past_the_default_budget(self):
+        """Optima the reference search took 23,301,292 (CDS) and 622,431 (MDS)
+        nodes to find.  Each ceiling needs its prune: without the connectivity
+        prune the CDS search explores 10,275,046 nodes, and without the
+        forced-cost bound it explores 242,237 and the MDS search 622,431."""
+        inst = gen_udg(30, 3.5, (0.1, 10.0), 1, m=2)
+        cds = exact_minimum_cds(inst, node_budget=30)
+        assert (cds.opt_set, cds.opt_cost) == (
+            (5, 9, 10, 11, 14, 15, 17, 18, 19, 20, 21, 22, 23, 26, 28),
+            56.696956039164874,
+        )
+        assert cds.nodes_explored <= 100_000
+        mds = exact_minimum_mds(inst, node_budget=30)
+        assert (mds.opt_set, mds.opt_cost) == ((7, 8, 11, 13, 14, 17, 18, 19, 21, 23, 26, 28), 39.42394554549159)
+        assert mds.nodes_explored <= 50_000
+
     def test_overflowing_costs_return_the_incumbent(self):
         # every connected dominating set of P4 has two nodes, whose costs sum to inf
         inst = path_instance(4, costs=[1.7e308] * 4)
@@ -338,6 +395,16 @@ class TestExactSearch:
         # {0} does not dominate the path, but the instance is refused before it is read
         with pytest.raises(OracleBudgetError, match="^instance too deep"):
             exact_minimum_cds(path_instance(1100), node_budget=1100, incumbent={0})
+
+    def test_refusals_precede_the_links_precompute(self, monkeypatch):
+        def unreachable(nbr_masks):
+            raise AssertionError("links built for a refused instance")
+
+        monkeypatch.setattr("cdsopt.oracle._links", unreachable)
+        with pytest.raises(OracleBudgetError, match="^instance too large"):
+            exact_minimum_cds(path_instance(17))
+        with pytest.raises(OracleBudgetError, match="^instance too deep"):
+            exact_minimum_cds(path_instance(1100), node_budget=1100)
 
 
 class TestHarmonic:
