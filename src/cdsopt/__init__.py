@@ -29,8 +29,6 @@ from .graph import (
     component_labels,
     parse_instance,
     serialize_instance,
-    validate_graph,
-    validate_instance,
 )
 from .oracle import (
     DEFAULT_NODE_BUDGET,
@@ -80,8 +78,6 @@ __all__ = [
     "serialize_instance",
     "solve",
     "solve_report_dict",
-    "validate_graph",
-    "validate_instance",
     "verify_cds",
     "verify_mds",
 ]

@@ -32,7 +32,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 
 from .generators import KINDS, generate
-from .graph import fmt_float, left_sum
+from .graph import InstanceError, fmt_float, left_sum
 from .oracle import DEFAULT_NODE_BUDGET, proven_bounds
 from .solver import solve
 
@@ -99,7 +99,8 @@ def _reject_unknown(obj: dict, known, where: str) -> None:
 
 
 def load_batch_spec(text: str) -> list[dict]:
-    """Parse and expand a batch spec into a deterministic list of cases.
+    """Parse and expand a batch spec into a deterministic list of cases,
+    each holding its entry's position under ``entry``.
 
     A missing, unknown or malformed field raises ValueError naming its entry,
     as do an empty ``m`` list, a ``seeds.count`` below 1, ``seeds`` on an
@@ -143,7 +144,7 @@ def load_batch_spec(text: str) -> list[dict]:
         values = {key: _field(entry, key, conv, default, where) for key, conv, default in fields}
         for m in m_values:
             for seed in range(seed_start, seed_start + seed_count):
-                cases.append({"kind": kind, "m": m, "seed": seed, **values})
+                cases.append({"kind": kind, "m": m, "seed": seed, "entry": pos, **values})
     return cases
 
 
@@ -201,12 +202,21 @@ def pool_width(case_count: int, requested: int | None = None) -> int:
     return max(1, min(requested or 1, case_count, os.cpu_count() or 1))
 
 
+def _run_entry_case(case: dict) -> dict:
+    """``run_case`` on a case of ``load_batch_spec``, whose InstanceError, such
+    as a bad generator parameter, names the case's entry.  Picklable worker."""
+    try:
+        return run_case(case)
+    except InstanceError as exc:
+        raise InstanceError(f"entry {case['entry']}: {exc}") from None
+
+
 def run_batch(cases: list[dict], threads: int | None = None) -> list[dict]:
     width = pool_width(len(cases), threads)
     if width == 1:
-        return [run_case(case) for case in cases]
+        return [_run_entry_case(case) for case in cases]
     with ProcessPoolExecutor(max_workers=width) as pool:
-        return list(pool.map(run_case, cases))
+        return list(pool.map(_run_entry_case, cases))
 
 
 def _cell(value) -> str:

@@ -11,6 +11,7 @@ for bench, neither the CSV nor the summary.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 
@@ -173,8 +174,6 @@ def cmd_bench(args) -> int:
     with open(args.batch, "r", encoding="utf-8") as fh:
         cases = load_batch_spec(fh.read())
     rows = run_batch(cases, threads=args.threads)
-    import io
-
     # both outputs are rendered before either is written, so an overflow writes neither file
     summary = summarize(rows)
     summary_text = _json_text(summary)

@@ -130,20 +130,9 @@ def gen_udg(
     exceeds ``UDG_MAX_EXPECTED_EDGES`` raises before any draw, as does one
     with n - 1 above it, since a connected graph has at least n - 1 edges.
 
-    The graph holds every ``validate_graph`` invariant by construction, so
-    it is built without running that check:
-
-    - ``n >= 1``, the cost range and a finite positive ``side`` are checked
-      up front;
-    - ``unit_disk_adjacency(pts)`` returns n sorted, in-range, loop-free,
-      symmetric neighbour tuples (each hit is filed under both ends, and
-      each list is sorted once), and they hold exactly the unit-disk edges
-      of the stored points, computed once per point set;
-    - costs are drawn from [lo, hi] with 0 < lo and hi finite, and points
-      from [0, side], so every cost is finite and positive and every
-      coordinate finite;
-    - connectivity is tested, once per point set, before the costs are
-      drawn.
+    The graph is built directly, without ``WeightedGraph.from_edges``, and
+    equals the one ``parse_instance`` builds from its own text, as
+    ``TestUdgGenerator.test_valid_by_construction`` checks.
     """
     lo, hi = cost_range
     if n < 1:

@@ -15,9 +15,9 @@ serialize round-trip exactly.
 
 ``edge_adjacency`` turns an edge list into sorted neighbour tuples and
 rejects out-of-range endpoints, loops and duplicate edges.
-``validate_graph`` checks every invariant of a built graph: the node count,
-that each neighbour tuple is strictly increasing, in range and loop-free,
-symmetry, the cost values (finite and positive), finite coordinates,
+``WeightedGraph.from_edges`` is the one checker that every graph the program
+accepts passes through.  After ``edge_adjacency``, it checks the node count,
+the cost values (finite and positive), finite coordinates,
 connectivity through ``component_labels`` and, on unit-disk instances, that
 the neighbour tuples equal ``unit_disk_adjacency``'s, the one place the
 distance rule is written.  ``component_labels`` is the one routine for static
@@ -33,15 +33,13 @@ whose points have fewer neighbours than cell-mates is rejected in one pass
 over the cells; otherwise the compared pairs are at most 37 times the
 declared edges plus 18 per point.
 
-Each check runs once.  ``from_edges`` skips the adjacency checks, which
-``edge_adjacency`` makes hold by construction, and checks the rest in
-``validate_graph``'s order, so both raise the same message on the same graph.
 ``parse_instance`` checks the text's shape and reads the edge lines in one
 pass; only when that pass fails does it rescan them line by line, to name
 the first malformed line, loop or line without ``0 <= u < v < n``.
-``gen_udg``'s graph holds every invariant by construction, so it builds its
-``WeightedGraph`` directly.  Every entry point that takes node ids raises
-its range error through ``checked_ids``, so each names the same bad id.
+``gen_udg`` builds its ``WeightedGraph`` directly; that graph equals the one
+``parse_instance`` builds from its text.  Every entry point that takes node
+ids raises its range error through ``checked_ids``, so each names the same
+bad id.
 """
 
 from __future__ import annotations
@@ -51,7 +49,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from operator import eq, itemgetter, lt
+from operator import eq, itemgetter
 
 
 class InstanceError(ValueError):
@@ -117,18 +115,39 @@ class WeightedGraph:
         """Build a graph from an edge list, checking every invariant.
 
         ``edge_adjacency`` builds sorted, in-range, loop-free, symmetric
-        neighbour tuples by construction, so only the sizes and
-        ``_check_contents`` are checked here, in ``validate_graph``'s order.
+        neighbour tuples by construction.  The rest is checked in this
+        order, each failure raising InstanceError: the node count, the cost
+        vector's size and values, the coordinates' size and values,
+        connectivity and, on unit-disk instances, the edge rule.
         """
-        graph = cls(
-            node_count=node_count,
-            adjacency=edge_adjacency(node_count, edges),
-            cost=tuple(map(float, costs)),
-            coords=tuple((float(x), float(y)) for x, y in coords) if coords is not None else None,
-        )
-        _check_sizes(graph)
-        _check_contents(graph)
-        return graph
+        adjacency = edge_adjacency(node_count, edges)
+        cost = tuple(map(float, costs))
+        points = tuple((float(x), float(y)) for x, y in coords) if coords is not None else None
+        if node_count < 1:
+            raise InstanceError("node count must be >= 1")
+        if len(cost) != node_count:
+            raise InstanceError("cost vector size does not match node count")
+        for u, c in enumerate(cost):
+            if not math.isfinite(c):
+                raise InstanceError(f"malformed cost at node {u}")
+            if c <= 0:
+                raise InstanceError(f"non-positive cost at node {u}")
+        if points is not None:
+            if len(points) != node_count:
+                raise InstanceError("coords size does not match node count")
+            for u, (x, y) in enumerate(points):
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    raise InstanceError(f"malformed coordinate at node {u}")
+        if component_labels(adjacency, range(node_count))[1] != 1:
+            raise InstanceError("disconnected graph")
+        if points is not None:
+            expected = unit_disk_adjacency(points, adjacency)
+            if not all(map(eq, expected, adjacency)):
+                # both adjacencies are symmetric, so the smallest pair (i, j) of the
+                # edge sets' symmetric difference lies at the first node whose tuples differ
+                i = next(i for i, (a, b) in enumerate(zip(expected, adjacency)) if a != b)
+                raise _rule_violation(i, min(set(expected[i]) ^ set(adjacency[i])))
+        return cls(node_count=node_count, adjacency=adjacency, cost=cost, coords=points)
 
     @cached_property
     def key_shift(self) -> int:
@@ -344,81 +363,9 @@ def edge_adjacency(node_count: int, edges) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, neighbors))
 
 
-def validate_graph(graph: WeightedGraph) -> None:
-    """Check every WeightedGraph invariant, raising InstanceError on the first failure.
-
-    The checks run in this order: the sizes, the adjacency's shape, then
-    ``_check_contents``.  One pass checks that each neighbour tuple is
-    strictly increasing, in range and free of its own node, and lists each
-    node u under each of its neighbours v.  Those lists come out sorted, so
-    the adjacency is symmetric iff they equal it.
-    """
-    _check_sizes(graph)
-    n = graph.node_count
-    mirror: list[list[int]] = [[] for _ in range(n)]
-    for u, nbrs in enumerate(graph.adjacency):
-        if not all(map(lt, nbrs, nbrs[1:])):
-            raise InstanceError(f"adjacency of node {u} not sorted/duplicate-free")
-        if nbrs and not (0 <= nbrs[0] and nbrs[-1] < n):
-            v = next(v for v in nbrs if not 0 <= v < n)
-            raise InstanceError(f"edge endpoint out of range: {u} {v}")
-        if u in nbrs:
-            raise InstanceError(f"loop edge {u} {u}")
-        for v in nbrs:
-            mirror[v].append(u)
-    if not all(map(eq, map(tuple, mirror), graph.adjacency)):
-        # name the first half-edge u -> v, in node and neighbour order, without v -> u
-        for u, (nbrs, back) in enumerate(zip(graph.adjacency, mirror)):
-            missing = set(nbrs).difference(back)
-            if missing:
-                raise InstanceError(f"adjacency not symmetric at edge {u} {min(missing)}")
-    _check_contents(graph)
-
-
-def _check_sizes(graph: WeightedGraph) -> None:
-    """The node count, and the sizes of the adjacency and cost vectors."""
-    n = graph.node_count
-    if n < 1:
-        raise InstanceError("node count must be >= 1")
-    if len(graph.adjacency) != n:
-        raise InstanceError("adjacency size does not match node count")
-    if len(graph.cost) != n:
-        raise InstanceError("cost vector size does not match node count")
-
-
-def _check_contents(graph: WeightedGraph) -> None:
-    """The checks after the adjacency's shape: costs, coordinates, connectivity and the unit-disk rule."""
-    n = graph.node_count
-    for u, c in enumerate(graph.cost):
-        if not math.isfinite(c):
-            raise InstanceError(f"malformed cost at node {u}")
-        if c <= 0:
-            raise InstanceError(f"non-positive cost at node {u}")
-    if graph.coords is not None:
-        if len(graph.coords) != n:
-            raise InstanceError("coords size does not match node count")
-        for u, (x, y) in enumerate(graph.coords):
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise InstanceError(f"malformed coordinate at node {u}")
-    if component_labels(graph.adjacency, range(n))[1] != 1:
-        raise InstanceError("disconnected graph")
-    if graph.coords is not None:
-        expected = unit_disk_adjacency(graph.coords, graph.adjacency)
-        if not all(map(eq, expected, graph.adjacency)):
-            # both adjacencies are symmetric, so the smallest pair (i, j) of the
-            # edge sets' symmetric difference lies at the first node whose tuples differ
-            i = next(i for i, (a, b) in enumerate(zip(expected, graph.adjacency)) if a != b)
-            raise _rule_violation(i, min(set(expected[i]) ^ set(graph.adjacency[i])))
-
-
 def validate_fold(m: int) -> None:
     if m < 1:
         raise InstanceError("fold requirement m must be >= 1")
-
-
-def validate_instance(inst: Instance) -> None:
-    validate_fold(inst.m)
-    validate_graph(inst.graph)
 
 
 def _reject_edge_lines(block: list[str], edge_count: int, n: int) -> None:

@@ -12,7 +12,7 @@ import cdsopt.bench
 from cdsopt.bench import CSV_COLUMNS, load_batch_spec, pool_width, summarize
 from cdsopt.cli import main
 from cdsopt.generators import KINDS
-from cdsopt.graph import serialize_instance
+from cdsopt.graph import parse_instance, serialize_instance
 from helpers import RATIO_CORPUS
 
 P3_TEXT = "cds 3 2 1\n1 1 1\n0 1\n1 2\n"
@@ -70,11 +70,10 @@ class TestGen:
         code = main(["gen", "udg", "--n", "30", "--side", "4", "--seed", "1", "--out", str(out)])
         capsys.readouterr()
         assert code == 0
-        from cdsopt.graph import parse_instance, validate_instance
-
-        inst = parse_instance(out.read_text())
+        text = out.read_text()
+        inst = parse_instance(text)
         assert inst.graph.coords is not None
-        validate_instance(inst)
+        assert serialize_instance(inst) == text
 
     def test_bad_parameters_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "gen", "random", "--n", "0", "--p", "0.5", "--seed", "1")
@@ -111,7 +110,7 @@ class TestGen:
         csv_path = tmp_path / "rows.csv"
         code, out, err = run_cli(capsys, "bench", str(batch), "--out-csv", str(csv_path))
         assert (code, out) == (2, "")
-        assert err == "error: d = 1000000000000 makes 4d + 1 edges, more than 5,000,000\n"
+        assert err == "error: entry 0: d = 1000000000000 makes 4d + 1 edges, more than 5,000,000\n"
         assert not csv_path.exists()
 
     @pytest.mark.parametrize(
@@ -600,6 +599,16 @@ class TestBench:
         code, _, err = run_cli(capsys, "bench", str(batch))
         assert code == 2
         assert "entry 1: batch would hold 12 cases, more than 10" in err
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_bad_generator_parameter_names_its_entry(self, tmp_path, capsys, threads):
+        # the spec loads, so the error comes from the generator when entry 1's case runs
+        batch = tmp_path / "batch.json"
+        batch.write_text(
+            json.dumps({"entries": [{"kind": "random", "n": 6, "p": 0.5}, {"kind": "udg", "n": 10, "side": -1.0}]})
+        )
+        expected = (2, "", "error: entry 1: side must be finite and positive\n")
+        assert run_cli(capsys, "bench", str(batch), "--threads", threads) == expected
 
     def test_malformed_batch_exit_2(self, tmp_path, capsys):
         batch = tmp_path / "batch.json"

@@ -23,7 +23,7 @@ from cdsopt.connector import (
 )
 from cdsopt.domination import coverage_gain, greedy_dominating_set, ratio_key
 from cdsopt.generators import gen_fig1, gen_random_connected, gen_udg
-from cdsopt.graph import ratio_shift
+from cdsopt.graph import WeightedGraph, ratio_shift
 from cdsopt.solver import solve
 from cdsopt.verify import verify_cds
 from helpers import (
@@ -533,6 +533,48 @@ class TestCostScaling:
         base = picks(1.0)
         for j in (-3, -2, -1, 1, 2, 3):
             assert picks(2.0**j) == base, f"scale 2**{j}"
+
+
+class TestRelabelling:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        kind=st.sampled_from(["random", "udg"]),
+        n=st.integers(10, 49),
+        seed=st.integers(0, 10**6),
+        m=st.integers(1, 3),
+        data=st.data(),
+    )
+    def test_relabelling_permutes_every_pick(self, kind, n, seed, m, data):
+        """Ids break only ties, and random costs leave no two keys tied but
+        the two orientations of a two-node star, which share one cost and one
+        gain.  So on the relabelled graph each pick of both phases is the
+        image of the original one, a two-node star up to its center.
+        """
+        if kind == "random":
+            inst = gen_random_connected(n, 3.0 / n, (0.1, 10.0), seed=seed, m=m)
+        else:
+            inst = gen_udg(n, math.sqrt(n / 5.0), (0.1, 10.0), seed=seed, m=m)
+        perm = data.draw(st.permutations(range(n)))
+        old = sorted(range(n), key=perm.__getitem__)  # old[perm[u]] == u
+        g = inst.graph
+        coords = None if g.coords is None else [g.coords[u] for u in old]
+        graph = WeightedGraph.from_edges(
+            n, [(perm[u], perm[v]) for u, v in g.edges()], [g.cost[u] for u in old], coords=coords
+        )
+        relabelled = replace(inst, graph=graph)
+
+        def picks(instance, connector, rename):
+            result = solve(instance, connector=connector)
+            report = result.connect_report
+            stars = []
+            for star in report.stars:
+                nodes = [rename[u] for u in star.nodes]
+                stars.append((sorted(nodes) if len(nodes) == 2 else nodes, star.gain, star.total_cost))
+            steps = [(rename[step.node], *step[1:]) for step in result.phase1_trace.steps]
+            return steps, stars, report.component_trace
+
+        for connector in ("star", "pairwise"):
+            assert picks(relabelled, connector, range(n)) == picks(inst, connector, perm), connector
 
 
 class TestRatioNonMonotonicity:

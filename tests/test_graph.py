@@ -25,7 +25,6 @@ from cdsopt.generators import (
     gen_udg,
 )
 from cdsopt.graph import (
-    Instance,
     InstanceError,
     WeightedGraph,
     component_labels,
@@ -33,8 +32,7 @@ from cdsopt.graph import (
     parse_instance,
     serialize_instance,
     unit_disk_adjacency,
-    validate_graph,
-    validate_instance,
+    validate_fold,
 )
 from cdsopt.solver import solve
 from cdsopt.verify import verify_cds, verify_mds
@@ -163,7 +161,7 @@ class TestParse:
         text = "cds 3 3 1\n1 1 1\ncoords\n0 0\n0.5 0\n1 0\n0 1\n0 2\n1 2\n"
         inst = parse_instance(text)
         assert inst.graph.coords is not None
-        validate_instance(inst)
+        assert parse_instance(serialize_instance(inst)) == inst
 
 
 class TestSerialize:
@@ -219,7 +217,7 @@ class TestRandomGenerator:
         inst = gen_random_connected(1, 0.5, (1.0, 1.0), seed=0)
         assert inst.graph.node_count == 1
         assert inst.graph.edge_count == 0
-        validate_instance(inst)
+        assert parse_instance(serialize_instance(inst)) == inst
 
     def test_deterministic(self):
         a = gen_random_connected(12, 0.3, (0.1, 10.0), seed=7)
@@ -228,12 +226,13 @@ class TestRandomGenerator:
 
     def test_validator_passes(self):
         inst = gen_random_connected(12, 0.3, (0.1, 10.0), seed=7)
-        validate_instance(inst)
+        assert parse_instance(serialize_instance(inst)) == inst
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 25), p=st.floats(0.05, 1.0), seed=st.integers(0, 10**6))
     def test_always_valid(self, n, p, seed):
-        validate_instance(gen_random_connected(n, p, (0.1, 10.0), seed=seed))
+        inst = gen_random_connected(n, p, (0.1, 10.0), seed=seed)
+        assert parse_instance(serialize_instance(inst)) == inst
 
     @settings(max_examples=150, deadline=None)
     @given(n=st.integers(1, 120), p=edge_probs(), seed=st.integers(0, 10**6), m=st.integers(1, 3))
@@ -318,7 +317,8 @@ class TestUdgGenerator:
             gen_udg(12, 50.0, (1.0, 1.0), seed=0)
 
     def test_validator_passes(self):
-        validate_instance(gen_udg(30, 4.0, (0.1, 10.0), seed=1))
+        inst = gen_udg(30, 4.0, (0.1, 10.0), seed=1)
+        assert parse_instance(serialize_instance(inst)) == inst
 
     @settings(max_examples=60, deadline=None)
     @given(shape=udg_shapes(), costs=cost_ranges(), seed=st.integers(0, 10**6), m=st.integers(1, 3))
@@ -326,9 +326,11 @@ class TestUdgGenerator:
     @example(shape=(30, 4.0), costs=(0.1, 10.0), seed=1, m=1)
     @example(shape=(12, 4.0), costs=(5e-324, 5e-324), seed=3, m=3)
     def test_valid_by_construction(self, shape, costs, seed, m):
-        # gen_udg skips validate_graph, so its graph must pass the full check
+        # gen_udg builds its graph without from_edges, so the graph must equal the
+        # one the checker builds from its canonical text
         n, side = shape
-        validate_instance(gen_udg(n, side, costs, seed, m=m))
+        inst = gen_udg(n, side, costs, seed, m=m)
+        assert parse_instance(serialize_instance(inst)) == inst
 
     @pytest.mark.parametrize("side", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_bad_side(self, side):
@@ -531,7 +533,7 @@ class TestFig1Generator:
             assert bfs_component_count(g, designated) == d + 1
             idx = ComponentIndex(g, sorted(designated))
             assert idx.component_count == d + 1
-            validate_instance(inst)
+            assert parse_instance(serialize_instance(inst)) == inst
 
     def test_designated_set_components_d1(self):
         inst, designated = gen_fig1(1, 0.5)
@@ -566,19 +568,8 @@ class TestFig1Generator:
 
 class TestValidate:
     def test_rejects_m_zero(self):
-        inst = parse_instance(P3_TEXT)
-        with pytest.raises(InstanceError, match="m must be >= 1"):
-            validate_instance(Instance(graph=inst.graph, m=0))
-
-    def test_validate_graph_catches_asymmetry(self):
-        inst = parse_instance(P3_TEXT)
-        broken = inst.graph.__class__(
-            node_count=3,
-            adjacency=((1,), (0,), (1,)),
-            cost=(1.0, 1.0, 1.0),
-        )
-        with pytest.raises(InstanceError, match="symmetric"):
-            validate_graph(broken)
+        with pytest.raises(InstanceError, match="^fold requirement m must be >= 1$"):
+            validate_fold(0)
 
     @pytest.mark.parametrize(
         "n,edges,fragment",
@@ -598,98 +589,37 @@ class TestValidate:
             WeightedGraph.from_edges(n, edges, [1.0] * n)
 
     @pytest.mark.parametrize(
-        "adjacency,message",
-        [
-            (((1,), (2, 0), (1,)), "adjacency of node 1 not sorted/duplicate-free"),
-            (((1,), (0, 2, 2), (1,)), "adjacency of node 1 not sorted/duplicate-free"),
-            (((1,), (0, 1, 2), (1,)), "loop edge 1 1"),
-            (((1,), (0, 3), (1,)), "edge endpoint out of range: 1 3"),
-            (((-1, 1), (0, 2), (1,)), "edge endpoint out of range: 0 -1"),
-            # the first half-edge u -> v, in node and neighbour order, without v -> u
-            (((1,), (0,), (1,)), "adjacency not symmetric at edge 2 1"),
-            (((1, 2), (0, 2), (1,)), "adjacency not symmetric at edge 0 2"),
-            (((1, 3), (0, 2, 3), (1,), (1,)), "adjacency not symmetric at edge 0 3"),
-            (((1,), (0, 2), (1,), (), (1,)), "adjacency not symmetric at edge 4 1"),
-        ],
-    )
-    def test_validate_graph_names_the_fault(self, adjacency, message):
-        n = len(adjacency)
-        graph = WeightedGraph(node_count=n, adjacency=adjacency, cost=(1.0,) * n)
-        with pytest.raises(InstanceError, match=f"^{message}$"):
-            validate_graph(graph)
-
-    @pytest.mark.parametrize(
         "build,message",
         [
-            (
-                lambda: validate_graph(WeightedGraph(node_count=3, adjacency=((1,), (0,)), cost=(1.0, 1.0, 1.0))),
-                "adjacency size does not match node count",
-            ),
             (lambda: WeightedGraph.from_edges(3, [(0, 1), (1, 2)], [1.0, 1.0]), "cost vector size does not match node count"),
             (
                 lambda: WeightedGraph.from_edges(2, [(0, 1)], [1.0, 1.0], coords=[(0.0, 0.0)]),
                 "coords size does not match node count",
             ),
         ],
-        ids=["adjacency", "cost", "coords"],
+        ids=["cost", "coords"],
     )
     def test_size_mismatch_rejected(self, build, message):
         with pytest.raises(InstanceError, match=f"^{message}$"):
             build()
 
-    @settings(max_examples=300, deadline=None)
-    @given(data=st.data(), n=st.integers(0, 7))
-    def test_from_edges_agrees_with_validate_graph(self, data, n):
-        """from_edges skips the adjacency checks that edge_adjacency makes
-        redundant: on any edge list it raises what validate_graph raises on
-        the graph edge_adjacency builds, and accepts what it accepts."""
-        maybe = st.sampled_from([None, None, None, "fault"])  # a fault in about one draw of four
-        edges = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=6)) if n else []
-        if data.draw(st.booleans()):
-            edges += [(i, i + 1) for i in range(n - 1)]  # a spanning path, so some graphs are connected
-        if data.draw(maybe):
-            edges.append(data.draw(st.sampled_from([(-1, 0), (0, n), (n, n)])))
-        costs = data.draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n))
-        if data.draw(maybe):
-            if costs and data.draw(st.booleans()):
-                costs[data.draw(st.integers(0, n - 1))] = data.draw(st.sampled_from([0.0, -1.0, math.inf, math.nan]))
-            else:
-                costs = costs[1:] if data.draw(st.booleans()) else costs + [1.0]
-        point = st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0))
-        coords = data.draw(st.none() | st.lists(point, min_size=n, max_size=n))
-        if coords is not None and data.draw(maybe):
-            if coords and data.draw(st.booleans()):
-                bad = data.draw(st.sampled_from([math.inf, -math.inf, math.nan]))
-                coords[data.draw(st.integers(0, n - 1))] = (bad, 0.0)
-            else:
-                coords = coords[1:] if data.draw(st.booleans()) else coords + [(0.0, 0.0)]
-        if coords is not None and all(map(math.isfinite, sum(coords, ()))) and data.draw(st.booleans()):
-            # the unit-disk edges, often valid, or with one pair added or dropped
-            edges = reference_unit_disk_edges(coords)
-            pairs = [(i, j) for i in range(len(coords)) for j in range(i + 1, len(coords))]
-            if pairs and data.draw(st.booleans()):
-                pair = data.draw(st.sampled_from(pairs))
-                edges = [e for e in edges if e != pair] if pair in edges else sorted(edges + [pair])
-        try:
-            adjacency = edge_adjacency(n, edges)
-        except InstanceError as exc:
-            expected = str(exc)
-        else:
-            graph = WeightedGraph(
-                node_count=n, adjacency=adjacency, cost=tuple(costs), coords=None if coords is None else tuple(coords)
-            )
-            try:
-                validate_graph(graph)
-                expected = None
-            except InstanceError as exc:
-                expected = str(exc)
-        try:
-            built = WeightedGraph.from_edges(n, edges, costs, coords=coords)
-        except InstanceError as exc:
-            assert str(exc) == expected
-        else:
-            assert expected is None
-            assert built.adjacency == adjacency
+    @pytest.mark.parametrize(
+        "n,edges,costs,coords,message",
+        [
+            # each row also breaks a later check, so the earlier one must speak
+            (0, [(0, 1)], [], None, "edge endpoint out of range: 0 1"),
+            (3, [(0, 1)], [1.0, 1.0], None, "cost vector size does not match node count"),
+            (3, [(0, 1)], [1.0, math.nan, -1.0], None, "malformed cost at node 1"),
+            (3, [(0, 1), (1, 2)], [1.0, 1.0, 0.0], [(0.0, 0.0)], "non-positive cost at node 2"),
+            (2, [], [1.0, 1.0], [(0.0, 0.0)], "coords size does not match node count"),
+            (2, [(0, 1)], [1.0, 1.0], [(0.0, 0.0), (math.inf, 0.0)], "malformed coordinate at node 1"),
+            (3, [(0, 1)], [1.0] * 3, [(0.0, 0.0), (0.5, 0.0), (0.9, 0.0)], "disconnected graph"),
+            (2, [(0, 1)], [1.0, 1.0], [(0.0, 0.0), (2.0, 0.0)], "coords violate the unit-disk edge rule at pair (0, 1)"),
+        ],
+    )
+    def test_from_edges_checks_in_order(self, n, edges, costs, coords, message):
+        with pytest.raises(InstanceError, match=f"^{re.escape(message)}$"):
+            WeightedGraph.from_edges(n, edges, costs, coords=coords)
 
 
 class TestComponentLabels:
