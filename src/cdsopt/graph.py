@@ -15,27 +15,39 @@ serialize round-trip exactly.
 
 ``edge_adjacency`` turns an edge list into sorted neighbour tuples and
 rejects out-of-range endpoints, loops and duplicate edges.
-``WeightedGraph.from_edges`` is the one checker that every graph the program
-accepts passes through.  After ``edge_adjacency``, it checks the node count,
-the cost values (finite and positive), finite coordinates,
-connectivity through ``component_labels`` and, on unit-disk instances, that
-the neighbour tuples equal ``unit_disk_adjacency``'s, the one place the
-distance rule is written.  ``component_labels`` is the one routine for static
-connectivity and seeds ``ComponentIndex``: a stack search of a given member
-set, linear too.  Construction and validation take time linear in the nodes
-plus the edges (plus one sort of an unsorted edge list), whatever the degrees
-and wherever the points lie.  ``unit_disk_adjacency`` buckets the points into
-a grid of half-unit cells and applies the rule only to pairs of nearby cells,
-a proven superset of the edges, so it runs in time linear in the points plus
+``WeightedGraph.from_adjacency`` is the one checker that every graph the
+program accepts passes through; ``from_edges`` is ``edge_adjacency``
+followed by it.  It checks the node count, the cost values (finite and
+positive), finite coordinates, connectivity through ``component_labels``
+and, on unit-disk instances, that the neighbour tuples equal
+``unit_disk_adjacency``'s, the one place the distance rule is written.
+``component_labels`` is the one routine for static connectivity and seeds
+``ComponentIndex``: a stack search of a given member set, linear too.
+Construction and validation take time linear in the nodes plus the edges
+(plus one sort of an unsorted edge list), whatever the degrees and wherever
+the points lie.  ``unit_disk_adjacency`` buckets the points into a grid of
+half-unit cells and applies the rule only to pairs of nearby cells, a
+proven superset of the edges, so it runs in time linear in the points plus
 the compared pairs (plus one sort of the occupied cells and of each
-neighbour list).  The points of one cell are pairwise adjacent, so a file
-whose points have fewer neighbours than cell-mates is rejected in one pass
-over the cells; otherwise the compared pairs are at most 37 times the
-declared edges plus 18 per point.
+neighbour list).  The points of one cell are pairwise adjacent, so the W
+pairs that share a cell are all edges and the compared pairs are at most
+37W + 18n.  Before the scan, each caller that holds a file's E edges bounds
+W by E: the checker rejects a file whose points have fewer neighbours than
+cell-mates in one pass over the cells, and the canonical path below refuses
+W > E, so the compared pairs are at most 37E + 18n.
 
-``parse_instance`` checks the text's shape and reads the edge lines in one
-pass; only when that pass fails does it rescan them line by line, to name
-the first malformed line, loop or line without ``0 <= u < v < n``.
+``parse_instance`` checks the text's shape first.  On a unit-disk file with
+finite coordinates and exactly the header's count of rows after them, it
+computes the rule's adjacency and formats its canonical edge lines,
+``u v`` for u < v in order; if the text ends with exactly those lines, the
+adjacency is the file's, and no edge line is read.  Any other file reads
+the edge lines in one pass; only when that pass fails does it rescan them
+line by line, to name the first malformed line, loop or line without
+``0 <= u < v < n``.  Both paths end in ``from_adjacency``, which reuses a
+rule adjacency the first path computed, so every file gets the same checks
+in the same order, the rule is computed at most once and every error names
+the same line or pair.
+
 ``gen_udg`` builds its ``WeightedGraph`` directly; that graph equals the one
 ``parse_instance`` builds from its text.  Every entry point that takes node
 ids raises its range error through ``checked_ids``, so each names the same
@@ -49,6 +61,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from operator import eq, itemgetter
 
 
@@ -115,12 +128,31 @@ class WeightedGraph:
         """Build a graph from an edge list, checking every invariant.
 
         ``edge_adjacency`` builds sorted, in-range, loop-free, symmetric
-        neighbour tuples by construction.  The rest is checked in this
-        order, each failure raising InstanceError: the node count, the cost
-        vector's size and values, the coordinates' size and values,
-        connectivity and, on unit-disk instances, the edge rule.
+        neighbour tuples by construction, and ``from_adjacency`` checks the rest.
         """
-        adjacency = edge_adjacency(node_count, edges)
+        return cls.from_adjacency(edge_adjacency(node_count, edges), costs, coords)
+
+    @classmethod
+    def from_adjacency(
+        cls,
+        adjacency: tuple[tuple[int, ...], ...],
+        costs: list[float] | tuple[float, ...],
+        coords: list[tuple[float, float]] | None = None,
+        rule: tuple[tuple[int, ...], ...] | None = None,
+    ) -> "WeightedGraph":
+        """The one graph checker: every graph the program accepts passes through it.
+
+        ``adjacency`` holds sorted, in-range, loop-free, symmetric neighbour
+        tuples, as ``edge_adjacency`` builds them; the node count is its
+        length.  The rest is checked in this order, each failure raising
+        InstanceError: the node count, the cost vector's size and values, the
+        coordinates' size and values, connectivity and, on unit-disk
+        instances, the edge rule.  ``rule``, when given, is
+        ``unit_disk_adjacency`` of the coordinates, already computed, so that
+        no path computes it twice; when ``adjacency`` is ``rule`` itself, the
+        rule holds by construction.
+        """
+        node_count = len(adjacency)
         cost = tuple(map(float, costs))
         points = tuple((float(x), float(y)) for x, y in coords) if coords is not None else None
         if node_count < 1:
@@ -140,13 +172,16 @@ class WeightedGraph:
                     raise InstanceError(f"malformed coordinate at node {u}")
         if component_labels(adjacency, range(node_count))[1] != 1:
             raise InstanceError("disconnected graph")
-        if points is not None:
-            expected = unit_disk_adjacency(points, adjacency)
-            if not all(map(eq, expected, adjacency)):
+        if points is not None and adjacency is not rule:
+            cells = _half_cells(points)
+            _check_cell_mates(cells, adjacency)
+            if rule is None:
+                rule = unit_disk_adjacency(points, cells)
+            if not all(map(eq, rule, adjacency)):
                 # both adjacencies are symmetric, so the smallest pair (i, j) of the
                 # edge sets' symmetric difference lies at the first node whose tuples differ
-                i = next(i for i, (a, b) in enumerate(zip(expected, adjacency)) if a != b)
-                raise _rule_violation(i, min(set(expected[i]) ^ set(adjacency[i])))
+                i = next(i for i, (a, b) in enumerate(zip(rule, adjacency)) if a != b)
+                raise _rule_violation(i, min(set(rule[i]) ^ set(adjacency[i])))
         return cls(node_count=node_count, adjacency=adjacency, cost=cost, coords=points)
 
     @cached_property
@@ -242,24 +277,66 @@ def _rule_violation(i: int, j: int) -> InstanceError:
     return InstanceError(f"coords violate the unit-disk edge rule at pair ({min(i, j)}, {max(i, j)})")
 
 
-def unit_disk_adjacency(coords, declared=None) -> tuple[tuple[int, ...], ...]:
+def _half_cells(coords) -> dict[tuple[int, int], list[tuple[int, float, float]]]:
+    """The points ``(i, x, y)`` grouped by half-unit cell, keyed by
+    ``(floor(2x), floor(2y))``; the coordinates must be finite.
+
+    The key is computed as ``2*floor(x) + (x - floor(x) >= 0.5)``, since
+    ``2*x`` overflows near 1.7e308.  The difference is exact except for
+    -0.5 < x < 0, where it and its rounding are both at least 0.5, so the
+    comparison always decides as it would on the exact fractional part.
+
+    Points in one cell are pairwise adjacent: the keys are exact, so each
+    axis differs by less than 1/2, and by monotone rounding each rounded
+    difference is at most 1/2, its square at most 1/4 and the sum at most
+    1/2.
+    """
+    cells: dict[tuple[int, int], list[tuple[int, float, float]]] = {}
+    # one int object per id, shared by every neighbour tuple built from the cells
+    for i, (x, y) in enumerate(coords):
+        fx, fy = math.floor(x), math.floor(y)
+        key = (2 * fx + (x - fx >= 0.5), 2 * fy + (y - fy >= 0.5))
+        if key in cells:
+            cells[key].append((i, x, y))
+        else:
+            cells[key] = [(i, x, y)]
+    return cells
+
+
+def _check_cell_mates(cells, declared) -> None:
+    """Reject a declared adjacency in which a point has fewer neighbours than cell-mates.
+
+    The points of a cell are pairwise adjacent, so in a valid file every
+    point has at least |cell| - 1 neighbours.  If one has fewer,
+    InstanceError names the smallest such point and its smallest cell-mate
+    missing from its neighbours.  This takes one pass over the cells; if it
+    passes, each point has at least |cell| - 1 of the 2E declared
+    half-edges, so the same-cell pairs W (see ``unit_disk_adjacency``) are
+    at most the E declared edges, and the rule's scan compares at most
+    37E + 18n pairs.
+    """
+    short = [(i, points) for points in cells.values() for i, _, _ in points if len(declared[i]) < len(points) - 1]
+    if short:
+        i, points = min(short, key=itemgetter(0))
+        nbrs = set(declared[i])
+        raise _rule_violation(i, min(j for j, _, _ in points if j != i and j not in nbrs))
+
+
+def unit_disk_adjacency(coords, cells=None) -> tuple[tuple[int, ...], ...]:
     """The unit-disk graph's sorted neighbour tuples: i and j are adjacent iff
     they lie at Euclidean distance <= 1.
 
     A pair is an edge iff ``sx * sx + sy * sy <= 1.0`` in floats, where
     ``sx = xi - xj`` and ``sy = yi - yj``; there must be at least one point,
-    and the coordinates must be finite.
+    and the coordinates must be finite.  ``cells``, when given, is
+    ``_half_cells(coords)``, already computed.
     Each operation is correctly rounded IEEE arithmetic, so the edge set is
     the same on every conforming platform.  Points are bucketed into
-    half-unit cells keyed by ``(floor(2x), floor(2y))`` (Bentley, Stanat and
-    Williams' fixed-radius near-neighbour search), and the predicate is
-    evaluated only on pairs in the same cell or in cells at an offset from
+    half-unit cells by ``_half_cells`` (Bentley, Stanat and Williams'
+    fixed-radius near-neighbour search), and the predicate is evaluated
+    only on pairs in the same cell or in cells at an offset from
     ``_FORWARD_CELLS``.  Those pairs are a superset of the edges:
 
-    - The key is computed as ``2*floor(x) + (x - floor(x) >= 0.5)``, since
-      ``2*x`` overflows near 1.7e308.  The difference is exact except for
-      -0.5 < x < 0, where it and its rounding are both at least 0.5, so the
-      comparison always decides as it would on the exact fractional part.
     - Two points whose cells are k apart along an axis differ there by at
       least ``gap(k) = max(|k| - 1, 0) / 2`` exactly; let h = min(gap(k), 2).
       h and h*h are exact floats and rounding is monotone, so the rounded
@@ -278,45 +355,24 @@ def unit_disk_adjacency(coords, declared=None) -> tuple[tuple[int, ...], ...]:
     sorted once.  The 37 cells cover 9.25 square units around a point,
     against 21 for the 5x5 unit-cell stencil without its corners.
 
-    ``declared``, when given, is the symmetric adjacency a file declares,
-    with E edges; before the scan, it is checked against each cell's size
-    in O(n), so that a wrong file is rejected in O(n + E):
-
-    - Points in one cell are pairwise adjacent: the keys are exact, so each
-      axis differs by less than 1/2, and by monotone rounding each rounded
-      difference is at most 1/2, its square at most 1/4 and the sum at most
-      1/2.  In a valid file every point therefore has at least |cell| - 1
-      neighbours.  If one has fewer, InstanceError names the smallest such
-      point and its smallest cell-mate missing from its neighbours.
-    - Otherwise the same-cell pairs W = sum of |cell|(|cell| - 1)/2 total at
-      most E, since each point has at least |cell| - 1 of the 2E half-edges.
-      Each cell meets at most 36 others, and |A||B| <= (|A|^2 + |B|^2)/2,
-      so the pairs across cells are at most 18 * sum |A|^2 = 18(2W + n),
-      and the scan compares at most 37W + 18n <= 37E + 18n pairs.
+    The scan compares at most 37W + 18n pairs, where W = sum of
+    |cell|(|cell| - 1)/2 counts the same-cell pairs: each cell meets at
+    most 36 others, and |A||B| <= (|A|^2 + |B|^2)/2, so the pairs across
+    cells are at most 18 * sum |A|^2 = 18(2W + n).  W can reach
+    n(n - 1)/2 on co-located points, so a caller that holds a file's E
+    declared edges bounds W by E first, making the scan O(n + E): the
+    checker through ``_check_cell_mates``, and ``parse_instance``'s
+    canonical path by refusing W > E.
     """
-    # one int object per id, shared by every neighbour tuple below
-    ids = list(range(len(coords)))
-    cells: dict[tuple[int, int], list[tuple[int, float, float]]] = {}
-    for i, (x, y) in zip(ids, coords):
-        fx, fy = math.floor(x), math.floor(y)
-        key = (2 * fx + (x - fx >= 0.5), 2 * fy + (y - fy >= 0.5))
-        if key in cells:
-            cells[key].append((i, x, y))
-        else:
-            cells[key] = [(i, x, y)]
-    if declared is not None:
-        short = [(i, points) for points in cells.values() for i, _, _ in points if len(declared[i]) < len(points) - 1]
-        if short:
-            i, points = min(short, key=itemgetter(0))
-            nbrs = set(declared[i])
-            raise _rule_violation(i, min(j for j, _, _ in points if j != i and j not in nbrs))
+    if cells is None:
+        cells = _half_cells(coords)
     # number the cells column by column, leaving room for dy in -3..3 between
     # columns, so that each offset is one integer step that reaches no other cell
     low = min(ky for _, ky in cells)
     width = max(ky for _, ky in cells) - low + 4
     grid = {kx * width + ky - low: points for (kx, ky), points in cells.items()}
     steps = [dx * width + dy for dx, dy in _FORWARD_CELLS]
-    neighbors: list[list[int]] = [[] for _ in ids]
+    neighbors: list[list[int]] = [[] for _ in range(len(coords))]
     # in key order, consecutive cells share most of their stencil, which
     # keeps the points they read in cache on large instances
     for key in sorted(grid):
@@ -333,6 +389,21 @@ def unit_disk_adjacency(coords, declared=None) -> tuple[tuple[int, ...], ...]:
             for j in hits:
                 neighbors[j].append(i)
     return tuple([tuple(sorted(nbrs)) for nbrs in neighbors])
+
+
+def _edge_text(adjacency) -> str:
+    """The canonical edge lines of a sorted adjacency as one string: each line
+    ``u v`` with u < v, in order, preceded by a newline, and a final newline."""
+    names = list(map(str, range(len(adjacency))))
+    parts = []
+    for u, nbrs in enumerate(adjacency):
+        higher = nbrs[bisect.bisect_right(nbrs, u):]
+        if higher:
+            sep = f"\n{u} "
+            parts.append(sep)
+            parts.append(sep.join(map(names.__getitem__, higher)))
+    parts.append("\n")
+    return "".join(parts)
 
 
 def edge_adjacency(node_count: int, edges) -> tuple[tuple[int, ...], ...]:
@@ -390,6 +461,12 @@ def parse_instance(text: str) -> Instance:
     Raises InstanceError with a distinct diagnostic for malformed headers,
     non-positive costs, duplicate/loop edges, disconnected graphs, and
     coordinate blocks that contradict the unit-disk edge rule.
+
+    A unit-disk file is first tried against its rule: if the rule has the
+    header's E edges and the text ends with their E canonical lines, each
+    preceded by a newline, then those lines are the last E rows, since each
+    is a row as it stands.  With exactly E rows after the coordinates, they
+    are the edge block, so the file holds exactly the rule's edges.
     """
     label = ""
     rows: list[str] = []
@@ -450,6 +527,19 @@ def parse_instance(text: str) -> Instance:
                 raise InstanceError(f"malformed coordinate {parts!r}") from exc
             coords.append((x, y))
 
+    rule = None
+    # a unit-disk file whose text ends with its rule's canonical edge lines,
+    # after exactly the header's count of rows, holds exactly those edges
+    if coords is not None and len(rows) == pos + edge_count and all(map(math.isfinite, chain.from_iterable(coords))):
+        cells = _half_cells(coords)
+        # refuse a clump (W > E) before any pair is compared, so that the scan
+        # compares at most 37E + 18n pairs; the cell-mate check rejects such a file
+        if sum(len(points) * (len(points) - 1) for points in cells.values()) <= 2 * edge_count:
+            rule = unit_disk_adjacency(coords, cells)
+            if sum(map(len, rule)) == 2 * edge_count and text.endswith(_edge_text(rule)):
+                graph = WeightedGraph.from_adjacency(rule, costs, coords, rule)
+                return Instance(graph=graph, m=m, label=label)
+
     block = rows[pos:pos + edge_count]
     pos += len(block)
     try:
@@ -462,7 +552,7 @@ def parse_instance(text: str) -> Instance:
     if pos != len(rows):
         raise InstanceError("trailing content after edge list")
 
-    graph = WeightedGraph.from_edges(n, edges, costs, coords=coords)
+    graph = WeightedGraph.from_adjacency(edge_adjacency(n, edges), costs, coords, rule)
     return Instance(graph=graph, m=m, label=label)
 
 

@@ -35,7 +35,8 @@ def verify_mds(inst: Instance, members) -> VerifyReport:
     for u in range(g.node_count):
         if u in member_set:
             continue
-        inside = sum(1 for v in g.adjacency[u] if v in member_set)
+        # neighbour ids are distinct, so the intersection counts each dominator once
+        inside = len(member_set.intersection(g.adjacency[u]))
         if inside < m:
             violations.append((u, f"node {u} has {inside} < {m} dominators"))
     return VerifyReport(

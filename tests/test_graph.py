@@ -801,6 +801,9 @@ class TestUnitDiskRuleNamesThePair:
         data=st.data(),
     )
     def test_perturbed_instance(self, n, side, seed, fault, data):
+        # bounded as udg_shapes bounds it: at n = 7-11, side 4.0 runs out of
+        # point sets on about 1% of seeds (n = 9, seed = 142 among them)
+        side = min(side, 0.7 * math.sqrt(n) + 0.5)
         inst = gen_udg(n, side, (1.0, 1.0), seed=seed)
         coords, edges = list(inst.graph.coords), inst.graph.edges()
         if fault == "add":
@@ -859,6 +862,94 @@ class TestUnitDiskRuleNamesThePair:
             parse_instance(text)
         elapsed = time.perf_counter() - start
         assert elapsed < 15.0, f"rejecting 100,000 co-located points took {elapsed:.1f} s"
+
+
+class TestCanonicalUnitDiskParse:
+    """A unit-disk file whose text ends with its rule's canonical edge lines is
+    parsed without reading them; any other file takes the edge-list path, which
+    reuses the rule the first path computed and builds the same graph."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = Counter()
+        for name in ("edge_adjacency", "unit_disk_adjacency"):
+            original = getattr(cdsopt.graph, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(cdsopt.graph, name, counted)
+        return counts
+
+    @staticmethod
+    def variant(kind: str) -> str:
+        """The text of a 30-point unit-disk graph, its edge lines as ``kind`` says."""
+        graph = gen_udg(30, 4.0, (0.1, 10.0), seed=1).graph
+        lines = udg_text(graph.coords, graph.edges()).splitlines()
+        first = 3 + graph.node_count
+        if kind == "reordered":
+            lines[first:] = reversed(lines[first:])
+        elif kind == "doubled space":
+            lines[first] = lines[first].replace(" ", "  ")
+        elif kind == "comment":
+            lines.insert(first + 10, "# a comment inside the block")
+        elif kind == "leading zero":
+            lines[first] = "0" + lines[first]
+        return "\n".join(lines) + "\n"
+
+    def test_canonical_file_reads_no_edge_line(self, calls):
+        parse_instance(self.variant("canonical"))
+        assert (calls["edge_adjacency"], calls["unit_disk_adjacency"]) == (0, 1)
+
+    @pytest.mark.parametrize("kind", ["reordered", "doubled space", "comment", "leading zero"])
+    def test_other_text_reads_the_edge_lines(self, calls, kind):
+        canonical = parse_instance(self.variant("canonical"))
+        text = self.variant(kind)
+        calls.clear()
+        assert parse_instance(text) == canonical
+        assert (calls["edge_adjacency"], calls["unit_disk_adjacency"]) == (1, 1)
+
+    @pytest.mark.parametrize(
+        "header,message",
+        [
+            ("cds 3 3 1", "coords violate the unit-disk edge rule at pair (0, 2)"),
+            ("cds 3 2 1", "trailing content after edge list"),
+        ],
+    )
+    def test_lines_before_the_canonical_ones_are_read(self, header, message):
+        # the text ends with the rule's lines "0 1" and "1 2", after one more edge line
+        text = f"{header}\n1 1 1\ncoords\n0 0\n0.5 0\n1.5 0\n0 2\n0 1\n1 2\n"
+        with pytest.raises(InstanceError, match=f"^{re.escape(message)}$"):
+            parse_instance(text)
+
+    def test_clump_is_refused_before_any_pair_is_compared(self, calls):
+        # 50 co-located points make W = 1,225 same-cell pairs against 49 edges
+        with pytest.raises(InstanceError, match=r"^coords violate the unit-disk edge rule at pair \(0, 2\)$"):
+            parse_instance(colocated_path_text(50))
+        assert (calls["edge_adjacency"], calls["unit_disk_adjacency"]) == (1, 0)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            # each row also breaks a later check, so the earlier one must speak:
+            # a malformed edge line and a bad cost
+            ("cds 2 1 1\n1 -1\ncoords\n0 0\n0.5 0\n0 x\n", "malformed edge line ['0', 'x']"),
+            # trailing content and a bad coordinate
+            ("cds 2 1 1\n1 1\ncoords\n0 0\ninf 0\n0 1\n5 5\n", "trailing content after edge list"),
+            # a duplicate edge and a bad cost
+            ("cds 3 2 1\n1 -1 1\ncoords\n0 0\n0.5 0\n1 0\n0 1\n0 1\n", "duplicate edge 0 1"),
+            # the rule's own edge lines, a bad cost and a disconnected graph
+            ("cds 3 1 1\n1 0 1\ncoords\n0 0\n0.5 0\n5 0\n0 1\n", "non-positive cost at node 1"),
+            # a bad coordinate and a disconnected graph
+            ("cds 2 0 1\n1 1\ncoords\n0 0\nnan 0\n", "malformed coordinate at node 1"),
+            # a disconnected graph and a wrong rule
+            ("cds 3 1 1\n1 1 1\ncoords\n0 0\n2 0\n5 0\n0 1\n", "disconnected graph"),
+        ],
+    )
+    def test_coordinate_file_checks_in_order(self, text, message):
+        with pytest.raises(InstanceError, match=f"^{re.escape(message)}$"):
+            parse_instance(text)
 
 
 class TestLinearBuild:
