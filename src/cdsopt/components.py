@@ -17,6 +17,10 @@ from .graph import WeightedGraph, checked_ids, component_labels
 class ComponentIndex:
     """Connected components of G[D] for a node set D that only ever grows.
 
+    ``graph`` is the graph G the index was built on; the connector's
+    valuations read it from here, so an index is never paired with another
+    graph.
+
     ``label`` is a flat list over all nodes: a member holds the id of a
     representative member of its component, a non-member holds -1.  Two
     members share a label exactly when they are connected inside the
@@ -40,7 +44,7 @@ class ComponentIndex:
     """
 
     def __init__(self, graph: WeightedGraph, members=()):
-        self._graph = graph
+        self.graph = graph
         members = sorted(set(members))
         # component_labels rejects an out-of-range member id
         self.label = label = component_labels(graph.adjacency, members)[0]
@@ -71,12 +75,12 @@ class ComponentIndex:
         first set whose ``single`` entry differs from before the add; every
         other node holds the same ``single`` entry as before.
         """
-        if not 0 <= u < self._graph.node_count:
-            checked_ids(self._graph.node_count, (u,))  # raises the range error
+        if not 0 <= u < self.graph.node_count:
+            checked_ids(self.graph.node_count, (u,))  # raises the range error
         label = self.label
         if label[u] >= 0:
             raise ValueError(f"node {u} already in the index")
-        adjacency = self._graph.adjacency
+        adjacency = self.graph.adjacency
         reach = self.reach
         single = self.single
         components = self._components

@@ -17,11 +17,12 @@ Both connectors run through one driver that keeps a heap of *slots*.  A
 slot is a ``(center, partner)`` pair: the star connector has one per free
 center, with partner -1, and the baseline has one per free node (its
 singleton, partner -1) and one per edge between free nodes, with
-``center < partner``.  Valuing a slot (``best_star_at`` or
-``pair_candidate``) gives the tuple ``(key, gain, leaves, total_cost)``, or
-None when it merges nothing, where the key is ``domination.ratio_key`` of
-the gain and total cost: the exact gain/cost order as an integer, the same
-key the cover phase uses, computed once per valuation.  The heap holds flat
+``center < partner``.  Valuing a slot (``best_star_at(idx, center)`` or
+``pair_candidate(idx, center, partner)``, which read the graph as
+``idx.graph``) gives the tuple ``(key, gain, leaves, total_cost)``, or None
+when it merges nothing, where the key is ``domination.ratio_key`` of the
+gain and total cost: the exact gain/cost order as an integer, the same key
+the cover phase uses, computed once per valuation.  The heap holds flat
 entries ``(-key, -gain, center, partner, stamp, leaves, total_cost)``.
 Valuing a slot gives it a new stamp, and the pick pops entries until one is
 live (both its endpoints free and its stamp the slot's latest) and builds
@@ -62,7 +63,7 @@ from dataclasses import dataclass, field
 
 from .components import ComponentIndex
 from .domination import ratio_key
-from .graph import Instance, WeightedGraph, checked_ids
+from .graph import Instance, checked_ids
 
 
 @dataclass(frozen=True)
@@ -90,14 +91,14 @@ class ConnectReport:
     component_trace: list[int] = field(default_factory=list)
 
 
-def component_neighbors(idx: ComponentIndex, graph: WeightedGraph, u: int) -> set[int]:
+def component_neighbors(idx: ComponentIndex, u: int) -> set[int]:
     """Labels of the distinct components of G[D] adjacent to u (u outside D)."""
     if idx.label[u] >= 0:
         raise ValueError(f"node {u} already in the indexed set")
     return set(idx.reach[u])
 
 
-def best_star_at(idx: ComponentIndex, graph: WeightedGraph, u: int) -> tuple | None:
+def best_star_at(idx: ComponentIndex, u: int) -> tuple | None:
     """Most efficient star centered at u, or None when no star merges anything.
 
     The star is returned as ``(key, gain, leaves, total_cost)``, with the
@@ -113,6 +114,7 @@ def best_star_at(idx: ComponentIndex, graph: WeightedGraph, u: int) -> tuple | N
     neighbor of u and sorts only the leaves with a fresh component: O(deg u)
     reads, plus a sort of the fresh leaves.
     """
+    graph = idx.graph
     if not 0 <= u < graph.node_count:
         checked_ids(graph.node_count, (u,))  # raises the range error
     cost = graph.cost
@@ -152,13 +154,14 @@ def best_star_at(idx: ComponentIndex, graph: WeightedGraph, u: int) -> tuple | N
     return key, gain, tuple(kept[:take]), total
 
 
-def pair_candidate(idx: ComponentIndex, graph: WeightedGraph, a: int, b: int = -1) -> tuple | None:
+def pair_candidate(idx: ComponentIndex, a: int, b: int = -1) -> tuple | None:
     """The singleton a (b == -1) or the free pair (a, b), or None when it merges nothing.
 
     The candidate is returned as ``(key, gain, leaves, total_cost)``.  Its
     gain is the number of components it touches minus one, so it reads only
     the reach entries of a and b.
     """
+    graph = idx.graph
     n = graph.node_count
     if not (0 <= a < n and -1 <= b < n):
         checked_ids(n, (a,) if b == -1 else (a, b))  # raises the range error
@@ -181,9 +184,9 @@ def pair_candidate(idx: ComponentIndex, graph: WeightedGraph, a: int, b: int = -
     return ratio_key(gain, total, graph.key_shift), gain, leaves, total
 
 
-def _star_slots(idx: ComponentIndex, graph: WeightedGraph, changed, flipped) -> list[tuple[int, int]]:
+def _star_slots(idx: ComponentIndex, changed, flipped) -> list[tuple[int, int]]:
     """The star slots a round can alter: the free nodes of ``changed`` and the free neighbors of ``flipped``."""
-    adjacency = graph.adjacency
+    adjacency = idx.graph.adjacency
     label = idx.label
     centers = set(changed)
     for x in flipped:
@@ -191,9 +194,9 @@ def _star_slots(idx: ComponentIndex, graph: WeightedGraph, changed, flipped) -> 
     return [(u, -1) for u in centers if label[u] < 0]
 
 
-def _pair_slots(idx: ComponentIndex, graph: WeightedGraph, changed, flipped) -> set[tuple[int, int]]:
+def _pair_slots(idx: ComponentIndex, changed, flipped) -> set[tuple[int, int]]:
     """The baseline slots a round can alter: each free x of ``changed``, its singleton and its free edges."""
-    adjacency = graph.adjacency
+    adjacency = idx.graph.adjacency
     label = idx.label
     slots = set()
     for x in changed:
@@ -207,19 +210,18 @@ class _CandidateHeap:
     """Each live slot's value, popped in the exact ratio order.
 
     ``refresh`` values the given slots, each with free endpoints, by
-    ``value(idx, graph, center)`` when the partner is -1 and ``value(idx,
-    graph, center, partner)`` otherwise (``(key, gain, leaves,
-    total_cost)`` or None), and pushes their new entries ``(-key, -gain,
-    center, partner, stamp, leaves, total_cost)`` under a fresh stamp, so an
-    entry is live only while both endpoints are free and its stamp is the
-    slot's latest; ``pop`` drops dead entries as they reach the top and
-    builds the candidate of the first live one.  Live entries have distinct
+    ``value(idx, center)`` when the partner is -1 and ``value(idx, center,
+    partner)`` otherwise (``(key, gain, leaves, total_cost)`` or None), and
+    pushes their new entries ``(-key, -gain, center, partner, stamp, leaves,
+    total_cost)`` under a fresh stamp, so an entry is live only while both
+    endpoints are free and its stamp is the slot's latest; ``pop`` drops
+    dead entries as they reach the top and builds the candidate of the first
+    live one.  Live entries have distinct
     slots, so the pick does not depend on the order of the pushes.
     """
 
-    def __init__(self, idx: ComponentIndex, graph: WeightedGraph, value):
+    def __init__(self, idx: ComponentIndex, value):
         self.idx = idx
-        self.graph = graph
         self.value = value
         self.stamp: dict[tuple[int, int], int] = {}  # slot -> its latest stamp
         self.last_stamp = 0
@@ -235,7 +237,7 @@ class _CandidateHeap:
         )
 
     def refresh(self, slots) -> None:
-        idx, graph = self.idx, self.graph
+        idx = self.idx
         stamp = self.stamp
         entries = self.entries
         value = self.value
@@ -244,7 +246,7 @@ class _CandidateHeap:
             center, partner = slot
             count += 1
             stamp[slot] = count
-            val = value(idx, graph, center) if partner < 0 else value(idx, graph, center, partner)
+            val = value(idx, center) if partner < 0 else value(idx, center, partner)
             if val is not None:
                 key, gain, leaves, total = val
                 heapq.heappush(entries, (-key, -gain, center, partner, count, leaves, total))
@@ -263,27 +265,26 @@ class _CandidateHeap:
 def _connect(inst: Instance, dominating_set, method: str, slots_of, value) -> ConnectReport:
     """Add the most efficient candidate until the set is connected.
 
-    ``slots_of(idx, graph, changed, flipped)`` lists the slots with free
-    endpoints whose value can differ after a round whose adds changed the
-    reach entries of ``changed`` and the ``single`` entries of ``flipped``,
-    and ``value(idx, graph, center)`` (partner -1) or ``value(idx, graph,
-    center, partner)`` is a slot's value, or None.  Each chosen candidate
-    must merge as many components as it promises, so at most (initial
-    components - 1) rounds run.  The first round values every slot; later
-    rounds only those the last round's adds can alter.  The input check
-    reads the index: a free node with empty reach is undominated.
+    ``slots_of(idx, changed, flipped)`` lists the slots with free endpoints
+    whose value can differ after a round whose adds changed the reach
+    entries of ``changed`` and the ``single`` entries of ``flipped``, and
+    ``value(idx, center)`` (partner -1) or ``value(idx, center, partner)``
+    is a slot's value, or None.  Each chosen candidate must merge as many
+    components as it promises, so at most (initial components - 1) rounds
+    run.  The first round values every slot; later rounds only those the
+    last round's adds can alter.  The input check reads the index: a free
+    node with empty reach is undominated.
     """
-    graph = inst.graph
-    idx = ComponentIndex(graph, dominating_set)
+    idx = ComponentIndex(inst.graph, dominating_set)
     for u, near in enumerate(idx.reach):
         if not near and u not in idx:
             raise ValueError(f"set is not dominating: node {u} has no neighbor inside")
     report = ConnectReport(method=method, initial_components=idx.component_count)
-    heap = _CandidateHeap(idx, graph, value)
-    changed: set[int] | range = range(graph.node_count)
+    heap = _CandidateHeap(idx, value)
+    changed: set[int] | range = range(inst.graph.node_count)
     flipped: set[int] = set()
     while idx.component_count > 1:
-        heap.refresh(slots_of(idx, graph, changed, flipped))
+        heap.refresh(slots_of(idx, changed, flipped))
         best = heap.pop()
         if best is None:
             raise RuntimeError(f"{method} connector stalled: no candidate merges components")

@@ -23,12 +23,17 @@ from .graph import (
 )
 
 UDG_MAX_ATTEMPTS = 1000
+# ``gen_udg`` draws at most this many points over all its attempts: one failed
+# attempt at n = 10^5 draws and scans its points in about 1.3 s on a 2-CPU VM,
+# so n > 1,000 gets fewer than ``UDG_MAX_ATTEMPTS`` attempts
+UDG_MAX_DRAWN_POINTS = 10**6
 # ``gen_random_connected`` spends one coin per pair whatever p is: n = 20,000
 # (199,990,000 pairs, about 7 s on a 2-CPU VM) is the largest n it takes
 RANDOM_MAX_PAIRS = 2 * 10**8
 # the edge budget of the generators that store and compare in proportion to
 # their edges: 4 times the 1.25M expected edges of ``gen_udg`` at n = 10^5 and
-# side 111.8; ``gen_fig1`` takes d up to 1,249,999 (4d + 1 edges)
+# side 111.8; ``gen_fig1`` takes d up to 1,249,999 (4d + 1 edges), and
+# ``gen_random_connected`` bounds its expected edges by it too
 UDG_MAX_EXPECTED_EDGES = 5 * 10**6
 
 
@@ -51,7 +56,9 @@ def gen_random_connected(
 
     Costs are uniform in ``cost_range``.  The spanning tree guarantees
     connectivity without rejection sampling, so generation always terminates.
-    More than ``RANDOM_MAX_PAIRS`` pairs raises before any draw.
+    More than ``RANDOM_MAX_PAIRS`` pairs raises before any draw, and so does
+    an expected edge count, ``(n - 1) + p*(n(n-1)/2 - (n - 1))`` (the tree
+    plus a coin per other pair), above ``UDG_MAX_EXPECTED_EDGES``.
 
     Draw contract, which fixes every seeded corpus: after the shuffle and the
     tree draws, each pair (u, v), u < v, that is not a tree edge takes one
@@ -74,6 +81,13 @@ def gen_random_connected(
         raise InstanceError(f"n = {n} draws a coin for each of n(n-1)/2 pairs, more than {RANDOM_MAX_PAIRS:,}")
     if not 0 < edge_prob <= 1:
         raise InstanceError("edge_prob must be in (0, 1]")
+    # the tree's n - 1 edges plus a coin per other pair, in exact arithmetic
+    expected_edges = (n - 1) + Fraction(edge_prob) * (n * (n - 1) // 2 - (n - 1))
+    if expected_edges > UDG_MAX_EXPECTED_EDGES:
+        raise InstanceError(
+            f"n = {n} at p = {edge_prob:g} makes about {math.ceil(expected_edges):,} edges,"
+            f" more than {UDG_MAX_EXPECTED_EDGES:,}"
+        )
     if not (math.isfinite(hi) and 0 < lo <= hi):
         raise InstanceError("cost range must be finite and satisfy 0 < lo <= hi")
     validate_fold(m)
@@ -125,7 +139,9 @@ def gen_udg(
     """Unit-disk graph: n points uniform in [0, side]^2, edges at distance <= 1.
 
     Resamples the point set until the graph is connected; raises after
-    ``UDG_MAX_ATTEMPTS`` failures.  Coordinates are stored on the instance.
+    ``min(UDG_MAX_ATTEMPTS, max(1, UDG_MAX_DRAWN_POINTS // n))`` failures, so
+    a hopeless request draws at most about ``UDG_MAX_DRAWN_POINTS`` points.
+    Coordinates are stored on the instance.
     A request whose expected edge count, ``min(n(n-1)/2, pi*n^2/(2*side^2))``,
     exceeds ``UDG_MAX_EXPECTED_EDGES`` raises before any draw, as does one
     with n - 1 above it, since a connected graph has at least n - 1 edges.
@@ -153,16 +169,20 @@ def gen_udg(
         )
     validate_fold(m)
     rng = random.Random(seed)
-    for _ in range(UDG_MAX_ATTEMPTS):
+    attempts = min(UDG_MAX_ATTEMPTS, max(1, UDG_MAX_DRAWN_POINTS // n))
+    for _ in range(attempts):
         pts = [(rng.uniform(0.0, side), rng.uniform(0.0, side)) for _ in range(n)]
         adjacency = unit_disk_adjacency(pts)
         # connectivity is tested before the costs are drawn, so a rejected
         # point set consumes no cost draws
         if component_labels(adjacency, range(n))[1] == 1:
             costs = [rng.uniform(lo, hi) for _ in range(n)]
-            graph = WeightedGraph(node_count=n, adjacency=adjacency, cost=tuple(costs), coords=tuple(pts))
+            graph = WeightedGraph(adjacency=adjacency, cost=tuple(costs), coords=tuple(pts))
             return Instance(graph=graph, m=m, label=f"udg-n{n}-side{side:g}-m{m}-s{seed}")
-    raise InstanceError(f"could not generate connected UDG after {UDG_MAX_ATTEMPTS} attempts")
+    raise InstanceError(
+        f"could not generate connected UDG after {attempts} attempts, the cap for n = {n}"
+        f" (at most {UDG_MAX_ATTEMPTS:,} attempts and {UDG_MAX_DRAWN_POINTS:,} drawn points)"
+    )
 
 
 def gen_fig1(d: int, eps: float, m: int = 1) -> tuple[Instance, frozenset[int]]:

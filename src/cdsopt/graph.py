@@ -107,12 +107,12 @@ def left_sum(values):
 class WeightedGraph:
     """Undirected simple graph with positive node costs.
 
-    Nodes are dense ids 0..n-1.  ``adjacency[u]`` is a sorted tuple of
-    neighbor ids.  ``coords``, when present, are finite planar positions and
-    the edge set must be exactly the pairs at Euclidean distance <= 1.
+    Nodes are dense ids 0..n-1, n being ``len(adjacency)``.  ``adjacency[u]``
+    is a sorted tuple of neighbor ids.  ``coords``, when present, are finite
+    planar positions and the edge set must be exactly the pairs at Euclidean
+    distance <= 1.
     """
 
-    node_count: int
     adjacency: tuple[tuple[int, ...], ...]
     cost: tuple[float, ...]
     coords: tuple[tuple[float, float], ...] | None = None
@@ -182,7 +182,11 @@ class WeightedGraph:
                 # edge sets' symmetric difference lies at the first node whose tuples differ
                 i = next(i for i, (a, b) in enumerate(zip(rule, adjacency)) if a != b)
                 raise _rule_violation(i, min(set(rule[i]) ^ set(adjacency[i])))
-        return cls(node_count=node_count, adjacency=adjacency, cost=cost, coords=points)
+        return cls(adjacency=adjacency, cost=cost, coords=points)
+
+    @property
+    def node_count(self) -> int:
+        return len(self.adjacency)
 
     @cached_property
     def key_shift(self) -> int:

@@ -190,7 +190,7 @@ def test_criterion_6_star_search_vs_brute_force():
         for center in range(n):
             if center in members:
                 continue
-            star = best_star_at(idx, g, center)
+            star = best_star_at(idx, center)
             brute = brute_force_best_star(g, members, center)
             if star is not None:
                 _, gain, _, total_cost = star

@@ -92,10 +92,11 @@ class TestGen:
         "kind_args, message",
         [
             (["random", "--n", "1000000", "--p", "0.000003", "--seed", "1"], "more than 200,000,000"),
+            (["random", "--n", "20000", "--p", "1", "--seed", "1"], "edges, more than 5,000,000"),
             (["udg", "--n", "100000", "--side", "1", "--seed", "1"], "edges, more than 5,000,000"),
             (["fig1", "--d", "1000000000000", "--eps", "0.01"], "4d + 1 edges, more than 5,000,000"),
         ],
-        ids=["random", "udg", "fig1"],
+        ids=["random", "random-edges", "udg", "fig1"],
     )
     def test_oversized_request_exit_2(self, tmp_path, capsys, kind_args, message):
         out = tmp_path / "g.cds"

@@ -207,28 +207,28 @@ class TestComponentNeighbors:
         inst, designated = gen_fig1(3, 0.01)
         idx = ComponentIndex(inst.graph, sorted(designated))
         # hub u (node 1) touches only the top node's component
-        assert len(component_neighbors(idx, inst.graph, 1)) == 1
+        assert len(component_neighbors(idx, 1)) == 1
         # rung bottom v_1 (node 5) touches only its anchor's component
-        nc_v1 = component_neighbors(idx, inst.graph, 5)
+        nc_v1 = component_neighbors(idx, 5)
         assert 8 in idx
         assert nc_v1 == {idx.label[8]}
 
     def test_single_component_neighborhood(self):
         inst = path_instance(4)
         idx = ComponentIndex(inst.graph, [1, 2])
-        assert len(component_neighbors(idx, inst.graph, 0)) == 1
-        assert len(component_neighbors(idx, inst.graph, 3)) == 1
+        assert len(component_neighbors(idx, 0)) == 1
+        assert len(component_neighbors(idx, 3)) == 1
 
     def test_member_rejected(self):
         inst = path_instance(3)
         idx = ComponentIndex(inst.graph, [0])
         with pytest.raises(ValueError):
-            component_neighbors(idx, inst.graph, 0)
+            component_neighbors(idx, 0)
         for a, b in [(0, -1), (0, 1), (1, 0)]:
             with pytest.raises(ValueError, match="^node 0 already in the indexed set$"):
-                pair_candidate(idx, inst.graph, a, b)
+                pair_candidate(idx, a, b)
         with pytest.raises(ValueError, match="^node 0 already in the indexed set$"):
-            best_star_at(idx, inst.graph, 0)
+            best_star_at(idx, 0)
 
 
 class TestMergePotential:
@@ -293,7 +293,7 @@ class TestBestStar:
     def test_fig1_best_star_takes_all_rung_bottoms(self):
         inst, designated = gen_fig1(3, 0.01)
         idx = ComponentIndex(inst.graph, sorted(designated))
-        star = best_star_at(idx, inst.graph, 1)
+        star = best_star_at(idx, 1)
         assert star is not None
         key, gain, leaves, total_cost = star
         assert set(leaves) == {5, 6, 7}
@@ -305,7 +305,7 @@ class TestBestStar:
     def test_none_when_nothing_merges(self):
         inst = complete_instance(3)
         idx = ComponentIndex(inst.graph, [0])
-        assert best_star_at(idx, inst.graph, 1) is None
+        assert best_star_at(idx, 1) is None
 
     def test_lemma_structure_of_returned_star(self):
         rng = random.Random(3)
@@ -319,12 +319,12 @@ class TestBestStar:
             for center in range(12):
                 if center in members:
                     continue
-                star = best_star_at(idx, g, center)
+                star = best_star_at(idx, center)
                 if star is None:
                     continue
-                seen_comps = set(component_neighbors(idx, g, center))
+                seen_comps = set(component_neighbors(idx, center))
                 for leaf in star[2]:
-                    reached = component_neighbors(idx, g, leaf)
+                    reached = component_neighbors(idx, leaf)
                     assert len(reached) == 1
                     comp = next(iter(reached))
                     assert comp not in seen_comps
@@ -351,7 +351,7 @@ class TestBestStar:
             for center in range(9):
                 if center in members:
                     continue
-                star = best_star_at(idx, g, center)
+                star = best_star_at(idx, center)
                 brute = brute_force_best_star(g, members, center)
                 if star is not None:
                     _, gain, _, total_cost = star
@@ -385,8 +385,8 @@ class TestBestStar:
         for center in range(n):
             if center in idx:
                 continue
-            assert best_star_at(idx, g, center) == _value(reference_best_star_at(idx, g, center), g)
-            assert component_neighbors(idx, g, center) == reference_component_neighbors(idx, g, center)
+            assert best_star_at(idx, center) == _value(reference_best_star_at(idx, g, center), g)
+            assert component_neighbors(idx, center) == reference_component_neighbors(idx, g, center)
 
 
 class TestGreedyConnect:
@@ -637,9 +637,9 @@ class TestPairwiseConnect:
         assert 1.0 + 1e-17 == 1.0
         singleton = StarCandidate(center=1, leaves=(), gain=1, total_cost=1.0)
         idx = ComponentIndex(inst.graph, [0, 2])
-        assert pair_candidate(idx, inst.graph, 1, -1) == _value(singleton, inst.graph)
+        assert pair_candidate(idx, 1, -1) == _value(singleton, inst.graph)
         key, gain, _, total_cost = _value(singleton, inst.graph)
-        assert pair_candidate(idx, inst.graph, 1, 3) == (key, gain, (3,), total_cost)
+        assert pair_candidate(idx, 1, 3) == (key, gain, (3,), total_cost)
         assert pairwise_connect(inst, {0, 2}).stars == [singleton]
         assert reference_connect(inst, {0, 2}, "pairwise").stars == [singleton]
 
@@ -693,13 +693,13 @@ class TestPairwiseConnect:
                     if gain >= 1:
                         leaves = () if b < 0 else (b,)
                         cand = StarCandidate(center=a, leaves=leaves, gain=gain, total_cost=total)
-                    assert pair_candidate(idx, graph, a, b) == _value(cand, graph)
+                    assert pair_candidate(idx, a, b) == _value(cand, graph)
                     slots.append((a, b))
                     if cand is not None:
                         ranked.append(((-ratio_key(gain, total, graph.key_shift), -gain), cand))
             # equal ranks keep the scan order: centers by id, the singleton, then b in adjacency order
             ranked.sort(key=lambda item: item[0])
-            heap = _CandidateHeap(idx, graph, pair_candidate)
+            heap = _CandidateHeap(idx, pair_candidate)
             heap.refresh(reversed(slots))
             popped = []
             while (cand := heap.pop()) is not None:
@@ -776,16 +776,17 @@ class _CheckedHeap(_CandidateHeap):
 
     def refresh(self, slots):
         super().refresh(slots)
+        graph = self.idx.graph
         live = {}
         for entry in self.entries:
             if self.live(entry):
                 slot = entry[2:4]
                 assert slot not in live, f"two live entries at slot {slot}"
                 live[slot] = entry
-        free = _free_slots(self.idx, self.graph, self.method)
+        free = _free_slots(self.idx, graph, self.method)
         assert set(live) <= set(free)
         for slot in free:
-            fresh = self.value(self.idx, self.graph, *(slot if slot[1] >= 0 else slot[:1]))
+            fresh = self.value(self.idx, *(slot if slot[1] >= 0 else slot[:1]))
             entry = live.get(slot)
             if fresh is None:
                 assert entry is None, f"slot {slot}: live entry {entry} but no candidate"
@@ -794,11 +795,11 @@ class _CheckedHeap(_CandidateHeap):
                 key, gain, leaves, total_cost = fresh
                 assert entry[5:] == (leaves, total_cost)
                 assert entry[:2] == (-key, -gain)
-                assert key == ratio_key(gain, total_cost, self.graph.key_shift)
+                assert key == ratio_key(gain, total_cost, graph.key_shift)
         # live entries have distinct slots, so the order never reaches the stamp
         first = min(live.values(), default=None)
         pick = first and StarCandidate(center=first[2], leaves=first[5], gain=-first[1], total_cost=first[6])
-        assert pick == reference_pick(self.idx, self.graph, self.method)
+        assert pick == reference_pick(self.idx, graph, self.method)
         type(self).refreshes += 1
 
 

@@ -6,6 +6,7 @@ import re
 import sys
 import time
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,6 +19,8 @@ from cdsopt.connector import best_star_at, greedy_connect, pair_candidate, pairw
 from cdsopt.domination import DeficitState, coverage_gain
 from cdsopt.generators import (
     RANDOM_MAX_PAIRS,
+    UDG_MAX_ATTEMPTS,
+    UDG_MAX_DRAWN_POINTS,
     UDG_MAX_EXPECTED_EDGES,
     _coin_bits,
     gen_fig1,
@@ -263,6 +266,32 @@ class TestRandomGenerator:
         with pytest.raises(InstanceError, match=message):
             gen_random_connected(n + 1, 3 / n, (1.0, 2.0), seed=0)
 
+    def test_edge_cap_boundary(self):
+        # the expected edge count (n - 1) + p*(n(n-1)/2 - (n - 1)) is compared
+        # exactly, before the fold and before any coin is drawn
+        message = r"edges, more than 5,000,000$"
+        # p = 1 makes every pair an edge: n = 3,162 is the largest complete graph under the cap
+        n = 3_162
+        assert n * (n - 1) // 2 <= UDG_MAX_EXPECTED_EDGES < (n + 1) * n // 2
+        with pytest.raises(InstanceError, match="^fold requirement m must be >= 1$"):
+            gen_random_connected(n, 1.0, (1.0, 2.0), seed=0, m=0)
+        with pytest.raises(InstanceError, match=f"^n = {n + 1} at p = 1 makes about 5,000,703 " + message):
+            gen_random_connected(n + 1, 1.0, (1.0, 2.0), seed=0, m=0)
+        # at the pair cap's n, the floats on either side of the exact p at the cap
+        n = 20_000
+        extra = n * (n - 1) // 2 - (n - 1)
+        exact = Fraction(UDG_MAX_EXPECTED_EDGES - (n - 1), extra)
+        below = float(exact)
+        if Fraction(below) > exact:
+            below = math.nextafter(below, 0.0)
+        above = math.nextafter(below, 1.0)
+        assert Fraction(below) <= exact < Fraction(above)
+        with pytest.raises(InstanceError, match="^fold requirement m must be >= 1$"):
+            gen_random_connected(n, below, (1.0, 2.0), seed=0, m=0)
+        for p in (above, 1.0):
+            with pytest.raises(InstanceError, match=message):
+                gen_random_connected(n, p, (1.0, 2.0), seed=0, m=0)
+
     def test_parameter_checks(self):
         with pytest.raises(InstanceError):
             gen_random_connected(0, 0.5, (1.0, 2.0), seed=0)
@@ -313,7 +342,8 @@ class TestUdgGenerator:
     def test_retry_budget_error(self, monkeypatch):
         # two nodes far apart with a tiny retry budget cannot connect
         monkeypatch.setattr(cdsopt.generators, "UDG_MAX_ATTEMPTS", 3)
-        with pytest.raises(InstanceError, match="could not generate connected UDG"):
+        message = r"^could not generate connected UDG after 3 attempts, the cap for n = 12 \(at most 3 attempts and 1,000,000 drawn points\)$"
+        with pytest.raises(InstanceError, match=message):
             gen_udg(12, 50.0, (1.0, 1.0), seed=0)
 
     def test_validator_passes(self):
@@ -670,9 +700,9 @@ class TestOneIdCheck:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda inst, idx, u: best_star_at(idx, inst.graph, u),
-            lambda inst, idx, u: pair_candidate(idx, inst.graph, u),
-            lambda inst, idx, u: pair_candidate(idx, inst.graph, 2, u),
+            lambda inst, idx, u: best_star_at(idx, u),
+            lambda inst, idx, u: pair_candidate(idx, u),
+            lambda inst, idx, u: pair_candidate(idx, 2, u),
             lambda inst, idx, u: coverage_gain(DeficitState(inst), u),
             lambda inst, idx, u: DeficitState(inst).add(u),
         ],
@@ -716,6 +746,28 @@ class TestUnitDiskChecksRunOnce:
         with pytest.raises(InstanceError, match="could not generate connected UDG"):
             gen_udg(n, side, (0.1, 10.0), seed=seed)
         assert (calls["unit_disk_adjacency"], calls["component_labels"]) == (attempts - 1, attempts - 1)
+
+    @pytest.mark.parametrize(
+        "points,attempts",
+        # 12 * 32 points allow the 32 attempts the seed needs; one point fewer, 31;
+        # fewer than n points still allow one attempt
+        [(12 * 32, 32), (12 * 32 - 1, 31), (11, 1)],
+    )
+    def test_attempt_cap_boundary(self, calls, monkeypatch, points, attempts):
+        # a request of n points gets min(UDG_MAX_ATTEMPTS, max(1, UDG_MAX_DRAWN_POINTS // n))
+        # attempts, so every n <= 1,000 keeps all of them
+        assert UDG_MAX_DRAWN_POINTS // 1000 == UDG_MAX_ATTEMPTS == 1000
+        monkeypatch.setattr(cdsopt.generators, "UDG_MAX_DRAWN_POINTS", points)
+        if attempts == 32:
+            gen_udg(12, 4.0, (0.1, 10.0), seed=3)
+        else:
+            message = (
+                f"^could not generate connected UDG after {attempts} attempts, the cap for n = 12"
+                f" \\(at most 1,000 attempts and {points:,} drawn points\\)$"
+            )
+            with pytest.raises(InstanceError, match=message):
+                gen_udg(12, 4.0, (0.1, 10.0), seed=3)
+        assert (calls["unit_disk_adjacency"], calls["component_labels"]) == (attempts, attempts)
 
     def test_parse_checks_the_rule_once(self, calls):
         text = serialize_instance(gen_udg(30, 4.0, (0.1, 10.0), seed=1))

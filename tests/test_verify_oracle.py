@@ -422,11 +422,15 @@ class TestRatioReport:
         inst = path_instance(3)
         cds = exact_minimum_cds(inst)
         mds = exact_minimum_mds(inst)
-        record = ratio_report(inst, mds.opt_cost, 0.0, cds.opt_cost, cds, mds)
+        # {1} is both optima, so an MDS-optimal d1 with no connector is CDS-optimal
+        assert cds.opt_cost == mds.opt_cost
+        record = ratio_report(inst, mds.opt_cost, 0.0, cds, mds)
         assert (record.opt_set, record.opt_mds_set) == (cds.opt_set, mds.opt_set)
         assert record.ratio_d1 == 1.0
         assert record.ratio_total == 1.0
         assert record.ratio_d2 == 0.0
+        # the total is the two phase costs' sum
+        assert ratio_report(inst, 0.5, 0.25, cds, mds).ratio_total == 0.75 / cds.opt_cost
         assert record.bound_total == pytest.approx(harmonic(3) + 2 * harmonic(1))
         assert record.udg_bound_d2 is None
 
@@ -436,5 +440,5 @@ class TestRatioReport:
         inst = gen_udg(8, 2.0, (0.5, 2.0), seed=3)
         cds = exact_minimum_cds(inst)
         mds = exact_minimum_mds(inst)
-        record = ratio_report(inst, mds.opt_cost, 0.0, cds.opt_cost, cds, mds)
+        record = ratio_report(inst, mds.opt_cost, 0.0, cds, mds)
         assert record.udg_bound_d2 == pytest.approx(11 / 3)
