@@ -33,7 +33,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .generators import KINDS, generate
 from .graph import InstanceError, fmt_float, left_sum
-from .oracle import DEFAULT_NODE_BUDGET, proven_bounds
+from .oracle import DEFAULT_NODE_BUDGET, OracleBudgetError, proven_bounds
 from .solver import solve
 
 CSV_COLUMNS = [
@@ -204,11 +204,12 @@ def pool_width(case_count: int, requested: int | None = None) -> int:
 
 def _run_entry_case(case: dict) -> dict:
     """``run_case`` on a case of ``load_batch_spec``, whose InstanceError, such
-    as a bad generator parameter, names the case's entry.  Picklable worker."""
+    as a bad generator parameter, or OracleBudgetError names the case's entry
+    and keeps its class.  Picklable worker."""
     try:
         return run_case(case)
-    except InstanceError as exc:
-        raise InstanceError(f"entry {case['entry']}: {exc}") from None
+    except (InstanceError, OracleBudgetError) as exc:
+        raise type(exc)(f"entry {case['entry']}: {exc}") from None
 
 
 def run_batch(cases: list[dict], threads: int | None = None) -> list[dict]:

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .graph import Instance, checked_ids, validate_fold
+from .graph import Instance, checked_ids
 
 
 class GreedyStep(NamedTuple):
@@ -46,7 +46,7 @@ class DeficitState:
     fall, so a node with positive deficit is outside the set.
 
     A free node's gain is its deficit plus its neighbors of positive
-    deficit, so it starts at m + deg(u) (the constructor checks m >= 1, so
+    deficit, so it starts at m + deg(u) (``Instance`` checks m >= 1, so
     every deficit starts positive) and changes only when a deficit falls:
     by one at the node whose deficit falls, and by one at each free
     neighbor of a node whose deficit reaches 0.  ``add(u)`` pays
@@ -56,7 +56,6 @@ class DeficitState:
     """
 
     def __init__(self, inst: Instance):
-        validate_fold(inst.m)
         n = inst.graph.node_count
         self.inst = inst
         self.in_set = [False] * n

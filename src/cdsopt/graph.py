@@ -11,7 +11,10 @@ Instance file format (UTF-8, lines starting with '#' are comments):
 A comment of the form ``# label: <text>`` restores the instance label on
 parse; all other comments are ignored.  Canonical serialization sorts edges
 lexicographically and prints floats with 17 significant digits, so parse and
-serialize round-trip exactly.
+serialize round-trip exactly.  ``_edge_text`` is the one writer of edge
+lines: ``serialize_instance`` ends its text with them, and the canonical path
+below compares a file's tail with them, so every unit-disk file it writes
+takes that path.  ``Instance`` checks m >= 1 through ``validate_fold``.
 
 ``edge_adjacency`` turns an edge list into sorted neighbour tuples and
 rejects out-of-range endpoints, loops and duplicate edges.
@@ -38,15 +41,15 @@ W > E, so the compared pairs are at most 37E + 18n.
 
 ``parse_instance`` checks the text's shape first.  On a unit-disk file with
 finite coordinates and exactly the header's count of rows after them, it
-computes the rule's adjacency and formats its canonical edge lines,
-``u v`` for u < v in order; if the text ends with exactly those lines, the
-adjacency is the file's, and no edge line is read.  Any other file reads
-the edge lines in one pass; only when that pass fails does it rescan them
-line by line, to name the first malformed line, loop or line without
-``0 <= u < v < n``.  Both paths end in ``from_adjacency``, which reuses a
-rule adjacency the first path computed, so every file gets the same checks
-in the same order, the rule is computed at most once and every error names
-the same line or pair.
+computes the rule's adjacency and formats its canonical edge lines with
+``_edge_text``, ``u v`` for u < v in order; if the text ends with exactly
+those lines, the adjacency is the file's, and no edge line is read.  Any
+other file reads the edge lines in one pass; only when that pass fails does
+it rescan them line by line, to name the first malformed line, loop or line
+without ``0 <= u < v < n``.  Both paths end in ``from_adjacency``, which
+reuses a rule adjacency the first path computed, so every file gets the
+same checks in the same order, the rule is computed at most once and every
+error names the same line or pair.
 
 ``gen_udg`` builds its ``WeightedGraph`` directly; that graph equals the one
 ``parse_instance`` builds from its text.  Every entry point that takes node
@@ -201,18 +204,17 @@ class WeightedGraph:
     def edge_count(self) -> int:
         return sum(len(nbrs) for nbrs in self.adjacency) // 2
 
-    def edges(self) -> list[tuple[int, int]]:
-        """All edges as (u, v) with u < v, lexicographically sorted."""
-        return [(u, v) for u in range(self.node_count) for v in self.adjacency[u] if u < v]
-
 
 @dataclass(frozen=True)
 class Instance:
-    """A problem instance: graph plus the fold requirement m."""
+    """A problem instance: graph plus the fold requirement m >= 1."""
 
     graph: WeightedGraph
     m: int
     label: str = ""
+
+    def __post_init__(self) -> None:
+        validate_fold(self.m)
 
 
 def checked_ids(n: int, ids) -> list[int]:
@@ -397,15 +399,19 @@ def unit_disk_adjacency(coords, cells=None) -> tuple[tuple[int, ...], ...]:
 
 def _edge_text(adjacency) -> str:
     """The canonical edge lines of a sorted adjacency as one string: each line
-    ``u v`` with u < v, in order, preceded by a newline, and a final newline."""
+    ``u v`` with u < v, in order, preceded by a newline, and a final newline.
+    A node with one higher neighbour, as most of a ladder's, writes its line whole."""
     names = list(map(str, range(len(adjacency))))
     parts = []
     for u, nbrs in enumerate(adjacency):
-        higher = nbrs[bisect.bisect_right(nbrs, u):]
-        if higher:
-            sep = f"\n{u} "
+        i = bisect.bisect_right(nbrs, u)
+        higher = len(nbrs) - i
+        if higher == 1:
+            parts.append(f"\n{names[u]} {names[nbrs[i]]}")
+        elif higher:
+            sep = f"\n{names[u]} "
             parts.append(sep)
-            parts.append(sep.join(map(names.__getitem__, higher)))
+            parts.append(sep.join(map(names.__getitem__, nbrs[i:])))
     parts.append("\n")
     return "".join(parts)
 
@@ -561,16 +567,15 @@ def parse_instance(text: str) -> Instance:
 
 
 def serialize_instance(inst: Instance) -> str:
-    """Canonical text form: label comment, header, costs, coords, sorted edges."""
+    """Canonical text form: label comment, header, costs, coords, and the
+    sorted edge lines of ``_edge_text``, which ``parse_instance`` compares."""
     g = inst.graph
     lines: list[str] = []
     if inst.label:
         lines.append(f"# label: {inst.label}")
-    edges = g.edges()
-    lines.append(f"cds {g.node_count} {len(edges)} {inst.m}")
+    lines.append(f"cds {g.node_count} {g.edge_count} {inst.m}")
     lines.append(" ".join(fmt_float(c) for c in g.cost))
     if g.coords is not None:
         lines.append("coords")
         lines.extend(f"{fmt_float(x)} {fmt_float(y)}" for x, y in g.coords)
-    lines.extend(f"{u} {v}" for u, v in edges)
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + _edge_text(g.adjacency)

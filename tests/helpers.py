@@ -58,6 +58,11 @@ def degree(graph: WeightedGraph, u: int) -> int:
     return len(graph.adjacency[u])
 
 
+def edge_list(graph: WeightedGraph) -> list[tuple[int, int]]:
+    """All edges as (u, v) with u < v, lexicographically sorted."""
+    return [(u, v) for u, nbrs in enumerate(graph.adjacency) for v in nbrs if u < v]
+
+
 def path_instance(k, m=1, costs=None) -> Instance:
     return make_instance(k, [(i, i + 1) for i in range(k - 1)], costs=costs, m=m)
 

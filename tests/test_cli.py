@@ -602,13 +602,29 @@ class TestBench:
         assert "entry 1: batch would hold 12 cases, more than 10" in err
 
     @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_bad_generator_parameter_names_its_entry(self, tmp_path, capsys, threads):
-        # the spec loads, so the error comes from the generator when entry 1's case runs
+    @pytest.mark.parametrize(
+        "entries,message",
+        [
+            ([{"kind": "random", "n": 6, "p": 0.5}, {"kind": "udg", "n": 10, "side": -1.0}], "side must be finite and positive"),
+            (
+                [{"kind": "random", "n": 8, "p": 0.4}, {"kind": "udg", "n": 20, "side": 2.5, "oracle": True}],
+                "instance too large for oracle: 20 nodes > budget 16",
+            ),
+            (
+                [
+                    {"kind": "random", "n": 8, "p": 0.4},
+                    {"kind": "fig1", "d": 400, "eps": 0.01, "node_budget": 2000, "oracle": True},
+                ],
+                "instance too deep for the oracle's recursive search: 1202 nodes",
+            ),
+        ],
+        ids=["generator", "oracle-budget", "oracle-depth"],
+    )
+    def test_bad_generator_parameter_names_its_entry(self, tmp_path, capsys, threads, entries, message):
+        # the spec loads, so the error comes from the generator or the oracle when entry 1's case runs
         batch = tmp_path / "batch.json"
-        batch.write_text(
-            json.dumps({"entries": [{"kind": "random", "n": 6, "p": 0.5}, {"kind": "udg", "n": 10, "side": -1.0}]})
-        )
-        expected = (2, "", "error: entry 1: side must be finite and positive\n")
+        batch.write_text(json.dumps({"entries": entries}))
+        expected = (2, "", f"error: entry 1: {message}\n")
         assert run_cli(capsys, "bench", str(batch), "--threads", threads) == expected
 
     def test_malformed_batch_exit_2(self, tmp_path, capsys):

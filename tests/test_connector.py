@@ -32,6 +32,7 @@ from helpers import (
     brute_force_best_star,
     comb_instance,
     complete_instance,
+    edge_list,
     formula_star_value,
     make_instance,
     merge_potential,
@@ -559,7 +560,7 @@ class TestRelabelling:
         g = inst.graph
         coords = None if g.coords is None else [g.coords[u] for u in old]
         graph = WeightedGraph.from_edges(
-            n, [(perm[u], perm[v]) for u, v in g.edges()], [g.cost[u] for u in old], coords=coords
+            n, [(perm[u], perm[v]) for u, v in edge_list(g)], [g.cost[u] for u in old], coords=coords
         )
         relabelled = replace(inst, graph=graph)
 
@@ -675,7 +676,7 @@ class TestPairwiseConnect:
                 costs = [float(rng.randint(1, 3)) for _ in range(14)]
             else:
                 costs = [rng.randint(1, 30) / 10 for _ in range(14)]
-            graph = make_instance(14, base.graph.edges(), costs=costs).graph
+            graph = make_instance(14, edge_list(base.graph), costs=costs).graph
             idx = ComponentIndex(graph, sorted(random_dominating_set(rng, graph)))
             slots = []
             ranked = []

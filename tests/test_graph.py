@@ -28,6 +28,7 @@ from cdsopt.generators import (
     gen_udg,
 )
 from cdsopt.graph import (
+    Instance,
     InstanceError,
     WeightedGraph,
     component_labels,
@@ -42,6 +43,7 @@ from cdsopt.verify import verify_cds, verify_mds
 from helpers import (
     bfs_component_count,
     degree,
+    edge_list,
     make_instance,
     path_instance,
     reference_gen_random_connected,
@@ -331,7 +333,7 @@ class TestUdgGenerator:
             for j in range(i + 1, 50)
             if (sx := pts[i][0] - pts[j][0]) * sx + (sy := pts[i][1] - pts[j][1]) * sy <= 1.0
         }
-        assert set(g.edges()) == expected
+        assert set(edge_list(g)) == expected
 
     def test_deterministic(self):
         a = gen_udg(30, 4.0, (0.1, 10.0), seed=1)
@@ -601,6 +603,15 @@ class TestValidate:
         with pytest.raises(InstanceError, match="^fold requirement m must be >= 1$"):
             validate_fold(0)
 
+    @pytest.mark.parametrize("m", [0, -1])
+    @pytest.mark.parametrize("with_oracle", [False, True])
+    def test_instance_rejects_m_below_one(self, m, with_oracle):
+        # without the check, m = 0 solved to a CDS report, and the oracle
+        # divided by the empty set's cost 0
+        graph = path_instance(3).graph
+        with pytest.raises(InstanceError, match="^fold requirement m must be >= 1$"):
+            solve(Instance(graph, m), given_ds=[1], with_oracle=with_oracle)
+
     @pytest.mark.parametrize(
         "n,edges,fragment",
         [
@@ -739,7 +750,7 @@ class TestUnitDiskChecksRunOnce:
     def test_gen_udg_once_per_attempt(self, calls, monkeypatch, n, side, seed, attempts):
         inst = gen_udg(n, side, (0.1, 10.0), seed=seed)
         assert (calls["unit_disk_adjacency"], calls["component_labels"]) == (attempts, attempts)
-        assert inst.graph.edges() == reference_unit_disk_edges(inst.graph.coords)
+        assert edge_list(inst.graph) == reference_unit_disk_edges(inst.graph.coords)
         # the seed needs exactly that many point sets: one fewer is not enough
         monkeypatch.setattr(cdsopt.generators, "UDG_MAX_ATTEMPTS", attempts - 1)
         calls.clear()
@@ -857,7 +868,7 @@ class TestUnitDiskRuleNamesThePair:
         # point sets on about 1% of seeds (n = 9, seed = 142 among them)
         side = min(side, 0.7 * math.sqrt(n) + 0.5)
         inst = gen_udg(n, side, (1.0, 1.0), seed=seed)
-        coords, edges = list(inst.graph.coords), inst.graph.edges()
+        coords, edges = list(inst.graph.coords), edge_list(inst.graph)
         if fault == "add":
             # a pair the scan compares, cells at most 3 apart per axis, that is no edge
             cell = [(math.floor(2 * x), math.floor(2 * y)) for x, y in coords]
@@ -884,7 +895,7 @@ class TestUnitDiskRuleNamesThePair:
         expected = expected_parse_error(coords, edges)
         text = udg_text(coords, edges)
         if expected is None:
-            assert parse_instance(text).graph.edges() == edges
+            assert edge_list(parse_instance(text).graph) == edges
         else:
             with pytest.raises(InstanceError, match=f"^{re.escape(expected)}$"):
                 parse_instance(text)
@@ -938,7 +949,7 @@ class TestCanonicalUnitDiskParse:
     def variant(kind: str) -> str:
         """The text of a 30-point unit-disk graph, its edge lines as ``kind`` says."""
         graph = gen_udg(30, 4.0, (0.1, 10.0), seed=1).graph
-        lines = udg_text(graph.coords, graph.edges()).splitlines()
+        lines = udg_text(graph.coords, edge_list(graph)).splitlines()
         first = 3 + graph.node_count
         if kind == "reordered":
             lines[first:] = reversed(lines[first:])
@@ -950,8 +961,21 @@ class TestCanonicalUnitDiskParse:
             lines[first] = "0" + lines[first]
         return "\n".join(lines) + "\n"
 
-    def test_canonical_file_reads_no_edge_line(self, calls):
-        parse_instance(self.variant("canonical"))
+    @pytest.mark.parametrize(
+        "source",
+        ["canonical", (1, 1.0, 0), (800, 10.0, 1000), (30, 4.0, 1)],
+        ids=["udg_text", "serialized-n1", "serialized-udg-star", "serialized-n30"],
+    )
+    def test_canonical_file_reads_no_edge_line(self, calls, source):
+        # serialize_instance's own output takes the canonical path too: the
+        # single point, the udg-star benchmark's shape, and the 30-point graph
+        if source == "canonical":
+            text = self.variant(source)
+        else:
+            n, side, seed = source
+            text = serialize_instance(gen_udg(n, side, (0.1, 10.0), seed=seed))
+        calls.clear()
+        parse_instance(text)
         assert (calls["edge_adjacency"], calls["unit_disk_adjacency"]) == (0, 1)
 
     @pytest.mark.parametrize("kind", ["reordered", "doubled space", "comment", "leading zero"])
