@@ -205,11 +205,15 @@ def pool_width(case_count: int, requested: int | None = None) -> int:
 def _run_entry_case(case: dict) -> dict:
     """``run_case`` on a case of ``load_batch_spec``, whose InstanceError, such
     as a bad generator parameter, or OracleBudgetError names the case's entry
-    and keeps its class.  Picklable worker."""
+    and keeps its class, and whose row must hold only finite numbers: a
+    non-finite one raises ValueError naming the entry.  Picklable worker."""
     try:
-        return run_case(case)
+        row = run_case(case)
     except (InstanceError, OracleBudgetError) as exc:
         raise type(exc)(f"entry {case['entry']}: {exc}") from None
+    if not all(math.isfinite(value) for value in row.values() if isinstance(value, float)):
+        raise ValueError(f"entry {case['entry']}: {OVERFLOW_MESSAGE}")
+    return row
 
 
 def run_batch(cases: list[dict], threads: int | None = None) -> list[dict]:
@@ -226,8 +230,6 @@ def _cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(OVERFLOW_MESSAGE)
         return fmt_float(value)
     return str(value)
 

@@ -38,9 +38,16 @@ class ComponentIndex:
     entry holds exactly one label holds that label, and every other node,
     members included, holds -1.  An add recomputes it once for each node
     whose ``reach`` entry it changed and clears u's, so its upkeep is O(1)
-    per changed node, and it reports the nodes whose ``single`` entry
-    changed: the connector revalues a star only when its center's ``reach``
-    entry or a neighbor's ``single`` entry changed.
+    per changed node.
+
+    ``changed``, ``flipped``, ``grown`` and ``opened`` log, over the adds
+    since the last ``take_changes()``, the nodes whose ``reach`` entry
+    changed, whose ``single`` entry changed, whose ``reach`` entry gained a
+    label and whose ``single`` entry went from -1 to a label (``add`` says
+    which exactly).  The connector takes them once per round: it revalues a
+    star only when its center's ``reach`` entry or a neighbor's ``single``
+    entry changed, and at once only when the center's entry gained a label
+    or a neighbor's entry went from -1 to a label.
     """
 
     def __init__(self, graph: WeightedGraph, members=()):
@@ -53,6 +60,10 @@ class ComponentIndex:
             for v, nbrs in enumerate(graph.adjacency)
         ]
         self.single = [next(iter(near)) if len(near) == 1 else -1 for near in self.reach]
+        self.changed: set[int] = set()
+        self.flipped: set[int] = set()
+        self.grown: set[int] = set()
+        self.opened: set[int] = set()
         self._components: dict[int, list[int]] = {}  # label -> its members
         for u in members:
             self._components.setdefault(label[u], []).append(u)
@@ -64,16 +75,24 @@ class ComponentIndex:
     def component_count(self) -> int:
         return len(self._components)
 
-    def add(self, u: int) -> tuple[set[int], set[int]]:
-        """Insert u; return the nodes whose ``reach`` entry and whose ``single`` entry changed.
+    def add(self, u: int) -> None:
+        """Insert u, logging what it changes into ``changed``, ``flipped``, ``grown`` and ``opened``.
 
-        The first set holds the free neighbors of every member relabeled
-        into the surviving component (each loses the old label) and the free
-        neighbors of u that did not yet touch u's component.  A free node
-        outside it holds the same ``reach`` entry as before.  The second set
-        holds u when its ``single`` entry was a label, and each node of the
-        first set whose ``single`` entry differs from before the add; every
-        other node holds the same ``single`` entry as before.
+        ``changed`` gains the nodes whose ``reach`` entry changed: the free
+        neighbors of every member relabeled into the surviving component
+        (each loses the old label) and the free neighbors of u that did not
+        yet touch u's component.  A free node outside it holds the same
+        ``reach`` entry as before.  ``flipped`` gains u when its ``single``
+        entry was a label, and each node of ``changed`` whose ``single``
+        entry differs from before the add; every other node holds the same
+        ``single`` entry as before.
+
+        ``grown`` gains the part of ``changed`` whose entry gained a label:
+        the free neighbors of u that touched none of the merged components.
+        Every other node of ``changed`` only had merged labels replaced by
+        the surviving one, so its entry is the image of the old one under
+        the merge.  ``opened`` gains the part of ``flipped`` whose ``single``
+        entry went from -1 to a label.
         """
         if not 0 <= u < self.graph.node_count:
             checked_ids(self.graph.node_count, (u,))  # raises the range error
@@ -86,9 +105,13 @@ class ComponentIndex:
         components = self._components
         touched = reach[u]
         reach[u] = set()
-        flipped = {u} if single[u] >= 0 else set()
+        flipped = self.flipped
+        grown = self.grown
+        opened = self.opened
+        if single[u] >= 0:
+            flipped.add(u)
         single[u] = -1
-        changed: set[int] = set()
+        changed: set[int] = set()  # this add's, for its single updates
         if not touched:
             target = u
             label[u] = u
@@ -116,10 +139,21 @@ class ComponentIndex:
             if label[x] < 0 and target not in reach[x]:
                 reach[x].add(target)
                 changed.add(x)
+                grown.add(x)
         # every changed entry holds target
         for x in changed:
             now = target if len(reach[x]) == 1 else -1
-            if single[x] != now:
+            was = single[x]
+            if was != now:
                 single[x] = now
                 flipped.add(x)
-        return changed, flipped
+                if was < 0:
+                    opened.add(x)
+        if changed:
+            self.changed |= changed
+
+    def take_changes(self) -> tuple[set[int], set[int], set[int], set[int]]:
+        """``(changed, flipped, grown, opened)`` over the adds since the last call, which start empty again."""
+        logged = self.changed, self.flipped, self.grown, self.opened
+        self.changed, self.flipped, self.grown, self.opened = set(), set(), set(), set()
+        return logged

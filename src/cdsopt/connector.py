@@ -32,26 +32,68 @@ singleton comes before its center's pairs, a pair before the pairs of later
 neighbors, and a center before larger ones: the order of ranking each
 center's candidates in adjacency order and then the centers by id.
 
-Recomputing only the slots a round can change is exact.  ``best_star_at``
-at a free center c reads three things: c's reach entry (the labels of the
-components c touches), ``single[v]`` for each neighbor v of c (-1 for a
-member), and the fixed costs.  Over a round's adds, ``ComponentIndex.add``
-reports R, the free nodes whose reach entry changed, and S, the nodes whose
-``single`` entry changed, joined nodes included.  A center that is still
-free, outside R and with no neighbor in S reads what it read before the
-round, so its value is unchanged: the stale star slots are the free nodes of
-R and the free neighbors of S.  S lies within R and
-the joined nodes, so this is a subset of the closed neighborhoods of the
-changed and joined nodes.  A singleton or pair reads only the reach entries
-of its endpoints and whether both are free, so a slot with no endpoint in R
-keeps its value, and a slot with an endpoint that joined is dead: the stale
-baseline slots are the singleton of each x in R and its edges to free
-neighbors.  Every other slot keeps its entry.  Candidate values can rise as
-well as fall between rounds, so lazy upper bounds would be wrong; this
-invalidation is explicit and exact.  A round's work is the slots of R and
-the neighbors of S, so it is not linear in general: a hub whose reach entry
-changes every round is revalued every round, and a node of S with many free
-neighbors revalues them all.  The ladder has no such round, since no round
+A round changes few slots.  ``best_star_at`` at a free center c reads
+three things: c's reach entry (the labels of the components c touches),
+``single[v]`` for each neighbor v of c (-1 for a member), and the fixed
+costs.  Over a round's adds, ``ComponentIndex.add`` logs R, the free
+nodes whose reach entry changed, and S, the nodes whose ``single`` entry
+changed, joined nodes included.  A center that is still free, outside R and
+with no neighbor in S reads what it read before the round, so its value is
+unchanged: the stale star slots are the free nodes of R and the free
+neighbors of S.  S lies within R and the joined nodes, so this is a subset
+of the closed neighborhoods of the changed and joined nodes.  A singleton
+or pair reads only the reach entries of its endpoints and whether both are
+free, so a slot with no endpoint in R keeps its value, and a slot with an
+endpoint that joined is dead: the stale baseline slots are the singleton of
+each free x in R and its edges to free neighbors.
+
+Only a few stale slots can rise.  ``add`` also logs R+, the part of R
+whose reach entry gained a label (the free neighbors of the added node that
+touched none of the components it merged), and S+, the part of S whose
+``single`` entry went from -1 to a label.  The *risers* are the slots that
+read an entry of R+ or S+: a center or endpoint in R+, or a star with a
+neighbor in S+ (a pair reads no ``single`` entry, so one rule serves both
+connectors).  A value can rise only at a riser, so a round revalues its
+risers and marks its other stale slots dirty.  A dirty slot keeps its live
+entry as an upper bound and is revalued only when that entry reaches the
+heap top (Minoux's accelerated greedy, restricted to the slots whose value
+cannot rise); a dirty slot with no entry merged nothing before and merges
+nothing now.  When a clean live entry tops the heap, every other slot's
+value ranks after its entry or bound, so the pick is the exact best, and
+no tie needs draining, by this proof that a dirty entry ranks no later
+than its slot's value in the full (key, larger gain, center, partner) order.
+An add merges the components the added node touches into one, so a
+non-riser's reach entry after it is the image of its entry before under
+that merge, and the bound, kept by each add, carries over many adds.
+
+- A pair: its reach union is the image of the old one, so its gain cannot
+  grow, and its cost is fixed, so its key cannot rise and an equal key
+  means an equal gain.
+- A star at c, with reach entry ``near``, eligible leaves E and kept leaves
+  ``kept`` before the add and ``near'``, E', ``kept'`` after it.  ``near'``
+  is the image of ``near``, so it is no larger.  A leaf v of E' had
+  ``single[v]`` set before (no neighbor of c is in S+) and gained no label
+  (its entry would hold two), so its old label L maps to its new one, and L
+  in ``near`` would put its image in ``near'``: v was in E.  Distinct new
+  labels come from distinct old ones, so any j leaves of ``kept'`` are j
+  leaves of E with distinct labels outside ``near``.  ``kept`` takes one
+  leaf per label in (cost, id) order, the greedy basis of a partition
+  matroid, so its i-th leaf costs no more than the i-th cheapest of any
+  such set (Gale): ``kept'`` is no longer than ``kept``, and its i-th leaf
+  costs at least ``kept``'s.  (``kept'`` need not be a subset of ``kept``:
+  the cheapest leaf of a label can gain a second label and drop out.)
+  Rounding is monotone, so each prefix total of ``kept'`` is at least the
+  old total of the same length, and its gain ``len(near') - 1 + j`` is at
+  most the old ``len(near) - 1 + j``.  So the new best prefix, of length
+  j', has a key no larger than the old prefix of length j', which is no
+  larger than the old best key.  At an equal key, the old prefix of length
+  j' also has the best key, and the old best is the longest prefix at that
+  key, so its gain is at least the new one.
+
+A round's work is listing the slots of R and the neighbors of S and valuing
+its risers, so it is not linear in general: a hub whose reach entry gains a
+label every round is revalued every round, and a node of S with many free
+neighbors lists them all.  The ladder has no such round, since no round
 changes its hub's reach entry, so on the ladder the baseline values its
 4d+1 slots in the first round and none after it.
 """
@@ -89,6 +131,7 @@ class ConnectReport:
     connectors: set[int] = field(default_factory=set)
     initial_components: int = 1
     component_trace: list[int] = field(default_factory=list)
+    valuations: int = 0  # slot values computed, revaluations of dirty slots included
 
 
 def component_neighbors(idx: ComponentIndex, u: int) -> set[int]:
@@ -184,22 +227,22 @@ def pair_candidate(idx: ComponentIndex, a: int, b: int = -1) -> tuple | None:
     return ratio_key(gain, total, graph.key_shift), gain, leaves, total
 
 
-def _star_slots(idx: ComponentIndex, changed, flipped) -> list[tuple[int, int]]:
-    """The star slots a round can alter: the free nodes of ``changed`` and the free neighbors of ``flipped``."""
+def _star_slots(idx: ComponentIndex, nodes, singles) -> list[tuple[int, int]]:
+    """The star slots at the free nodes of ``nodes`` and the free neighbors of ``singles``."""
     adjacency = idx.graph.adjacency
     label = idx.label
-    centers = set(changed)
-    for x in flipped:
+    centers = set(nodes)
+    for x in singles:
         centers.update(adjacency[x])
     return [(u, -1) for u in centers if label[u] < 0]
 
 
-def _pair_slots(idx: ComponentIndex, changed, flipped) -> set[tuple[int, int]]:
-    """The baseline slots a round can alter: each free x of ``changed``, its singleton and its free edges."""
+def _pair_slots(idx: ComponentIndex, nodes, singles) -> set[tuple[int, int]]:
+    """The baseline slots at each free x of ``nodes``: its singleton and its free edges (no slot reads ``single``)."""
     adjacency = idx.graph.adjacency
     label = idx.label
     slots = set()
-    for x in changed:
+    for x in nodes:
         if label[x] < 0:
             slots.add((x, -1))
             slots.update((x, y) if x < y else (y, x) for y in adjacency[x] if label[y] < 0)
@@ -207,17 +250,21 @@ def _pair_slots(idx: ComponentIndex, changed, flipped) -> set[tuple[int, int]]:
 
 
 class _CandidateHeap:
-    """Each live slot's value, popped in the exact ratio order.
+    """Each live slot's value or an upper bound on it, popped in the exact ratio order.
 
     ``refresh`` values the given slots, each with free endpoints, by
     ``value(idx, center)`` when the partner is -1 and ``value(idx, center,
     partner)`` otherwise (``(key, gain, leaves, total_cost)`` or None), and
     pushes their new entries ``(-key, -gain, center, partner, stamp, leaves,
     total_cost)`` under a fresh stamp, so an entry is live only while both
-    endpoints are free and its stamp is the slot's latest; ``pop`` drops
-    dead entries as they reach the top and builds the candidate of the first
-    live one.  Live entries have distinct
-    slots, so the pick does not depend on the order of the pushes.
+    endpoints are free and its stamp is the slot's latest.  The caller puts
+    a slot in ``dirty`` while its live entry is only an upper bound on its
+    value in that order, and takes it out when it refreshes the slot.
+    ``pop`` drops dead entries as they reach the top, revalues a dirty slot
+    whose entry reaches it, and builds the candidate of the first clean live
+    one.  Live entries have distinct slots, so the pick does not depend on
+    the order of the pushes.  ``valuations`` counts the value calls,
+    revaluations at the top included.
     """
 
     def __init__(self, idx: ComponentIndex, value):
@@ -226,6 +273,8 @@ class _CandidateHeap:
         self.stamp: dict[tuple[int, int], int] = {}  # slot -> its latest stamp
         self.last_stamp = 0
         self.entries: list[tuple] = []
+        self.dirty: set[tuple[int, int]] = set()
+        self.valuations = 0
 
     def live(self, entry: tuple) -> bool:
         label = self.idx.label
@@ -250,30 +299,37 @@ class _CandidateHeap:
             if val is not None:
                 key, gain, leaves, total = val
                 heapq.heappush(entries, (-key, -gain, center, partner, count, leaves, total))
+        self.valuations += count - self.last_stamp
         self.last_stamp = count
 
     def pop(self) -> StarCandidate | None:
         entries = self.entries
+        dirty = self.dirty
         while entries:
             entry = heapq.heappop(entries)
-            if self.live(entry):
-                _, neg_gain, center, _, _, leaves, total = entry
-                return StarCandidate(center=center, leaves=leaves, gain=-neg_gain, total_cost=total)
+            if not self.live(entry):
+                continue
+            _, neg_gain, center, partner, _, leaves, total = entry
+            if dirty and (center, partner) in dirty:
+                dirty.remove((center, partner))
+                self.refresh(((center, partner),))
+                continue
+            return StarCandidate(center=center, leaves=leaves, gain=-neg_gain, total_cost=total)
         return None
 
 
 def _connect(inst: Instance, dominating_set, method: str, slots_of, value) -> ConnectReport:
     """Add the most efficient candidate until the set is connected.
 
-    ``slots_of(idx, changed, flipped)`` lists the slots with free endpoints
-    whose value can differ after a round whose adds changed the reach
-    entries of ``changed`` and the ``single`` entries of ``flipped``, and
-    ``value(idx, center)`` (partner -1) or ``value(idx, center, partner)``
-    is a slot's value, or None.  Each chosen candidate must merge as many
-    components as it promises, so at most (initial components - 1) rounds
-    run.  The first round values every slot; later rounds only those the
-    last round's adds can alter.  The input check reads the index: a free
-    node with empty reach is undominated.
+    ``slots_of(idx, nodes, singles)`` lists the slots with free endpoints
+    that read the ``reach`` entry of a node of ``nodes`` or, for a star, the
+    ``single`` entry of a node of ``singles``; ``value(idx, center)``
+    (partner -1) or ``value(idx, center, partner)`` is a slot's value, or
+    None.  Each chosen candidate must merge as many components as it
+    promises, so at most (initial components - 1) rounds run.  The first
+    round values every slot; a later round values the risers of the last
+    round's adds and marks the other slots they can alter dirty.  The input
+    check reads the index: a free node with empty reach is undominated.
     """
     idx = ComponentIndex(inst.graph, dominating_set)
     for u, near in enumerate(idx.reach):
@@ -281,20 +337,25 @@ def _connect(inst: Instance, dominating_set, method: str, slots_of, value) -> Co
             raise ValueError(f"set is not dominating: node {u} has no neighbor inside")
     report = ConnectReport(method=method, initial_components=idx.component_count)
     heap = _CandidateHeap(idx, value)
-    changed: set[int] | range = range(inst.graph.node_count)
-    flipped: set[int] = set()
+    # the first round values every slot
+    changed, flipped, grown, opened = set(), set(), range(inst.graph.node_count), set()
+    dirty = heap.dirty
     while idx.component_count > 1:
-        heap.refresh(slots_of(idx, changed, flipped))
+        risers = slots_of(idx, grown, opened)
+        # grown lies within changed and opened within flipped; the rest can only lower a value
+        if len(changed) > len(grown) or len(flipped) > len(opened):
+            dirty.update(slots_of(idx, changed - grown, flipped - opened))
+        if dirty:
+            dirty.difference_update(risers)
+        heap.refresh(risers)
         best = heap.pop()
         if best is None:
             raise RuntimeError(f"{method} connector stalled: no candidate merges components")
         before = idx.component_count
-        changed, flipped = set(), set()
         for node in best.nodes:
-            reach_changed, single_changed = idx.add(node)
-            changed |= reach_changed
-            flipped |= single_changed
+            idx.add(node)
             report.connectors.add(node)
+        changed, flipped, grown, opened = idx.take_changes()
         after = idx.component_count
         if before - after != best.gain:
             raise RuntimeError(
@@ -303,6 +364,7 @@ def _connect(inst: Instance, dominating_set, method: str, slots_of, value) -> Co
             )
         report.stars.append(best)
         report.component_trace.append(after)
+    report.valuations = heap.valuations
     return report
 
 

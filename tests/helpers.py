@@ -17,7 +17,7 @@ structure each one avoids:
 - ``reference_better_candidate``: cross-multiplied float products in place of ``ratio_key``;
 - ``reference_greedy_dominating_set``: a scan per step in place of the lazy cover heap;
 - ``reference_pick``: a scan of every free node's candidates in place of ``_CandidateHeap``'s slots;
-- ``reference_connect``: ``reference_pick`` each round in place of recomputing the stale slots,
+- ``reference_connect``: ``reference_pick`` each round in place of revaluing risers and dirty slots,
   and ``verify_mds`` in place of the connector's input check on ``ComponentIndex.reach``;
 - ``exhaustive_minimum``: an unpruned subset scan in place of the oracle's branch and bound;
 - ``reference_exact_search``: the branch and bound without the oracle's connectivity and

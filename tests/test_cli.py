@@ -1,12 +1,16 @@
 """End-to-end CLI behavior: exit codes, report schema, byte stability."""
 
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cdsopt.bench
 from cdsopt.bench import CSV_COLUMNS, load_batch_spec, pool_width, summarize
@@ -19,6 +23,7 @@ P3_TEXT = "cds 3 2 1\n1 1 1\n0 1\n1 2\n"
 # every cost is finite, but any two of them sum past the float range
 OVERFLOW_TEXT = "cds 4 3 1\n1.7e308 1.7e308 1.7e308 1.7e308\n0 1\n1 2\n2 3\n"
 OVERFLOW_ERROR = "error: a cost sum or ratio overflows the float range; no report written\n"
+ENTRY_OVERFLOW_ERROR = "error: entry {entry}: a cost sum or ratio overflows the float range; no report written\n"
 
 
 def run_cli(capsys, *argv):
@@ -401,20 +406,47 @@ class TestBench:
         batch.write_text(json.dumps({"entries": [entry]}))
         csv_path, json_path = tmp_path / "rows.csv", tmp_path / "summary.json"
         argv = ["bench", str(batch), "--out-csv", str(csv_path), "--out-json", str(json_path)]
-        assert run_cli(capsys, *argv) == (2, "", OVERFLOW_ERROR)
+        expected = (2, "", ENTRY_OVERFLOW_ERROR.format(entry=0))
+        assert run_cli(capsys, *argv) == expected
         assert not csv_path.exists() and not json_path.exists()
-        assert run_cli(capsys, "bench", str(batch)) == (2, "", OVERFLOW_ERROR)
+        assert run_cli(capsys, "bench", str(batch)) == expected
 
     def test_cost_overflow_without_oracle_exit_2(self, tmp_path, capsys):
-        # no ratio reaches the summary, so only the CSV's cost cells overflow
+        # no ratio is computed, so only the row's cost sums overflow
         batch = tmp_path / "batch.json"
         entry = {"kind": "random", "n": 6, "p": 0.5, "cost_lo": 1e308, "cost_hi": 1.7e308}
         batch.write_text(json.dumps({"entries": [entry]}))
         csv_path, json_path = tmp_path / "rows.csv", tmp_path / "summary.json"
         argv = ["bench", str(batch), "--out-csv", str(csv_path), "--out-json", str(json_path)]
-        assert run_cli(capsys, *argv) == (2, "", OVERFLOW_ERROR)
+        expected = (2, "", ENTRY_OVERFLOW_ERROR.format(entry=0))
+        assert run_cli(capsys, *argv) == expected
         assert not csv_path.exists() and not json_path.exists()
-        assert run_cli(capsys, "bench", str(batch)) == (2, "", OVERFLOW_ERROR)
+        assert run_cli(capsys, "bench", str(batch)) == expected
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_cost_overflow_names_its_entry_before_later_cases_run(self, tmp_path, capsys, monkeypatch, threads):
+        # entry 1 overflows; the refusal names it, and with one worker no case after it runs
+        entries = [
+            {"kind": "random", "n": 6, "p": 0.5},
+            {"kind": "random", "n": 6, "p": 0.5, "cost_lo": 1e308, "cost_hi": 1.7e308},
+            {"kind": "random", "n": 6, "p": 0.5, "seeds": {"start": 1}},
+        ]
+        batch = tmp_path / "batch.json"
+        batch.write_text(json.dumps({"entries": entries}))
+        ran = []
+        real = cdsopt.bench.run_case
+
+        def counted(case):
+            ran.append(case["entry"])
+            return real(case)
+
+        monkeypatch.setattr(cdsopt.bench, "run_case", counted)
+        csv_path, json_path = tmp_path / "rows.csv", tmp_path / "summary.json"
+        argv = ["bench", str(batch), "--out-csv", str(csv_path), "--out-json", str(json_path), "--threads", threads]
+        assert run_cli(capsys, *argv) == (2, "", ENTRY_OVERFLOW_ERROR.format(entry=1))
+        assert not csv_path.exists() and not json_path.exists()
+        if threads == "1":
+            assert ran == [0, 1]
 
     def _violation_run(self, tmp_path, capsys):
         """Bench one UDG case whose phase 2 adds nodes; returns (exit code, violation cell, summary)."""
@@ -707,3 +739,75 @@ class TestBench:
         assert code == 2
         assert message in err
         assert "Traceback" not in err
+
+
+# instance texts the fuzz mutates: the ``gen`` output of each kind, small enough
+# for the oracle (fig1 keeps its designated-ds comment)
+_FUZZ_GEN_ARGS = [
+    ["random", "--n", "9", "--p", "0.35", "--seed", "3", "--m", "2"],
+    ["udg", "--n", "10", "--side", "2.0", "--seed", "4"],
+    ["fig1", "--d", "3", "--eps", "0.01"],
+]
+# tokens that parse as numbers in some readers but not in others, or overflow
+_FUZZ_TOKENS = ["nan", "1e400", "0x10", "３", "-1", "0", "inf", "1e-400"]
+_FUZZ_COMMANDS = [
+    ["solve", "{inst}", "--no-timing"],
+    ["solve", "{inst}", "--oracle", "--no-timing"],
+    ["solve", "{inst}", "--baseline", "pairwise", "--no-timing"],
+    ["solve", "{inst}", "--given-ds", "--no-timing"],
+    ["solve", "{inst}", "--given-ds", "0 1 2 3 4 5 6 7 8", "--no-timing"],
+    ["verify", "{inst}", "{sol}"],
+]
+
+
+@pytest.fixture(scope="module")
+def fuzz_texts(tmp_path_factory):
+    out = tmp_path_factory.mktemp("fuzz_base")
+    texts = []
+    for args in _FUZZ_GEN_ARGS:
+        path = out / f"{args[0]}.cds"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["gen", *args, "--out", str(path)]) == 0
+        texts.append(path.read_text())
+    return texts
+
+
+def _mutate(text: str, draw) -> str:
+    lines = text.split("\n")
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["token", "drop", "duplicate", "swap"]))
+        i = draw(st.integers(0, len(lines) - 1))
+        if op == "token":
+            tokens = lines[i].split(" ")
+            j = draw(st.integers(0, len(tokens) - 1))
+            tokens[j] = draw(st.sampled_from(_FUZZ_TOKENS))
+            lines[i] = " ".join(tokens)
+        elif op == "drop" and len(lines) > 1:
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+    return "\n".join(lines)
+
+
+class TestMutationFuzz:
+    """Mutated instance files reach every command's error handling: exit 0, 1 or 2, never a traceback."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_mutated_instance_exits_cleanly(self, fuzz_texts, tmp_path_factory, data):
+        text = _mutate(data.draw(st.sampled_from(fuzz_texts)), data.draw)
+        work = tmp_path_factory.mktemp("fuzz")
+        inst, sol = work / "inst.cds", work / "sol.txt"
+        inst.write_text(text, encoding="utf-8")
+        sol.write_text(data.draw(st.sampled_from(["0 1 2 3 4 5 6 7 8 9", "0", "1 2 x"])))
+        for command in _FUZZ_COMMANDS:
+            argv = [arg.format(inst=inst, sol=sol) for arg in command]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2), (argv, text, err.getvalue())
+            if code == 2:
+                assert err.getvalue().startswith("error: ") and out.getvalue() == ""
