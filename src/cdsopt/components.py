@@ -43,11 +43,12 @@ class ComponentIndex:
     ``changed``, ``flipped``, ``grown`` and ``opened`` log, over the adds
     since the last ``take_changes()``, the nodes whose ``reach`` entry
     changed, whose ``single`` entry changed, whose ``reach`` entry gained a
-    label and whose ``single`` entry went from -1 to a label (``add`` says
-    which exactly).  The connector takes them once per round: it revalues a
-    star only when its center's ``reach`` entry or a neighbor's ``single``
-    entry changed, and at once only when the center's entry gained a label
-    or a neighbor's entry went from -1 to a label.
+    label and whose ``single`` entry changed after being -1 when the log
+    began (``add`` says which exactly).  The connector takes them once per
+    round: it revalues a star only when its center's ``reach`` entry or a
+    neighbor's ``single`` entry changed, and at once only when the center's
+    entry gained a label or a neighbor that was no leaf of anything at the
+    round's start now holds a label the center does not touch.
     """
 
     def __init__(self, graph: WeightedGraph, members=()):
@@ -91,8 +92,10 @@ class ComponentIndex:
         the free neighbors of u that touched none of the merged components.
         Every other node of ``changed`` only had merged labels replaced by
         the surviving one, so its entry is the image of the old one under
-        the merge.  ``opened`` gains the part of ``flipped`` whose ``single``
-        entry went from -1 to a label.
+        the merge.  ``opened`` gains each node this add puts in ``flipped``
+        whose ``single`` entry was -1: so over the log, ``opened`` is the part
+        of ``flipped`` whose entry was -1 when the log began, whatever it
+        holds now, and a node of ``flipped`` outside it held a label then.
         """
         if not 0 <= u < self.graph.node_count:
             checked_ids(self.graph.node_count, (u,))  # raises the range error
@@ -146,9 +149,11 @@ class ComponentIndex:
             was = single[x]
             if was != now:
                 single[x] = now
-                flipped.add(x)
-                if was < 0:
-                    opened.add(x)
+                # the first change since the log began tells its value then
+                if x not in flipped:
+                    flipped.add(x)
+                    if was < 0:
+                        opened.add(x)
         if changed:
             self.changed |= changed
 

@@ -50,31 +50,40 @@ each free x in R and its edges to free neighbors.
 Only a few stale slots can rise.  ``add`` also logs R+, the part of R
 whose reach entry gained a label (the free neighbors of the added node that
 touched none of the components it merged), and S+, the part of S whose
-``single`` entry went from -1 to a label.  The *risers* are the slots that
-read an entry of R+ or S+: a center or endpoint in R+, or a star with a
-neighbor in S+ (a pair reads no ``single`` entry, so one rule serves both
-connectors).  A value can rise only at a riser, so a round revalues its
-risers and marks its other stale slots dirty.  A dirty slot keeps its live
-entry as an upper bound and is revalued only when that entry reaches the
-heap top (Minoux's accelerated greedy, restricted to the slots whose value
-cannot rise); a dirty slot with no entry merged nothing before and merges
-nothing now.  When a clean live entry tops the heap, every other slot's
-value ranks after its entry or bound, so the pick is the exact best, and
-no tie needs draining, by this proof that a dirty entry ranks no later
-than its slot's value in the full (key, larger gain, center, partner) order.
-An add merges the components the added node touches into one, so a
-non-riser's reach entry after it is the image of its entry before under
-that merge, and the bound, kept by each add, carries over many adds.
+``single`` entry was -1 when the round began.  A node x of S+ was then no
+leaf of any star, and at the round's end it is a leaf candidate of a free
+neighbor c only when ``single[x]`` is a label outside ``reach[c]``.  The
+*risers* are the slots at a center or endpoint in R+ and the stars at such
+a c, both read at the round's end (a pair reads no ``single`` entry, so one
+rule serves both connectors); any other neighbor of x reads nothing through
+x, before the round or after it, so x makes it neither a riser nor stale.
+A node of S - S+ held a label when the round began, so it may have been a
+leaf of any free neighbor, whatever its label now: each of them is stale.
+A value can rise only at a riser, so a round revalues its risers and marks
+its other stale slots (the free nodes of R - R+ and the free neighbors of
+S - S+) dirty.  A dirty slot keeps its live entry as an upper bound and is
+revalued only when that entry reaches the heap top (Minoux's accelerated
+greedy, restricted to the slots whose value cannot rise); a dirty slot with
+no entry merged nothing before and merges nothing now.  When a clean live
+entry tops the heap, every other slot's value ranks after its entry or
+bound, so the pick is the exact best, and no tie needs draining, by this
+proof that a dirty entry ranks no later than its slot's value in the full
+(key, larger gain, center, partner) order.
+Each add merges the components the added node touches into one, so a
+non-riser's reach entry after the round is the image of its entry before
+under the round's merges, and the bound, kept by each round, carries over
+many rounds.
 
 - A pair: its reach union is the image of the old one, so its gain cannot
   grow, and its cost is fixed, so its key cannot rise and an equal key
   means an equal gain.
 - A star at c, with reach entry ``near``, eligible leaves E and kept leaves
-  ``kept`` before the add and ``near'``, E', ``kept'`` after it.  ``near'``
-  is the image of ``near``, so it is no larger.  A leaf v of E' had
-  ``single[v]`` set before (no neighbor of c is in S+) and gained no label
-  (its entry would hold two), so its old label L maps to its new one, and L
-  in ``near`` would put its image in ``near'``: v was in E.  Distinct new
+  ``kept`` before the round and ``near'``, E', ``kept'`` after it.  ``near'``
+  is the image of ``near``, so it is no larger.  A leaf v of E' is not in
+  S+, since its label lies outside ``near'`` and would make c a riser, so
+  ``single[v]`` held a label L before the round.  v still touches L's
+  component, so its entry holds the image of L, which is its one label, and
+  L in ``near`` would put that image in ``near'``: v was in E.  Distinct new
   labels come from distinct old ones, so any j leaves of ``kept'`` are j
   leaves of E with distinct labels outside ``near``.  ``kept`` takes one
   leaf per label in (cost, id) order, the greedy basis of a partition
@@ -227,18 +236,34 @@ def pair_candidate(idx: ComponentIndex, a: int, b: int = -1) -> tuple | None:
     return ratio_key(gain, total, graph.key_shift), gain, leaves, total
 
 
-def _star_slots(idx: ComponentIndex, nodes, singles) -> list[tuple[int, int]]:
-    """The star slots at the free nodes of ``nodes`` and the free neighbors of ``singles``."""
+def _star_slots(idx: ComponentIndex, nodes, singles, fresh: bool = False) -> list[tuple[int, int]]:
+    """The star slots at the free nodes of ``nodes`` and the free neighbors of ``singles``.
+
+    With ``fresh``, a neighbor c of x in ``singles`` is listed only when
+    ``single[x]`` is a label outside ``reach[c]``, that is when x is a leaf
+    candidate of c.
+    """
     adjacency = idx.graph.adjacency
     label = idx.label
     centers = set(nodes)
-    for x in singles:
-        centers.update(adjacency[x])
+    if fresh:
+        reach = idx.reach
+        single = idx.single
+        for x in singles:
+            comp = single[x]
+            if comp >= 0:
+                centers.update([c for c in adjacency[x] if comp not in reach[c]])
+    else:
+        for x in singles:
+            centers.update(adjacency[x])
     return [(u, -1) for u in centers if label[u] < 0]
 
 
-def _pair_slots(idx: ComponentIndex, nodes, singles) -> set[tuple[int, int]]:
-    """The baseline slots at each free x of ``nodes``: its singleton and its free edges (no slot reads ``single``)."""
+def _pair_slots(idx: ComponentIndex, nodes, singles, fresh: bool = False) -> set[tuple[int, int]]:
+    """The baseline slots at each free x of ``nodes``: its singleton and its free edges.
+
+    No pair slot reads ``single``, so ``singles`` and ``fresh`` change nothing.
+    """
     adjacency = idx.graph.adjacency
     label = idx.label
     slots = set()
@@ -321,9 +346,10 @@ class _CandidateHeap:
 def _connect(inst: Instance, dominating_set, method: str, slots_of, value) -> ConnectReport:
     """Add the most efficient candidate until the set is connected.
 
-    ``slots_of(idx, nodes, singles)`` lists the slots with free endpoints
-    that read the ``reach`` entry of a node of ``nodes`` or, for a star, the
-    ``single`` entry of a node of ``singles``; ``value(idx, center)``
+    ``slots_of(idx, nodes, singles, fresh)`` lists the slots with free
+    endpoints that read the ``reach`` entry of a node of ``nodes`` or, for a
+    star, the ``single`` entry of a node of ``singles`` (with ``fresh``, only
+    the stars to whose center that entry is a fresh label); ``value(idx, center)``
     (partner -1) or ``value(idx, center, partner)`` is a slot's value, or
     None.  Each chosen candidate must merge as many components as it
     promises, so at most (initial components - 1) rounds run.  The first
@@ -341,7 +367,7 @@ def _connect(inst: Instance, dominating_set, method: str, slots_of, value) -> Co
     changed, flipped, grown, opened = set(), set(), range(inst.graph.node_count), set()
     dirty = heap.dirty
     while idx.component_count > 1:
-        risers = slots_of(idx, grown, opened)
+        risers = slots_of(idx, grown, opened, True)
         # grown lies within changed and opened within flipped; the rest can only lower a value
         if len(changed) > len(grown) or len(flipped) > len(opened):
             dirty.update(slots_of(idx, changed - grown, flipped - opened))

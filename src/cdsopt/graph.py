@@ -449,6 +449,12 @@ def validate_fold(m: int) -> None:
         raise InstanceError("fold requirement m must be >= 1")
 
 
+def _foreign(token: str) -> bool:
+    """Whether a token holds a character the writer never writes in a number
+    but ``int`` and ``float`` take: a non-ASCII digit or space, or an underscore."""
+    return not token.isascii() or "_" in token
+
+
 def _reject_edge_lines(block: list[str], edge_count: int, n: int) -> None:
     """Raise the diagnostic for the first bad line of an edge block, else for its truncation."""
     for parts in map(str.split, block):
@@ -470,7 +476,11 @@ def parse_instance(text: str) -> Instance:
 
     Raises InstanceError with a distinct diagnostic for malformed headers,
     non-positive costs, duplicate/loop edges, disconnected graphs, and
-    coordinate blocks that contradict the unit-disk edge rule.
+    coordinate blocks that contradict the unit-disk edge rule.  The header,
+    cost, coordinate and edge rows may hold only ASCII and no underscore, as
+    the writer writes them; comments, and so labels, may hold any text.  A
+    file that is ASCII without an underscore, as most are, skips the row
+    checks.
 
     A unit-disk file is first tried against its rule: if the rule has the
     header's E edges and the text ends with their E canonical lines, each
@@ -492,9 +502,14 @@ def parse_instance(text: str) -> Instance:
         rows.append(line)
     if not rows:
         raise InstanceError("malformed header: empty instance")
+    # str.isascii is O(1) and the "_" test one C-level scan, so a file that
+    # passes both, as the writer's do, takes none of the row checks below
+    foreign = not text.isascii() or "_" in text
     head = rows[0].split()
     if len(head) != 4 or head[0] != "cds":
         raise InstanceError("malformed header: expected 'cds <n> <edge_count> <m>'")
+    if foreign and _foreign(rows[0]):
+        raise InstanceError(f"malformed header: counts must be ASCII digits, found {rows[0]!r}")
     try:
         n, edge_count, m = int(head[1]), int(head[2]), int(head[3])
     except ValueError as exc:
@@ -513,6 +528,10 @@ def parse_instance(text: str) -> Instance:
     pos += 1
     if len(cost_tokens) != n:
         raise InstanceError(f"cost line must hold exactly {n} values, found {len(cost_tokens)}")
+    if foreign and _foreign(rows[pos - 1]):
+        bad = next(filter(_foreign, cost_tokens), None)
+        # str.split also splits at non-ASCII spaces, so the row may be foreign where no token is
+        raise InstanceError(f"malformed cost {bad!r}" if bad else "malformed cost line: a separator is not ASCII")
     costs: list[float] = []
     for tok in cost_tokens:
         try:
@@ -531,6 +550,8 @@ def parse_instance(text: str) -> Instance:
             pos += 1
             if len(parts) != 2:
                 raise InstanceError("coords line must hold exactly two values")
+            if foreign and _foreign(rows[pos - 1]):
+                raise InstanceError(f"malformed coordinate line {rows[pos - 1]!r}")
             try:
                 x, y = float(parts[0]), float(parts[1])
             except ValueError as exc:
@@ -552,6 +573,9 @@ def parse_instance(text: str) -> Instance:
 
     block = rows[pos:pos + edge_count]
     pos += len(block)
+    bad = foreign and next(filter(_foreign, block), None)
+    if bad:
+        raise InstanceError(f"malformed edge line {bad!r}")
     try:
         # a bad line is dropped by the filter or raises, so the count falls short
         edges = [(u, v) for a, b in map(str.split, block) for u, v in [(int(a), int(b))] if 0 <= u < v < n]

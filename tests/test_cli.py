@@ -225,6 +225,20 @@ class TestSolve:
         assert code == 0
         assert json.loads(out)["d1"] == [0, 1, 2]
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("cds 3 2 1\n1_0 1 1\n0 1\n1 2\n", "error: malformed cost '1_0'\n"),
+            ("cds \uff13 2 1\n1 1 1\n0 1\n1 2\n", "error: malformed header: counts must be ASCII digits, found 'cds \uff13 2 1'\n"),
+        ],
+        ids=["underscore", "fullwidth-digit"],
+    )
+    def test_number_the_writer_never_writes_exit_2(self, tmp_path, capsys, text, message):
+        # int and float take both: the first file read as costs 10, 1, 1 and the second as n = 3
+        path = tmp_path / "odd.cds"
+        path.write_text(text, encoding="utf-8")
+        assert run_cli(capsys, "solve", str(path), "--no-timing") == (2, "", message)
+
     def test_given_ds_not_dominating_exit_2(self, p3_file, capsys):
         code, _, err = run_cli(capsys, "solve", p3_file, "--given-ds", "0")
         assert code == 2

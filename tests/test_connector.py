@@ -217,6 +217,33 @@ class TestComponentIndex:
             assert opened == {v for v in range(n) if before[v] < 0 <= idx.single[v]}
             _assert_single_matches_reach(idx)
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**6), udg=st.booleans(), pick=st.randoms(use_true_random=False))
+    def test_single_changes_logged_over_several_adds(self, seed, udg, pick):
+        """Over several adds, ``flipped`` holds the nodes whose ``single`` entry changed at any of them,
+        and ``opened`` those of them whose entry was -1 when the log began, whatever it holds now."""
+        n = 24
+        if udg:
+            g = gen_udg(n, 2.0, (1.0, 1.0), seed=seed).graph
+        else:
+            g = gen_random_connected(n, 0.2, (1.0, 1.0), seed=seed).graph
+        order = list(range(n))
+        pick.shuffle(order)
+        start = pick.randrange(0, n)
+        idx = ComponentIndex(g, order[:start])
+        while start < n:
+            stop = pick.randrange(start + 1, n + 1)
+            began = list(idx.single)
+            moved = set()
+            for u in order[start:stop]:
+                before = list(idx.single)
+                idx.add(u)
+                moved |= {v for v in range(n) if idx.single[v] != before[v]}
+            _, flipped, _, opened = idx.take_changes()
+            assert flipped == moved
+            assert opened == {v for v in moved if began[v] < 0}
+            start = stop
+
 
 class TestComponentNeighbors:
     def test_fig1_hub_and_rung_bottom(self):
@@ -450,6 +477,22 @@ class TestGreedyConnect:
                 assert star.gain >= 1
                 prev = after
 
+    def test_relabelled_leaf_keeps_its_centers_stale(self):
+        """A leaf whose one label is merged into a component its center touches is no leaf after the round.
+
+        Node 2 touches only component {4} and is a leaf of center 3, which touches
+        only {5}.  The round adds the star 0 + (1,): adding 0 gives node 2 a second
+        label, adding 1 merges {4} into {5}, so node 2 ends with one label again,
+        the one center 3 touches.  Its entry changed and was a label at the round's
+        start, so center 3 must be revalued before its old star (3, 2) is trusted:
+        that star would now merge nothing.
+        """
+        edges = [(0, 5), (0, 2), (0, 1), (1, 4), (2, 4), (3, 2), (3, 5), (5, 6), (6, 7)]
+        inst = make_instance(8, edges, [1.0, 1.0, 10.0, 10.0, 1.0, 1.0, 100.0, 1.0])
+        report = greedy_connect(inst, {4, 5, 7})
+        assert [(star.center, star.leaves) for star in report.stars] == [(0, (1,)), (6, ())]
+        assert report.stars == reference_connect(inst, {4, 5, 7}, "star").stars
+
     def test_rejects_non_dominating_input(self):
         inst = path_instance(5)
         with pytest.raises(ValueError, match="not dominating"):
@@ -578,9 +621,10 @@ class TestRelabelling:
     )
     def test_relabelling_permutes_every_pick(self, kind, n, seed, m, data):
         """Ids break only ties, and random costs leave no two keys tied but
-        the two orientations of a two-node star, which share one cost and one
-        gain.  So on the relabelled graph each pick of both phases is the
-        image of the original one, a two-node star up to its center.
+        stars on one node set at different centers (the two orientations of
+        a two-node star, or the three of a triangle), which share one cost
+        and one gain.  So on the relabelled graph each pick of both phases is
+        the image of the original one, a star up to its center.
         """
         if kind == "random":
             inst = gen_random_connected(n, 3.0 / n, (0.1, 10.0), seed=seed, m=m)
@@ -601,7 +645,7 @@ class TestRelabelling:
             stars = []
             for star in report.stars:
                 nodes = [rename[u] for u in star.nodes]
-                stars.append((sorted(nodes) if len(nodes) == 2 else nodes, star.gain, star.total_cost))
+                stars.append((sorted(nodes), star.gain, star.total_cost))
             steps = [(rename[step.node], *step[1:]) for step in result.phase1_trace.steps]
             return steps, stars, report.component_trace
 
@@ -830,19 +874,65 @@ class _CheckedHeap(_CandidateHeap):
                 assert entry is not None, f"slot {slot}: no live entry for {fresh}"
                 key, gain, leaves, total_cost = fresh
                 assert key == ratio_key(gain, total_cost, graph.key_shift)
+                rank = (-key, -gain, *slot)
                 if slot in self.dirty:
-                    # an upper bound: it pops no later than the fresh value would
-                    assert entry[:2] <= (-key, -gain), f"dirty slot {slot}: entry {entry} ranks after {fresh}"
+                    # an upper bound: in the full (key, larger gain, center, partner) order it pops no later
+                    # than the fresh value would
+                    assert entry[:4] <= rank, f"dirty slot {slot}: entry {entry} ranks after {fresh}"
                 else:
+                    assert entry[:4] == rank, f"slot {slot}: clean entry {entry} but fresh value {fresh}"
                     assert entry[5:] == (leaves, total_cost)
-                    assert entry[:2] == (-key, -gain)
         pick = super().pop()
         assert pick == reference_pick(self.idx, graph, self.method)
         type(self).pops += 1
         return pick
 
 
+def _checked_connect(connect, connector, inst, members):
+    """``connect(inst, members)`` through a ``_CheckedHeap``, which checks each of its picks."""
+    _CheckedHeap.pops = 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_CheckedHeap, "method", connector)
+        mp.setattr(cdsopt.connector, "_CandidateHeap", _CheckedHeap)
+        report = connect(inst, members)
+    assert _CheckedHeap.pops == len(report.stars)
+    assert bfs_component_count(inst.graph, set(members) | report.connectors) == 1
+    return report
+
+
+_GOLDEN_CASES = {
+    "udg-n150-s1": ("udg", 150, 4.3, (0.1, 10.0), 1),
+    "udg-n180-s2": ("udg", 180, 4.7, (0.1, 10.0), 2),
+    "udg-n200-s3": ("udg", 200, 5.0, (0.1, 10.0), 3),
+    # the first udg-star benchmark instance at seed 1
+    "udg-n800-s1000": ("udg", 800, 10.0, (0.1, 10.0), 1000),
+    "random-n200-m2-s1": ("random", 200, 3 / 200, (0.1, 10.0), 1, 2),
+    "random-n200-m2-s2": ("random", 200, 3 / 200, (0.1, 10.0), 2, 2),
+    "udg-n12-s1": ("udg", 12, 2.2, (0.1, 10.0), 1),
+    "random-n14-m2-s1": ("random", 14, 3 / 14, (0.1, 10.0), 1, 2),
+    "fig1-d30": ("fig1", 30, 0.01),
+    "fig1-d4": ("fig1", 4, 0.01),
+}
+
+
+def _golden_case(name):
+    """The instance of a golden report (``tests/test_golden.py``) and the set its phase 2 connects."""
+    kind, *args = _GOLDEN_CASES[name]
+    if kind == "fig1":
+        return gen_fig1(*args)
+    inst = gen_udg(*args) if kind == "udg" else gen_random_connected(*args)
+    return inst, greedy_dominating_set(inst)[0]
+
+
 class TestCandidateHeap:
+    @pytest.mark.parametrize("connector", ["star", "pairwise"])
+    @pytest.mark.parametrize("name", sorted(_GOLDEN_CASES))
+    def test_golden_instances_checked(self, name, connector):
+        """On each golden instance, every pick of either connector passes the ``_CheckedHeap`` checks."""
+        inst, members = _golden_case(name)
+        connect = greedy_connect if connector == "star" else pairwise_connect
+        _checked_connect(connect, connector, inst, members)
+
     @settings(max_examples=120, deadline=None)
     @given(
         kind=st.sampled_from(["random", "udg", "fig1"]),
@@ -850,7 +940,7 @@ class TestCandidateHeap:
         seed=st.integers(0, 10**6),
         costs=st.sampled_from([(0.1, 10.0), (1.0, 1.0)]),
         greedy_ds=st.booleans(),
-        m=st.integers(1, 2),
+        m=st.integers(1, 3),
         connector=st.sampled_from(["star", "pairwise"]),
     )
     def test_live_entries_equal_fresh_candidates(self, kind, n, seed, costs, greedy_ds, m, connector):
@@ -868,13 +958,7 @@ class TestCandidateHeap:
         else:
             members = random_dominating_set(random.Random(seed), inst.graph)
         connect = greedy_connect if connector == "star" else pairwise_connect
-        _CheckedHeap.pops = 0
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(_CheckedHeap, "method", connector)
-            mp.setattr(cdsopt.connector, "_CandidateHeap", _CheckedHeap)
-            report = connect(inst, members)
-        assert _CheckedHeap.pops == len(report.stars)
-        assert bfs_component_count(inst.graph, set(members) | report.connectors) == 1
+        _checked_connect(connect, connector, inst, members)
 
     @pytest.mark.parametrize("connect", [greedy_connect, pairwise_connect], ids=["star", "pairwise"])
     def test_one_candidate_per_round(self, monkeypatch, connect):
@@ -954,9 +1038,10 @@ class TestUdgStarWork:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cdsopt.connector, "best_star_at", counted)
             report = greedy_connect(inst, members)
-        # a stale center whose value cannot rise keeps its entry until it tops the heap (3,136 calls when
-        # every stale center was revalued each round)
-        assert calls == report.valuations == 2093
+        # a stale center whose value cannot rise keeps its entry until it tops the heap, and a neighbor
+        # whose new label the center touches leaves it alone (3,136 calls when every stale center was
+        # revalued each round, 2,093 when every neighbor of a newly single node was revalued)
+        assert calls == report.valuations == 1074
         assert len(report.stars) == 29
         assert report.initial_components == 36
 

@@ -144,6 +144,30 @@ class TestParse:
         with pytest.raises(InstanceError, match=fragment.replace("(", "\\(")):
             parse_instance(text)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("cds 3 2 1_0\n1 1 1\n0 1\n1 2\n", "malformed header: counts must be ASCII digits, found 'cds 3 2 1_0'"),
+            ("cds\u30003 2 1\n1 1 1\n0 1\n1 2\n", "malformed header: counts must be ASCII digits"),
+            ("cds 3 2 1\n1 1 \u0661\n0 1\n1 2\n", "malformed cost '\u0661'"),
+            ("cds 3 2 1\n1\u30001 1\n0 1\n1 2\n", "malformed cost line: a separator is not ASCII"),
+            ("cds 2 1 1\n1 1\ncoords\n0 0\n0.5 0_0\n0 1\n", "malformed coordinate line '0.5 0_0'"),
+            ("cds 3 2 1\n1 1 1\n0 1\n1 \uff12\n", "malformed edge line '1 \uff12'"),
+            ("cds 3 2 1\n1 1 1\n0 1\n1 0_2\n", "malformed edge line '1 0_2'"),
+        ],
+        ids=["header-underscore", "header-space", "cost-digit", "cost-space", "coordinate", "edge-digit", "edge-underscore"],
+    )
+    def test_numbers_the_writer_never_writes(self, text, message):
+        """A data row with a non-ASCII character or an underscore is refused, although int or float takes it."""
+        with pytest.raises(InstanceError) as err:
+            parse_instance(text)
+        assert str(err.value).startswith(message)
+
+    def test_comments_hold_any_text(self):
+        inst = parse_instance("# caf\u00e9 \u2014 1_0\n# label: r\u00e9seau_1\n" + P3_TEXT)
+        assert inst == parse_instance(P3_TEXT.replace("cds", "# label: r\u00e9seau_1\ncds"))
+        assert inst.label == "r\u00e9seau_1"
+
     def test_udg_rule_enforced(self):
         # nodes 2 apart claiming an edge
         bad = "cds 2 1 1\n1 1\ncoords\n0 0\n2 0\n0 1\n"
