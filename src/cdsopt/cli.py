@@ -17,7 +17,7 @@ import sys
 
 from .bench import OVERFLOW_MESSAGE, load_batch_spec, run_batch, summarize, write_csv
 from .generators import KINDS, generate
-from .graph import Instance, parse_instance, serialize_instance
+from .graph import Instance, parse_instance, serialize_instance, unify_line_breaks
 from .oracle import DEFAULT_NODE_BUDGET
 from .solver import solve, solve_report_dict
 from .verify import verify_cds
@@ -80,7 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_instance(path: str) -> tuple[Instance, str]:
-    with open(path, "r", encoding="utf-8") as fh:
+    # newline="" keeps every "\r", so that the parser's line rule decides
+    with open(path, "r", encoding="utf-8", newline="") as fh:
         text = fh.read()
     return parse_instance(text), text
 
@@ -116,7 +117,7 @@ def _parse_id_list(text: str) -> list[int]:
 
 def _resolve_given_ds(spec: str, instance_text: str) -> list[int]:
     if spec == EMBEDDED_DS:
-        for raw in instance_text.splitlines():
+        for raw in unify_line_breaks(instance_text).split("\n"):
             line = raw.strip()
             if line.startswith(DESIGNATED_PREFIX):
                 return _parse_id_list(line[len(DESIGNATED_PREFIX):])

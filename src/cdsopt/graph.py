@@ -1,4 +1,4 @@
-"""Weighted graph instances: data types, validation, and the text file format.
+r"""Weighted graph instances: data types, validation, and the text file format.
 
 Instance file format (UTF-8, lines starting with '#' are comments):
 
@@ -37,19 +37,31 @@ pairs that share a cell are all edges and the compared pairs are at most
 37W + 18n.  Before the scan, each caller that holds a file's E edges bounds
 W by E: the checker rejects a file whose points have fewer neighbours than
 cell-mates in one pass over the cells, and the canonical path below refuses
-W > E, so the compared pairs are at most 37E + 18n.
+W > E, and an E whose edge lines the text has no room for, so the compared
+pairs are at most 37E + 18n, with E bounded by the text's length.
 
-``parse_instance`` checks the text's shape first.  On a unit-disk file with
-finite coordinates and exactly the header's count of rows after them, it
-computes the rule's adjacency and formats its canonical edge lines with
-``_edge_text``, ``u v`` for u < v in order; if the text ends with exactly
-those lines, the adjacency is the file's, and no edge line is read.  Any
-other file reads the edge lines in one pass; only when that pass fails does
-it rescan them line by line, to name the first malformed line, loop or line
-without ``0 <= u < v < n``.  Both paths end in ``from_adjacency``, which
-reuses a rule adjacency the first path computed, so every file gets the
-same checks in the same order, the rule is computed at most once and every
-error names the same line or pair.
+A line ends only at "\n", a "\r" just before it belonging to the line
+break (``unify_line_breaks``); a comment runs to the end of its line,
+whatever it holds, so no row hides inside a comment.  Each line is stripped
+of whitespace at both ends, and a data row that still holds a separator
+other than the space and the tab is refused.
+
+``parse_instance`` reads rows on demand, and checks the text's shape first.
+It reads the header, the cost row and, on a unit-disk file, the n
+coordinate rows, converting each block's values in one C-level pass.  With
+finite coordinates, and room after them for the header's E edge lines of at
+least four characters each, it computes the rule's adjacency and formats its
+canonical edge lines with ``_edge_text``, ``u v`` for u < v in order; if
+the text ends with exactly those lines and the lines between the last
+coordinate row and them hold no row, only comments and blanks, the
+adjacency is the file's.  That path reads the head rows and makes one
+string comparison: no edge line is split or read.  Any other file resumes
+the row scan where it stopped and reads the edge lines in one pass; only
+when that pass fails does it rescan them line by line, to name the first
+malformed line, loop or line without ``0 <= u < v < n``.  Both paths end in
+``from_adjacency``, which reuses a rule adjacency the first path computed,
+so every file gets the same checks in the same order, the rule is computed
+at most once and every error names the same line or pair.
 
 ``gen_udg`` builds its ``WeightedGraph`` directly; that graph equals the one
 ``parse_instance`` builds from its text.  Every entry point that takes node
@@ -162,17 +174,20 @@ class WeightedGraph:
             raise InstanceError("node count must be >= 1")
         if len(cost) != node_count:
             raise InstanceError("cost vector size does not match node count")
-        for u, c in enumerate(cost):
-            if not math.isfinite(c):
-                raise InstanceError(f"malformed cost at node {u}")
-            if c <= 0:
-                raise InstanceError(f"non-positive cost at node {u}")
+        # one C-level pass each decides; the loops only name the first bad node
+        if not (all(map(math.isfinite, cost)) and min(cost) > 0):
+            for u, c in enumerate(cost):
+                if not math.isfinite(c):
+                    raise InstanceError(f"malformed cost at node {u}")
+                if c <= 0:
+                    raise InstanceError(f"non-positive cost at node {u}")
         if points is not None:
             if len(points) != node_count:
                 raise InstanceError("coords size does not match node count")
-            for u, (x, y) in enumerate(points):
-                if not (math.isfinite(x) and math.isfinite(y)):
-                    raise InstanceError(f"malformed coordinate at node {u}")
+            if not all(map(math.isfinite, chain.from_iterable(points))):
+                for u, (x, y) in enumerate(points):
+                    if not (math.isfinite(x) and math.isfinite(y)):
+                        raise InstanceError(f"malformed coordinate at node {u}")
         if component_labels(adjacency, range(node_count))[1] != 1:
             raise InstanceError("disconnected graph")
         if points is not None and adjacency is not rule:
@@ -368,7 +383,8 @@ def unit_disk_adjacency(coords, cells=None) -> tuple[tuple[int, ...], ...]:
     n(n - 1)/2 on co-located points, so a caller that holds a file's E
     declared edges bounds W by E first, making the scan O(n + E): the
     checker through ``_check_cell_mates``, and ``parse_instance``'s
-    canonical path by refusing W > E.
+    canonical path by refusing W > E, after refusing an E whose edge lines
+    the text has no room for.
     """
     if cells is None:
         cells = _half_cells(coords)
@@ -449,10 +465,128 @@ def validate_fold(m: int) -> None:
         raise InstanceError("fold requirement m must be >= 1")
 
 
+# The ASCII characters besides the space and the tab at which ``str.split``
+# splits a row.  The writer writes none of them, and the line rule drops the
+# "\r" of each "\r\n" first, so a "\r" left inside a row is a bare one.
+_ODD_SPACES = "\v\f\r\x1c\x1d\x1e\x1f"
+
+
 def _foreign(token: str) -> bool:
-    """Whether a token holds a character the writer never writes in a number
-    but ``int`` and ``float`` take: a non-ASCII digit or space, or an underscore."""
-    return not token.isascii() or "_" in token
+    """Whether a token or row holds a character the writer never writes in a row
+    but ``int``, ``float`` or ``str.split`` take: a non-ASCII character (a digit
+    or a space), an underscore, or an ASCII separator other than the space and
+    the tab."""
+    return not token.isascii() or "_" in token or any(c in token for c in _ODD_SPACES)
+
+
+def unify_line_breaks(text: str) -> str:
+    r"""``text`` with each "\r\n" made "\n": a line ends only at "\n", and a "\r"
+    just before it belongs to the line break.  ``str.splitlines`` would also
+    end a line at other characters, so that a data row could hide in a comment.
+    The one-character test is a fast scan; the two-character search is not."""
+    return text.replace("\r\n", "\n") if "\r" in text else text
+
+
+def _take_rows(lines, rows: list[str], label: str) -> str:
+    """Append the data rows among ``lines`` to ``rows``; return the label the
+    last ``# label:`` comment among them sets, else ``label``.
+
+    Each line is stripped of whitespace at both ends, as ``str.strip`` does.
+    An empty line is blank, a line that starts with '#' is a comment, which
+    runs to the end of its line whatever it holds, and any other line is a
+    data row, in which a separator other than the space and the tab is
+    refused by the row checks.
+    """
+    for line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        if line[0] == "#":
+            body = line[1:].strip()
+            if body.startswith("label:"):
+                label = body[len("label:"):].strip()
+            continue
+        rows.append(line)
+    return label
+
+
+def _read_rows(text: str, start: int, count: int, rows: list[str], label: str) -> tuple[str, int]:
+    """Read the lines of ``text`` from offset ``start`` until ``rows`` holds
+    ``count`` more data rows or the text ends.  Return the label that the last
+    ``# label:`` comment read sets, else ``label``, and the offset of the first
+    unread line, past the text once every line is read.
+
+    Each batch of lines is split off in one C-level call.  A line holds at most
+    one row, so a batch of the missing count is taken whole.  After blanks or
+    comments the batch at least doubles, so that a run of them costs time
+    linear in its length, and it is taken a line at a time, to stop at the
+    last row it needs.
+    """
+    target = len(rows) + count
+    size = 0
+    while start <= len(text) and len(rows) < target:
+        missing = target - len(rows)
+        size = max(missing, 2 * size)
+        lines = text[start:].split("\n", size)
+        if size == missing:
+            label = _take_rows(lines[:size], rows, label)
+            start = len(text) - len(lines[-1]) if len(lines) > size else len(text) + 1
+        else:
+            for line in lines[:size]:
+                start += len(line) + 1
+                label = _take_rows((line,), rows, label)
+                if len(rows) == target:
+                    break
+    return label, start
+
+
+def _coordinates(block: list[str], n: int, foreign: bool) -> list[tuple[float, float]]:
+    """The points of a coordinate block that should hold n rows.
+
+    One C-level pass converts every value; only when a row is bad does the
+    scan row by row name the first, as the checks meet it in each row: its
+    value count, a foreign character, a value ``float`` refuses.
+    """
+    parts = list(map(str.split, block))
+    if len(block) == n and all(map((2).__eq__, map(len, parts))) and not (foreign and any(map(_foreign, block))):
+        try:
+            values = list(map(float, chain.from_iterable(parts)))
+        except ValueError:
+            pass
+        else:
+            return list(zip(values[::2], values[1::2]))
+    for row, pair in zip(block, parts):
+        if len(pair) != 2:
+            raise InstanceError("coords line must hold exactly two values")
+        if foreign and _foreign(row):
+            raise InstanceError(f"malformed coordinate line {row!r}")
+        try:
+            float(pair[0]), float(pair[1])
+        except ValueError as exc:
+            raise InstanceError(f"malformed coordinate {pair!r}") from exc
+    raise InstanceError("coords block truncated")
+
+
+def _canonical_label(text: str, end: int, rule, edge_count: int, label: str) -> str | None:
+    """The label of a unit-disk text that holds exactly the rule's edges after
+    offset ``end``, where the line after its coordinates starts; else None.
+
+    The rule must have the header's E edges, the text must end with their E
+    canonical lines, each preceded by a newline, and the lines between ``end``
+    and them must hold no row, only comments and blanks, whose labels count.
+    Then those lines are the E rows after the coordinates, since each is a
+    row as it stands.
+    """
+    if sum(map(len, rule)) != 2 * edge_count:
+        return None
+    tail = _edge_text(rule)
+    # the tail's first newline ends the line before it
+    start = len(text) - len(tail)
+    if start < end - 1 or not text.endswith(tail):
+        return None
+    between: list[str] = []
+    label = _take_rows(text[end:start].split("\n"), between, label)
+    return None if between else label
 
 
 def _reject_edge_lines(block: list[str], edge_count: int, n: int) -> None:
@@ -472,39 +606,34 @@ def _reject_edge_lines(block: list[str], edge_count: int, n: int) -> None:
 
 
 def parse_instance(text: str) -> Instance:
-    """Parse instance text, validating every invariant.
+    r"""Parse instance text, validating every invariant.
 
     Raises InstanceError with a distinct diagnostic for malformed headers,
     non-positive costs, duplicate/loop edges, disconnected graphs, and
-    coordinate blocks that contradict the unit-disk edge rule.  The header,
-    cost, coordinate and edge rows may hold only ASCII and no underscore, as
-    the writer writes them; comments, and so labels, may hold any text.  A
-    file that is ASCII without an underscore, as most are, skips the row
-    checks.
+    coordinate blocks that contradict the unit-disk edge rule.  A line ends
+    only at "\n", a "\r" just before it belonging to the line break.  The
+    header, cost, coordinate and edge rows may hold only ASCII, no underscore
+    and no separator but the space and the tab, as the writer writes them;
+    comments, and so labels, may hold any text.  A file without such a
+    character, as most are, skips the row checks.
 
-    A unit-disk file is first tried against its rule: if the rule has the
-    header's E edges and the text ends with their E canonical lines, each
-    preceded by a newline, then those lines are the last E rows, since each
-    is a row as it stands.  With exactly E rows after the coordinates, they
-    are the edge block, so the file holds exactly the rule's edges.
+    Rows are read only as far as they are needed: the header and the cost
+    row, then, on a unit-disk file, the n coordinate rows.  Such a file, if
+    the text after them has room for the header's E edge lines, is first
+    tried against its rule (``_canonical_label``): if the text ends
+    with the rule's canonical edge lines and no row lies between the last
+    coordinate row and them, the file holds exactly the rule's edges, and no
+    edge line is read.  Any other file resumes the row scan where it stopped.
     """
-    label = ""
+    text = unify_line_breaks(text)
+    # str.isascii is O(1) and each "in" test one C-level scan, so a file that
+    # passes them, as the writer's do, takes none of the row checks below
+    foreign = _foreign(text)
     rows: list[str] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("label:"):
-                label = body[len("label:"):].strip()
-            continue
-        rows.append(line)
+    # the header, the cost row and the row that may open a coordinate block
+    label, end = _read_rows(text, 0, 3, rows, "")
     if not rows:
         raise InstanceError("malformed header: empty instance")
-    # str.isascii is O(1) and the "_" test one C-level scan, so a file that
-    # passes both, as the writer's do, takes none of the row checks below
-    foreign = not text.isascii() or "_" in text
     head = rows[0].split()
     if len(head) != 4 or head[0] != "cds":
         raise InstanceError("malformed header: expected 'cds <n> <edge_count> <m>'")
@@ -521,56 +650,52 @@ def parse_instance(text: str) -> Instance:
     if m < 1:
         raise InstanceError("malformed header: fold requirement m must be >= 1")
 
-    pos = 1
-    if pos >= len(rows):
+    if len(rows) < 2:
         raise InstanceError("missing cost line")
-    cost_tokens = rows[pos].split()
-    pos += 1
+    cost_tokens = rows[1].split()
     if len(cost_tokens) != n:
         raise InstanceError(f"cost line must hold exactly {n} values, found {len(cost_tokens)}")
-    if foreign and _foreign(rows[pos - 1]):
+    if foreign and _foreign(rows[1]):
         bad = next(filter(_foreign, cost_tokens), None)
-        # str.split also splits at non-ASCII spaces, so the row may be foreign where no token is
-        raise InstanceError(f"malformed cost {bad!r}" if bad else "malformed cost line: a separator is not ASCII")
-    costs: list[float] = []
-    for tok in cost_tokens:
-        try:
-            costs.append(float(tok))
-        except ValueError as exc:
-            raise InstanceError(f"malformed cost {tok!r}") from exc
+        if bad:
+            raise InstanceError(f"malformed cost {bad!r}")
+        # str.split also splits at separators the writer never writes, so the row may be foreign where no token is
+        separator = "a space or a tab" if rows[1].isascii() else "ASCII"
+        raise InstanceError(f"malformed cost line: a separator is not {separator}")
+    try:
+        costs = list(map(float, cost_tokens))
+    except ValueError:
+        # one C-level pass decides; the loop only names the first bad value
+        for tok in cost_tokens:
+            try:
+                float(tok)
+            except ValueError as exc:
+                raise InstanceError(f"malformed cost {tok!r}") from exc
+        raise
 
     coords: list[tuple[float, float]] | None = None
-    if pos < len(rows) and rows[pos] == "coords":
-        pos += 1
-        coords = []
-        for _ in range(n):
-            if pos >= len(rows):
-                raise InstanceError("coords block truncated")
-            parts = rows[pos].split()
-            pos += 1
-            if len(parts) != 2:
-                raise InstanceError("coords line must hold exactly two values")
-            if foreign and _foreign(rows[pos - 1]):
-                raise InstanceError(f"malformed coordinate line {rows[pos - 1]!r}")
-            try:
-                x, y = float(parts[0]), float(parts[1])
-            except ValueError as exc:
-                raise InstanceError(f"malformed coordinate {parts!r}") from exc
-            coords.append((x, y))
-
     rule = None
-    # a unit-disk file whose text ends with its rule's canonical edge lines,
-    # after exactly the header's count of rows, holds exactly those edges
-    if coords is not None and len(rows) == pos + edge_count and all(map(math.isfinite, chain.from_iterable(coords))):
-        cells = _half_cells(coords)
-        # refuse a clump (W > E) before any pair is compared, so that the scan
-        # compares at most 37E + 18n pairs; the cell-mate check rejects such a file
-        if sum(len(points) * (len(points) - 1) for points in cells.values()) <= 2 * edge_count:
-            rule = unit_disk_adjacency(coords, cells)
-            if sum(map(len, rule)) == 2 * edge_count and text.endswith(_edge_text(rule)):
-                graph = WeightedGraph.from_adjacency(rule, costs, coords, rule)
-                return Instance(graph=graph, m=m, label=label)
+    if len(rows) > 2 and rows[2] == "coords":
+        label, end = _read_rows(text, end, n, rows, label)
+        coords = _coordinates(rows[3:], n, foreign)
+        # a unit-disk file whose text ends with its rule's canonical edge lines,
+        # with no row between its last coordinate row and them, holds exactly those
+        # edges.  Those E lines take at least 4E + 1 characters from the newline
+        # that ends the last coordinate row, so a header E that the text cannot
+        # hold goes to the row scan, which counts the rows, before any pair is compared
+        if len(text) - end >= 4 * edge_count and all(map(math.isfinite, chain.from_iterable(coords))):
+            cells = _half_cells(coords)
+            # refuse a clump (W > E) before any pair is compared, so that the scan
+            # compares at most 37E + 18n pairs; the cell-mate check rejects such a file
+            if sum(len(points) * (len(points) - 1) for points in cells.values()) <= 2 * edge_count:
+                rule = unit_disk_adjacency(coords, cells)
+                canonical = _canonical_label(text, end, rule, edge_count, label)
+                if canonical is not None:
+                    graph = WeightedGraph.from_adjacency(rule, costs, coords, rule)
+                    return Instance(graph=graph, m=m, label=canonical)
 
+    pos = 2 if coords is None else 3 + n
+    label = _take_rows(text[end:].split("\n"), rows, label)
     block = rows[pos:pos + edge_count]
     pos += len(block)
     bad = foreign and next(filter(_foreign, block), None)

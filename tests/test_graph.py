@@ -5,6 +5,7 @@ import random
 import re
 import sys
 import time
+from unittest import mock
 from collections import Counter
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ import cdsopt.generators
 import cdsopt.graph
 from cdsopt.components import ComponentIndex
 from cdsopt.connector import best_star_at, greedy_connect, pair_candidate, pairwise_connect
+from cdsopt.cli import main
 from cdsopt.domination import DeficitState, coverage_gain
 from cdsopt.generators import (
     RANDOM_MAX_PAIRS,
@@ -87,6 +89,59 @@ LATE_EDGE_FAULTS = [
     (path_text_with({1: "0 1", 30: "31 31"}), "loop edge 31 31"),
 ]
 
+PARSE_DIAGNOSTICS = [
+    ("", "malformed header"),
+    ("graph 3 2 1\n1 1 1\n0 1\n1 2\n", "malformed header"),
+    ("cds 3 2\n1 1 1\n0 1\n1 2\n", "malformed header"),
+    ("cds 3 2 0\n1 1 1\n0 1\n1 2\n", "m must be >= 1"),
+    ("cds 3 x 1\n1 1 1\n0 1\n1 2\n", "malformed header: counts must be integers"),
+    ("cds 3 -1 1\n1 1 1\n", "malformed header: edge count must be >= 0"),
+    ("cds 3 2 1\n", "missing cost line"),
+    ("cds 3 2 1\n1 abc 1\n0 1\n1 2\n", "malformed cost 'abc'"),
+    ("cds 2 1 1\n1 1\ncoords\n0 0\n", "coords block truncated"),
+    ("cds 2 1 1\n1 1\ncoords\n0 0 0\n1 0\n0 1\n", "coords line must hold exactly two values"),
+    ("cds 3 2 1\n1 1 1\n0 1 2\n1 2\n", "malformed edge line \\['0', '1', '2'\\]"),
+    ("cds 3 2 1\n1 1 1\n0 x\n1 2\n", "malformed edge line \\['0', 'x'\\]"),
+    ("cds 0 0 1\n\n", "node count"),
+    ("cds 3 2 1\n1 0 1\n0 1\n1 2\n", "non-positive cost"),
+    ("cds 3 2 1\n1 -2 1\n0 1\n1 2\n", "non-positive cost"),
+    ("cds 3 2 1\n1 nan 1\n0 1\n1 2\n", "malformed cost"),
+    ("cds 3 2 1\n1 inf 1\n0 1\n1 2\n", "malformed cost"),
+    ("cds 3 2 1\n1 1\n0 1\n1 2\n", "cost line"),
+    ("cds 3 2 1\n1 1 1\n0 1\n0 1\n", "duplicate edge"),
+    ("cds 3 2 1\n1 1 1\n1 1\n0 2\n", "loop edge"),
+    ("cds 3 2 1\n1 1 1\n1 0\n1 2\n", "0 <= u < v < n"),
+    ("cds 3 2 1\n1 1 1\n0 1\n1 3\n", "0 <= u < v < n"),
+    ("cds 3 1 1\n1 1 1\n0 1\n", "disconnected graph"),
+    ("cds 3 2 1\n1 1 1\n0 1\n", "expected 2 edge lines"),
+    ("cds 3 2 1\n1 1 1\n0 1\n1 2\n0 2\n", "trailing content"),
+    ("cds 1 0 1\n1\ncoords\nx 0\n", "malformed coordinate \\['x', '0'\\]"),
+    ("cds 1 0 1\n1\ncoords\nnan 0\n", "malformed coordinate at node 0"),
+    ("cds 2 1 1\n1 1\ncoords\n0 0\n0 -inf\n0 1\n", "malformed coordinate at node 1"),
+    *LATE_EDGE_FAULTS,
+]
+
+COORDINATE_FILE_ORDER = [
+    # each row also breaks a later check, so the earlier one must speak:
+    # a malformed edge line and a bad cost
+    ("cds 2 1 1\n1 -1\ncoords\n0 0\n0.5 0\n0 x\n", "malformed edge line ['0', 'x']"),
+    # trailing content and a bad coordinate
+    ("cds 2 1 1\n1 1\ncoords\n0 0\ninf 0\n0 1\n5 5\n", "trailing content after edge list"),
+    # a duplicate edge and a bad cost
+    ("cds 3 2 1\n1 -1 1\ncoords\n0 0\n0.5 0\n1 0\n0 1\n0 1\n", "duplicate edge 0 1"),
+    # the rule's own edge lines, a bad cost and a disconnected graph
+    ("cds 3 1 1\n1 0 1\ncoords\n0 0\n0.5 0\n5 0\n0 1\n", "non-positive cost at node 1"),
+    # a bad coordinate and a disconnected graph
+    ("cds 2 0 1\n1 1\ncoords\n0 0\nnan 0\n", "malformed coordinate at node 1"),
+    # a disconnected graph and a wrong rule
+    ("cds 3 1 1\n1 1 1\ncoords\n0 0\n2 0\n5 0\n0 1\n", "disconnected graph"),
+]
+# every cost and coordinate fault: an ASCII file converts each block in one
+# pass, while a file with a non-ASCII comment checks the rows one by one
+COST_AND_COORDINATE_FAULTS = [
+    (text, fragment) for text, fragment in PARSE_DIAGNOSTICS if "cost" in fragment or "coord" in fragment
+] + [(text, re.escape(message)) for text, message in COORDINATE_FILE_ORDER]
+
 
 class TestParse:
     def test_p3(self):
@@ -106,43 +161,25 @@ class TestParse:
         inst = parse_instance("# label: tiny path\n" + P3_TEXT)
         assert inst.label == "tiny path"
 
-    @pytest.mark.parametrize(
-        "text,fragment",
-        [
-            ("", "malformed header"),
-            ("graph 3 2 1\n1 1 1\n0 1\n1 2\n", "malformed header"),
-            ("cds 3 2\n1 1 1\n0 1\n1 2\n", "malformed header"),
-            ("cds 3 2 0\n1 1 1\n0 1\n1 2\n", "m must be >= 1"),
-            ("cds 3 x 1\n1 1 1\n0 1\n1 2\n", "malformed header: counts must be integers"),
-            ("cds 3 -1 1\n1 1 1\n", "malformed header: edge count must be >= 0"),
-            ("cds 3 2 1\n", "missing cost line"),
-            ("cds 3 2 1\n1 abc 1\n0 1\n1 2\n", "malformed cost 'abc'"),
-            ("cds 2 1 1\n1 1\ncoords\n0 0\n", "coords block truncated"),
-            ("cds 2 1 1\n1 1\ncoords\n0 0 0\n1 0\n0 1\n", "coords line must hold exactly two values"),
-            ("cds 3 2 1\n1 1 1\n0 1 2\n1 2\n", "malformed edge line \\['0', '1', '2'\\]"),
-            ("cds 3 2 1\n1 1 1\n0 x\n1 2\n", "malformed edge line \\['0', 'x'\\]"),
-            ("cds 0 0 1\n\n", "node count"),
-            ("cds 3 2 1\n1 0 1\n0 1\n1 2\n", "non-positive cost"),
-            ("cds 3 2 1\n1 -2 1\n0 1\n1 2\n", "non-positive cost"),
-            ("cds 3 2 1\n1 nan 1\n0 1\n1 2\n", "malformed cost"),
-            ("cds 3 2 1\n1 inf 1\n0 1\n1 2\n", "malformed cost"),
-            ("cds 3 2 1\n1 1\n0 1\n1 2\n", "cost line"),
-            ("cds 3 2 1\n1 1 1\n0 1\n0 1\n", "duplicate edge"),
-            ("cds 3 2 1\n1 1 1\n1 1\n0 2\n", "loop edge"),
-            ("cds 3 2 1\n1 1 1\n1 0\n1 2\n", "0 <= u < v < n"),
-            ("cds 3 2 1\n1 1 1\n0 1\n1 3\n", "0 <= u < v < n"),
-            ("cds 3 1 1\n1 1 1\n0 1\n", "disconnected graph"),
-            ("cds 3 2 1\n1 1 1\n0 1\n", "expected 2 edge lines"),
-            ("cds 3 2 1\n1 1 1\n0 1\n1 2\n0 2\n", "trailing content"),
-            ("cds 1 0 1\n1\ncoords\nx 0\n", "malformed coordinate \\['x', '0'\\]"),
-            ("cds 1 0 1\n1\ncoords\nnan 0\n", "malformed coordinate at node 0"),
-            ("cds 2 1 1\n1 1\ncoords\n0 0\n0 -inf\n0 1\n", "malformed coordinate at node 1"),
-            *LATE_EDGE_FAULTS,
-        ],
-    )
+    @pytest.mark.parametrize("text,fragment", PARSE_DIAGNOSTICS)
     def test_diagnostics(self, text, fragment):
         with pytest.raises(InstanceError, match=fragment.replace("(", "\\(")):
             parse_instance(text)
+
+    @pytest.mark.parametrize("text,fragment", COST_AND_COORDINATE_FAULTS)
+    def test_cost_and_coordinate_faults_on_both_paths(self, text, fragment):
+        """The bulk conversion of an ASCII file and the row checks of a file with a
+        non-ASCII comment, first or after four lines (inside a coordinate block),
+        give the same message, naming the same row or node."""
+        assert text.isascii()
+        lines = text.split("\n")
+        lines.insert(min(4, len(lines) - 1), "# caf\u00e9")
+        messages = []
+        for variant in (text, "# r\u00e9seau\n" + text, "\n".join(lines)):
+            with pytest.raises(InstanceError, match=fragment.replace("(", "\\(")) as err:
+                parse_instance(variant)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1] == messages[2]
 
     @pytest.mark.parametrize(
         "text, message",
@@ -226,6 +263,157 @@ class TestSerialize:
     def test_roundtrip_property(self, n, p, seed, m):
         inst = gen_random_connected(n, p, (0.1, 10.0), seed=seed, m=m)
         assert parse_instance(serialize_instance(inst)) == inst
+
+
+# a small unit-disk file whose rows are, in order, the header, the cost row,
+# "coords", three coordinate rows and two edge rows
+UDG_P3_TEXT = "cds 3 2 1\n1 1 1\ncoords\n0 0\n0.75 0\n1.5 0\n0 1\n1 2\n"
+# the characters at which str.splitlines ends a line besides "\n", and at which
+# str.split splits a row besides the space and the tab
+ODD_BREAKS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x1f", "\r", "\x85", "\u2028", "\u2029"]
+ODD_BREAK_IDS = [f"U+{ord(c):04X}" for c in ODD_BREAKS]
+
+
+class TestLineRule:
+    """A line ends only at "\n", a "\r" just before it belonging to the line
+    break; a comment runs to the end of its line, and a data row that holds any
+    other line break or separator is refused."""
+
+    @pytest.mark.parametrize("odd", ODD_BREAKS, ids=ODD_BREAK_IDS)
+    def test_comment_hides_no_header(self, odd, tmp_path, capsys):
+        # the header after the odd break is part of the comment, so "1 1 1" is read as the header
+        text = f"# x{odd}cds 3 2 1\n1 1 1\n0 1\n1 2\n"
+        with pytest.raises(InstanceError, match="^malformed header: expected"):
+            parse_instance(text)
+        path = tmp_path / "hidden.cds"
+        path.write_bytes(text.encode("utf-8"))
+        assert main(["solve", str(path), "--no-timing"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: malformed header")
+
+    @pytest.mark.parametrize(
+        "inst",
+        [gen_udg(30, 4.0, (0.1, 10.0), seed=1), gen_random_connected(12, 0.3, (0.1, 10.0), seed=3), gen_fig1(3, 0.01)[0]],
+        ids=["udg", "random", "fig1"],
+    )
+    def test_crlf_file_parses_as_its_lf_copy(self, inst, tmp_path, capsys):
+        text = serialize_instance(inst)
+        assert parse_instance(text.replace("\n", "\r\n")) == parse_instance(text) == inst
+        reports = []
+        for name, data in [("lf.cds", text), ("crlf.cds", text.replace("\n", "\r\n"))]:
+            path = tmp_path / name
+            path.write_bytes(data.encode("utf-8"))
+            assert main(["solve", str(path), "--no-timing"]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("odd", ODD_BREAKS, ids=ODD_BREAK_IDS)
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            (0, "malformed header: counts must be ASCII digits, found {row!r}"),
+            (1, "malformed cost line: a separator is not {kind}"),
+            (4, "malformed coordinate line {row!r}"),
+            (7, "malformed edge line {row!r}"),
+        ],
+        ids=["header", "cost", "coordinate", "edge"],
+    )
+    def test_odd_break_in_a_data_row_is_refused(self, odd, row, message):
+        lines = UDG_P3_TEXT.split("\n")
+        lines[row] = lines[row].replace(" ", odd, 1)
+        kind = "a space or a tab" if odd.isascii() else "ASCII"
+        with pytest.raises(InstanceError) as err:
+            parse_instance("\n".join(lines))
+        assert str(err.value) == message.format(row=lines[row], kind=kind)
+
+    @pytest.mark.parametrize("space", ODD_BREAKS + ["\u00a0", "\u3000"], ids=ODD_BREAK_IDS + ["U+00A0", "U+3000"])
+    def test_whitespace_at_a_line_end_is_stripped(self, space):
+        # a blank line of it, a comment indented with it and rows ending in it read
+        # as without it, as str.strip takes it off each line
+        rows = UDG_P3_TEXT.split("\n")[:-1]
+        text = "\n".join([space, f"{space}# label: x", *(row + space for row in rows)]) + "\n"
+        parsed = parse_instance(text)
+        assert parsed.graph == parse_instance(UDG_P3_TEXT).graph
+        assert parsed.label == "x"
+
+    @pytest.mark.parametrize("odd", ODD_BREAKS, ids=ODD_BREAK_IDS)
+    def test_odd_break_in_a_comment_is_part_of_it(self, odd):
+        text = f"# label: a{odd}cds 9 9 9\n# {odd}1 2\n" + UDG_P3_TEXT.replace("0 1\n", f"0 1\n# {odd}0 2\n")
+        inst = parse_instance(text)
+        assert inst.graph == parse_instance(UDG_P3_TEXT).graph
+        assert inst.label == f"a{odd}cds 9 9 9"
+
+    def test_designated_set_is_found_by_the_line_rule(self, tmp_path, capsys):
+        inst, designated = gen_fig1(2, 0.01)
+        ids = " ".join(map(str, sorted(designated)))
+        base = serialize_instance(inst)
+        reports = []
+        for text in [
+            f"# designated-ds: {ids}\n" + base,
+            f"# designated-ds: {ids}\r\n" + base.replace("\n", "\r\n"),
+            # a comment indented with any whitespace, as the parser strips each line
+            f"\u3000# designated-ds: {ids}\n" + base,
+        ]:
+            path = tmp_path / "ladder.cds"
+            path.write_bytes(text.encode("utf-8"))
+            assert main(["solve", str(path), "--given-ds", "--no-timing"]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1] == reports[2]
+        # a designated-ds comment after a \x1c is part of the comment before it
+        path.write_text(f"# x\x1c# designated-ds: {ids}\n" + base, encoding="utf-8")
+        assert main(["solve", str(path), "--given-ds", "--no-timing"]) == 2
+        assert "carries no '# designated-ds:' comment" in capsys.readouterr().err
+
+
+def generated(kind: str, size: int, seed: int) -> Instance:
+    """A small instance of a generator kind; ``size`` is 0..19."""
+    if kind == "udg":
+        n = size + 1
+        return gen_udg(n, min(3.0, 0.7 * math.sqrt(n) + 0.5), (0.1, 10.0), seed=seed, m=1 + seed % 3)
+    if kind == "random":
+        return gen_random_connected(size + 1, 0.3, (0.1, 10.0), seed=seed, m=1 + seed % 3)
+    return gen_fig1(1 + size % 4, 0.01)[0]
+
+
+class TestCommentsAnywhere:
+    """Comment, blank and label lines inserted at line boundaries of the writer's
+    text leave the graph as it was, and the last label wins.  A unit-disk file
+    keeps the canonical path while every insertion lies before its first edge
+    line; one among or after its edge lines sends it to the resumed row scan."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        kind=st.sampled_from(["udg", "random", "fig1"]),
+        size=st.integers(0, 19),
+        seed=st.integers(0, 10**6),
+        crlf=st.booleans(),
+        data=st.data(),
+    )
+    def test_inserted_lines_keep_the_graph(self, kind, size, seed, crlf, data):
+        inst = generated(kind, size, seed)
+        body = serialize_instance(inst).split("\n")[:-1]
+        first_edge = len(body) - inst.graph.edge_count
+        spots = st.one_of(
+            st.just(first_edge),  # between the coordinates (or costs) and the edges
+            st.integers(first_edge, len(body)),  # among the edges, or after the last
+            st.integers(0, len(body)),
+        )
+        filler = st.one_of(
+            st.sampled_from(["", "   ", "\t", "#", "# a comment", "  # indented", "# caf\u00e9 1_0 \x1c \u2028"]),
+            st.text(st.characters(blacklist_characters="\n\r"), max_size=8).map(lambda t: "# label: " + t),
+        )
+        inserts = data.draw(st.lists(st.tuples(spots, filler), min_size=1, max_size=4))
+        lines = body.copy()
+        # from the last spot back, so each spot indexes the writer's lines
+        for spot, line in sorted(inserts, key=lambda pair: pair[0], reverse=True):
+            lines.insert(spot, line)
+        text = ("\r\n" if crlf else "\n").join(lines) + "\n"
+        label = next((line[len("# label:"):].strip() for line in reversed(lines) if line.startswith("# label:")), "")
+        canonical = kind == "udg" and all(spot <= first_edge for spot, _ in inserts)
+        with mock.patch.object(cdsopt.graph, "edge_adjacency", wraps=cdsopt.graph.edge_adjacency) as spy:
+            parsed = parse_instance(text)
+        assert parsed == Instance(inst.graph, inst.m, label)
+        assert spy.call_count == (0 if canonical else 1)
 
 
 def edge_probs():
@@ -1023,30 +1211,42 @@ class TestCanonicalUnitDiskParse:
         with pytest.raises(InstanceError, match=f"^{re.escape(message)}$"):
             parse_instance(text)
 
+    def test_tail_inside_the_coordinate_block_is_no_edge_line(self, calls):
+        # the rule's edges are the path 9-10-11-12; the last coordinate row "9 10"
+        # spells its first edge line, and the two edge rows after it the other two,
+        # which are long enough to leave room for three edge lines of four characters
+        points = [f"{3 * i} 0" for i in range(9)] + ["9 13", "9 12", "9 11", "9 10"]
+        text = "\n".join(["cds 13 3 1", " ".join(["1"] * 13), "coords", *points, "10 11", "11 12", ""])
+        assert text.endswith("\n9 10\n10 11\n11 12\n")
+        with pytest.raises(InstanceError, match="^expected 3 edge lines, found 2$"):
+            parse_instance(text)
+        assert (calls["edge_adjacency"], calls["unit_disk_adjacency"]) == (0, 1)
+
+    @pytest.mark.parametrize(
+        "text, edge_count",
+        [
+            # the last coordinate row "0 1" spells the rule's one edge line, but no edge row follows it
+            ("cds 2 1 1\n1 1\ncoords\n0 0.5\n0 1\n", 1),
+            # 2,000 co-located points under the complete graph's edge count, with no
+            # edge row: the rule would compare about 2 million pairs
+            (udg_text([(0.0, 0.0)] * 2000, []).replace("cds 2000 0 1", "cds 2000 1999000 1"), 1999000),
+        ],
+        ids=["one edge", "clump"],
+    )
+    def test_edge_count_the_text_cannot_hold_is_counted_first(self, calls, text, edge_count):
+        # E edge lines take at least 4E + 1 characters after the coordinates, so
+        # the row scan counts the rows before the rule is computed
+        with pytest.raises(InstanceError, match=f"^expected {edge_count} edge lines, found 0$"):
+            parse_instance(text)
+        assert (calls["edge_adjacency"], calls["unit_disk_adjacency"]) == (0, 0)
+
     def test_clump_is_refused_before_any_pair_is_compared(self, calls):
         # 50 co-located points make W = 1,225 same-cell pairs against 49 edges
         with pytest.raises(InstanceError, match=r"^coords violate the unit-disk edge rule at pair \(0, 2\)$"):
             parse_instance(colocated_path_text(50))
         assert (calls["edge_adjacency"], calls["unit_disk_adjacency"]) == (1, 0)
 
-    @pytest.mark.parametrize(
-        "text,message",
-        [
-            # each row also breaks a later check, so the earlier one must speak:
-            # a malformed edge line and a bad cost
-            ("cds 2 1 1\n1 -1\ncoords\n0 0\n0.5 0\n0 x\n", "malformed edge line ['0', 'x']"),
-            # trailing content and a bad coordinate
-            ("cds 2 1 1\n1 1\ncoords\n0 0\ninf 0\n0 1\n5 5\n", "trailing content after edge list"),
-            # a duplicate edge and a bad cost
-            ("cds 3 2 1\n1 -1 1\ncoords\n0 0\n0.5 0\n1 0\n0 1\n0 1\n", "duplicate edge 0 1"),
-            # the rule's own edge lines, a bad cost and a disconnected graph
-            ("cds 3 1 1\n1 0 1\ncoords\n0 0\n0.5 0\n5 0\n0 1\n", "non-positive cost at node 1"),
-            # a bad coordinate and a disconnected graph
-            ("cds 2 0 1\n1 1\ncoords\n0 0\nnan 0\n", "malformed coordinate at node 1"),
-            # a disconnected graph and a wrong rule
-            ("cds 3 1 1\n1 1 1\ncoords\n0 0\n2 0\n5 0\n0 1\n", "disconnected graph"),
-        ],
-    )
+    @pytest.mark.parametrize("text,message", COORDINATE_FILE_ORDER)
     def test_coordinate_file_checks_in_order(self, text, message):
         with pytest.raises(InstanceError, match=f"^{re.escape(message)}$"):
             parse_instance(text)
@@ -1067,3 +1267,16 @@ class TestLinearBuild:
         assert degree(built, 0) == degree(parsed, 0) == n - 1
         assert built.adjacency == parsed.adjacency
         assert elapsed < 15.0, f"building a {n}-node star twice took {elapsed:.1f} s"
+
+    def test_comment_runs_200k(self):
+        # rows are read in batches that at least double, so a run of comments
+        # before the header or inside the coordinate block is read in linear
+        # time (0.15 s each on 2 shared Xeon CPUs with Python 3.11); batches
+        # of one line each took 6.5 s and 7.1 s on the same machine
+        comments = "# c\n" * 200_000
+        texts = [comments + UDG_P3_TEXT, UDG_P3_TEXT.replace("0.75 0\n", "0.75 0\n" + comments)]
+        start = time.perf_counter()
+        for text in texts:
+            assert parse_instance(text) == parse_instance(UDG_P3_TEXT)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 5.0, f"parsing 200,000 comment lines twice took {elapsed:.1f} s"
