@@ -26,6 +26,9 @@ and, on unit-disk instances, that the neighbour tuples equal
 ``unit_disk_adjacency``'s, the one place the distance rule is written.
 ``component_labels`` is the one routine for static connectivity and seeds
 ``ComponentIndex``: a stack search of a given member set, linear too.
+``cut_vertices`` finds the nodes whose removal disconnects the graph, by
+one low-link search that keeps its own stack; every connected dominating
+set holds them, so the exact CDS search starts with them chosen.
 Construction and validation take time linear in the nodes plus the edges
 (plus one sort of an unsorted edge list), whatever the degrees and wherever
 the points lie.  ``unit_disk_adjacency`` buckets the points into a grid of
@@ -274,6 +277,57 @@ def component_labels(adjacency, members) -> tuple[list[int], int]:
                     label[v] = start
                     stack.append(v)
     return label, count
+
+
+def cut_vertices(adjacency) -> list[int]:
+    """The cut vertices of a graph, in increasing id order.
+
+    A cut vertex is a node whose removal leaves more components.  One
+    depth-first search with low-links finds them all in O(n + E) (Hopcroft
+    & Tarjan, CACM 1973): ``low[u]`` is the smallest discovery time that
+    u's DFS subtree reaches by one edge.  A root is a cut vertex when it has
+    two or more children; any other node u is one when some child c has
+    ``low[c] >= disc[u]``, since then no edge leaves c's subtree above u.
+    The edge back to a parent may lower ``low[c]`` only to ``disc[u]``, so
+    it is not skipped.  Each DFS starts at the smallest unreached node.  The
+    search keeps its own stack of neighbor iterators and never recurses,
+    so its depth is not bounded by the interpreter's recursion limit.
+    """
+    n = len(adjacency)
+    disc = [-1] * n
+    low = [0] * n
+    cut = [False] * n
+    clock = 0
+    for root in range(n):
+        if disc[root] >= 0:
+            continue
+        disc[root] = low[root] = clock
+        clock += 1
+        children = 0
+        stack = [(root, iter(adjacency[root]))]
+        while stack:
+            u, nbrs = stack[-1]
+            for v in nbrs:
+                if disc[v] < 0:
+                    disc[v] = low[v] = clock
+                    clock += 1
+                    stack.append((v, iter(adjacency[v])))
+                    break
+                if disc[v] < low[u]:
+                    low[u] = disc[v]
+            else:
+                stack.pop()
+                if not stack:
+                    continue
+                parent = stack[-1][0]
+                if low[u] < low[parent]:
+                    low[parent] = low[u]
+                if parent == root:
+                    children += 1
+                elif low[u] >= disc[parent]:
+                    cut[parent] = True
+        cut[root] = children >= 2
+    return [u for u in range(n) if cut[u]]
 
 
 def _cell_gap(k: int) -> float:
@@ -543,19 +597,26 @@ def _read_rows(text: str, start: int, count: int, rows: list[str], label: str) -
 def _coordinates(block: list[str], n: int, foreign: bool) -> list[tuple[float, float]]:
     """The points of a coordinate block that should hold n rows.
 
-    One C-level pass converts every value; only when a row is bad does the
-    scan row by row name the first, as the checks meet it in each row: its
-    value count, a foreign character, a value ``float`` refuses.
+    One C-level pass counts each row's values, dropping each row's split as
+    it goes, and one split of the joined block converts every value, so no
+    per-row list stays alive for the cyclic collector to walk.  Only when a
+    row is bad does the scan row by row name the first, as the checks meet
+    it in each row: its value count, a foreign character, a value ``float``
+    refuses.
     """
-    parts = list(map(str.split, block))
-    if len(block) == n and all(map((2).__eq__, map(len, parts))) and not (foreign and any(map(_foreign, block))):
+    if (
+        len(block) == n
+        and all(map((2).__eq__, map(len, map(str.split, block))))
+        and not (foreign and any(map(_foreign, block)))
+    ):
         try:
-            values = list(map(float, chain.from_iterable(parts)))
+            values = list(map(float, " ".join(block).split()))
         except ValueError:
             pass
         else:
             return list(zip(values[::2], values[1::2]))
-    for row, pair in zip(block, parts):
+    for row in block:
+        pair = row.split()
         if len(pair) != 2:
             raise InstanceError("coords line must hold exactly two values")
         if foreign and _foreign(row):

@@ -15,8 +15,8 @@ L* costs more.  The incumbent only cuts work; the answer and, with V as the
 incumbent, the search tree are those of a bound of sum(cost).  When the
 costs overflow to inf no leaf beats the bound and the incumbent is returned.
 
-Two more prunes cut only subtrees that hold no leaf the search would take,
-so they keep L*, ``opt_cost`` and its float bits, and lower only
+Three more prunes cut only subtrees that hold no leaf the search would
+take, so they keep L*, ``opt_cost`` and its float bits, and lower only
 ``nodes_explored``:
 
 - *Forced nodes (both searches).*  A bitmask ``forced`` holds the undecided
@@ -44,9 +44,20 @@ so they keep L*, ``opt_cost`` and its float bits, and lower only
   A plain flood fill of G[chosen + undecided] prunes the same nodes but
   walks the undecided ones too: on a random graph with n = 32 the search
   took 2.4-2.9 s with it and 0.85-1.06 s with ``links``.
+- *Cut vertices (CDS only).*  Every connected dominating set holds every
+  cut vertex of G, for any m >= 1.  Take v not in D, with D connected: D
+  lies in one component A of G - v, and a node x in another component has
+  all its neighbors in that component or at v, none of them in D, so x is
+  not dominated.  So the root's ``forced`` also holds the cut vertices,
+  from one ``cut_vertices`` pass.  Every CDS leaf holds them, so the
+  forced-node argument above holds as it stands: only subtrees with no CDS
+  leaf are cut.  A cut vertex of G minus the OUT nodes is forced too, but
+  recomputing them at every OUT decision halved the nodes again and made
+  the search about 4x slower in Python.
 
-On the ``oracle-bounds`` benchmark cases the two prunes take the search from
-1,660,957 to 200,679 nodes per pass, with the same answers.
+On the ``oracle-bounds`` benchmark cases the prunes take the search from
+1,660,957 to 150,211 nodes per pass (200,679 without the cut vertices),
+with the same answers.
 
 The chosen (IN) set and ``forced`` travel down the recursion as int
 bitmasks.  The search keeps one count per node, its chosen plus undecided
@@ -58,11 +69,11 @@ is left to check there, by a flood fill over per-node neighbor masks, since
 the set is already an int.  ``opt_set`` is decoded once, at the end.
 
 Intended for desk-scale instances.  Two refusals run before any O(n + E)
-work, the incumbent check and the ``_links`` precompute included: the node
-budget, which guards against accidental exponential blowups, and the depth
-limit.  The search recurses once per node, so it refuses n >
-``sys.getrecursionlimit() // 2``; the other half of the interpreter's limit
-is left for the caller's frames.
+work, the incumbent check, the cut-vertex pass and the ``_links``
+precompute included: the node budget, which guards against accidental
+exponential blowups, and the depth limit.  The search recurses once per
+node, so it refuses n > ``sys.getrecursionlimit() // 2``; the other half of
+the interpreter's limit is left for the caller's frames.
 """
 
 from __future__ import annotations
@@ -71,7 +82,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .graph import Instance, left_sum
+from .graph import Instance, cut_vertices, left_sum
 from .verify import verify_cds, verify_mds
 
 
@@ -204,8 +215,12 @@ def _exact_search(inst: Instance, node_budget: int, require_connected: bool, inc
         for w in adj[i]:
             avail[w] += 1
 
-    # a node with fewer than m neighbors is in every solution
-    rec(0, 0.0, 0, sum(1 << u for u in range(n) if avail[u] < m))
+    # a node with fewer than m neighbors is in every solution, and a cut
+    # vertex of G is in every connected one
+    forced = sum(1 << u for u in range(n) if avail[u] < m)
+    if require_connected:
+        forced |= sum(1 << u for u in cut_vertices(adj))
+    rec(0, 0.0, 0, forced)
     opt_set = tuple(u for u in range(n) if best_mask >> u & 1)
     return OracleResult(opt_set=opt_set, opt_cost=best_cost, nodes_explored=explored)
 

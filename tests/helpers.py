@@ -5,6 +5,8 @@ incrementally or by a shortcut, and tests compare the two.  The library
 structure each one avoids:
 
 - ``bfs_component_labels``: a plain BFS in place of ``ComponentIndex``;
+- ``removal_cut_vertices``: a BFS component count per removed node in place of
+  ``cut_vertices``'s low-link search;
 - ``coverage_value``: a from-scratch deficit sum in place of ``DeficitState``;
 - ``reference_component_neighbors``: an adjacency label scan in place of ``ComponentIndex.reach``;
 - ``reference_best_star_at``: the same label scans in place of ``ComponentIndex.reach``;
@@ -35,6 +37,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 
 from cdsopt.components import ComponentIndex
 from cdsopt.connector import ConnectReport, StarCandidate
@@ -122,6 +125,18 @@ def bfs_component_labels(graph: WeightedGraph, members) -> dict[int, int]:
 def bfs_component_count(graph: WeightedGraph, members) -> int:
     labels = bfs_component_labels(graph, members)
     return len(set(labels.values()))
+
+
+def removal_cut_vertices(adjacency) -> list[int]:
+    """The nodes whose removal leaves more components, each found by a BFS count without it.
+
+    ``adjacency`` need not be connected, so it is wrapped rather than built
+    into a ``WeightedGraph``.
+    """
+    graph = SimpleNamespace(adjacency=adjacency)
+    n = len(adjacency)
+    whole = bfs_component_count(graph, range(n))
+    return [v for v in range(n) if bfs_component_count(graph, [u for u in range(n) if u != v]) > whole]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
-"""Solution validation, exact search vs. unpruned enumeration and the unpruned search, ratios."""
+"""Solution validation, exact search vs. unpruned enumeration and the unpruned search, cut vertices, ratios."""
 
 import math
 import random
+import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 from cdsopt.cli import main
 from cdsopt.generators import gen_fig1, gen_random_connected, gen_udg
-from cdsopt.graph import serialize_instance
+from cdsopt.graph import cut_vertices, edge_adjacency, serialize_instance
 from cdsopt.oracle import (
     OracleBudgetError,
     exact_minimum_cds,
@@ -20,12 +22,15 @@ from cdsopt.oracle import (
 from cdsopt.solver import solve
 from cdsopt.verify import verify_cds, verify_mds
 from helpers import (
+    bfs_component_count,
+    comb_instance,
     complete_instance,
     cycle_instance,
     exhaustive_minimum,
     make_instance,
     path_instance,
     reference_exact_search,
+    removal_cut_vertices,
     star_instance,
 )
 
@@ -200,7 +205,7 @@ class TestExactSearch:
             ),
             (
                 lambda: gen_udg(18, 2.8, (0.1, 10.0), 1),
-                ((1, 2, 7, 13, 15), 28.114367430676126, 1687),
+                ((1, 2, 7, 13, 15), 28.114367430676126, 1507),
                 ((6, 7, 11, 13), 15.705377344260077, 1668),
             ),
             (
@@ -236,7 +241,7 @@ class TestExactSearch:
             ),
             (
                 lambda: gen_udg(18, 2.8, (0.1, 10.0), 1),
-                ((1, 2, 7, 13, 15), 28.114367430676126, 992),
+                ((1, 2, 7, 13, 15), 28.114367430676126, 802),
                 ((6, 7, 11, 13), 15.705377344260077, 292),
             ),
             (
@@ -330,16 +335,17 @@ class TestExactSearch:
 
     def test_udg_n30_past_the_default_budget(self):
         """Optima the reference search took 23,301,292 (CDS) and 622,431 (MDS)
-        nodes to find.  Each ceiling needs its prune: without the connectivity
-        prune the CDS search explores 10,275,046 nodes, and without the
-        forced-cost bound it explores 242,237 and the MDS search 622,431."""
+        nodes to find.  Each ceiling needs its prune: without the cut-vertex
+        forcing the CDS search explores 77,950 nodes, without the
+        connectivity prune 90,821, and without the forced-cost bound 170,950
+        and the MDS search 622,431."""
         inst = gen_udg(30, 3.5, (0.1, 10.0), 1, m=2)
         cds = exact_minimum_cds(inst, node_budget=30)
         assert (cds.opt_set, cds.opt_cost) == (
             (5, 9, 10, 11, 14, 15, 17, 18, 19, 20, 21, 22, 23, 26, 28),
             56.696956039164874,
         )
-        assert cds.nodes_explored <= 100_000
+        assert cds.nodes_explored <= 20_000
         mds = exact_minimum_mds(inst, node_budget=30)
         assert (mds.opt_set, mds.opt_cost) == ((7, 8, 11, 13, 14, 17, 18, 19, 21, 23, 26, 28), 39.42394554549159)
         assert mds.nodes_explored <= 50_000
@@ -397,14 +403,113 @@ class TestExactSearch:
             exact_minimum_cds(path_instance(1100), node_budget=1100, incumbent={0})
 
     def test_refusals_precede_the_links_precompute(self, monkeypatch):
-        def unreachable(nbr_masks):
-            raise AssertionError("links built for a refused instance")
+        def unreachable(masks_or_adjacency):
+            raise AssertionError("links or cut vertices built for a refused instance")
 
         monkeypatch.setattr("cdsopt.oracle._links", unreachable)
+        monkeypatch.setattr("cdsopt.oracle.cut_vertices", unreachable)
         with pytest.raises(OracleBudgetError, match="^instance too large"):
             exact_minimum_cds(path_instance(17))
         with pytest.raises(OracleBudgetError, match="^instance too deep"):
             exact_minimum_cds(path_instance(1100), node_budget=1100)
+        with pytest.raises(ValueError, match="^incumbent is not a feasible solution"):
+            exact_minimum_cds(path_instance(5), incumbent={0, 2, 4})
+
+
+def connected_dominating_sets(inst):
+    """Every connected m-fold dominating set, by enumeration of all node subsets."""
+    g = inst.graph
+    n = g.node_count
+    nbr_masks = [sum(1 << v for v in nbrs) for nbrs in g.adjacency]
+    for mask in range(1, 1 << n):
+        if all(mask >> u & 1 or bin(nbr_masks[u] & mask).count("1") >= inst.m for u in range(n)):
+            members = [u for u in range(n) if mask >> u & 1]
+            if bfs_component_count(g, members) == 1:
+                yield set(members)
+
+
+class TestCutVertices:
+    """``cut_vertices`` against the definition, and the fact that lets the
+    exact CDS search force them: every connected m-fold dominating set holds
+    every cut vertex of G."""
+
+    @pytest.mark.parametrize(
+        "inst, expected",
+        [
+            (path_instance(1), []),
+            (path_instance(2), []),
+            (path_instance(6), [1, 2, 3, 4]),
+            (star_instance(1), []),
+            (star_instance(5), [0]),
+            (cycle_instance(3), []),
+            (cycle_instance(7), []),
+            (complete_instance(5), []),
+            (comb_instance(1), [1]),
+            (comb_instance(4), [0, 1, 2, 3, 4]),
+        ],
+        ids=["path-1", "path-2", "path-6", "star-1", "star-5", "cycle-3", "cycle-7", "complete-5", "comb-1", "comb-4"],
+    )
+    def test_families(self, inst, expected):
+        adjacency = inst.graph.adjacency
+        assert cut_vertices(adjacency) == expected == removal_cut_vertices(adjacency)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        n=st.integers(1, 30),
+        udg=st.booleans(),
+        p=st.sampled_from([0.05, 0.1, 0.2, 0.4]),
+    )
+    def test_matches_the_definition(self, seed, n, udg, p):
+        if udg:
+            inst = gen_udg(n, math.sqrt(n / 4.0), (0.1, 10.0), seed=seed)
+        else:
+            inst = gen_random_connected(n, p, (0.1, 10.0), seed=seed)
+        adjacency = inst.graph.adjacency
+        assert cut_vertices(adjacency) == removal_cut_vertices(adjacency)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 16),
+        pairs=st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15)), max_size=30),
+    )
+    def test_disconnected_graphs_match_the_definition(self, n, pairs):
+        # each component is searched from its smallest node
+        edges = {(min(u, v), max(u, v)) for u, v in pairs if u != v and max(u, v) < n}
+        adjacency = edge_adjacency(n, sorted(edges))
+        assert cut_vertices(adjacency) == removal_cut_vertices(adjacency)
+
+    def test_a_path_deeper_than_the_recursion_limit(self):
+        n = 4 * sys.getrecursionlimit()
+        adjacency = tuple(tuple(v for v in (u - 1, u + 1) if 0 <= v < n) for u in range(n))
+        assert cut_vertices(adjacency) == list(range(1, n - 1))
+
+    @staticmethod
+    def check_every_solution_holds_the_cut_vertices(inst) -> int:
+        cut = set(cut_vertices(inst.graph.adjacency))
+        count = 0
+        for members in connected_dominating_sets(inst):
+            assert cut <= members
+            count += 1
+        # V itself is a connected m-fold dominating set
+        assert count >= 1
+        return len(cut)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "inst", [path_instance(8), star_instance(6), comb_instance(3)], ids=["path-8", "star-6", "comb-3"]
+    )
+    def test_every_solution_holds_them_on_families(self, inst, m):
+        assert self.check_every_solution_holds_the_cut_vertices(replace(inst, m=m)) >= 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6), n=st.integers(1, 10), m=st.integers(1, 3), udg=st.booleans())
+    def test_every_solution_holds_them(self, seed, n, m, udg):
+        if udg:
+            inst = gen_udg(n, math.sqrt(n / 4.0), (0.1, 10.0), seed=seed, m=m)
+        else:
+            inst = gen_random_connected(n, 0.3, (0.1, 10.0), seed=seed, m=m)
+        self.check_every_solution_holds_the_cut_vertices(inst)
 
 
 class TestHarmonic:
