@@ -63,8 +63,10 @@ the row scan where it stopped and reads the edge lines in one pass; only
 when that pass fails does it rescan them line by line, to name the first
 malformed line, loop or line without ``0 <= u < v < n``.  Both paths end in
 ``from_adjacency``, which reuses a rule adjacency the first path computed,
-so every file gets the same checks in the same order, the rule is computed
-at most once and every error names the same line or pair.
+and the finite points it computed it from, so every file gets the same
+checks in the same order, the rule is computed at most once, the
+coordinates are converted and checked once, and every error names the same
+line or pair.
 
 ``gen_udg`` builds its ``WeightedGraph`` directly; that graph equals the one
 ``parse_instance`` builds from its text.  Every entry point that takes node
@@ -166,13 +168,16 @@ class WeightedGraph:
         InstanceError: the node count, the cost vector's size and values, the
         coordinates' size and values, connectivity and, on unit-disk
         instances, the edge rule.  ``rule``, when given, is
-        ``unit_disk_adjacency`` of the coordinates, already computed, so that
-        no path computes it twice; when ``adjacency`` is ``rule`` itself, the
-        rule holds by construction.
+        ``unit_disk_adjacency`` of ``coords``, already computed, so that no
+        path computes it twice; the rule is computed only from a tuple of
+        finite float pairs, so ``coords`` are then taken as they are.  When
+        ``adjacency`` is ``rule`` itself, the rule holds by construction.
         """
         node_count = len(adjacency)
         cost = tuple(map(float, costs))
-        points = tuple((float(x), float(y)) for x, y in coords) if coords is not None else None
+        points = coords
+        if coords is not None and rule is None:
+            points = tuple((float(x), float(y)) for x, y in coords)
         if node_count < 1:
             raise InstanceError("node count must be >= 1")
         if len(cost) != node_count:
@@ -187,7 +192,7 @@ class WeightedGraph:
         if points is not None:
             if len(points) != node_count:
                 raise InstanceError("coords size does not match node count")
-            if not all(map(math.isfinite, chain.from_iterable(points))):
+            if rule is None and not all(map(math.isfinite, chain.from_iterable(points))):
                 for u, (x, y) in enumerate(points):
                     if not (math.isfinite(x) and math.isfinite(y)):
                         raise InstanceError(f"malformed coordinate at node {u}")
@@ -594,7 +599,7 @@ def _read_rows(text: str, start: int, count: int, rows: list[str], label: str) -
     return label, start
 
 
-def _coordinates(block: list[str], n: int, foreign: bool) -> list[tuple[float, float]]:
+def _coordinates(block: list[str], n: int, foreign: bool) -> tuple[tuple[float, float], ...]:
     """The points of a coordinate block that should hold n rows.
 
     One C-level pass counts each row's values, dropping each row's split as
@@ -614,7 +619,7 @@ def _coordinates(block: list[str], n: int, foreign: bool) -> list[tuple[float, f
         except ValueError:
             pass
         else:
-            return list(zip(values[::2], values[1::2]))
+            return tuple(zip(values[::2], values[1::2]))
     for row in block:
         pair = row.split()
         if len(pair) != 2:
@@ -734,7 +739,7 @@ def parse_instance(text: str) -> Instance:
                 raise InstanceError(f"malformed cost {tok!r}") from exc
         raise
 
-    coords: list[tuple[float, float]] | None = None
+    coords: tuple[tuple[float, float], ...] | None = None
     rule = None
     if len(rows) > 2 and rows[2] == "coords":
         label, end = _read_rows(text, end, n, rows, label)

@@ -15,7 +15,7 @@ L* costs more.  The incumbent only cuts work; the answer and, with V as the
 incumbent, the search tree are those of a bound of sum(cost).  When the
 costs overflow to inf no leaf beats the bound and the incumbent is returned.
 
-Three more prunes cut only subtrees that hold no leaf the search would
+Four more prunes cut only subtrees that hold no leaf the search would
 take, so they keep L*, ``opt_cost`` and its float bits, and lower only
 ``nodes_explored``:
 
@@ -53,11 +53,31 @@ take, so they keep L*, ``opt_cost`` and its float bits, and lower only
   forced-node argument above holds as it stands: only subtrees with no CDS
   leaf are cut.  A cut vertex of G minus the OUT nodes is forced too, but
   recomputing them at every OUT decision halved the nodes again and made
-  the search about 4x slower in Python.
+  the search about 4x slower in Python; the next prune takes the case that
+  costs O(1) to see.
+- *Last neighbors (CDS only).*  Call a node kept when it is chosen or
+  forced, so that every CDS leaf below holds it.  When every CDS has at
+  least two nodes, each of its members has a neighbor in it.  So a kept
+  node with no chosen or undecided neighbor left has no CDS leaf below, and
+  the branch ends; one with a single one left, undecided, makes that
+  neighbor part of every CDS leaf below, so it joins ``forced`` and the
+  forced-node argument holds as it stands.  Only OUT decisions lower the
+  counts, so the rule is checked for node i in its IN branch, where i
+  becomes kept, and for each kept neighbor of an OUT node i as the OUT loop
+  lowers its count: O(1) per neighbor that loop visits anyway.  A node
+  forced by the rule waits for its own IN branch or a neighbor's OUT
+  decision; checking it at once, and the nodes it forces in turn, cut only
+  0.8% more nodes on ``scripts/ratio_corpus_n30.json``'s 90 cases
+  (2,441,914 to 2,422,839) and is left out.  The guard: a CDS of one node
+  exists only when n = 1, or when m = 1 and some node neighbors every
+  other, as the center of K_{1,k} does; then the rule is off, since a
+  single-node optimum has no neighbor in it.
 
 On the ``oracle-bounds`` benchmark cases the prunes take the search from
-1,660,957 to 150,211 nodes per pass (200,679 without the cut vertices),
-with the same answers.
+1,660,957 to 111,923 nodes per pass (150,211 without the last neighbors,
+200,679 without the cut vertices too), with the same answers.  On the 90
+cases of ``scripts/ratio_corpus_n30.json`` the last neighbors cut the CDS
+search from 3,933,959 to 2,441,914 nodes.
 
 The chosen (IN) set and ``forced`` travel down the recursion as int
 bitmasks.  The search keeps one count per node, its chosen plus undecided
@@ -193,15 +213,21 @@ def _exact_search(inst: Instance, node_budget: int, require_connected: bool, inc
             return
 
         bit = 1 << i
-        rec(i + 1, cost_so_far + cost[i], in_mask | bit, forced & ~bit)
+        undecided = -(bit << 1)
+        # a kept node needs a chosen or undecided neighbor, and its last one
+        # is in every leaf below
+        if avail[i] >= lone:
+            rec(i + 1, cost_so_far + cost[i], in_mask | bit, forced & ~bit)
+        elif avail[i]:
+            rec(i + 1, cost_so_far + cost[i], in_mask | bit, forced & ~bit | nbr_masks[i] & undecided)
 
         # a forced node OUT leaves some node short of m dominators
         if forced & bit:
             return
-        undecided = -(bit << 1)
         # i OUT with exactly m leaves every undecided neighbor of i forced
         if avail[i] == m:
             forced |= nbr_masks[i] & undecided
+        stranded = False
         for w in adj[i]:
             avail[w] -= 1
             if w > i:
@@ -210,7 +236,12 @@ def _exact_search(inst: Instance, node_budget: int, require_connected: bool, inc
             elif avail[w] == m and not in_mask >> w & 1:
                 # an OUT neighbor now needs every undecided neighbor it has left
                 forced |= nbr_masks[w] & undecided
-        if not (require_connected and in_mask) or _joined(in_mask, links[i]):
+            if avail[w] < lone and (in_mask | forced) >> w & 1:
+                if avail[w]:
+                    forced |= nbr_masks[w] & undecided
+                else:
+                    stranded = True
+        if not stranded and (not (require_connected and in_mask) or _joined(in_mask, links[i])):
             rec(i + 1, cost_so_far, in_mask, forced)
         for w in adj[i]:
             avail[w] += 1
@@ -218,8 +249,15 @@ def _exact_search(inst: Instance, node_budget: int, require_connected: bool, inc
     # a node with fewer than m neighbors is in every solution, and a cut
     # vertex of G is in every connected one
     forced = sum(1 << u for u in range(n) if avail[u] < m)
+    # a kept node (chosen or forced) with fewer than ``lone`` chosen plus
+    # undecided neighbors ends the branch or forces its last neighbor; 0
+    # turns the last-neighbor rule off
+    lone = 0
     if require_connected:
         forced |= sum(1 << u for u in cut_vertices(adj))
+        # unless one node can dominate G alone, every CDS has two nodes
+        if n > 1 and (m > 1 or max(avail) < n - 1):
+            lone = 2
     rec(0, 0.0, 0, forced)
     opt_set = tuple(u for u in range(n) if best_mask >> u & 1)
     return OracleResult(opt_set=opt_set, opt_cost=best_cost, nodes_explored=explored)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .connector import ConnectReport, greedy_connect, pairwise_connect
 from .domination import GreedyTrace, greedy_dominating_set
@@ -22,6 +22,16 @@ REPORT_SCHEMA = 1
 
 @dataclass
 class SolveResult:
+    """One solve's sets, costs, traces and checks.
+
+    ``timings`` holds each layer's seconds; ``stats`` holds work counts that
+    are the same on every run: ``phase2_valuations``, the connector's slot
+    values (``ConnectReport.valuations``), and with the oracle
+    ``oracle_cds_nodes`` and ``oracle_mds_nodes``, the two searches'
+    ``nodes_explored``.  ``solve_report_dict`` prints no ``stats``, and
+    ``timings`` only when asked to.
+    """
+
     instance: Instance
     d1: set[int]
     d2: set[int]
@@ -32,6 +42,7 @@ class SolveResult:
     verify_report: VerifyReport
     ratios: RatioRecord | None
     timings: dict[str, float]
+    stats: dict[str, int] = field(default_factory=dict)
 
     @property
     def dominating_and_connectors(self) -> set[int]:
@@ -76,6 +87,7 @@ def solve(
     t0 = time.perf_counter()
     connect = greedy_connect(inst, d1) if connector == "star" else pairwise_connect(inst, d1)
     timings["phase2_s"] = time.perf_counter() - t0
+    stats = {"phase2_valuations": connect.valuations}
 
     cost = inst.graph.cost
     cost_d1 = left_sum(cost[u] for u in d1)
@@ -93,6 +105,8 @@ def solve(
         opt_mds = exact_minimum_mds(inst, node_budget=node_budget, incumbent=d1)
         ratios = ratio_report(inst, cost_d1, cost_d2, opt_cds, opt_mds)
         timings["oracle_s"] = time.perf_counter() - t0
+        stats["oracle_cds_nodes"] = opt_cds.nodes_explored
+        stats["oracle_mds_nodes"] = opt_mds.nodes_explored
 
     return SolveResult(
         instance=inst,
@@ -105,6 +119,7 @@ def solve(
         verify_report=report,
         ratios=ratios,
         timings=timings,
+        stats=stats,
     )
 
 

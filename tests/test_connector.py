@@ -1044,6 +1044,7 @@ class TestUdgStarWork:
         assert calls == report.valuations == 1074
         assert len(report.stars) == 29
         assert report.initial_components == 36
+        assert solve(inst).stats == {"phase2_valuations": 1074}
 
 
 class TestCoverWork:

@@ -998,6 +998,19 @@ class TestUnitDiskChecksRunOnce:
         parse_instance(text)
         assert (calls["unit_disk_adjacency"], calls["component_labels"]) == (1, 1)
 
+    def test_parse_checks_each_value_once(self, monkeypatch):
+        """The canonical path checks each cost and coordinate for finiteness
+        once, and the graph keeps the points the rule was computed from."""
+        inst = gen_udg(30, 4.0, (0.1, 10.0), seed=1)
+        text = serialize_instance(inst)
+        checked = []
+        isfinite = math.isfinite
+        monkeypatch.setattr(math, "isfinite", lambda x: checked.append(x) or isfinite(x))
+        parsed = parse_instance(text)
+        monkeypatch.undo()
+        assert len(checked) == 3 * 30
+        assert parsed == inst and type(parsed.graph.coords) is tuple
+
     @pytest.mark.parametrize(
         "text,pair",
         [

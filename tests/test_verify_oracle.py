@@ -19,7 +19,7 @@ from cdsopt.oracle import (
     harmonic,
     ratio_report,
 )
-from cdsopt.solver import solve
+from cdsopt.solver import solve, solve_report_dict
 from cdsopt.verify import verify_cds, verify_mds
 from helpers import (
     bfs_component_count,
@@ -195,23 +195,23 @@ class TestExactSearch:
         [
             (
                 lambda: gen_random_connected(24, 0.1, (0.1, 10.0), 1),
-                ((7, 10, 17, 20, 21), 26.032747969491474, 59082),
+                ((7, 10, 17, 20, 21), 26.032747969491474, 24145),
                 ((2, 3, 9, 12, 13, 14, 16, 20), 20.922334582351855, 13251),
             ),
             (
                 lambda: gen_random_connected(18, 0.25, (0.1, 10.0), 2, m=2),
-                ((3, 4, 5, 6, 10, 12), 14.58035085526122, 3186),
+                ((3, 4, 5, 6, 10, 12), 14.58035085526122, 2885),
                 ((1, 2, 5, 6, 8, 12), 13.463731623030874, 1465),
             ),
             (
                 lambda: gen_udg(18, 2.8, (0.1, 10.0), 1),
-                ((1, 2, 7, 13, 15), 28.114367430676126, 1507),
+                ((1, 2, 7, 13, 15), 28.114367430676126, 1388),
                 ((6, 7, 11, 13), 15.705377344260077, 1668),
             ),
             (
                 # unit costs tie many partial sets with the incumbent
                 lambda: gen_random_connected(20, 0.2, (1.0, 1.0), 3),
-                ((3, 6, 8, 10), 4.0, 3370),
+                ((3, 6, 8, 10), 4.0, 2259),
                 ((0, 3, 6, 8), 4.0, 1599),
             ),
         ],
@@ -231,22 +231,22 @@ class TestExactSearch:
         [
             (
                 lambda: gen_random_connected(24, 0.1, (0.1, 10.0), 1),
-                ((7, 10, 17, 20, 21), 26.032747969491474, 39696),
+                ((7, 10, 17, 20, 21), 26.032747969491474, 13970),
                 ((2, 3, 9, 12, 13, 14, 16, 20), 20.922334582351855, 2830),
             ),
             (
                 lambda: gen_random_connected(18, 0.25, (0.1, 10.0), 2, m=2),
-                ((3, 4, 5, 6, 10, 12), 14.58035085526122, 464),
+                ((3, 4, 5, 6, 10, 12), 14.58035085526122, 419),
                 ((1, 2, 5, 6, 8, 12), 13.463731623030874, 374),
             ),
             (
                 lambda: gen_udg(18, 2.8, (0.1, 10.0), 1),
-                ((1, 2, 7, 13, 15), 28.114367430676126, 802),
+                ((1, 2, 7, 13, 15), 28.114367430676126, 701),
                 ((6, 7, 11, 13), 15.705377344260077, 292),
             ),
             (
                 lambda: gen_random_connected(20, 0.2, (1.0, 1.0), 3),
-                ((3, 6, 8, 10), 4.0, 3090),
+                ((3, 6, 8, 10), 4.0, 2023),
                 ((0, 3, 6, 8), 4.0, 1359),
             ),
         ],
@@ -264,6 +264,17 @@ class TestExactSearch:
         ):
             seeded = search(inst, node_budget=n, incumbent=incumbent)
             assert (seeded.opt_set, seeded.opt_cost, seeded.nodes_explored) == expected
+
+    def test_solve_keeps_both_search_sizes(self):
+        """``solve`` keeps both searches' node counts, which ``ratio_report``
+        drops, and the connector's valuations in ``stats``, and its report
+        prints none of them."""
+        inst = gen_udg(18, 2.8, (0.1, 10.0), 1)
+        result = solve(inst, with_oracle=True, node_budget=18)
+        assert result.stats == {"phase2_valuations": 15, "oracle_cds_nodes": 701, "oracle_mds_nodes": 292}
+        assert solve(inst).stats == {"phase2_valuations": 15}
+        report = solve_report_dict(result)
+        assert "stats" not in report and "stats" not in report["oracle"]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -335,17 +346,18 @@ class TestExactSearch:
 
     def test_udg_n30_past_the_default_budget(self):
         """Optima the reference search took 23,301,292 (CDS) and 622,431 (MDS)
-        nodes to find.  Each ceiling needs its prune: without the cut-vertex
-        forcing the CDS search explores 77,950 nodes, without the
-        connectivity prune 90,821, and without the forced-cost bound 170,950
-        and the MDS search 622,431."""
+        nodes to find; the CDS search takes 16,737.  Each ceiling needs its
+        prune: without forcing a kept node's last neighbor the CDS search
+        explores 17,239 nodes, without the cut-vertex forcing 63,590 (77,950
+        without both), without the connectivity prune 87,360, and without the
+        forced-cost bound 170,950 and the MDS search 622,431."""
         inst = gen_udg(30, 3.5, (0.1, 10.0), 1, m=2)
         cds = exact_minimum_cds(inst, node_budget=30)
         assert (cds.opt_set, cds.opt_cost) == (
             (5, 9, 10, 11, 14, 15, 17, 18, 19, 20, 21, 22, 23, 26, 28),
             56.696956039164874,
         )
-        assert cds.nodes_explored <= 20_000
+        assert cds.nodes_explored <= 17_000
         mds = exact_minimum_mds(inst, node_budget=30)
         assert (mds.opt_set, mds.opt_cost) == ((7, 8, 11, 13, 14, 17, 18, 19, 21, 23, 26, 28), 39.42394554549159)
         assert mds.nodes_explored <= 50_000
@@ -510,6 +522,69 @@ class TestCutVertices:
         else:
             inst = gen_random_connected(n, 0.3, (0.1, 10.0), seed=seed, m=m)
         self.check_every_solution_holds_the_cut_vertices(inst)
+
+
+@st.composite
+def sparse_instances(draw):
+    """A path, comb, caterpillar or random tree with up to three chords,
+    relabelled at random, with costs whose sums are exact in any order."""
+    n = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["path", "comb", "caterpillar", "tree"]))
+    picks = draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n))
+    if kind == "tree":
+        parents = [picks[u] % u for u in range(1, n)]
+    else:
+        # a spine 0..spine-1, and every later node pendant on a spine node
+        spine = {"path": n, "comb": (n + 1) // 2, "caterpillar": max(1, n // 3)}[kind]
+        tooth = (lambda u: u - spine) if kind == "comb" else (lambda u: picks[u] % spine)
+        parents = [u - 1 if u < spine else tooth(u) for u in range(1, n)]
+    edges = list(zip(parents, range(1, n)))
+    chords = draw(st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=3))
+    edges = {(min(u, v), max(u, v)) for u, v in edges}
+    edges |= {(min(u, v), max(u, v)) for u, v in chords if u != v and max(u, v) < n}
+    label = draw(st.permutations(range(n)))
+    costs = draw(st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0, 8.0]), min_size=n, max_size=n))
+    m = draw(st.integers(1, 3))
+    return make_instance(n, sorted((label[u], label[v]) for u, v in edges), costs, m=m)
+
+
+class TestLastNeighborForcing:
+    """A kept (chosen or forced) node with one chosen or undecided neighbor
+    forces it, and one with none ends the branch, whenever every CDS has two
+    nodes: every member of such a set has a neighbor in it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(inst=sparse_instances())
+    def test_sparse_graphs_keep_the_reference_answer(self, inst):
+        """Sparse graphs leave many nodes one neighbor short, so the rule fires
+        often; the costs are multiples of 0.5, so the subset scan's sums are
+        the search's bit for bit."""
+        expected_cost, _ = exhaustive_minimum(inst, True)
+        for incumbent in (None, solve(inst).dominating_and_connectors):
+            pruned = exact_minimum_cds(inst, incumbent=incumbent)
+            reference = reference_exact_search(inst, True, incumbent)
+            assert (pruned.opt_set, pruned.opt_cost) == (reference.opt_set, reference.opt_cost)
+            assert pruned.opt_cost == expected_cost
+            assert pruned.nodes_explored <= reference.nodes_explored
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_a_star_keeps_its_single_node_optimum(self, k):
+        """The center of K_{1,k} dominates alone at m = 1.  Without the
+        two-node guard, the leaves after the first IN one decided OUT would
+        leave the center one neighbor and force it, and (0,) would be lost."""
+        result = exact_minimum_cds(star_instance(k))
+        assert (result.opt_set, result.opt_cost) == ((0,), 1.0)
+        assert exact_minimum_cds(complete_instance(4)).opt_set == (0,)
+        assert exact_minimum_cds(path_instance(1, m=3)).opt_set == (0,)
+
+    def test_the_in_branch_forces_the_last_neighbor(self):
+        """On C4 with unit costs, {0, 1} is found first.  Then 0 OUT and 1 IN
+        leave 1 a single neighbor, 2, so the bound reads cost({1, 2}) = 2, the
+        incumbent's, and the branch ends at once.  Without the check in the
+        IN branch the search explores 14 nodes, and without the rule 17."""
+        result = exact_minimum_cds(cycle_instance(4))
+        assert (result.opt_set, result.opt_cost, result.nodes_explored) == ((0, 1), 2.0, 13)
+        assert reference_exact_search(cycle_instance(4), True).nodes_explored > 13
 
 
 class TestHarmonic:
