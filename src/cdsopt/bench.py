@@ -105,9 +105,13 @@ def load_batch_spec(text: str) -> list[dict]:
     A missing, unknown or malformed field raises ValueError naming its entry,
     as do an empty ``m`` list, a ``seeds.count`` below 1, ``seeds`` on an
     entry of a kind that takes no seed (its copies would be identical) and a
-    batch of more than ``MAX_BATCH_CASES`` cases.
+    batch of more than ``MAX_BATCH_CASES`` cases.  So does a spec nested too
+    deeply for ``json.loads``, which raises RecursionError on it.
     """
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("batch spec nests too deeply to parse") from None
     if not isinstance(doc, dict) or "entries" not in doc or not isinstance(doc["entries"], list):
         raise ValueError("batch spec must be an object with an 'entries' list")
     cases: list[dict] = []

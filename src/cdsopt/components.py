@@ -4,8 +4,8 @@
 component by its smallest member; an ``add`` keeps the largest merged
 component's label.  Label values never reach a pick: leaves sort by
 ``(cost, v)`` with v unique, ``single``, ``covered`` and ``reach[a] |
-reach[b]`` compare labels only by identity, and the connector's stale slots
-are exact whichever label survives a merge, so the start labels change no
+reach[b]`` compare labels only by identity, and the connector's upper bounds
+hold whichever label survives a merge, so the start labels change no
 star, pair or trace.
 """
 
@@ -40,15 +40,13 @@ class ComponentIndex:
     whose ``reach`` entry it changed and clears u's, so its upkeep is O(1)
     per changed node.
 
-    ``changed``, ``flipped``, ``grown`` and ``opened`` log, over the adds
-    since the last ``take_changes()``, the nodes whose ``reach`` entry
-    changed, whose ``single`` entry changed, whose ``reach`` entry gained a
-    label and whose ``single`` entry changed after being -1 when the log
+    ``grown`` and ``opened`` log, over the adds since the last
+    ``take_changes()``, the nodes whose ``reach`` entry gained a label and
+    the nodes whose ``single`` entry changed after being -1 when the log
     began (``add`` says which exactly).  The connector takes them once per
-    round: it revalues a star only when its center's ``reach`` entry or a
-    neighbor's ``single`` entry changed, and at once only when the center's
-    entry gained a label or a neighbor that was no leaf of anything at the
-    round's start now holds a label the center does not touch.
+    round and revalues a star at once only when its center's entry gained a
+    label or a neighbor that was no leaf of anything at the round's start
+    now holds a label the center does not touch.
     """
 
     def __init__(self, graph: WeightedGraph, members=()):
@@ -61,8 +59,7 @@ class ComponentIndex:
             for v, nbrs in enumerate(graph.adjacency)
         ]
         self.single = [next(iter(near)) if len(near) == 1 else -1 for near in self.reach]
-        self.changed: set[int] = set()
-        self.flipped: set[int] = set()
+        self._flipped: set[int] = set()  # nodes whose single entry changed since the log began
         self.grown: set[int] = set()
         self.opened: set[int] = set()
         self._components: dict[int, list[int]] = {}  # label -> its members
@@ -77,25 +74,22 @@ class ComponentIndex:
         return len(self._components)
 
     def add(self, u: int) -> None:
-        """Insert u, logging what it changes into ``changed``, ``flipped``, ``grown`` and ``opened``.
+        """Insert u, logging what it changes into ``grown`` and ``opened``.
 
-        ``changed`` gains the nodes whose ``reach`` entry changed: the free
-        neighbors of every member relabeled into the surviving component
-        (each loses the old label) and the free neighbors of u that did not
-        yet touch u's component.  A free node outside it holds the same
-        ``reach`` entry as before.  ``flipped`` gains u when its ``single``
-        entry was a label, and each node of ``changed`` whose ``single``
-        entry differs from before the add; every other node holds the same
-        ``single`` entry as before.
+        The ``reach`` entry changes at the free neighbors of every member
+        relabeled into the surviving component (each loses the old label)
+        and at the free neighbors of u that did not yet touch u's component;
+        no other free node's ``reach`` entry changes, and no node but u and
+        these changes its ``single`` entry.
 
-        ``grown`` gains the part of ``changed`` whose entry gained a label:
-        the free neighbors of u that touched none of the merged components.
-        Every other node of ``changed`` only had merged labels replaced by
-        the surviving one, so its entry is the image of the old one under
-        the merge.  ``opened`` gains each node this add puts in ``flipped``
-        whose ``single`` entry was -1: so over the log, ``opened`` is the part
-        of ``flipped`` whose entry was -1 when the log began, whatever it
-        holds now, and a node of ``flipped`` outside it held a label then.
+        ``grown`` gains the changed nodes whose entry gained a label: the
+        free neighbors of u that touched none of the merged components.
+        Every other changed node only had merged labels replaced by the
+        surviving one, so its entry is the image of the old one under the
+        merge.  ``opened`` gains each free node whose ``single`` entry
+        changes for the first time since the log began while it was -1: so
+        over the log, ``opened`` holds the nodes whose ``single`` entry was
+        -1 when the log began and has changed since, whatever it holds now.
         """
         if not 0 <= u < self.graph.node_count:
             checked_ids(self.graph.node_count, (u,))  # raises the range error
@@ -108,11 +102,9 @@ class ComponentIndex:
         components = self._components
         touched = reach[u]
         reach[u] = set()
-        flipped = self.flipped
+        flipped = self._flipped
         grown = self.grown
         opened = self.opened
-        if single[u] >= 0:
-            flipped.add(u)
         single[u] = -1
         changed: set[int] = set()  # this add's, for its single updates
         if not touched:
@@ -154,11 +146,9 @@ class ComponentIndex:
                     flipped.add(x)
                     if was < 0:
                         opened.add(x)
-        if changed:
-            self.changed |= changed
 
-    def take_changes(self) -> tuple[set[int], set[int], set[int], set[int]]:
-        """``(changed, flipped, grown, opened)`` over the adds since the last call, which start empty again."""
-        logged = self.changed, self.flipped, self.grown, self.opened
-        self.changed, self.flipped, self.grown, self.opened = set(), set(), set(), set()
+    def take_changes(self) -> tuple[set[int], set[int]]:
+        """``(grown, opened)`` over the adds since the last call, which start empty again."""
+        logged = self.grown, self.opened
+        self._flipped, self.grown, self.opened = set(), set(), set()
         return logged

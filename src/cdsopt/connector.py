@@ -25,54 +25,43 @@ gain and total cost: the exact gain/cost order as an integer, the same key
 the cover phase uses, computed once per valuation.  The heap holds flat
 entries ``(-key, -gain, center, partner, stamp, leaves, total_cost)``.
 Valuing a slot gives it a new stamp, and the pick pops entries until one is
-live (both its endpoints free and its stamp the slot's latest) and builds
-the round's one ``StarCandidate`` from it.  Stamps are unique, so entries
+live (both its endpoints free and its stamp the slot's latest) and valued
+in this round, and builds the round's one ``StarCandidate`` from it.  Stamps are unique, so entries
 never compare past them.  Adjacency lists are sorted, so on a full tie the
 singleton comes before its center's pairs, a pair before the pairs of later
 neighbors, and a center before larger ones: the order of ranking each
 center's candidates in adjacency order and then the centers by id.
 
-A round changes few slots.  ``best_star_at`` at a free center c reads
-three things: c's reach entry (the labels of the components c touches),
-``single[v]`` for each neighbor v of c (-1 for a member), and the fixed
-costs.  Over a round's adds, ``ComponentIndex.add`` logs R, the free
-nodes whose reach entry changed, and S, the nodes whose ``single`` entry
-changed, joined nodes included.  A center that is still free, outside R and
-with no neighbor in S reads what it read before the round, so its value is
-unchanged: the stale star slots are the free nodes of R and the free
-neighbors of S.  S lies within R and the joined nodes, so this is a subset
-of the closed neighborhoods of the changed and joined nodes.  A singleton
-or pair reads only the reach entries of its endpoints and whether both are
-free, so a slot with no endpoint in R keeps its value, and a slot with an
-endpoint that joined is dead: the stale baseline slots are the singleton of
-each free x in R and its edges to free neighbors.
+A round changes few values, and raises fewer.  ``best_star_at`` at a free
+center c reads three things: c's reach entry (the labels of the components
+c touches), ``single[v]`` for each neighbor v of c (-1 for a member), and
+the fixed costs; a singleton or pair reads only the reach entries of its
+endpoints and whether both are free.  Each add merges the components the
+added node touches into one, and over a round's adds ``ComponentIndex.add``
+logs R+, the free nodes whose reach entry gained a label (the free
+neighbors of an added node that touched none of the components it merged),
+and S+, the nodes whose ``single`` entry was -1 when the round began and
+has changed since.  Every other free node's reach entry at the round's end
+is the image of its entry before under the round's merges.  A node x of S+
+was no leaf of any star when the round began, and at its end x is a leaf
+candidate of a free neighbor c only when ``single[x]`` is a label outside
+``reach[c]``.  The *risers* are the slots at a center or endpoint in R+ and
+the stars at such a c, both read at the round's end (a pair reads no
+``single`` entry, so one rule serves both connectors); any other neighbor
+of x reads nothing through x, before the round or after it.
 
-Only a few stale slots can rise.  ``add`` also logs R+, the part of R
-whose reach entry gained a label (the free neighbors of the added node that
-touched none of the components it merged), and S+, the part of S whose
-``single`` entry was -1 when the round began.  A node x of S+ was then no
-leaf of any star, and at the round's end it is a leaf candidate of a free
-neighbor c only when ``single[x]`` is a label outside ``reach[c]``.  The
-*risers* are the slots at a center or endpoint in R+ and the stars at such
-a c, both read at the round's end (a pair reads no ``single`` entry, so one
-rule serves both connectors); any other neighbor of x reads nothing through
-x, before the round or after it, so x makes it neither a riser nor stale.
-A node of S - S+ held a label when the round began, so it may have been a
-leaf of any free neighbor, whatever its label now: each of them is stale.
-A value can rise only at a riser, so a round revalues its risers and marks
-its other stale slots (the free nodes of R - R+ and the free neighbors of
-S - S+) dirty.  A dirty slot keeps its live entry as an upper bound and is
-revalued only when that entry reaches the heap top (Minoux's accelerated
-greedy, restricted to the slots whose value cannot rise); a dirty slot with
-no entry merged nothing before and merges nothing now.  When a clean live
-entry tops the heap, every other slot's value ranks after its entry or
-bound, so the pick is the exact best, and no tie needs draining, by this
-proof that a dirty entry ranks no later than its slot's value in the full
-(key, larger gain, center, partner) order.
-Each add merges the components the added node touches into one, so a
-non-riser's reach entry after the round is the image of its entry before
-under the round's merges, and the bound, kept by each round, carries over
-many rounds.
+The heap keeps one rule, that of Minoux's accelerated greedy: an entry
+valued in the current round is its slot's exact value, and an older live
+entry ranks no later than its slot's value in the full (key, larger gain,
+center, partner) order.  A round records the last stamp given before it
+as ``round_start``, revalues its risers, and pops: an older live entry that
+reaches the top is revalued and pushed back, and the first live entry of
+the round is the pick.  Every other slot's value ranks after its entry
+then, so the pick is the exact best and no tie needs draining.  A slot
+whose last value was None merged nothing then, and merges nothing now
+unless it is a riser.  A value can rise only at a riser, by this proof
+that a non-riser's value ranks no earlier after a round than before it, so
+the rule, kept by each round, carries over many rounds.
 
 - A pair: its reach union is the image of the old one, so its gain cannot
   grow, and its cost is fixed, so its key cannot rise and an equal key
@@ -99,12 +88,13 @@ many rounds.
   j' also has the best key, and the old best is the longest prefix at that
   key, so its gain is at least the new one.
 
-A round's work is listing the slots of R and the neighbors of S and valuing
-its risers, so it is not linear in general: a hub whose reach entry gains a
-label every round is revalued every round, and a node of S with many free
-neighbors lists them all.  The ladder has no such round, since no round
-changes its hub's reach entry, so on the ladder the baseline values its
-4d+1 slots in the first round and none after it.
+A round's work is listing and valuing its risers and revaluing the older
+entries that reach the top, so it is not linear in general: a hub whose
+reach entry gains a label every round is revalued every round, and a node
+of S+ with many free neighbors checks each of them.  The ladder has no such
+round, since no round changes its hub's reach entry, so on the ladder the
+baseline values its 4d+1 slots in the first round and, in each later round,
+only the older entry that tops the heap.
 """
 
 from __future__ import annotations
@@ -140,7 +130,7 @@ class ConnectReport:
     connectors: set[int] = field(default_factory=set)
     initial_components: int = 1
     component_trace: list[int] = field(default_factory=list)
-    valuations: int = 0  # slot values computed, revaluations of dirty slots included
+    valuations: int = 0  # slot values computed, revaluations of older entries at the heap top included
 
 
 def component_neighbors(idx: ComponentIndex, u: int) -> set[int]:
@@ -236,33 +226,28 @@ def pair_candidate(idx: ComponentIndex, a: int, b: int = -1) -> tuple | None:
     return ratio_key(gain, total, graph.key_shift), gain, leaves, total
 
 
-def _star_slots(idx: ComponentIndex, nodes, singles, fresh: bool = False) -> list[tuple[int, int]]:
-    """The star slots at the free nodes of ``nodes`` and the free neighbors of ``singles``.
+def _star_slots(idx: ComponentIndex, nodes, singles) -> list[tuple[int, int]]:
+    """The star slots at the free nodes of ``nodes`` and at the free centers ``singles`` are leaf candidates of.
 
-    With ``fresh``, a neighbor c of x in ``singles`` is listed only when
-    ``single[x]`` is a label outside ``reach[c]``, that is when x is a leaf
-    candidate of c.
+    x in ``singles`` is a leaf candidate of a neighbor c when ``single[x]``
+    is a label outside ``reach[c]``.
     """
     adjacency = idx.graph.adjacency
     label = idx.label
+    reach = idx.reach
+    single = idx.single
     centers = set(nodes)
-    if fresh:
-        reach = idx.reach
-        single = idx.single
-        for x in singles:
-            comp = single[x]
-            if comp >= 0:
-                centers.update([c for c in adjacency[x] if comp not in reach[c]])
-    else:
-        for x in singles:
-            centers.update(adjacency[x])
+    for x in singles:
+        comp = single[x]
+        if comp >= 0:
+            centers.update([c for c in adjacency[x] if comp not in reach[c]])
     return [(u, -1) for u in centers if label[u] < 0]
 
 
-def _pair_slots(idx: ComponentIndex, nodes, singles, fresh: bool = False) -> set[tuple[int, int]]:
+def _pair_slots(idx: ComponentIndex, nodes, singles) -> set[tuple[int, int]]:
     """The baseline slots at each free x of ``nodes``: its singleton and its free edges.
 
-    No pair slot reads ``single``, so ``singles`` and ``fresh`` change nothing.
+    No pair slot reads ``single``, so ``singles`` changes nothing.
     """
     adjacency = idx.graph.adjacency
     label = idx.label
@@ -282,13 +267,13 @@ class _CandidateHeap:
     partner)`` otherwise (``(key, gain, leaves, total_cost)`` or None), and
     pushes their new entries ``(-key, -gain, center, partner, stamp, leaves,
     total_cost)`` under a fresh stamp, so an entry is live only while both
-    endpoints are free and its stamp is the slot's latest.  The caller puts
-    a slot in ``dirty`` while its live entry is only an upper bound on its
-    value in that order, and takes it out when it refreshes the slot.
-    ``pop`` drops dead entries as they reach the top, revalues a dirty slot
-    whose entry reaches it, and builds the candidate of the first clean live
-    one.  Live entries have distinct slots, so the pick does not depend on
-    the order of the pushes.  ``valuations`` counts the value calls,
+    endpoints are free and its stamp is the slot's latest.  An entry whose
+    stamp is above ``round_start`` is its slot's value, and the caller keeps
+    each older live entry an upper bound on its slot's value in that order.
+    ``pop`` drops dead entries as they reach the top, revalues the slot of
+    an older live one that reaches it, and builds the candidate of the first
+    live entry above ``round_start``.  Live entries have distinct slots, so
+    the pick does not depend on the order of the pushes.  ``valuations`` counts the value calls,
     revaluations at the top included.
     """
 
@@ -297,8 +282,8 @@ class _CandidateHeap:
         self.value = value
         self.stamp: dict[tuple[int, int], int] = {}  # slot -> its latest stamp
         self.last_stamp = 0
+        self.round_start = 0  # the last stamp before the current round
         self.entries: list[tuple] = []
-        self.dirty: set[tuple[int, int]] = set()
         self.valuations = 0
 
     def live(self, entry: tuple) -> bool:
@@ -329,14 +314,12 @@ class _CandidateHeap:
 
     def pop(self) -> StarCandidate | None:
         entries = self.entries
-        dirty = self.dirty
         while entries:
             entry = heapq.heappop(entries)
             if not self.live(entry):
                 continue
-            _, neg_gain, center, partner, _, leaves, total = entry
-            if dirty and (center, partner) in dirty:
-                dirty.remove((center, partner))
+            _, neg_gain, center, partner, stamp, leaves, total = entry
+            if stamp <= self.round_start:
                 self.refresh(((center, partner),))
                 continue
             return StarCandidate(center=center, leaves=leaves, gain=-neg_gain, total_cost=total)
@@ -346,16 +329,16 @@ class _CandidateHeap:
 def _connect(inst: Instance, dominating_set, method: str, slots_of, value) -> ConnectReport:
     """Add the most efficient candidate until the set is connected.
 
-    ``slots_of(idx, nodes, singles, fresh)`` lists the slots with free
-    endpoints that read the ``reach`` entry of a node of ``nodes`` or, for a
-    star, the ``single`` entry of a node of ``singles`` (with ``fresh``, only
-    the stars to whose center that entry is a fresh label); ``value(idx, center)``
-    (partner -1) or ``value(idx, center, partner)`` is a slot's value, or
-    None.  Each chosen candidate must merge as many components as it
-    promises, so at most (initial components - 1) rounds run.  The first
-    round values every slot; a later round values the risers of the last
-    round's adds and marks the other slots they can alter dirty.  The input
-    check reads the index: a free node with empty reach is undominated.
+    ``slots_of(idx, nodes, singles)`` lists the slots with free endpoints
+    that read the ``reach`` entry of a node of ``nodes`` or, for a star, the
+    stars to whose center the ``single`` entry of a node of ``singles`` is a
+    fresh label; ``value(idx, center)`` (partner -1) or ``value(idx, center,
+    partner)`` is a slot's value, or None.  Each chosen candidate must merge
+    as many components as it promises, so at most (initial components - 1)
+    rounds run.  The first round values every slot; a later round values
+    the risers of the last round's adds, and the heap revalues any older
+    entry that reaches its top.  The input check reads the index: a free
+    node with empty reach is undominated.
     """
     idx = ComponentIndex(inst.graph, dominating_set)
     for u, near in enumerate(idx.reach):
@@ -364,16 +347,10 @@ def _connect(inst: Instance, dominating_set, method: str, slots_of, value) -> Co
     report = ConnectReport(method=method, initial_components=idx.component_count)
     heap = _CandidateHeap(idx, value)
     # the first round values every slot
-    changed, flipped, grown, opened = set(), set(), range(inst.graph.node_count), set()
-    dirty = heap.dirty
+    grown, opened = range(inst.graph.node_count), ()
     while idx.component_count > 1:
-        risers = slots_of(idx, grown, opened, True)
-        # grown lies within changed and opened within flipped; the rest can only lower a value
-        if len(changed) > len(grown) or len(flipped) > len(opened):
-            dirty.update(slots_of(idx, changed - grown, flipped - opened))
-        if dirty:
-            dirty.difference_update(risers)
-        heap.refresh(risers)
+        heap.round_start = heap.last_stamp
+        heap.refresh(slots_of(idx, grown, opened))
         best = heap.pop()
         if best is None:
             raise RuntimeError(f"{method} connector stalled: no candidate merges components")
@@ -381,7 +358,7 @@ def _connect(inst: Instance, dominating_set, method: str, slots_of, value) -> Co
         for node in best.nodes:
             idx.add(node)
             report.connectors.add(node)
-        changed, flipped, grown, opened = idx.take_changes()
+        grown, opened = idx.take_changes()
         after = idx.component_count
         if before - after != best.gain:
             raise RuntimeError(

@@ -33,8 +33,12 @@ class GreedyStep(NamedTuple):
 
 @dataclass
 class GreedyTrace:
+    """Phase 1's picks, and its lazy heap's work: stale tops re-sifted and tops dropped at gain 0."""
+
     steps: list[GreedyStep]
     given: bool = False
+    resifts: int = 0
+    dropped: int = 0
 
 
 class DeficitState:
@@ -166,18 +170,21 @@ def greedy_dominating_set(inst: Instance) -> tuple[set[int], GreedyTrace]:
     chosen: set[int] = set()
     steps: list[GreedyStep] = []
     running = 0.0
+    resifts = dropped = 0
     while heap:
         _, neg_gain, u = heap[0]
         gain = current[u]
         if gain != -neg_gain:
             if gain > 0:
                 heapq.heapreplace(heap, (-(gain * scaled[u] // num[u]), -gain, u))
+                resifts += 1
             else:
                 heapq.heappop(heap)
+                dropped += 1
             continue
         heapq.heappop(heap)
         state.add(u)
         chosen.add(u)
         running += cost[u]
         steps.append(GreedyStep(u, gain, gain / cost[u], running))
-    return chosen, GreedyTrace(steps=steps)
+    return chosen, GreedyTrace(steps=steps, resifts=resifts, dropped=dropped)

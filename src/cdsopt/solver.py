@@ -25,8 +25,10 @@ class SolveResult:
     """One solve's sets, costs, traces and checks.
 
     ``timings`` holds each layer's seconds; ``stats`` holds work counts that
-    are the same on every run: ``phase2_valuations``, the connector's slot
-    values (``ConnectReport.valuations``), and with the oracle
+    are the same on every run: ``phase1_resifts`` and ``phase1_dropped``,
+    the cover heap's stale tops (``GreedyTrace.resifts`` and ``dropped``, 0
+    for a given set), ``phase2_valuations``, the connector's slot values
+    (``ConnectReport.valuations``), and with the oracle
     ``oracle_cds_nodes`` and ``oracle_mds_nodes``, the two searches'
     ``nodes_explored``.  ``solve_report_dict`` prints no ``stats``, and
     ``timings`` only when asked to.
@@ -87,7 +89,11 @@ def solve(
     t0 = time.perf_counter()
     connect = greedy_connect(inst, d1) if connector == "star" else pairwise_connect(inst, d1)
     timings["phase2_s"] = time.perf_counter() - t0
-    stats = {"phase2_valuations": connect.valuations}
+    stats = {
+        "phase1_resifts": trace.resifts,
+        "phase1_dropped": trace.dropped,
+        "phase2_valuations": connect.valuations,
+    }
 
     cost = inst.graph.cost
     cost_d1 = left_sum(cost[u] for u in d1)

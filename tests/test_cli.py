@@ -686,6 +686,14 @@ class TestBench:
         expected = (2, "", "error: batch spec must be an object with an 'entries' list\n")
         assert run_cli(capsys, "bench", str(batch)) == expected
 
+    @pytest.mark.parametrize("wrap", ["{}", '{{"entries": {}}}'], ids=["bare", "entries"])
+    def test_deeply_nested_spec_exit_2(self, tmp_path, capsys, wrap):
+        """A spec nested past ``json.loads``'s recursion limit exits 2 with a message, not 1 with a traceback."""
+        batch = tmp_path / "batch.json"
+        batch.write_text(wrap.format("[" * 100_000 + "]" * 100_000))
+        expected = (2, "", "error: batch spec nests too deeply to parse\n")
+        assert run_cli(capsys, "bench", str(batch)) == expected
+
     @pytest.mark.parametrize(
         "entry, message",
         [

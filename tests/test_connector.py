@@ -150,12 +150,10 @@ class TestComponentIndex:
         idx = ComponentIndex(g)
         present = set()
         for u in order[: pick.randrange(1, n + 1)]:
-            before = [set(near) for near in idx.reach]
             old_members = set(present)
             idx.add(u)
-            changed, _, grown, _ = idx.take_changes()
+            grown, _ = idx.take_changes()
             present.add(u)
-            assert changed == {v for v in range(n) if v not in idx and idx.reach[v] != before[v]}
             bfs = bfs_component_labels(g, present)
             # a reach entry gains a label only at a neighbor of u that touched none of u's component
             assert grown == {
@@ -198,8 +196,7 @@ class TestComponentIndex:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**6), udg=st.booleans(), pick=st.randoms(use_true_random=False))
     def test_single_changes_reported_after_every_add(self, seed, udg, pick):
-        """``add`` logs exactly the nodes whose ``single`` entry differs from before it, joined node
-        included, and those whose entry went from -1 to a label."""
+        """``add`` logs exactly the nodes whose ``single`` entry went from -1 to a label."""
         n = 24
         if udg:
             g = gen_udg(n, 2.0, (1.0, 1.0), seed=seed).graph
@@ -212,16 +209,15 @@ class TestComponentIndex:
         for u in order[start:]:
             before = list(idx.single)
             idx.add(u)
-            _, flipped, _, opened = idx.take_changes()
-            assert flipped == {v for v in range(n) if idx.single[v] != before[v]}
+            _, opened = idx.take_changes()
             assert opened == {v for v in range(n) if before[v] < 0 <= idx.single[v]}
             _assert_single_matches_reach(idx)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**6), udg=st.booleans(), pick=st.randoms(use_true_random=False))
     def test_single_changes_logged_over_several_adds(self, seed, udg, pick):
-        """Over several adds, ``flipped`` holds the nodes whose ``single`` entry changed at any of them,
-        and ``opened`` those of them whose entry was -1 when the log began, whatever it holds now."""
+        """Over several adds, ``opened`` holds the nodes whose ``single`` entry changed at any of them
+        and was -1 when the log began, whatever it holds now."""
         n = 24
         if udg:
             g = gen_udg(n, 2.0, (1.0, 1.0), seed=seed).graph
@@ -239,8 +235,7 @@ class TestComponentIndex:
                 before = list(idx.single)
                 idx.add(u)
                 moved |= {v for v in range(n) if idx.single[v] != before[v]}
-            _, flipped, _, opened = idx.take_changes()
-            assert flipped == moved
+            _, opened = idx.take_changes()
             assert opened == {v for v in moved if began[v] < 0}
             start = stop
 
@@ -847,9 +842,9 @@ def _free_slots(idx, graph, method):
 class _CheckedHeap(_CandidateHeap):
     """A candidate heap that checks every free slot before each pick and the pick itself.
 
-    A clean live entry is its slot's current value, a dirty one ranks no
-    later than it, a slot with no live entry has no candidate, and the pick
-    is the full scan's.
+    A live entry valued in this round is its slot's current value, leaves and
+    total included, an older one ranks no later than it, a slot with no
+    candidate has no entry of this round, and the pick is the full scan's.
     """
 
     method = "star"
@@ -868,20 +863,21 @@ class _CheckedHeap(_CandidateHeap):
         for slot in free:
             fresh = self.value(self.idx, *(slot if slot[1] >= 0 else slot[:1]))
             entry = live.get(slot)
+            current = entry is not None and entry[4] > self.round_start
             if fresh is None:
-                assert entry is None or slot in self.dirty, f"slot {slot}: clean live entry {entry} but no candidate"
+                assert not current, f"slot {slot}: entry {entry} of this round but no candidate"
             else:
                 assert entry is not None, f"slot {slot}: no live entry for {fresh}"
                 key, gain, leaves, total_cost = fresh
                 assert key == ratio_key(gain, total_cost, graph.key_shift)
                 rank = (-key, -gain, *slot)
-                if slot in self.dirty:
+                if current:
+                    assert entry[:4] == rank, f"slot {slot}: entry {entry} of this round but fresh value {fresh}"
+                    assert entry[5:] == (leaves, total_cost)
+                else:
                     # an upper bound: in the full (key, larger gain, center, partner) order it pops no later
                     # than the fresh value would
-                    assert entry[:4] <= rank, f"dirty slot {slot}: entry {entry} ranks after {fresh}"
-                else:
-                    assert entry[:4] == rank, f"slot {slot}: clean entry {entry} but fresh value {fresh}"
-                    assert entry[5:] == (leaves, total_cost)
+                    assert entry[:4] <= rank, f"slot {slot}: older entry {entry} ranks after {fresh}"
         pick = super().pop()
         assert pick == reference_pick(self.idx, graph, self.method)
         type(self).pops += 1
@@ -944,7 +940,7 @@ class TestCandidateHeap:
         connector=st.sampled_from(["star", "pairwise"]),
     )
     def test_live_entries_equal_fresh_candidates(self, kind, n, seed, costs, greedy_ds, m, connector):
-        """Before every pick each free slot's live entry is its current value, or a bound if the slot is dirty, and the pick is the full scan's."""
+        """Before every pick each free slot's live entry of this round is its value, an older one a bound, and the pick is the full scan's."""
         if kind == "random":
             inst = gen_random_connected(n, 3.0 / n, costs, seed=seed, m=m)
         elif kind == "udg":
@@ -959,6 +955,28 @@ class TestCandidateHeap:
             members = random_dominating_set(random.Random(seed), inst.graph)
         connect = greedy_connect if connector == "star" else pairwise_connect
         _checked_connect(connect, connector, inst, members)
+
+    @pytest.mark.parametrize(
+        "connect, lister",
+        [(greedy_connect, "_star_slots"), (pairwise_connect, "_pair_slots")],
+        ids=["star", "pairwise"],
+    )
+    def test_one_slot_listing_per_round(self, monkeypatch, connect, lister):
+        """A round lists its slots once, its risers; an older entry is revalued only when it tops the heap."""
+        inst = gen_udg(800, 10.0, (0.1, 10.0), 1000)
+        members, _ = greedy_dominating_set(inst)
+        real = getattr(cdsopt.connector, lister)
+        listings = 0
+
+        def counted(*args):
+            nonlocal listings
+            listings += 1
+            return real(*args)
+
+        monkeypatch.setattr(cdsopt.connector, lister, counted)
+        report = connect(inst, members)
+        assert len(report.stars) > 1
+        assert listings == len(report.stars)
 
     @pytest.mark.parametrize("connect", [greedy_connect, pairwise_connect], ids=["star", "pairwise"])
     def test_one_candidate_per_round(self, monkeypatch, connect):
@@ -984,8 +1002,9 @@ class TestLadderWork:
     @pytest.mark.parametrize("d", [50, 200])
     def test_pairwise_slot_evaluations_linear(self, d):
         # the first round values the 2d+1 singletons and 2d edges of the free
-        # nodes, and no later round changes a reach entry (a rescan of the
-        # hub's d pairs each round made O(d^2) pair unions)
+        # nodes, no later round changes a reach entry, and each of the d - 1
+        # later rounds revalues the older entry that tops the heap once (a
+        # rescan of the hub's d pairs each round made O(d^2) pair unions)
         inst, designated = gen_fig1(d, 0.01)
         calls = 0
 
@@ -997,7 +1016,7 @@ class TestLadderWork:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cdsopt.connector, "pair_candidate", counted)
             report = pairwise_connect(inst, designated)
-        assert calls == report.valuations <= 5 * d
+        assert calls == report.valuations == 5 * d
         assert len(report.stars) == d
         cost = sum(inst.graph.cost[u] for u in report.connectors)
         assert math.isclose(cost, d * 1.01, rel_tol=1e-12)
@@ -1038,17 +1057,22 @@ class TestUdgStarWork:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cdsopt.connector, "best_star_at", counted)
             report = greedy_connect(inst, members)
-        # a stale center whose value cannot rise keeps its entry until it tops the heap, and a neighbor
+        # a center whose value cannot rise keeps its entry until it tops the heap, and a neighbor
         # whose new label the center touches leaves it alone (3,136 calls when every stale center was
-        # revalued each round, 2,093 when every neighbor of a newly single node was revalued)
-        assert calls == report.valuations == 1074
+        # revalued each round, 2,093 when every neighbor of a newly single node was revalued, 1,074
+        # when an entry was revalued at the top only if a listing of the stale slots had marked it)
+        assert calls == report.valuations == 1086
         assert len(report.stars) == 29
         assert report.initial_components == 36
-        assert solve(inst).stats == {"phase2_valuations": 1074}
+        assert solve(inst).stats == {"phase1_resifts": 434, "phase1_dropped": 737, "phase2_valuations": 1086}
 
 
 class TestCoverWork:
-    """Phase 1's work on a hub and on the first random-cover benchmark instance, pinned."""
+    """Phase 1's work on a hub and on the first random-cover and udg-star benchmark instances, pinned.
+
+    ``resifts`` counts the stale heap tops put back under their current
+    gain, ``dropped`` those removed at gain 0.
+    """
 
     @staticmethod
     def counted_cover(inst):
@@ -1071,8 +1095,17 @@ class TestCoverWork:
         trace, calls = self.counted_cover(comb_instance(k))
         assert calls == 0
         assert [(s.node, s.gain) for s in trace.steps] == [(k + 1 + i, 2) for i in range(k)] + [(0, 1)]
+        # the hub is re-sifted after each helper pick, and each leaf drops at gain 0 once the hub is taken
+        assert (trace.resifts, trace.dropped) == (k, k)
 
     def test_random_cover_steps(self):
         trace, calls = self.counted_cover(gen_random_connected(2000, 3 / 2000, (0.1, 10.0), 1000, m=4))
         assert calls == 0
         assert len(trace.steps) == 1473
+        assert (trace.resifts, trace.dropped) == (2616, 527)
+
+    def test_udg_star_cover(self):
+        trace, calls = self.counted_cover(gen_udg(800, 10.0, (0.1, 10.0), 1000))
+        assert calls == 0
+        assert len(trace.steps) == 63
+        assert (trace.resifts, trace.dropped) == (434, 737)

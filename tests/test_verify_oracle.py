@@ -267,12 +267,13 @@ class TestExactSearch:
 
     def test_solve_keeps_both_search_sizes(self):
         """``solve`` keeps both searches' node counts, which ``ratio_report``
-        drops, and the connector's valuations in ``stats``, and its report
-        prints none of them."""
+        drops, the cover heap's stale tops and the connector's valuations in
+        ``stats``, and its report prints none of them."""
         inst = gen_udg(18, 2.8, (0.1, 10.0), 1)
         result = solve(inst, with_oracle=True, node_budget=18)
-        assert result.stats == {"phase2_valuations": 15, "oracle_cds_nodes": 701, "oracle_mds_nodes": 292}
-        assert solve(inst).stats == {"phase2_valuations": 15}
+        phases = {"phase1_resifts": 8, "phase1_dropped": 14, "phase2_valuations": 15}
+        assert result.stats == {**phases, "oracle_cds_nodes": 701, "oracle_mds_nodes": 292}
+        assert solve(inst).stats == phases
         report = solve_report_dict(result)
         assert "stats" not in report and "stats" not in report["oracle"]
 
