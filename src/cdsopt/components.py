@@ -42,10 +42,9 @@ class ComponentIndex:
 
     ``grown`` and ``opened`` log, over the adds since the last
     ``take_changes()``, the nodes whose ``reach`` entry gained a label and
-    the nodes whose ``single`` entry changed after being -1 when the log
-    began (``add`` says which exactly).  The connector takes them once per
-    round and revalues a star at once only when its center's entry gained a
-    label or a neighbor that was no leaf of anything at the round's start
+    the nodes whose ``single`` entry went from -1 to a label.  The connector
+    takes them once per round and revalues a star at once only when its
+    center's entry gained a label or a neighbor that was opened in the round
     now holds a label the center does not touch.
     """
 
@@ -59,7 +58,6 @@ class ComponentIndex:
             for v, nbrs in enumerate(graph.adjacency)
         ]
         self.single = [next(iter(near)) if len(near) == 1 else -1 for near in self.reach]
-        self._flipped: set[int] = set()  # nodes whose single entry changed since the log began
         self.grown: set[int] = set()
         self.opened: set[int] = set()
         self._components: dict[int, list[int]] = {}  # label -> its members
@@ -86,10 +84,8 @@ class ComponentIndex:
         free neighbors of u that touched none of the merged components.
         Every other changed node only had merged labels replaced by the
         surviving one, so its entry is the image of the old one under the
-        merge.  ``opened`` gains each free node whose ``single`` entry
-        changes for the first time since the log began while it was -1: so
-        over the log, ``opened`` holds the nodes whose ``single`` entry was
-        -1 when the log began and has changed since, whatever it holds now.
+        merge.  ``opened`` gains each free node whose ``single`` entry goes
+        from -1 to a label.
         """
         if not 0 <= u < self.graph.node_count:
             checked_ids(self.graph.node_count, (u,))  # raises the range error
@@ -102,7 +98,6 @@ class ComponentIndex:
         components = self._components
         touched = reach[u]
         reach[u] = set()
-        flipped = self._flipped
         grown = self.grown
         opened = self.opened
         single[u] = -1
@@ -138,17 +133,12 @@ class ComponentIndex:
         # every changed entry holds target
         for x in changed:
             now = target if len(reach[x]) == 1 else -1
-            was = single[x]
-            if was != now:
-                single[x] = now
-                # the first change since the log began tells its value then
-                if x not in flipped:
-                    flipped.add(x)
-                    if was < 0:
-                        opened.add(x)
+            if now >= 0 > single[x]:
+                opened.add(x)
+            single[x] = now
 
     def take_changes(self) -> tuple[set[int], set[int]]:
         """``(grown, opened)`` over the adds since the last call, which start empty again."""
         logged = self.grown, self.opened
-        self._flipped, self.grown, self.opened = set(), set(), set()
+        self.grown, self.opened = set(), set()
         return logged

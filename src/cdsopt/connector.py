@@ -23,14 +23,16 @@ singleton, partner -1) and one per edge between free nodes, with
 when it merges nothing, where the key is ``domination.ratio_key`` of the
 gain and total cost: the exact gain/cost order as an integer, the same key
 the cover phase uses, computed once per valuation.  The heap holds flat
-entries ``(-key, -gain, center, partner, stamp, leaves, total_cost)``.
-Valuing a slot gives it a new stamp, and the pick pops entries until one is
-live (both its endpoints free and its stamp the slot's latest) and valued
-in this round, and builds the round's one ``StarCandidate`` from it.  Stamps are unique, so entries
-never compare past them.  Adjacency lists are sorted, so on a full tie the
-singleton comes before its center's pairs, a pair before the pairs of later
-neighbors, and a center before larger ones: the order of ranking each
-center's candidates in adjacency order and then the centers by id.
+entries ``(-key, -gain, center, partner, round, leaves, total_cost)``,
+where ``round`` counts the picks: a slot is valued at most once a round,
+so no two entries of one slot share a round and entries never compare
+past it.  An entry is live while both its endpoints are free and its
+round is the slot's latest, and the pick pops entries until one is live
+and of this round, and builds the round's one ``StarCandidate`` from it.
+Adjacency lists are sorted, so on a full tie the singleton comes before
+its center's pairs, a pair before the pairs of later neighbors, and a
+center before larger ones: the order of ranking each center's candidates
+in adjacency order and then the centers by id.
 
 A round changes few values, and raises fewer.  ``best_star_at`` at a free
 center c reads three things: c's reach entry (the labels of the components
@@ -40,25 +42,24 @@ endpoints and whether both are free.  Each add merges the components the
 added node touches into one, and over a round's adds ``ComponentIndex.add``
 logs R+, the free nodes whose reach entry gained a label (the free
 neighbors of an added node that touched none of the components it merged),
-and S+, the nodes whose ``single`` entry was -1 when the round began and
-has changed since.  Every other free node's reach entry at the round's end
-is the image of its entry before under the round's merges.  A node x of S+
-was no leaf of any star when the round began, and at its end x is a leaf
-candidate of a free neighbor c only when ``single[x]`` is a label outside
-``reach[c]``.  The *risers* are the slots at a center or endpoint in R+ and
-the stars at such a c, both read at the round's end (a pair reads no
-``single`` entry, so one rule serves both connectors); any other neighbor
-of x reads nothing through x, before the round or after it.
+and S+, the nodes whose ``single`` entry went from -1 to a label at some
+add.  Every other free node's reach entry at the round's end is the image
+of its entry before under the round's merges, and every other node whose
+``single`` entry holds a label at the round's end held one when the round
+began.  The *risers*, the slots whose value can rise this round, are the
+slots at a center or endpoint in R+ and the stars at each free neighbor c
+of a node x of S+ with ``single[x]`` a label outside ``reach[c]``, both
+read at the round's end (a pair reads no ``single`` entry, so one rule
+serves both connectors).
 
 The heap keeps one rule, that of Minoux's accelerated greedy: an entry
 valued in the current round is its slot's exact value, and an older live
 entry ranks no later than its slot's value in the full (key, larger gain,
-center, partner) order.  A round records the last stamp given before it
-as ``round_start``, revalues its risers, and pops: an older live entry that
-reaches the top is revalued and pushed back, and the first live entry of
-the round is the pick.  Every other slot's value ranks after its entry
-then, so the pick is the exact best and no tie needs draining.  A slot
-whose last value was None merged nothing then, and merges nothing now
+center, partner) order.  A round values its risers and pops: an older live
+entry that reaches the top is revalued and pushed back, and the first live
+entry of the round is the pick.  Every other slot's value ranks after its
+entry then, so the pick is the exact best and no tie needs draining.  A
+slot whose last value was None merged nothing then, and merges nothing now
 unless it is a riser.  A value can rise only at a riser, by this proof
 that a non-riser's value ranks no earlier after a round than before it, so
 the rule, kept by each round, carries over many rounds.
@@ -131,6 +132,9 @@ class ConnectReport:
     initial_components: int = 1
     component_trace: list[int] = field(default_factory=list)
     valuations: int = 0  # slot values computed, revaluations of older entries at the heap top included
+    pops: int = 0  # heap pops: dead entries, older entries revalued at the top, and one pick a round
+    dead: int = 0  # popped entries dropped as dead
+    candidates: int = 0  # the valuations that returned a candidate
 
 
 def component_neighbors(idx: ComponentIndex, u: int) -> set[int]:
@@ -262,29 +266,29 @@ def _pair_slots(idx: ComponentIndex, nodes, singles) -> set[tuple[int, int]]:
 class _CandidateHeap:
     """Each live slot's value or an upper bound on it, popped in the exact ratio order.
 
-    ``refresh`` values the given slots, each with free endpoints, by
-    ``value(idx, center)`` when the partner is -1 and ``value(idx, center,
-    partner)`` otherwise (``(key, gain, leaves, total_cost)`` or None), and
-    pushes their new entries ``(-key, -gain, center, partner, stamp, leaves,
-    total_cost)`` under a fresh stamp, so an entry is live only while both
-    endpoints are free and its stamp is the slot's latest.  An entry whose
-    stamp is above ``round_start`` is its slot's value, and the caller keeps
-    each older live entry an upper bound on its slot's value in that order.
-    ``pop`` drops dead entries as they reach the top, revalues the slot of
-    an older live one that reaches it, and builds the candidate of the first
-    live entry above ``round_start``.  Live entries have distinct slots, so
-    the pick does not depend on the order of the pushes.  ``valuations`` counts the value calls,
-    revaluations at the top included.
+    ``pick(slots)`` opens a round, values the given slots, distinct and with
+    free endpoints, by ``value(idx, center)`` when the partner is -1 and
+    ``value(idx, center, partner)`` otherwise, pushes their entries and
+    pops.  ``valued`` maps each slot to the round of its latest entry, so an
+    entry is live only while both endpoints are free and its round is its
+    slot's latest.  An entry of the current round is its slot's value, and
+    the caller keeps each older live entry an upper bound on its slot's
+    value in that order.  ``pop`` drops dead entries as they reach the top,
+    revalues the slot of an older live one that reaches it, and builds the
+    candidate of the first live entry of the round.  Live entries have
+    distinct slots, so the pick does not depend on the order of the pushes.
+    ``valuations`` counts the value calls, revaluations at the top included,
+    ``pops`` the heap pops, ``dead`` the popped entries dropped as dead, and
+    ``candidates`` the value calls that returned a candidate.
     """
 
     def __init__(self, idx: ComponentIndex, value):
         self.idx = idx
         self.value = value
-        self.stamp: dict[tuple[int, int], int] = {}  # slot -> its latest stamp
-        self.last_stamp = 0
-        self.round_start = 0  # the last stamp before the current round
+        self.valued: dict[tuple[int, int], int] = {}  # slot -> the round of its latest entry
+        self.round = 0
         self.entries: list[tuple] = []
-        self.valuations = 0
+        self.valuations = self.pops = self.dead = self.candidates = 0
 
     def live(self, entry: tuple) -> bool:
         label = self.idx.label
@@ -292,34 +296,43 @@ class _CandidateHeap:
         return (
             label[center] < 0
             and (partner < 0 or label[partner] < 0)
-            and self.stamp[center, partner] == entry[4]
+            and self.valued[center, partner] == entry[4]
         )
 
     def refresh(self, slots) -> None:
         idx = self.idx
-        stamp = self.stamp
+        valued = self.valued
         entries = self.entries
         value = self.value
-        count = self.last_stamp
+        now = self.round
+        count = found = 0
         for slot in slots:
             center, partner = slot
             count += 1
-            stamp[slot] = count
+            valued[slot] = now
             val = value(idx, center) if partner < 0 else value(idx, center, partner)
             if val is not None:
+                found += 1
                 key, gain, leaves, total = val
-                heapq.heappush(entries, (-key, -gain, center, partner, count, leaves, total))
-        self.valuations += count - self.last_stamp
-        self.last_stamp = count
+                heapq.heappush(entries, (-key, -gain, center, partner, now, leaves, total))
+        self.valuations += count
+        self.candidates += found
+
+    def pick(self, slots) -> StarCandidate | None:
+        self.round += 1
+        self.refresh(slots)
+        return self.pop()
 
     def pop(self) -> StarCandidate | None:
         entries = self.entries
         while entries:
             entry = heapq.heappop(entries)
+            self.pops += 1
             if not self.live(entry):
+                self.dead += 1
                 continue
-            _, neg_gain, center, partner, stamp, leaves, total = entry
-            if stamp <= self.round_start:
+            _, neg_gain, center, partner, valued_in, leaves, total = entry
+            if valued_in < self.round:
                 self.refresh(((center, partner),))
                 continue
             return StarCandidate(center=center, leaves=leaves, gain=-neg_gain, total_cost=total)
@@ -349,9 +362,7 @@ def _connect(inst: Instance, dominating_set, method: str, slots_of, value) -> Co
     # the first round values every slot
     grown, opened = range(inst.graph.node_count), ()
     while idx.component_count > 1:
-        heap.round_start = heap.last_stamp
-        heap.refresh(slots_of(idx, grown, opened))
-        best = heap.pop()
+        best = heap.pick(slots_of(idx, grown, opened))
         if best is None:
             raise RuntimeError(f"{method} connector stalled: no candidate merges components")
         before = idx.component_count
@@ -367,7 +378,8 @@ def _connect(inst: Instance, dominating_set, method: str, slots_of, value) -> Co
             )
         report.stars.append(best)
         report.component_trace.append(after)
-    report.valuations = heap.valuations
+    report.valuations, report.pops = heap.valuations, heap.pops
+    report.dead, report.candidates = heap.dead, heap.candidates
     return report
 
 

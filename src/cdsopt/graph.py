@@ -143,14 +143,13 @@ class WeightedGraph:
         node_count: int,
         edges: list[tuple[int, int]],
         costs: list[float] | tuple[float, ...],
-        coords: list[tuple[float, float]] | None = None,
     ) -> "WeightedGraph":
-        """Build a graph from an edge list, checking every invariant.
+        """Build a graph without coordinates from an edge list, checking every invariant.
 
         ``edge_adjacency`` builds sorted, in-range, loop-free, symmetric
         neighbour tuples by construction, and ``from_adjacency`` checks the rest.
         """
-        return cls.from_adjacency(edge_adjacency(node_count, edges), costs, coords)
+        return cls.from_adjacency(edge_adjacency(node_count, edges), costs)
 
     @classmethod
     def from_adjacency(

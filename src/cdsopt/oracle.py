@@ -43,7 +43,12 @@ take, so they keep L*, ``opt_cost`` and its float bits, and lower only
   0.14 s at n = 500, the depth limit below (2 shared CPUs, Python 3.11).
   A plain flood fill of G[chosen + undecided] prunes the same nodes but
   walks the undecided ones too: on a random graph with n = 32 the search
-  took 2.4-2.9 s with it and 0.85-1.06 s with ``links``.
+  took 2.4-2.9 s with it and 0.85-1.06 s with ``links``.  Against no check
+  at OUT decisions at all, only the leaf's, the check with ``links`` costs
+  time on sparse random graphs and wins heavily on unit-disk graphs: 3.07
+  against 2.12 s on random graphs with n = 34, p = 0.1, m = 2 (seeds 0-2),
+  and 5.30M against 43.0M nodes, 10.8 against 46.4 s, on unit-disk graphs
+  with n = 40 in a square of side 4 (seeds 1-3; 2 shared CPUs, Python 3.11).
 - *Cut vertices (CDS only).*  Every connected dominating set holds every
   cut vertex of G, for any m >= 1.  Take v not in D, with D connected: D
   lies in one component A of G - v, and a node x in another component has

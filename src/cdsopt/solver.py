@@ -27,11 +27,13 @@ class SolveResult:
     ``timings`` holds each layer's seconds; ``stats`` holds work counts that
     are the same on every run: ``phase1_resifts`` and ``phase1_dropped``,
     the cover heap's stale tops (``GreedyTrace.resifts`` and ``dropped``, 0
-    for a given set), ``phase2_valuations``, the connector's slot values
-    (``ConnectReport.valuations``), and with the oracle
-    ``oracle_cds_nodes`` and ``oracle_mds_nodes``, the two searches'
-    ``nodes_explored``.  ``solve_report_dict`` prints no ``stats``, and
-    ``timings`` only when asked to.
+    for a given set); ``phase2_valuations``, the connector's slot values,
+    ``phase2_pops``, its heap pops, ``phase2_dead``, the dead entries among
+    them, and ``phase2_candidates``, the valuations that gave a candidate
+    (``ConnectReport.valuations``, ``pops``, ``dead`` and ``candidates``);
+    and with the oracle ``oracle_cds_nodes`` and ``oracle_mds_nodes``, the
+    two searches' ``nodes_explored``.  ``solve_report_dict`` prints no
+    ``stats``, and ``timings`` only when asked to.
     """
 
     instance: Instance
@@ -93,6 +95,9 @@ def solve(
         "phase1_resifts": trace.resifts,
         "phase1_dropped": trace.dropped,
         "phase2_valuations": connect.valuations,
+        "phase2_pops": connect.pops,
+        "phase2_dead": connect.dead,
+        "phase2_candidates": connect.candidates,
     }
 
     cost = inst.graph.cost

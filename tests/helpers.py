@@ -42,7 +42,7 @@ from types import SimpleNamespace
 from cdsopt.components import ComponentIndex
 from cdsopt.connector import ConnectReport, StarCandidate
 from cdsopt.domination import DeficitState, GreedyStep, GreedyTrace
-from cdsopt.graph import Instance, InstanceError, WeightedGraph
+from cdsopt.graph import Instance, InstanceError, WeightedGraph, edge_adjacency
 from cdsopt.oracle import OracleResult
 from cdsopt.verify import verify_mds
 
@@ -53,7 +53,7 @@ RATIO_CORPUS = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "rat
 def make_instance(n, edges, costs=None, m=1, coords=None, label="") -> Instance:
     if costs is None:
         costs = [1.0] * n
-    graph = WeightedGraph.from_edges(n, list(edges), costs, coords=coords)
+    graph = WeightedGraph.from_adjacency(edge_adjacency(n, list(edges)), costs, coords)
     return Instance(graph=graph, m=m, label=label)
 
 

@@ -23,7 +23,7 @@ from cdsopt.connector import (
 )
 from cdsopt.domination import coverage_gain, greedy_dominating_set, ratio_key
 from cdsopt.generators import gen_fig1, gen_random_connected, gen_udg
-from cdsopt.graph import WeightedGraph, ratio_shift
+from cdsopt.graph import WeightedGraph, edge_adjacency, ratio_shift
 from cdsopt.solver import solve
 from cdsopt.verify import verify_cds
 from helpers import (
@@ -216,8 +216,8 @@ class TestComponentIndex:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**6), udg=st.booleans(), pick=st.randoms(use_true_random=False))
     def test_single_changes_logged_over_several_adds(self, seed, udg, pick):
-        """Over several adds, ``opened`` holds the nodes whose ``single`` entry changed at any of them
-        and was -1 when the log began, whatever it holds now."""
+        """Over several adds, ``opened`` is the union, over the adds, of the nodes whose ``single`` entry
+        went from -1 to a label, whatever it holds now."""
         n = 24
         if udg:
             g = gen_udg(n, 2.0, (1.0, 1.0), seed=seed).graph
@@ -229,14 +229,13 @@ class TestComponentIndex:
         idx = ComponentIndex(g, order[:start])
         while start < n:
             stop = pick.randrange(start + 1, n + 1)
-            began = list(idx.single)
-            moved = set()
+            opened_at_some_add = set()
             for u in order[start:stop]:
                 before = list(idx.single)
                 idx.add(u)
-                moved |= {v for v in range(n) if idx.single[v] != before[v]}
+                opened_at_some_add |= {v for v in range(n) if before[v] < 0 <= idx.single[v]}
             _, opened = idx.take_changes()
-            assert opened == {v for v in moved if began[v] < 0}
+            assert opened == opened_at_some_add
             start = stop
 
 
@@ -629,8 +628,8 @@ class TestRelabelling:
         old = sorted(range(n), key=perm.__getitem__)  # old[perm[u]] == u
         g = inst.graph
         coords = None if g.coords is None else [g.coords[u] for u in old]
-        graph = WeightedGraph.from_edges(
-            n, [(perm[u], perm[v]) for u, v in edge_list(g)], [g.cost[u] for u in old], coords=coords
+        graph = WeightedGraph.from_adjacency(
+            edge_adjacency(n, [(perm[u], perm[v]) for u, v in edge_list(g)]), [g.cost[u] for u in old], coords
         )
         relabelled = replace(inst, graph=graph)
 
@@ -842,13 +841,27 @@ def _free_slots(idx, graph, method):
 class _CheckedHeap(_CandidateHeap):
     """A candidate heap that checks every free slot before each pick and the pick itself.
 
-    A live entry valued in this round is its slot's current value, leaves and
-    total included, an older one ranks no later than it, a slot with no
-    candidate has no entry of this round, and the pick is the full scan's.
+    A slot is valued at most once a round, no live entry comes from a later
+    round, a live entry valued in this round is its slot's current value,
+    leaves and total included, an older one ranks no later than it, a slot
+    with no candidate has no entry of this round, and the pick is the full
+    scan's.
     """
 
     method = "star"
-    pops = 0
+    picks = 0
+
+    def __init__(self, idx, value):
+        self.exact = value
+        seen = set()
+
+        def once(idx, center, partner=-1):
+            valuation = (self.round, center, partner)
+            assert valuation not in seen, f"slot {(center, partner)} valued twice in round {self.round}"
+            seen.add(valuation)
+            return value(idx, center) if partner < 0 else value(idx, center, partner)
+
+        super().__init__(idx, once)
 
     def pop(self):
         graph = self.idx.graph
@@ -857,13 +870,14 @@ class _CheckedHeap(_CandidateHeap):
             if self.live(entry):
                 slot = entry[2:4]
                 assert slot not in live, f"two live entries at slot {slot}"
+                assert entry[4] <= self.round, f"slot {slot}: entry {entry} from a later round than {self.round}"
                 live[slot] = entry
         free = _free_slots(self.idx, graph, self.method)
         assert set(live) <= set(free)
         for slot in free:
-            fresh = self.value(self.idx, *(slot if slot[1] >= 0 else slot[:1]))
+            fresh = self.exact(self.idx, *(slot if slot[1] >= 0 else slot[:1]))
             entry = live.get(slot)
-            current = entry is not None and entry[4] > self.round_start
+            current = entry is not None and entry[4] == self.round
             if fresh is None:
                 assert not current, f"slot {slot}: entry {entry} of this round but no candidate"
             else:
@@ -880,18 +894,18 @@ class _CheckedHeap(_CandidateHeap):
                     assert entry[:4] <= rank, f"slot {slot}: older entry {entry} ranks after {fresh}"
         pick = super().pop()
         assert pick == reference_pick(self.idx, graph, self.method)
-        type(self).pops += 1
+        type(self).picks += 1
         return pick
 
 
 def _checked_connect(connect, connector, inst, members):
     """``connect(inst, members)`` through a ``_CheckedHeap``, which checks each of its picks."""
-    _CheckedHeap.pops = 0
+    _CheckedHeap.picks = 0
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_CheckedHeap, "method", connector)
         mp.setattr(cdsopt.connector, "_CandidateHeap", _CheckedHeap)
         report = connect(inst, members)
-    assert _CheckedHeap.pops == len(report.stars)
+    assert _CheckedHeap.picks == len(report.stars)
     assert bfs_component_count(inst.graph, set(members) | report.connectors) == 1
     return report
 
@@ -978,6 +992,39 @@ class TestCandidateHeap:
         assert len(report.stars) > 1
         assert listings == len(report.stars)
 
+    @pytest.mark.parametrize(
+        "connect, search, lister",
+        [(greedy_connect, "best_star_at", "_star_slots"), (pairwise_connect, "pair_candidate", "_pair_slots")],
+        ids=["star", "pairwise"],
+    )
+    @pytest.mark.parametrize("name", ["udg-n800-s1000", "random-n200-m2-s1", "fig1-d30"])
+    def test_counts_match_the_valuations(self, monkeypatch, connect, search, lister, name):
+        """``candidates`` counts the valuations that return a candidate, and every pop drops a dead
+        entry, revalues an older one at the top (a valuation outside the riser listings) or is a pick."""
+        inst, members = _golden_case(name)
+        real_search = getattr(cdsopt.connector, search)
+        real_lister = getattr(cdsopt.connector, lister)
+        calls = found = listed = 0
+
+        def counted_search(*args):
+            nonlocal calls, found
+            calls += 1
+            val = real_search(*args)
+            found += val is not None
+            return val
+
+        def counted_lister(*args):
+            nonlocal listed
+            slots = real_lister(*args)
+            listed += len(slots)
+            return slots
+
+        monkeypatch.setattr(cdsopt.connector, search, counted_search)
+        monkeypatch.setattr(cdsopt.connector, lister, counted_lister)
+        report = connect(inst, members)
+        assert (report.valuations, report.candidates) == (calls, found)
+        assert report.pops - report.dead - len(report.stars) == calls - listed
+
     @pytest.mark.parametrize("connect", [greedy_connect, pairwise_connect], ids=["star", "pairwise"])
     def test_one_candidate_per_round(self, monkeypatch, connect):
         """Slots are valued as tuples; a run builds one ``StarCandidate`` per round, from the popped entry."""
@@ -1060,11 +1107,22 @@ class TestUdgStarWork:
         # a center whose value cannot rise keeps its entry until it tops the heap, and a neighbor
         # whose new label the center touches leaves it alone (3,136 calls when every stale center was
         # revalued each round, 2,093 when every neighbor of a newly single node was revalued, 1,074
-        # when an entry was revalued at the top only if a listing of the stale slots had marked it)
-        assert calls == report.valuations == 1086
+        # when an entry was revalued at the top only if a listing of the stale slots had marked it,
+        # 1,086 when a neighbor made a riser only if its single entry was -1 when the round began)
+        assert calls == report.valuations == 1091
         assert len(report.stars) == 29
         assert report.initial_components == 36
-        assert solve(inst).stats == {"phase1_resifts": 434, "phase1_dropped": 737, "phase2_valuations": 1086}
+        # every pop drops a dead entry, revalues an older one at the top, or is the round's pick
+        assert (report.pops, report.dead, report.candidates) == (311, 44, 768)
+        assert report.pops - report.dead - len(report.stars) == 238
+        assert solve(inst).stats == {
+            "phase1_resifts": 434,
+            "phase1_dropped": 737,
+            "phase2_valuations": 1091,
+            "phase2_pops": 311,
+            "phase2_dead": 44,
+            "phase2_candidates": 768,
+        }
 
 
 class TestCoverWork:

@@ -757,9 +757,9 @@ class TestUnitDiskEdges:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_coordinate_rejected(self, bad):
         with pytest.raises(InstanceError, match="malformed coordinate at node 0"):
-            WeightedGraph.from_edges(1, [], [1.0], coords=[(bad, 0.0)])
+            WeightedGraph.from_adjacency(edge_adjacency(1, []), [1.0], [(bad, 0.0)])
         with pytest.raises(InstanceError, match="malformed coordinate at node 1"):
-            WeightedGraph.from_edges(2, [(0, 1)], [1.0, 1.0], coords=[(0.0, 0.0), (0.0, bad)])
+            WeightedGraph.from_adjacency(edge_adjacency(2, [(0, 1)]), [1.0, 1.0], [(0.0, 0.0), (0.0, bad)])
 
 
 class TestFig1Generator:
@@ -846,7 +846,7 @@ class TestValidate:
         [
             (lambda: WeightedGraph.from_edges(3, [(0, 1), (1, 2)], [1.0, 1.0]), "cost vector size does not match node count"),
             (
-                lambda: WeightedGraph.from_edges(2, [(0, 1)], [1.0, 1.0], coords=[(0.0, 0.0)]),
+                lambda: WeightedGraph.from_adjacency(edge_adjacency(2, [(0, 1)]), [1.0, 1.0], [(0.0, 0.0)]),
                 "coords size does not match node count",
             ),
         ],
@@ -872,7 +872,7 @@ class TestValidate:
     )
     def test_from_edges_checks_in_order(self, n, edges, costs, coords, message):
         with pytest.raises(InstanceError, match=f"^{re.escape(message)}$"):
-            WeightedGraph.from_edges(n, edges, costs, coords=coords)
+            WeightedGraph.from_adjacency(edge_adjacency(n, edges), costs, coords)
 
 
 class TestComponentLabels:

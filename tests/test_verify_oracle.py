@@ -267,11 +267,18 @@ class TestExactSearch:
 
     def test_solve_keeps_both_search_sizes(self):
         """``solve`` keeps both searches' node counts, which ``ratio_report``
-        drops, the cover heap's stale tops and the connector's valuations in
+        drops, the cover heap's stale tops and the connector's heap counts in
         ``stats``, and its report prints none of them."""
         inst = gen_udg(18, 2.8, (0.1, 10.0), 1)
         result = solve(inst, with_oracle=True, node_budget=18)
-        phases = {"phase1_resifts": 8, "phase1_dropped": 14, "phase2_valuations": 15}
+        phases = {
+            "phase1_resifts": 8,
+            "phase1_dropped": 14,
+            "phase2_valuations": 15,
+            "phase2_pops": 2,
+            "phase2_dead": 0,
+            "phase2_candidates": 11,
+        }
         assert result.stats == {**phases, "oracle_cds_nodes": 701, "oracle_mds_nodes": 292}
         assert solve(inst).stats == phases
         report = solve_report_dict(result)
